@@ -46,6 +46,7 @@ from .problems import (
     build_fredholm,
     greens_kernel,
     load_problem,
+    noise_sigma,
     save_problem,
     standard_normal,
     stream_seed,

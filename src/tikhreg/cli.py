@@ -14,11 +14,8 @@ from the manifest.
 """
 
 import argparse
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import TikhregError
@@ -39,7 +36,9 @@ from .harness import (
     write_manifest,
 )
 from .params import AdaptiveConfig, adaptive_select
-from .problems import NoiseSpec, add_noise, build_blur, build_fredholm, load_problem, save_problem
+from .problems import (
+    NoiseSpec, add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
+)
 from .spectral import decompose, fit_alpha
 from .tikhonov import direct_solver, error_report, solve_direct
 
@@ -81,6 +80,14 @@ def _add_rule_args(sub):
     sub.add_argument("--rule", choices=("w", "rho0"), default="rho0")
     sub.add_argument("--alpha", type=float, default=4.0, help="spectral decay exponent")
     sub.add_argument("--c", type=float, default=1.0, help="rule constant C")
+
+
+def _add_adaptive_args(sub):
+    sub.add_argument("--alpha", type=float, default=4.0)
+    sub.add_argument("--c", type=float, default=1.0)
+    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--stop", choices=("absolute", "relative"), default="absolute")
+    sub.add_argument("--max-iters", type=int, default=100)
 
 
 def _add_common(sub):
@@ -129,11 +136,7 @@ def build_parser():
     _add_problem_args(p)
     _add_common(p)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--stop", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--max-iters", type=int, default=100)
+    _add_adaptive_args(p)
     p.set_defaults(func=_cmd_adaptive)
 
     p = commands.add_parser("montecarlo", help="mean errors per (n, delta) cell and slope fits")
@@ -165,11 +168,7 @@ def build_parser():
     p.add_argument("--psf-width", type=float, default=2.0)
     p.add_argument("--ns", type=_int_list, required=True)
     p.add_argument("--deltas", type=_float_list, required=True)
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--stop", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--max-iters", type=int, default=100)
+    _add_adaptive_args(p)
     p.set_defaults(func=_cmd_table)
 
     return parser
@@ -194,6 +193,13 @@ def _problem_factory(args):
     if args.problem == "fredholm":
         return build_fredholm
     return lambda side: build_blur(side, args.psf_width)
+
+
+def _adaptive_config(args):
+    return AdaptiveConfig(
+        alpha=args.alpha, constant_c=args.c, tol=args.tol,
+        stop_mode=args.stop, max_iters=args.max_iters,
+    )
 
 
 def _chosen_lambda(args, instance, sigma):
@@ -261,11 +267,8 @@ def _cmd_sweep(args, parser, out_dir):
 def _cmd_adaptive(args, parser, out_dir):
     instance = _build_instance(args, parser)
     data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
-    cfg = AdaptiveConfig(
-        alpha=args.alpha, constant_c=args.c, tol=args.tol,
-        stop_mode=args.stop, max_iters=args.max_iters,
-    )
-    trace = adaptive_select(instance, data.b, cfg, direct_solver(instance, data.b))
+    trace = adaptive_select(instance, data.b, _adaptive_config(args),
+                            direct_solver(instance, data.b))
     report = error_report(instance, None, trace.final, data.b)
     outputs = save_trace(out_dir, trace)
     write_json(os.path.join(out_dir, "adaptive.json"), {
@@ -287,6 +290,8 @@ def _cmd_adaptive(args, parser, out_dir):
 def _cmd_montecarlo(args, parser, out_dir):
     if args.reps < 2:
         parser.error("--reps must be >= 2")
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     summary = run_montecarlo(
         args.ns, args.deltas, args.reps,
         rule=args.rule, constant_c=args.c, master_seed=args.seed,
@@ -301,8 +306,7 @@ def _cmd_montecarlo(args, parser, out_dir):
 
 def _cmd_study(args, parser, out_dir):
     instance = _build_instance(args, parser)
-    sigma = args.delta * float(np.linalg.norm(instance.y)) / math.sqrt(instance.n)
-    lam = _chosen_lambda(args, instance, sigma)
+    lam = _chosen_lambda(args, instance, noise_sigma(instance, args.delta))
     study = run_sample_study(
         instance, args.delta, lam, args.reps, master_seed=args.seed, bins=args.bins
     )
@@ -313,11 +317,7 @@ def _cmd_study(args, parser, out_dir):
 
 
 def _cmd_table(args, parser, out_dir):
-    cfg = AdaptiveConfig(
-        alpha=args.alpha, constant_c=args.c, tol=args.tol,
-        stop_mode=args.stop, max_iters=args.max_iters,
-    )
-    rows = run_table(args.ns, args.deltas, cfg, master_seed=args.seed,
+    rows = run_table(args.ns, args.deltas, _adaptive_config(args), master_seed=args.seed,
                      problem=_problem_factory(args))
     outputs = save_table(out_dir, rows)
     return outputs, f"table: wrote {len(rows)} rows to table1.csv"

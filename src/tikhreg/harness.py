@@ -24,11 +24,13 @@ from scipy.special import ndtri
 
 from . import __version__
 from .errors import DegenerateSample, DomainError
-from .linalg import scaled_norm, w_norm
+from .linalg import w_norm
 from .params import PriorRuleInput, adaptive_select, prior_rule_rho0, prior_rule_w
-from .problems import NoiseSpec, add_noise, build_fredholm, standard_normal, stream_seed
-from .spectral import decompose
-from .tikhonov import direct_solver, error_report, solve_spectral, spectral_solver
+from .problems import (
+    NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
+)
+from .spectral import decompose, spectrum_rows
+from .tikhonov import direct_solver, error_report, spectral_solver
 
 # reps are processed in fixed-size batches (one GEMM each); the batch size is
 # a constant so thread count cannot alter the floating-point reduction order
@@ -152,26 +154,32 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
 # Monte Carlo mean errors and slope fit
 # ===========================================================================
 
-def _cell_means(instance, decomp, delta, lam, reps, master_seed):
-    # Per repetition, only the projections (b, A psi_k) are needed:
-    #   ||A(x - x*)||^2 = sum rho (c - s)^2,  ||B(x - x*)||^2 = sum sqrt(rho) (c - s)^2
-    # with c = proj / (lam + rho) and s the true coefficients. Identical in
-    # exact arithmetic to solving and measuring; the tests pin the agreement.
+def _error_batches(instance, decomp, sigma, delta, lam, reps, master_seed):
+    # Yields diff = c - s for each fixed _REP_BATCH batch of repetitions, one
+    # column per rep: c = (b, A psi) / (lam + rho) are the filter coefficients
+    # of rep r's noisy data b = y + sigma xi_r and s the true coefficients.
+    # Then ||A(x - x*)||^2 = sum rho diff^2 and ||B(x - x*)||^2 =
+    # sum sqrt(rho) diff^2, identical in exact arithmetic to solving and
+    # measuring; the tests pin the agreement.
     n = instance.n
-    sigma = delta * float(np.linalg.norm(instance.y)) / math.sqrt(n)
     s = decomp.psi.T @ instance.w.apply(instance.x_star)
     d_clean = decomp.a_psi.T @ instance.y
     filt = 1.0 / (lam + decomp.rho)
-    sqrt_rho = np.sqrt(decomp.rho)
-    sum_out = 0.0
-    sum_b = 0.0
     for lo in range(0, reps, _REP_BATCH):
         hi = min(lo + _REP_BATCH, reps)
         xi = np.empty((n, hi - lo), dtype=np.float64)
         for j, rep in enumerate(range(lo, hi)):
             xi[:, j] = standard_normal(stream_seed(master_seed, n, delta, rep), n)
         d = d_clean[:, None] + sigma * (decomp.a_psi.T @ xi)
-        diff = d * filt[:, None] - s[:, None]
+        yield lo, hi, d * filt[:, None] - s[:, None]
+
+
+def _cell_means(instance, decomp, sigma, delta, lam, reps, master_seed):
+    n = instance.n
+    sqrt_rho = np.sqrt(decomp.rho)
+    sum_out = 0.0
+    sum_b = 0.0
+    for _, _, diff in _error_batches(instance, decomp, sigma, delta, lam, reps, master_seed):
         out = np.sqrt(np.sum(decomp.rho[:, None] * diff**2, axis=0)) / math.sqrt(n)
         berr = np.sqrt(np.sum(sqrt_rho[:, None] * diff**2, axis=0)) / math.sqrt(n)
         sum_out += float(np.sum(out))
@@ -185,11 +193,13 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
 
     One instance and one decomposition per n, shared across that n's cells;
     rep r of cell (n, delta) reads noise stream stream_seed(master_seed, n,
-    delta, r). Cell means are reduced in (ns x deltas) order regardless of
-    the worker cap, so `threads` affects wall time only.
+    delta, r). Cells run on a pool of `threads` workers and are reduced in
+    (ns x deltas) order, so `threads` affects wall time only.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     for d in deltas:
         if not d > 0:
             raise DomainError(f"deltas must be positive, got {d}")
@@ -201,20 +211,16 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     def one_cell(cell):
         n, delta = cell
         inst, decomp = shared[n]
-        sigma = delta * float(np.linalg.norm(inst.y)) / math.sqrt(n)
+        sigma = noise_sigma(inst, delta)
         lam = rule_lambda(rule, alpha, inst, sigma, constant_c)
-        mean_out, mean_b = _cell_means(inst, decomp, delta, lam, reps, master_seed)
+        mean_out, mean_b = _cell_means(inst, decomp, sigma, delta, lam, reps, master_seed)
         return MonteCarloCell(
             n=n, delta=delta, lam=float(lam),
             mean_scaled_output=mean_out, mean_scaled_b=mean_b, reps=reps,
         )
 
-    grid = [(n, delta) for n in ns for delta in deltas]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(one_cell, grid))
-    else:
-        cells = [one_cell(cell) for cell in grid]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        cells = list(pool.map(one_cell, [(n, delta) for n in ns for delta in deltas]))
 
     log_lam = np.log([c.lam for c in cells])
     if np.unique(log_lam).size >= 2:
@@ -246,18 +252,9 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
         raise DomainError(f"reps must be >= 100, got {reps}")
     n = instance.n
     decomp = decompose(instance)
-    sigma = delta * float(np.linalg.norm(instance.y)) / math.sqrt(n)
-    s = decomp.psi.T @ instance.w.apply(instance.x_star)
-    d_clean = decomp.a_psi.T @ instance.y
-    filt = 1.0 / (lam + decomp.rho)
+    sigma = noise_sigma(instance, delta)
     samples = np.empty(reps, dtype=np.float64)
-    for lo in range(0, reps, _REP_BATCH):
-        hi = min(lo + _REP_BATCH, reps)
-        xi = np.empty((n, hi - lo), dtype=np.float64)
-        for j, rep in enumerate(range(lo, hi)):
-            xi[:, j] = standard_normal(stream_seed(master_seed, n, delta, rep), n)
-        d = d_clean[:, None] + sigma * (decomp.a_psi.T @ xi)
-        diff = d * filt[:, None] - s[:, None]
+    for lo, hi, diff in _error_batches(instance, decomp, sigma, delta, lam, reps, master_seed):
         samples[lo:hi] = np.sqrt(np.sum(decomp.rho[:, None] * diff**2, axis=0)) / math.sqrt(n)
     sd = float(np.std(samples, ddof=1))
     # ptp catches the all-identical case where the subtracted mean is off by
@@ -342,8 +339,6 @@ def write_manifest(out_dir, command, params, outputs):
 
 
 def save_spectrum(out_dir, decomp, fit):
-    from .spectral import spectrum_rows
-
     write_csv(os.path.join(out_dir, "spectrum.csv"), ["k", "rho", "envelope"],
               spectrum_rows(decomp, fit))
     write_json(os.path.join(out_dir, "spectrum.json"), {

@@ -8,7 +8,7 @@ numpy arrays (row-major); inputs are never mutated.
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotSPD, NotSymmetric
+from .errors import ConvergenceFailure, DimensionMismatch, NotSPD, NotSymmetric
 
 # Relative asymmetry tolerated before a matrix is rejected outright.
 SYM_RTOL = 1e-12
@@ -114,8 +114,6 @@ def sym_eig(m):
     ConvergenceFailure
         If the underlying solver fails to converge.
     """
-    from .errors import ConvergenceFailure
-
     m = symmetrize(m)
     try:
         vals, vecs = np.linalg.eigh(m)

@@ -13,8 +13,8 @@ one Gaussian bump); it exists to exercise spectral-decay estimation on an
 operator with a very different spectrum, not to model any particular camera.
 
 Noise model: b = y + sigma * xi with xi iid standard normal and
-sigma = delta * n^{-1/2} * ||y||, so delta is the relative noise level and
-sigma the per-component standard deviation.
+sigma = noise_sigma(instance, delta) = delta * n^{-1/2} * ||y||, so delta is
+the relative noise level and sigma the per-component standard deviation.
 
 Reproducibility. All Gaussian variates come from a Philox4x64-10 counter
 generator keyed directly by the caller's 64-bit seed (counter starts at 0).
@@ -39,6 +39,7 @@ only when w_kind == "explicit", W (n*n, row-major).
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,7 @@ def build_fredholm(n):
     # fill in row blocks: min/max broadcasting is memory-hungry at n = 10^4
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        tb = t_nodes[lo:hi, None]
-        block = np.minimum(tb, s_nodes[None, :]) * (1.0 - np.maximum(tb, s_nodes[None, :]))
-        block /= n
-        a[lo:hi, :] = block
+        a[lo:hi, :] = greens_kernel(t_nodes[lo:hi, None], s_nodes[None, :]) / n
     tm = s_nodes  # x* lives on the midpoint grid
     x_star = -6.0 * tm**2 * (1.0 - tm) * (2.0 - 8.0 * tm + 7.0 * tm**2)
     y = a @ x_star
@@ -222,14 +220,18 @@ def stream_seed(master_seed, n, delta, rep):
     return int.from_bytes(digest[:8], "little")
 
 
+def noise_sigma(instance, delta):
+    """Absolute noise strength sigma = delta * n^{-1/2} * ||y|| of relative level delta."""
+    return delta * float(np.linalg.norm(instance.y)) / math.sqrt(instance.n)
+
+
 def add_noise(instance, spec):
-    """Draw b = y + sigma * xi with sigma = delta * n^{-1/2} * ||y||."""
-    n = instance.n
-    sigma = spec.delta * float(np.linalg.norm(instance.y)) / math.sqrt(n)
+    """Draw b = y + sigma * xi with sigma = noise_sigma(instance, spec.delta)."""
+    sigma = noise_sigma(instance, spec.delta)
     if sigma == 0.0:
         b = instance.y.copy()
     else:
-        b = instance.y + sigma * standard_normal(spec.seed, n)
+        b = instance.y + sigma * standard_normal(spec.seed, instance.n)
     return NoisyData(b=b, sigma=sigma, delta=spec.delta, seed=spec.seed)
 
 
@@ -254,21 +256,38 @@ def save_problem(instance, path):
 
 
 def load_problem(path):
-    """Read a `.prob` container back into a ProblemInstance."""
+    """Read a `.prob` container back into a ProblemInstance.
+
+    The header and the file size are checked before any array is read, so a
+    truncated, padded or garbage file raises DomainError.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format") != _PROB_MAGIC:
+        if hlen > size - 8:
+            raise DomainError(f"not a .prob file (truncated header): {path}")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DomainError(f"not a .prob file (unreadable header): {path}") from exc
+        if not isinstance(header, dict) or header.get("format") != _PROB_MAGIC:
             raise DomainError(f"not a .prob file: {path}")
         if header.get("version") != _PROB_VERSION:
             raise DomainError(f"unsupported .prob version {header.get('version')}")
-        n = int(header["n"])
+        n, w_kind, label = header.get("n"), header.get("w_kind"), header.get("label")
+        if (type(n) is not int or n < 2 or w_kind not in ("identity", "explicit")
+                or not isinstance(label, str)):
+            raise DomainError(
+                f"bad .prob header (n={n!r}, w_kind={w_kind!r}, label={label!r}): {path}")
+        expected = 8 + hlen + 8 * (n * n + 2 * n) + (8 * n * n if w_kind == "explicit" else 0)
+        if size != expected:
+            raise DomainError(f".prob file has {size} bytes, expected {expected} for n = {n}: {path}")
         a = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).astype(np.float64)
         x_star = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
         y = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-        if header["w_kind"] == "explicit":
+        if w_kind == "explicit":
             wm = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).astype(np.float64)
             w = WeightSpec.explicit(wm)
         else:
             w = WeightSpec.identity()
-    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=header["label"])
+    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=label)

@@ -80,12 +80,17 @@ def decompose(instance):
     return SpectralDecomposition(rho=rho, psi=psi, a_psi=a_psi, m=m, n=instance.n)
 
 
+def _envelope(c_upper, alpha_hat, ks):
+    return c_upper * ks ** (-alpha_hat)
+
+
 def fit_alpha(decomp):
     """Fit the decay exponent of rho_k ~ c k^{-alpha} by ordinary least squares.
 
     Natural logs over ranks k in [6, min(400, floor(m/2))]; alpha_hat is the
     slope magnitude and c_upper the envelope constant max_k rho_k k^alpha_hat
-    over every retained rank.
+    over every retained rank, raised by the fewest ulps that make the computed
+    envelope c_upper k^-alpha_hat bound every rho_k.
     """
     m = decomp.m
     k_hi = min(_FIT_CAP, m // 2)
@@ -101,6 +106,9 @@ def fit_alpha(decomp):
     resid = log_rho - (slope * log_k + intercept)
     all_k = np.arange(1, m + 1, dtype=np.float64)
     c_upper = float(np.max(decomp.rho * all_k**alpha_hat))
+    # rho_k * k^a / k^a need not round back to rho_k; step up until it bounds
+    while np.any(decomp.rho > _envelope(c_upper, alpha_hat, all_k)):
+        c_upper = float(np.nextafter(c_upper, math.inf))
     return AlphaFit(
         alpha_hat=alpha_hat,
         log_c=float(intercept),
@@ -126,5 +134,5 @@ def b_seminorm_sq(decomp, u, w):
 def spectrum_rows(decomp, fit):
     """(k, rho_k, envelope_k) triples for the retained spectrum."""
     ks = np.arange(1, decomp.m + 1, dtype=np.float64)
-    envelope = fit.c_upper * ks ** (-fit.alpha_hat)
+    envelope = _envelope(fit.c_upper, fit.alpha_hat, ks)
     return [(int(k), float(r), float(e)) for k, r, e in zip(ks, decomp.rho, envelope)]

@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteLambda
+from .errors import DimensionMismatch, DomainError, NonFiniteLambda
 from .linalg import spd_solve, w_norm
+from .spectral import b_seminorm_sq
 
 __all__ = [
     "RegularizedSolution",
@@ -57,6 +58,8 @@ def _check_rhs(instance, b):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (instance.n,):
         raise DimensionMismatch(f"b has shape {b.shape}, expected ({instance.n},)")
+    if not np.all(np.isfinite(b)):
+        raise DomainError("b must be finite")
     return b
 
 
@@ -67,34 +70,7 @@ def _regularized_matrix(gram, lam, w):
     return m
 
 
-def solve_direct(instance, b, lam):
-    """Solve the normal equations (A^T A + lambda W) x = A^T b."""
-    lam = _check_lambda(lam)
-    b = _check_rhs(instance, b)
-    a = instance.a
-    gram = a.T @ a
-    x = spd_solve(_regularized_matrix(gram, lam, instance.w), a.T @ b)
-    ax = a @ x
-    return RegularizedSolution(
-        lam=lam,
-        x=x,
-        residual_b=float(np.linalg.norm(ax - b)),
-        w_norm=w_norm(x, instance.w),
-        output_err=float(np.linalg.norm(ax - instance.y)),
-    )
-
-
-def solve_spectral(decomp, instance, b, lam):
-    """Apply the spectral filter c_k = (b, A psi_k) / (lambda + rho_k)."""
-    lam = _check_lambda(lam)
-    b = _check_rhs(instance, b)
-    if decomp.n != instance.n:
-        raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
-    c = (decomp.a_psi.T @ b) / (lam + decomp.rho)
-    x = decomp.psi @ c
-    ax = decomp.a_psi @ c
-    s = decomp.psi.T @ instance.w.apply(instance.x_star)
-    b_err_sq = float(np.sum(np.sqrt(decomp.rho) * (c - s) ** 2))
+def _solution(instance, b, lam, x, ax, b_err_sq=None):
     return RegularizedSolution(
         lam=lam,
         x=x,
@@ -103,6 +79,56 @@ def solve_spectral(decomp, instance, b, lam):
         output_err=float(np.linalg.norm(ax - instance.y)),
         b_err_sq=b_err_sq,
     )
+
+
+def direct_solver(instance, b):
+    """Callable lam -> RegularizedSolution of (A^T A + lambda W) x = A^T b.
+
+    A^T A and A^T b are formed once, so the adaptive iteration can solve the
+    same (instance, b) at a sequence of parameters.
+    """
+    b = _check_rhs(instance, b)
+    a = instance.a
+    gram = a.T @ a
+    atb = a.T @ b
+
+    def solve(lam):
+        lam = _check_lambda(lam)
+        x = spd_solve(_regularized_matrix(gram, lam, instance.w), atb)
+        return _solution(instance, b, lam, x, a @ x)
+
+    return solve
+
+
+def spectral_solver(decomp, instance, b):
+    """Callable lam -> RegularizedSolution of the filter c_k = (b, A psi_k) / (lambda + rho_k).
+
+    The projections (b, A psi_k) and the true coefficients are formed once.
+    """
+    b = _check_rhs(instance, b)
+    if decomp.n != instance.n:
+        raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
+    d = decomp.a_psi.T @ b
+    s = decomp.psi.T @ instance.w.apply(instance.x_star)
+    sqrt_rho = np.sqrt(decomp.rho)
+
+    def solve(lam):
+        lam = _check_lambda(lam)
+        c = d / (lam + decomp.rho)
+        return _solution(instance, b, lam, decomp.psi @ c, decomp.a_psi @ c,
+                         b_err_sq=float(np.sum(sqrt_rho * (c - s) ** 2)))
+
+    return solve
+
+
+def solve_direct(instance, b, lam):
+    """One-call form of direct_solver(instance, b)(lam)."""
+    return direct_solver(instance, b)(lam)
+
+
+def solve_spectral(decomp, instance, b, lam):
+    """One-call form of spectral_solver(decomp, instance, b)(lam)."""
+    return spectral_solver(decomp, instance, b)(lam)
 
 
 def error_report(instance, decomp, sol, b):
@@ -120,8 +146,6 @@ def error_report(instance, decomp, sol, b):
     if sol.b_err_sq is not None:
         scaled_b = math.sqrt(max(sol.b_err_sq, 0.0)) / root_n
     elif decomp is not None:
-        from .spectral import b_seminorm_sq
-
         scaled_b = math.sqrt(b_seminorm_sq(decomp, sol.x - instance.x_star, instance.w)) / root_n
     else:
         scaled_b = None
@@ -133,52 +157,3 @@ def error_report(instance, decomp, sol, b):
         scaled_b=scaled_b,
     )
 
-
-def direct_solver(instance, b):
-    """Callable lam -> RegularizedSolution with A^T A and A^T b cached.
-
-    Intended for the adaptive iteration, where the same (instance, b) is
-    solved at a sequence of parameters.
-    """
-    b = _check_rhs(instance, b)
-    a = instance.a
-    gram = a.T @ a
-    atb = a.T @ b
-
-    def solve(lam):
-        lam_ = _check_lambda(lam)
-        x = spd_solve(_regularized_matrix(gram, lam_, instance.w), atb)
-        ax = a @ x
-        return RegularizedSolution(
-            lam=lam_,
-            x=x,
-            residual_b=float(np.linalg.norm(ax - b)),
-            w_norm=w_norm(x, instance.w),
-            output_err=float(np.linalg.norm(ax - instance.y)),
-        )
-
-    return solve
-
-
-def spectral_solver(decomp, instance, b):
-    """Callable lam -> RegularizedSolution with the spectral projections cached."""
-    b = _check_rhs(instance, b)
-    d = decomp.a_psi.T @ b
-    s = decomp.psi.T @ instance.w.apply(instance.x_star)
-    sqrt_rho = np.sqrt(decomp.rho)
-
-    def solve(lam):
-        lam_ = _check_lambda(lam)
-        c = d / (lam_ + decomp.rho)
-        x = decomp.psi @ c
-        ax = decomp.a_psi @ c
-        return RegularizedSolution(
-            lam=lam_,
-            x=x,
-            residual_b=float(np.linalg.norm(ax - b)),
-            w_norm=w_norm(x, instance.w),
-            output_err=float(np.linalg.norm(ax - instance.y)),
-            b_err_sq=float(np.sum(sqrt_rho * (c - s) ** 2)),
-        )
-
-    return solve

@@ -180,3 +180,17 @@ def test_reruns_byte_identical(tmp_path):
     assert run(args + ["--out", b]) == 0
     for name in ("sweep.csv", "sweep.json", "manifest.json"):
         assert read(os.path.join(a, name)) == read(os.path.join(b, name))
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    assert run(["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "4",
+                "--threads", threads, "--out", str(tmp_path)]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_garbage_prob_exits_1(tmp_path, capsys):
+    junk = tmp_path / "junk.prob"
+    junk.write_bytes(b"garbage")
+    assert run(["spectrum", "--prob", str(junk), "--out", str(tmp_path / "s")]) == 1
+    assert "error:" in capsys.readouterr().err

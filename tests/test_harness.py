@@ -257,3 +257,9 @@ def test_save_sweep_noise_free_serializes_null(tmp_path, fred100):
     doc = json.loads(open(tmp_path / "sweep.json").read())
     assert doc["err_at_pred"] is None
     assert doc["lambda_pred"] == 0.0
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_montecarlo_rejects_threads_below_one(threads):
+    with pytest.raises(DomainError):
+        run_montecarlo([60], [0.1], 4, threads=threads)

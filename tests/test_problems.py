@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tikhreg import (
     DimensionMismatch,
@@ -13,6 +15,7 @@ from tikhreg import (
     build_fredholm,
     greens_kernel,
     load_problem,
+    noise_sigma,
     save_problem,
     standard_normal,
     stream_seed,
@@ -214,5 +217,57 @@ def test_prob_rejects_garbage(tmp_path):
     path = tmp_path / "junk.prob"
     header = b'{"format": "nope"}'
     path.write_bytes(len(header).to_bytes(8, "little") + header + b"x" * 32)
+    with pytest.raises(DomainError):
+        load_problem(str(path))
+
+
+def test_noise_sigma_is_add_noise_sigma(fred100):
+    data = add_noise(fred100, NoiseSpec(delta=0.1, seed=3))
+    assert noise_sigma(fred100, 0.1) == data.sigma
+
+
+@pytest.fixture(scope="module")
+def saved_blobs(tmp_path_factory):
+    """Bytes of a small saved instance, with identity and with explicit weight."""
+    inst = build_fredholm(6)
+    weighted = ProblemInstance(n=inst.n, a=inst.a, x_star=inst.x_star, y=inst.y,
+                               w=WeightSpec.explicit(2.0 * np.eye(inst.n)), label="w")
+    blobs = []
+    for each in (inst, weighted):
+        path = tmp_path_factory.mktemp("prob") / "whole.prob"
+        save_problem(each, str(path))
+        blobs.append(path.read_bytes())
+    return blobs
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_prob_raises_domain_error(tmp_path_factory, saved_blobs, data):
+    blob = data.draw(st.sampled_from(saved_blobs))
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    path = tmp_path_factory.mktemp("cut") / "cut.prob"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(DomainError):
+        load_problem(str(path))
+
+
+@pytest.mark.parametrize("blob", [
+    b"1234567",                                            # shorter than the length field
+    (2**62).to_bytes(8, "little") + b"{}",                 # header length past the end
+    (4).to_bytes(8, "little") + b"\xff\xfe\xfd\xfc",       # header is not UTF-8
+    (4).to_bytes(8, "little") + b"{no}",                   # header is not JSON
+    (2).to_bytes(8, "little") + b"[]",                     # header is not an object
+], ids=["short", "hlen-past-end", "not-utf8", "not-json", "not-object"])
+def test_malformed_prob_header_raises_domain_error(tmp_path, blob):
+    path = tmp_path / "bad.prob"
+    path.write_bytes(blob)
+    with pytest.raises(DomainError):
+        load_problem(str(path))
+
+
+def test_prob_with_trailing_bytes_rejected(tmp_path, fred20):
+    path = tmp_path / "f.prob"
+    save_problem(fred20, str(path))
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
     with pytest.raises(DomainError):
         load_problem(str(path))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tikhreg import (
+    DomainError,
     NonFiniteLambda,
     ProblemInstance,
     WeightSpec,
@@ -172,3 +173,19 @@ def test_residual_grows_and_norm_shrinks_in_lambda(lam_lo, factor):
     hi = solve_direct(inst, b, lam_hi)
     assert hi.residual_b >= lo.residual_b * (1.0 - 1e-10)
     assert hi.w_norm <= lo.w_norm * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_rhs_rejected(fred20, bad):
+    dec = decompose(fred20)
+    b = fred20.y.copy()
+    b[3] = bad
+    with pytest.raises(DomainError):
+        solve_direct(fred20, b, 1e-6)
+    with pytest.raises(DomainError):
+        solve_spectral(dec, fred20, b, 1e-6)
+    with pytest.raises(DomainError):
+        direct_solver(fred20, b)
+    with pytest.raises(DomainError):
+        spectral_solver(dec, fred20, b)
+
