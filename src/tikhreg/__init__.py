@@ -56,6 +56,7 @@ from .spectral import (
     SpectralDecomposition,
     b_seminorm_sq,
     decompose,
+    error_filter,
     fit_alpha,
     spectrum_rows,
 )

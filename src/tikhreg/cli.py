@@ -53,18 +53,13 @@ def _seed_type(text):
     return value
 
 
-def _int_list(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _float_list(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}")
+def _list_of(convert, what):
+    def parse(text):
+        try:
+            return [convert(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated {what} list, got {text!r}")
+    return parse
 
 
 def _add_problem_args(sub, with_prob=True):
@@ -74,6 +69,14 @@ def _add_problem_args(sub, with_prob=True):
     sub.add_argument("--psf-width", type=float, default=2.0, help="blur width in pixels")
     if with_prob:
         sub.add_argument("--prob", help="load a .prob instance instead of building one")
+
+
+def _add_grid_args(sub):
+    sub.add_argument("--problem", choices=("fredholm", "blur"), default="fredholm")
+    sub.add_argument("--psf-width", type=float, default=2.0, help="blur width in pixels")
+    sub.add_argument("--ns", type=_list_of(int, "integer"), required=True,
+                     help="comma-separated sizes (blur: side lengths)")
+    sub.add_argument("--deltas", type=_list_of(float, "float"), required=True)
 
 
 def _add_rule_args(sub):
@@ -142,11 +145,7 @@ def build_parser():
     p = commands.add_parser("montecarlo", help="mean errors per (n, delta) cell and slope fits")
     _add_rule_args(p)
     _add_common(p)
-    p.add_argument("--problem", choices=("fredholm", "blur"), default="fredholm")
-    p.add_argument("--psf-width", type=float, default=2.0)
-    p.add_argument("--ns", type=_int_list, required=True,
-                   help="comma-separated sizes (blur: side lengths)")
-    p.add_argument("--deltas", type=_float_list, required=True)
+    _add_grid_args(p)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--threads", type=int, default=1,
                    help="worker cap; results are identical for any value")
@@ -164,10 +163,7 @@ def build_parser():
 
     p = commands.add_parser("table", help="adaptive summary rows over (delta, n) pairs")
     _add_common(p)
-    p.add_argument("--problem", choices=("fredholm", "blur"), default="fredholm")
-    p.add_argument("--psf-width", type=float, default=2.0)
-    p.add_argument("--ns", type=_int_list, required=True)
-    p.add_argument("--deltas", type=_float_list, required=True)
+    _add_grid_args(p)
     _add_adaptive_args(p)
     p.set_defaults(func=_cmd_table)
 
@@ -177,22 +173,20 @@ def build_parser():
 # ---------------------------------------------------------------------------
 # instance construction shared by the subcommands
 
+def _problem_factory(args):
+    """(size flag, size -> ProblemInstance) of the --problem family."""
+    if args.problem == "fredholm":
+        return "n", build_fredholm
+    return "side", lambda side: build_blur(side, args.psf_width)
+
+
 def _build_instance(args, parser):
     if getattr(args, "prob", None):
         return load_problem(args.prob)
-    if args.problem == "fredholm":
-        if args.n is None:
-            parser.error("--problem fredholm requires --n")
-        return build_fredholm(args.n)
-    if args.side is None:
-        parser.error("--problem blur requires --side")
-    return build_blur(args.side, args.psf_width)
-
-
-def _problem_factory(args):
-    if args.problem == "fredholm":
-        return build_fredholm
-    return lambda side: build_blur(side, args.psf_width)
+    flag, build = _problem_factory(args)
+    if getattr(args, flag) is None:
+        parser.error(f"--problem {args.problem} requires --{flag}")
+    return build(getattr(args, flag))
 
 
 def _adaptive_config(args):
@@ -295,7 +289,7 @@ def _cmd_montecarlo(args, parser, out_dir):
     summary = run_montecarlo(
         args.ns, args.deltas, args.reps,
         rule=args.rule, constant_c=args.c, master_seed=args.seed,
-        alpha=args.alpha, threads=args.threads, problem=_problem_factory(args),
+        alpha=args.alpha, threads=args.threads, problem=_problem_factory(args)[1],
     )
     outputs = save_montecarlo(out_dir, summary)
     return outputs, (
@@ -318,7 +312,7 @@ def _cmd_study(args, parser, out_dir):
 
 def _cmd_table(args, parser, out_dir):
     rows = run_table(args.ns, args.deltas, _adaptive_config(args), master_seed=args.seed,
-                     problem=_problem_factory(args))
+                     problem=_problem_factory(args)[1])
     outputs = save_table(out_dir, rows)
     return outputs, f"table: wrote {len(rows)} rows to table1.csv"
 

@@ -17,7 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy.special import ndtri
@@ -29,11 +29,12 @@ from .params import PriorRuleInput, adaptive_select, prior_rule_rho0, prior_rule
 from .problems import (
     NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
 )
-from .spectral import decompose, spectrum_rows
+from .spectral import decompose, error_filter, spectrum_rows
 from .tikhonov import direct_solver, error_report, spectral_solver
 
-# reps are processed in fixed-size batches (one GEMM each); the batch size is
-# a constant so thread count cannot alter the floating-point reduction order
+# reps are processed in fixed-size batches: one (n, 64) noise block bounds the
+# memory of a cell, and the constant batch fixes the GEMM shape, so the thread
+# count cannot change any bit
 _REP_BATCH = 64
 
 
@@ -154,37 +155,28 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
 # Monte Carlo mean errors and slope fit
 # ===========================================================================
 
-def _error_batches(instance, decomp, sigma, delta, lam, reps, master_seed):
-    # Yields diff = c - s for each fixed _REP_BATCH batch of repetitions, one
-    # column per rep: c = (b, A psi) / (lam + rho) are the filter coefficients
-    # of rep r's noisy data b = y + sigma xi_r and s the true coefficients.
-    # Then ||A(x - x*)||^2 = sum rho diff^2 and ||B(x - x*)||^2 =
-    # sum sqrt(rho) diff^2, identical in exact arithmetic to solving and
-    # measuring; the tests pin the agreement.
+def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
+    # Per-rep n^{-1/2} ||A(x_r - x*)|| and n^{-1/2} ||B(x_r - x*)|| at one lambda,
+    # x_r solving b = y + sigma xi_r: one GEMM per batch, measured by error_filter.
     n = instance.n
-    s = decomp.psi.T @ instance.w.apply(instance.x_star)
+    errors = error_filter(decomp, instance)
     d_clean = decomp.a_psi.T @ instance.y
-    filt = 1.0 / (lam + decomp.rho)
+    out_sq = np.empty(reps, dtype=np.float64)
+    b_sq = np.empty(reps, dtype=np.float64)
     for lo in range(0, reps, _REP_BATCH):
         hi = min(lo + _REP_BATCH, reps)
         xi = np.empty((n, hi - lo), dtype=np.float64)
         for j, rep in enumerate(range(lo, hi)):
             xi[:, j] = standard_normal(stream_seed(master_seed, n, delta, rep), n)
         d = d_clean[:, None] + sigma * (decomp.a_psi.T @ xi)
-        yield lo, hi, d * filt[:, None] - s[:, None]
+        _, out_sq[lo:hi], b_sq[lo:hi] = errors(d, lam)
+    return np.sqrt(out_sq) / math.sqrt(n), np.sqrt(b_sq) / math.sqrt(n)
 
 
-def _cell_means(instance, decomp, sigma, delta, lam, reps, master_seed):
-    n = instance.n
-    sqrt_rho = np.sqrt(decomp.rho)
-    sum_out = 0.0
-    sum_b = 0.0
-    for _, _, diff in _error_batches(instance, decomp, sigma, delta, lam, reps, master_seed):
-        out = np.sqrt(np.sum(decomp.rho[:, None] * diff**2, axis=0)) / math.sqrt(n)
-        berr = np.sqrt(np.sum(sqrt_rho[:, None] * diff**2, axis=0)) / math.sqrt(n)
-        sum_out += float(np.sum(out))
-        sum_b += float(np.sum(berr))
-    return sum_out / reps, sum_b / reps
+def _check_distinct_streams(deltas, master_seed):
+    # two deltas with one stream key would give their cells the same noise
+    if len({stream_seed(master_seed, 0, d, 0) for d in deltas}) < len(deltas):
+        raise DomainError(f"deltas {list(deltas)} include two that share one noise stream")
 
 
 def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
@@ -193,8 +185,9 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
 
     One instance and one decomposition per n, shared across that n's cells;
     rep r of cell (n, delta) reads noise stream stream_seed(master_seed, n,
-    delta, r). Cells run on a pool of `threads` workers and are reduced in
-    (ns x deltas) order, so `threads` affects wall time only.
+    delta, r), and deltas that share a stream are rejected. Cells run on a
+    pool of `threads` workers and are reduced in (ns x deltas) order, so
+    `threads` affects wall time only.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
@@ -203,6 +196,7 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     for d in deltas:
         if not d > 0:
             raise DomainError(f"deltas must be positive, got {d}")
+    _check_distinct_streams(deltas, master_seed)
     shared = {}
     for n in ns:
         inst = problem(n)
@@ -213,10 +207,10 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
         inst, decomp = shared[n]
         sigma = noise_sigma(inst, delta)
         lam = rule_lambda(rule, alpha, inst, sigma, constant_c)
-        mean_out, mean_b = _cell_means(inst, decomp, sigma, delta, lam, reps, master_seed)
+        out, berr = _scaled_errors(inst, decomp, sigma, delta, lam, reps, master_seed)
         return MonteCarloCell(
             n=n, delta=delta, lam=float(lam),
-            mean_scaled_output=mean_out, mean_scaled_b=mean_b, reps=reps,
+            mean_scaled_output=float(np.mean(out)), mean_scaled_b=float(np.mean(berr)), reps=reps,
         )
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -250,12 +244,8 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")
-    n = instance.n
-    decomp = decompose(instance)
-    sigma = noise_sigma(instance, delta)
-    samples = np.empty(reps, dtype=np.float64)
-    for lo, hi, diff in _error_batches(instance, decomp, sigma, delta, lam, reps, master_seed):
-        samples[lo:hi] = np.sqrt(np.sum(decomp.rho[:, None] * diff**2, axis=0)) / math.sqrt(n)
+    samples, _ = _scaled_errors(instance, decompose(instance), noise_sigma(instance, delta),
+                                delta, lam, reps, master_seed)
     sd = float(np.std(samples, ddof=1))
     # ptp catches the all-identical case where the subtracted mean is off by
     # an ulp and the naive sd comes out ~1e-21 instead of exactly zero
@@ -284,8 +274,10 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     """One adaptive run per (delta, n): noise draw, iteration, error report.
 
     Rows come out grouped by delta (outer) then n (inner). The noise stream
-    of a row is stream_seed(master_seed, n, delta, 0).
+    of a row is stream_seed(master_seed, n, delta, 0), so deltas that share a
+    stream are rejected.
     """
+    _check_distinct_streams(deltas, master_seed)
     rows = []
     for delta in deltas:
         for n in ns:

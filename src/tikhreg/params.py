@@ -126,34 +126,26 @@ def adaptive_select(instance, b, cfg, solver):
 
     trace = AdaptiveTrace()
     lam = initial_lambda(cfg.alpha, instance.n)
-    sol = solver(lam)
-    trace.lambdas.append(lam)
-    trace.residuals.append(sol.residual_b / root_n)
-    trace.w_norms.append(sol.w_norm / root_n)
-    trace.final = sol
-
-    for _ in range(cfg.max_iters):
-        r_scaled = trace.residuals[-1]
-        w_scaled = trace.w_norms[-1]
-        if w_scaled == 0.0:
-            raise DegenerateSolution(
-                f"iterate at lambda = {lam:.6e} has zero W-norm; the update is undefined"
-            )
-        base = cfg.constant_c * r_scaled / (root_n * w_scaled)
-        lam_next = base**exponent
-        if not math.isfinite(lam_next) or lam_next < _LAMBDA_FLOOR:
-            trace.terminated = "nonfinite"
-            return trace
-        sol = solver(lam_next)
-        trace.lambdas.append(lam_next)
+    for k in range(cfg.max_iters + 1):
+        sol = solver(lam)
+        trace.lambdas.append(lam)
         trace.residuals.append(sol.residual_b / root_n)
         trace.w_norms.append(sol.w_norm / root_n)
         trace.final = sol
-        change = abs(lam_next - lam)
-        converged = change <= cfg.tol if cfg.stop_mode == "absolute" else change / lam_next <= cfg.tol
-        lam = lam_next
-        if converged:
-            trace.terminated = "converged"
+        if k > 0:
+            change = abs(lam - trace.lambdas[-2])
+            if (change <= cfg.tol if cfg.stop_mode == "absolute" else change / lam <= cfg.tol):
+                trace.terminated = "converged"
+                return trace
+        if k == cfg.max_iters:
+            break
+        if trace.w_norms[-1] == 0.0:
+            raise DegenerateSolution(
+                f"iterate at lambda = {lam:.6e} has zero W-norm; the update is undefined"
+            )
+        base = cfg.constant_c * trace.residuals[-1] / (root_n * trace.w_norms[-1])
+        lam = base**exponent
+        if not math.isfinite(lam) or lam < _LAMBDA_FLOOR:
+            trace.terminated = "nonfinite"
             return trace
-    trace.terminated = "max_iters"
-    return trace
+    return trace       # terminated keeps its default, "max_iters"

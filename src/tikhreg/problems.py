@@ -98,6 +98,12 @@ class NoisyData:
     seed: int
 
 
+def _check_size_cap(n, what):
+    # runs before anything is allocated; at the cap the dense A alone is 12.8 GB
+    if n > 40000:
+        raise SizeCap(f"{what} exceeds the 40000 cap")
+
+
 def greens_kernel(t, s):
     """Kernel kappa(t, s) = s (1 - t) for s <= t, else t (1 - s).
 
@@ -124,6 +130,7 @@ def build_fredholm(n):
     """
     if n < 2:
         raise DomainError(f"build_fredholm needs n >= 2, got {n}")
+    _check_size_cap(n, f"n = {n}")
     t_nodes = np.arange(n, dtype=np.float64) / n                  # (j-1)/n
     s_nodes = (2.0 * np.arange(n, dtype=np.float64) + 1.0) / (2.0 * n)
     a = np.empty((n, n), dtype=np.float64)
@@ -167,8 +174,7 @@ def build_blur(side, psf_width):
     """
     if side < 4:
         raise DomainError(f"build_blur needs side >= 4, got {side}")
-    if side * side > 40000:
-        raise SizeCap(f"side^2 = {side * side} exceeds the 40000 cap")
+    _check_size_cap(side * side, f"side^2 = {side * side}")
     if not (psf_width > 0):
         raise DomainError(f"psf_width must be positive, got {psf_width}")
     d = np.arange(side, dtype=np.float64)
@@ -212,9 +218,12 @@ def stream_seed(master_seed, n, delta, rep):
 
     Low 8 bytes (little-endian) of
     SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}"). Distinct
-    (n, delta, rep) triples give independent streams under one master seed;
-    deltas below 5e-7 collide at 0 and are not used by the experiments.
+    (n, round(delta*1e6), rep) triples give independent streams under one
+    master seed; 0 < delta <= 5e-7 would read the delta = 0 stream and is
+    rejected, as is a non-finite delta.
     """
+    if not math.isfinite(delta) or (delta != 0 and round(delta * 1e6) == 0):
+        raise DomainError(f"delta = {delta!r} has no noise stream of its own; use 0 or > 5e-7")
     tag = f"tikhreg:{int(master_seed)}:{int(n)}:{round(delta * 1e6)}:{int(rep)}"
     digest = hashlib.sha256(tag.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")

@@ -56,26 +56,24 @@ def decompose(instance):
     """Eigendecompose (A^T A, W) and retain the numerically positive part."""
     a = instance.a
     gram = a.T @ a
-    if instance.w.is_identity:
+    chol = instance.w.chol_lower
+    if chol is None:
         vals, vecs = sym_eig(gram)
-        back = None
     else:
-        chol = instance.w.chol_lower
         # L^{-1} G L^{-T}, then psi = L^{-T} z
         tmp = scipy.linalg.solve_triangular(chol, gram, lower=True, check_finite=False)
         white = scipy.linalg.solve_triangular(chol, tmp.T, lower=True, check_finite=False).T
         vals, vecs = sym_eig(white)
-        back = chol
     vals = np.maximum(vals, 0.0)
     rho1 = vals[0] if vals.size else 0.0
     threshold = instance.n * _EPS * rho1
     m = int(np.sum(vals > threshold))
     rho = vals[:m].copy()
     z = vecs[:, :m]
-    if back is None:
+    if chol is None:
         psi = z.copy()
     else:
-        psi = scipy.linalg.solve_triangular(back.T, z, lower=False, check_finite=False)
+        psi = scipy.linalg.solve_triangular(chol.T, z, lower=False, check_finite=False)
     a_psi = a @ psi
     return SpectralDecomposition(rho=rho, psi=psi, a_psi=a_psi, m=m, n=instance.n)
 
@@ -129,6 +127,27 @@ def b_seminorm_sq(decomp, u, w):
         raise DimensionMismatch(f"u has shape {u.shape}, expected ({decomp.n},)")
     coeffs = decomp.psi.T @ w.apply(u)
     return float(np.sum(np.sqrt(decomp.rho) * coeffs**2))
+
+
+def error_filter(decomp, instance):
+    """Callable (d, lam) -> (c, ||A(x - x*)||^2, ||B(x - x*)||^2) on the retained modes.
+
+    d = (b, A psi_k) is a vector or has one column per right-hand side. The
+    filter is c = d / (lam + rho); with s = (x*, psi_k)_W, formed once, the
+    errors are the rho- and sqrt(rho)-weighted sums of (c - s)^2 per column.
+    """
+    if decomp.n != instance.n:
+        raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
+    s = decomp.psi.T @ instance.w.apply(instance.x_star)
+
+    def errors(d, lam):
+        col = (slice(None),) + (None,) * (np.ndim(d) - 1)
+        rho = decomp.rho[col]
+        c = d / (lam + rho)
+        diff_sq = (c - s[col]) ** 2
+        return c, np.sum(rho * diff_sq, axis=0), np.sum(np.sqrt(rho) * diff_sq, axis=0)
+
+    return errors
 
 
 def spectrum_rows(decomp, fit):

@@ -15,17 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonFiniteLambda
 from .linalg import spd_solve, w_norm
-from .spectral import b_seminorm_sq
-
-__all__ = [
-    "RegularizedSolution",
-    "ErrorReport",
-    "solve_direct",
-    "solve_spectral",
-    "error_report",
-    "direct_solver",
-    "spectral_solver",
-]
+from .spectral import b_seminorm_sq, error_filter
 
 
 @dataclass
@@ -103,20 +93,19 @@ def direct_solver(instance, b):
 def spectral_solver(decomp, instance, b):
     """Callable lam -> RegularizedSolution of the filter c_k = (b, A psi_k) / (lambda + rho_k).
 
-    The projections (b, A psi_k) and the true coefficients are formed once.
+    The projections (b, A psi_k) are formed once; c and ||B(x - x*)||^2 come
+    from spectral.error_filter, while x, the residual and ||A x - A x*|| are
+    measured in n-space.
     """
     b = _check_rhs(instance, b)
-    if decomp.n != instance.n:
-        raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
+    errors = error_filter(decomp, instance)
     d = decomp.a_psi.T @ b
-    s = decomp.psi.T @ instance.w.apply(instance.x_star)
-    sqrt_rho = np.sqrt(decomp.rho)
 
     def solve(lam):
         lam = _check_lambda(lam)
-        c = d / (lam + decomp.rho)
+        c, _, b_err_sq = errors(d, lam)
         return _solution(instance, b, lam, decomp.psi @ c, decomp.a_psi @ c,
-                         b_err_sq=float(np.sum(sqrt_rho * (c - s) ** 2)))
+                         b_err_sq=float(b_err_sq))
 
     return solve
 

@@ -194,3 +194,24 @@ def test_garbage_prob_exits_1(tmp_path, capsys):
     junk.write_bytes(b"garbage")
     assert run(["spectrum", "--prob", str(junk), "--out", str(tmp_path / "s")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["table", "--ns", "50", "--deltas", "1e-7,4e-7"],
+    ["table", "--ns", "50", "--deltas", "nan"],
+    ["montecarlo", "--ns", "50", "--deltas", "0.01,0.0100004", "--reps", "2"],
+])
+def test_deltas_without_a_noise_stream_of_their_own_exit_1(tmp_path, capsys, command):
+    assert run(command + ["--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_fredholm_exits_1_without_traceback(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli", "generate", "--n", str(10**6),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -87,6 +87,15 @@ def test_montecarlo_validation():
         run_montecarlo([60], [0.0], 4)
 
 
+@pytest.mark.parametrize("deltas", [[0.01, 0.0100004], [1e-7, 0.01], [0.1, 0.1]])
+def test_drivers_reject_deltas_sharing_a_noise_stream(deltas):
+    with pytest.raises(DomainError):
+        run_montecarlo([60], deltas, 2)
+    cfg = AdaptiveConfig(alpha=2.0)
+    with pytest.raises(DomainError):
+        run_table([60], deltas, cfg)
+
+
 def test_montecarlo_rerun_bit_identical():
     kw = dict(rule="rho0", constant_c=1.0, master_seed=11, alpha=4.0)
     s1 = run_montecarlo([60, 90], [0.1, 0.01], 2, **kw)

@@ -154,6 +154,21 @@ def test_stream_seed_distinct_and_stable():
     assert 0 <= base < 2**64
 
 
+def test_stream_seed_rejects_deltas_without_a_stream_of_their_own():
+    zero = stream_seed(0, 100, 0.0, 0)
+    for delta in (1e-7, 4e-7, 5e-7, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            stream_seed(0, 100, delta, 0)
+    assert stream_seed(0, 100, 6e-7, 0) != zero
+
+
+def test_fredholm_size_cap_before_allocation():
+    # n = 10**6 would need an 8 TB matrix, so only a check made before the
+    # allocation can turn it into SizeCap
+    with pytest.raises(SizeCap):
+        build_fredholm(10**6)
+
+
 def test_add_noise_zero_delta(fred100):
     data = add_noise(fred100, NoiseSpec(delta=0.0, seed=3))
     assert data.sigma == 0.0

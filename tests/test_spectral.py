@@ -11,7 +11,9 @@ from tikhreg import (
     b_seminorm_sq,
     build_blur,
     decompose,
+    error_filter,
     fit_alpha,
+    solve_direct,
     spectrum_rows,
     sym_eig,
 )
@@ -169,3 +171,45 @@ def test_b_seminorm_matches_matrix_power_oracle(rng):
     u = rng.standard_normal(n)
     oracle = float(np.linalg.norm(s_quarter @ (w_half @ u)) ** 2)
     assert b_seminorm_sq(dec, u, inst.w) == pytest.approx(oracle, rel=1e-8)
+
+
+def _well_conditioned(seed, n=12, columns=4):
+    """Instance with A near I, explicit SPD W and nonzero x*, plus noisy columns b."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    a = np.eye(n) + 0.3 * gen.standard_normal((n, n)) / np.sqrt(n)
+    l = gen.standard_normal((n, n)) / np.sqrt(n)
+    x = gen.standard_normal(n)
+    inst = ProblemInstance(n=n, a=a, x_star=x, y=a @ x,
+                           w=WeightSpec.explicit(l @ l.T + 0.5 * np.eye(n)), label="t")
+    return inst, inst.y[:, None] + 0.1 * gen.standard_normal((n, columns))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 1.0])
+def test_error_filter_matches_direct_solve_errors(seed, lam):
+    inst, b = _well_conditioned(seed)
+    dec = decompose(inst)
+    assert dec.m == inst.n
+    errors = error_filter(dec, inst)
+    for j in range(b.shape[1]):
+        err = solve_direct(inst, b[:, j], lam).x - inst.x_star
+        _, out_sq, b_sq = errors(dec.a_psi.T @ b[:, j], lam)
+        assert out_sq == pytest.approx(np.linalg.norm(inst.a @ err) ** 2, rel=1e-8)
+        assert b_sq == pytest.approx(b_seminorm_sq(dec, err, inst.w), rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_error_filter_batch_matches_single_columns(seed):
+    inst, b = _well_conditioned(seed)
+    dec = decompose(inst)
+    errors = error_filter(dec, inst)
+    d = dec.a_psi.T @ b
+    for lam in (1e-8, 1e-4, 1.0):
+        c, out_sq, b_sq = errors(d, lam)
+        assert c.shape == d.shape
+        assert out_sq.shape == b_sq.shape == (b.shape[1],)
+        for j in range(b.shape[1]):
+            c_j, out_j, b_j = errors(d[:, j], lam)
+            np.testing.assert_allclose(c[:, j], c_j, rtol=1e-12, atol=0)
+            assert out_sq[j] == pytest.approx(out_j, rel=1e-12)
+            assert b_sq[j] == pytest.approx(b_j, rel=1e-12)
