@@ -40,7 +40,7 @@ from .problems import (
     NoiseSpec, add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
 )
 from .spectral import decompose, fit_alpha
-from .tikhonov import direct_solver, error_report, solve_direct
+from .tikhonov import error_report, solve_direct, spectral_solver
 
 
 def _seed_type(text):
@@ -262,7 +262,7 @@ def _cmd_adaptive(args, parser, out_dir):
     instance = _build_instance(args, parser)
     data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
     trace = adaptive_select(instance, data.b, _adaptive_config(args),
-                            direct_solver(instance, data.b))
+                            spectral_solver(decompose(instance), instance, data.b))
     report = error_report(instance, None, trace.final, data.b)
     outputs = save_trace(out_dir, trace)
     write_json(os.path.join(out_dir, "adaptive.json"), {

@@ -30,7 +30,7 @@ from .problems import (
     NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
 )
 from .spectral import decompose, error_filter, spectrum_rows
-from .tikhonov import direct_solver, error_report, spectral_solver
+from .tikhonov import error_report, spectral_solver
 
 # reps are processed in fixed-size batches: one (n, 64) noise block bounds the
 # memory of a cell, and the constant batch fixes the GEMM shape, so the thread
@@ -173,10 +173,19 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     return np.sqrt(out_sq) / math.sqrt(n), np.sqrt(b_sq) / math.sqrt(n)
 
 
-def _check_distinct_streams(deltas, master_seed):
-    # two deltas with one stream key would give their cells the same noise
+def _decomposed_instances(ns, deltas, master_seed, problem):
+    # {n: (instance, decompose(instance))}, one per size and shared by that
+    # size's deltas; a repeated size or two deltas with one stream key would
+    # give two cells the same noise, so both are rejected before any build
+    if len(set(ns)) < len(ns):
+        raise DomainError(f"sizes {list(ns)} repeat a size")
     if len({stream_seed(master_seed, 0, d, 0) for d in deltas}) < len(deltas):
         raise DomainError(f"deltas {list(deltas)} include two that share one noise stream")
+    shared = {}
+    for n in ns:
+        inst = problem(n)
+        shared[n] = (inst, decompose(inst))
+    return shared
 
 
 def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
@@ -185,9 +194,9 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
 
     One instance and one decomposition per n, shared across that n's cells;
     rep r of cell (n, delta) reads noise stream stream_seed(master_seed, n,
-    delta, r), and deltas that share a stream are rejected. Cells run on a
-    pool of `threads` workers and are reduced in (ns x deltas) order, so
-    `threads` affects wall time only.
+    delta, r), and repeated sizes or deltas that share a stream are
+    rejected. Cells run on a pool of `threads` workers and are reduced in
+    (ns x deltas) order, so `threads` affects wall time only.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
@@ -196,11 +205,7 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     for d in deltas:
         if not d > 0:
             raise DomainError(f"deltas must be positive, got {d}")
-    _check_distinct_streams(deltas, master_seed)
-    shared = {}
-    for n in ns:
-        inst = problem(n)
-        shared[n] = (inst, decompose(inst))
+    shared = _decomposed_instances(ns, deltas, master_seed, problem)
 
     def one_cell(cell):
         n, delta = cell
@@ -273,17 +278,19 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
 def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     """One adaptive run per (delta, n): noise draw, iteration, error report.
 
-    Rows come out grouped by delta (outer) then n (inner). The noise stream
-    of a row is stream_seed(master_seed, n, delta, 0), so deltas that share a
-    stream are rejected.
+    One instance and one decomposition per n, shared across that n's rows;
+    the iteration runs on the spectral route. Rows come out grouped by delta
+    (outer) then n (inner). The noise stream of a row is
+    stream_seed(master_seed, n, delta, 0), so repeated sizes and deltas that
+    share a stream are rejected.
     """
-    _check_distinct_streams(deltas, master_seed)
+    shared = _decomposed_instances(ns, deltas, master_seed, problem)
     rows = []
     for delta in deltas:
         for n in ns:
-            inst = problem(n)
+            inst, decomp = shared[n]
             data = add_noise(inst, NoiseSpec(delta=delta, seed=stream_seed(master_seed, n, delta, 0)))
-            trace = adaptive_select(inst, data.b, cfg, direct_solver(inst, data.b))
+            trace = adaptive_select(inst, data.b, cfg, spectral_solver(decomp, inst, data.b))
             report = error_report(inst, None, trace.final, data.b)
             rows.append(TableRow(
                 delta=delta, n=n, sigma=data.sigma,

@@ -109,6 +109,9 @@ def sym_eig(m):
     vecs : ndarray, shape (k, k)
         Orthonormal eigenvectors; column j pairs with vals[j].
 
+    Both are reversed views of the solver's ascending output, not copies; the
+    input is left unchanged.
+
     Raises
     ------
     ConvergenceFailure
@@ -116,11 +119,13 @@ def sym_eig(m):
     """
     m = symmetrize(m)
     try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
+        # LAPACK syevd (as np.linalg.eigh) overwrites the private symmetric
+        # copy in place; its transpose is the same matrix in Fortran order
+        vals, vecs = scipy.linalg.eigh(m.T, overwrite_a=True, check_finite=False, driver="evd")
+    except scipy.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     # eigh returns ascending order; reverse (stable, deterministic under ties)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[::-1], vecs[:, ::-1]
 
 
 class WeightSpec:

@@ -268,7 +268,8 @@ def load_problem(path):
     """Read a `.prob` container back into a ProblemInstance.
 
     The header and the file size are checked before any array is read, so a
-    truncated, padded or garbage file raises DomainError.
+    truncated, padded or garbage file raises DomainError, as does a NaN or
+    infinite entry in A, x*, y or W.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -291,12 +292,11 @@ def load_problem(path):
         expected = 8 + hlen + 8 * (n * n + 2 * n) + (8 * n * n if w_kind == "explicit" else 0)
         if size != expected:
             raise DomainError(f".prob file has {size} bytes, expected {expected} for n = {n}: {path}")
-        a = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).astype(np.float64)
-        x_star = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-        y = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-        if w_kind == "explicit":
-            wm = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).astype(np.float64)
-            w = WeightSpec.explicit(wm)
-        else:
-            w = WeightSpec.identity()
+        shapes = [(n, n), (n,), (n,)] + ([(n, n)] if w_kind == "explicit" else [])
+        arrays = [np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
+                  .reshape(shape).astype(np.float64) for shape in shapes]
+    if not all(np.isfinite(v).all() for v in arrays):
+        raise DomainError(f".prob file holds non-finite values: {path}")
+    a, x_star, y = arrays[:3]
+    w = WeightSpec.explicit(arrays[3]) if w_kind == "explicit" else WeightSpec.identity()
     return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=label)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, InsufficientSpectrum
+from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
 from .linalg import sym_eig
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1; below that they are
@@ -52,18 +52,24 @@ class AlphaFit:
     residual_rms: float
 
 
-def decompose(instance):
-    """Eigendecompose (A^T A, W) and retain the numerically positive part."""
-    a = instance.a
-    gram = a.T @ a
-    chol = instance.w.chol_lower
+def _whitened_gram(a, chol):
+    # A^T A, or L^{-1} A^T A L^{-T} for W = L L^T; psi = L^{-T} z maps back
     if chol is None:
-        vals, vecs = sym_eig(gram)
-    else:
-        # L^{-1} G L^{-T}, then psi = L^{-T} z
-        tmp = scipy.linalg.solve_triangular(chol, gram, lower=True, check_finite=False)
-        white = scipy.linalg.solve_triangular(chol, tmp.T, lower=True, check_finite=False).T
-        vals, vecs = sym_eig(white)
+        return a.T @ a
+    tmp = scipy.linalg.solve_triangular(chol, a.T @ a, lower=True, check_finite=False)
+    return scipy.linalg.solve_triangular(chol, tmp.T, lower=True, check_finite=False).T
+
+
+def decompose(instance):
+    """Eigendecompose (A^T A, W) and retain the numerically positive part.
+
+    No reference to the whitened Gram matrix is kept, so during the
+    eigensolve the only n x n arrays alive besides the instance's own are
+    sym_eig's working copy and LAPACK's workspace.
+    """
+    a = instance.a
+    chol = instance.w.chol_lower
+    vals, vecs = sym_eig(_whitened_gram(a, chol))
     vals = np.maximum(vals, 0.0)
     rho1 = vals[0] if vals.size else 0.0
     threshold = instance.n * _EPS * rho1
@@ -129,18 +135,27 @@ def b_seminorm_sq(decomp, u, w):
     return float(np.sum(np.sqrt(decomp.rho) * coeffs**2))
 
 
+def _check_lambda(lam):
+    lam = float(lam)
+    if not math.isfinite(lam) or lam <= 0.0:
+        raise NonFiniteLambda(f"lambda must be finite and positive, got {lam!r}")
+    return lam
+
+
 def error_filter(decomp, instance):
     """Callable (d, lam) -> (c, ||A(x - x*)||^2, ||B(x - x*)||^2) on the retained modes.
 
     d = (b, A psi_k) is a vector or has one column per right-hand side. The
     filter is c = d / (lam + rho); with s = (x*, psi_k)_W, formed once, the
     errors are the rho- and sqrt(rho)-weighted sums of (c - s)^2 per column.
+    A lambda that is not finite and positive raises NonFiniteLambda.
     """
     if decomp.n != instance.n:
         raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
     s = decomp.psi.T @ instance.w.apply(instance.x_star)
 
     def errors(d, lam):
+        lam = _check_lambda(lam)
         col = (slice(None),) + (None,) * (np.ndim(d) - 1)
         rho = decomp.rho[col]
         c = d / (lam + rho)

@@ -13,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonFiniteLambda
+from .errors import DimensionMismatch, DomainError
 from .linalg import spd_solve, w_norm
-from .spectral import b_seminorm_sq, error_filter
+from .spectral import _check_lambda, b_seminorm_sq, error_filter
 
 
 @dataclass
@@ -35,13 +35,6 @@ class ErrorReport:
     rel_res: float
     scaled_output: float              # n^{-1/2} ||A x - A x*||
     scaled_b: Optional[float] = None  # n^{-1/2} ||B (x - x*)||, needs a decomposition
-
-
-def _check_lambda(lam):
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise NonFiniteLambda(f"lambda must be finite and positive, got {lam!r}")
-    return lam
 
 
 def _check_rhs(instance, b):
@@ -102,9 +95,8 @@ def spectral_solver(decomp, instance, b):
     d = decomp.a_psi.T @ b
 
     def solve(lam):
-        lam = _check_lambda(lam)
         c, _, b_err_sq = errors(d, lam)
-        return _solution(instance, b, lam, decomp.psi @ c, decomp.a_psi @ c,
+        return _solution(instance, b, float(lam), decomp.psi @ c, decomp.a_psi @ c,
                          b_err_sq=float(b_err_sq))
 
     return solve

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tikhreg import ProblemInstance, build_fredholm, save_problem
 from tikhreg.cli import main
 
 
@@ -215,3 +216,61 @@ def test_oversized_fredholm_exits_1_without_traceback(tmp_path):
     assert out.returncode == 1
     assert "error:" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("lam", ["-1", "0", "nan"])
+def test_study_lambda_not_finite_and_positive_exits_1(tmp_path, capsys, lam):
+    assert run(["study", "--n", "60", "--delta", "0.05", "--lam", lam, "--reps", "120",
+                "--out", str(tmp_path)]) == 1
+    assert "lambda must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--ns", "60,60", "--deltas", "0.1", "--reps", "4"],
+    ["table", "--ns", "60,60", "--deltas", "0.1"],
+])
+def test_repeated_size_exits_1(tmp_path, capsys, command):
+    assert run(command + ["--out", str(tmp_path)]) == 1
+    assert "repeat a size" in capsys.readouterr().err
+
+
+def _nonfinite_prob(path, field):
+    inst = build_fredholm(40)
+    a, x_star = inst.a.copy(), inst.x_star.copy()
+    if field == "a":
+        a[7, 11] = float("nan")
+    else:
+        x_star[5] = float("inf")
+    save_problem(ProblemInstance(n=40, a=a, x_star=x_star, y=inst.y, w=inst.w, label="bad"),
+                 str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("field,command", [
+    ("a", ["solve", "--delta", "0.05"]),
+    ("a", ["adaptive", "--delta", "0.05"]),
+    ("x_star", ["study", "--delta", "0.05", "--lam", "1e-6", "--reps", "120"]),
+])
+def test_nonfinite_prob_exits_1_without_traceback(tmp_path, field, command):
+    prob = _nonfinite_prob(tmp_path / "bad.prob", field)
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli"] + command
+        + ["--prob", prob, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "non-finite" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["table", "--ns", "60,100", "--deltas", "0.1,0.01", "--alpha", "2"],
+    ["adaptive", "--n", "100", "--delta", "0.01", "--alpha", "2"],
+])
+def test_adaptive_reruns_byte_identical(tmp_path, command):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run(command + ["--seed", "4", "--out", a]) == 0
+    assert run(command + ["--seed", "4", "--out", b]) == 0
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert read(os.path.join(a, name)) == read(os.path.join(b, name))

@@ -9,9 +9,14 @@ from tikhreg import (
     DegenerateSample,
     DomainError,
     NoiseSpec,
+    NonFiniteLambda,
+    add_noise,
+    adaptive_select,
     b_seminorm_sq,
     build_fredholm,
     decompose,
+    direct_solver,
+    error_report,
     run_montecarlo,
     run_sample_study,
     run_sweep,
@@ -210,6 +215,50 @@ def test_table_deterministic():
     r2 = run_table([100], [0.1], cfg, master_seed=3)
     assert r1[0].lam == r2[0].lam
     assert r1[0].rel_x == r2[0].rel_x
+
+
+def test_drivers_reject_a_repeated_size():
+    with pytest.raises(DomainError):
+        run_montecarlo([60, 60], [0.1], 4)
+    with pytest.raises(DomainError):
+        run_table([60, 60], [0.1], AdaptiveConfig(alpha=2.0))
+
+
+def test_table_builds_each_size_once():
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return build_fredholm(n)
+
+    rows = run_table([40, 60], [0.1, 0.01], AdaptiveConfig(alpha=2.0), problem=counting)
+    assert len(rows) == 4
+    assert sorted(calls) == [40, 60]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+def test_table_rows_match_the_direct_route(alpha):
+    """The spectral iteration retraces the normal-equations reference."""
+    ns, deltas = [60, 100, 200], [0.1, 0.01, 0.001]
+    cfg = AdaptiveConfig(alpha=alpha, constant_c=1.0, tol=1e-10, stop_mode="absolute")
+    rows = run_table(ns, deltas, cfg, master_seed=0)
+    assert [(r.delta, r.n) for r in rows] == [(d, n) for d in deltas for n in ns]
+    for row in rows:
+        inst = build_fredholm(row.n)
+        data = add_noise(inst, NoiseSpec(delta=row.delta, seed=stream_seed(0, row.n, row.delta, 0)))
+        trace = adaptive_select(inst, data.b, cfg, direct_solver(inst, data.b))
+        report = error_report(inst, None, trace.final, data.b)
+        assert row.iters == trace.iters
+        assert row.terminated == trace.terminated
+        assert row.lam == pytest.approx(trace.final.lam, rel=1e-7)
+        assert row.rel_x == pytest.approx(report.rel_x, rel=1e-7)
+        assert row.rel_res == pytest.approx(report.rel_res, rel=1e-7)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+def test_study_rejects_a_lambda_that_is_not_finite_and_positive(fred100, lam):
+    with pytest.raises(NonFiniteLambda):
+        run_sample_study(fred100, 0.05, lam, 120)
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,12 @@ def test_spd_solve_inverts_random_spd(n, seed):
     m = l @ l.T + 0.5 * np.eye(n)
     x = gen.standard_normal(n)
     assert np.allclose(spd_solve(m, m @ x), x, rtol=1e-9, atol=1e-9)
+
+
+def test_sym_eig_leaves_argument_unchanged(rng):
+    m = rng.standard_normal((12, 12))
+    m = m + m.T
+    for arg in (m, np.asfortranarray(m), m.T):
+        before = arg.copy()
+        sym_eig(arg)
+        assert np.array_equal(arg, before)

@@ -286,3 +286,21 @@ def test_prob_with_trailing_bytes_rejected(tmp_path, fred20):
     path.write_bytes(path.read_bytes() + b"\0" * 8)
     with pytest.raises(DomainError):
         load_problem(str(path))
+
+
+@pytest.mark.parametrize("field,index", [
+    ("a", (3, 5)), ("x_star", 2), ("y", 0), ("w", (1, 1)),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prob_with_nonfinite_entry_rejected(tmp_path, field, index, bad):
+    inst = build_fredholm(8)
+    w = WeightSpec.explicit(2.0 * np.eye(8))
+    # WeightSpec rejects a non-finite W, so the bad entry goes into its stored copy
+    arrays = {"a": inst.a.copy(), "x_star": inst.x_star.copy(), "y": inst.y.copy(),
+              "w": w.matrix}
+    arrays[field][index] = bad
+    path = tmp_path / "bad.prob"
+    save_problem(ProblemInstance(n=8, a=arrays["a"], x_star=arrays["x_star"], y=arrays["y"],
+                                 w=w, label="bad"), str(path))
+    with pytest.raises(DomainError, match="non-finite"):
+        load_problem(str(path))
