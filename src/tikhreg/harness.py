@@ -29,7 +29,7 @@ from .params import PriorRuleInput, adaptive_select, prior_rule_rho0, prior_rule
 from .problems import (
     NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
 )
-from .spectral import decompose, error_filter, spectrum_rows
+from .spectral import _check_lambda, decompose, error_filter, spectrum_rows
 from .tikhonov import error_report, spectral_solver
 
 # reps are processed in fixed-size batches: one (n, 64) noise block bounds the
@@ -245,10 +245,12 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     """Empirical distribution of the scaled output error at a fixed lambda.
 
     Returns the raw samples, a histogram, and normal QQ pairs of the
-    standardized sample against quantiles at (i - 1/2)/reps.
+    standardized sample against quantiles at (i - 1/2)/reps. A lambda that is
+    not finite and positive raises NonFiniteLambda before the decomposition.
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")
+    _check_lambda(lam)
     samples, _ = _scaled_errors(instance, decompose(instance), noise_sigma(instance, delta),
                                 delta, lam, reps, master_seed)
     sd = float(np.std(samples, ddof=1))

@@ -29,11 +29,18 @@ so the stream can be replicated outside this package from the description
 alone. Derived streams (one per Monte Carlo repetition) are keyed by the low
 8 bytes, little-endian, of SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}").
 
+A blur instance also carries its side x side factor T with A = kron(T, T)
+(``ProblemInstance.kron_factor``, None for every other instance), which lets
+``spectral.decompose`` eigensolve T^T T instead of the n x n A^T A. The
+instance checks on construction that A equals kron(T, T) bit for bit.
+
 Serialization. ``save_problem`` writes a `.prob` container: an 8-byte
 little-endian header length, a UTF-8 JSON header
 {"format": "prob", "version": 1, "n": ..., "label": ..., "w_kind": ...},
 then raw little-endian float64 arrays: A (n*n, row-major), x* (n), y (n), and,
-only when w_kind == "explicit", W (n*n, row-major).
+only when w_kind == "explicit", W (n*n, row-major). A Kronecker factor goes
+into the header as an optional "kron_factor" key (a list of rows, repr-exact
+floats); a file without the key loads with kron_factor None.
 """
 
 import hashlib
@@ -41,6 +48,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -64,6 +72,7 @@ class ProblemInstance:
     y: np.ndarray          # (n,) clean data, y = A x*
     w: WeightSpec
     label: str
+    kron_factor: Optional[np.ndarray] = None   # (side, side) T with A = kron(T, T)
 
     def __post_init__(self):
         if self.n < 2:
@@ -72,6 +81,21 @@ class ProblemInstance:
             raise DimensionMismatch(f"A has shape {self.a.shape}, expected {(self.n, self.n)}")
         if self.x_star.shape != (self.n,) or self.y.shape != (self.n,):
             raise DimensionMismatch("x_star and y must have length n")
+        if self.kron_factor is not None:
+            _check_kron_factor(self.a, self.kron_factor)
+
+
+def _check_kron_factor(a, t):
+    # A must be kron(T, T) bit for bit: block row i of A, viewed as (k, j, l),
+    # holds T[i, j] * T[k, l]; one (s, s, s) product at a time, no n x n temporary
+    s = t.shape[0] if np.ndim(t) == 2 else 0
+    if np.shape(t) != (s, s) or s * s != a.shape[0]:
+        raise DimensionMismatch(
+            f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {a.shape[0]}")
+    for i in range(s):
+        if not np.array_equal(a[i * s:(i + 1) * s].reshape(s, s, s),
+                              t[i][None, :, None] * t[:, None, :]):
+            raise DomainError("A is not kron(T, T) of its Kronecker factor T")
 
 
 @dataclass(frozen=True)
@@ -186,7 +210,8 @@ def build_blur(side, psf_width):
     x_star = _blur_image(side).reshape(-1)
     y = a @ x_star
     return ProblemInstance(
-        n=side * side, a=a, x_star=x_star, y=y, w=WeightSpec.identity(), label="blur"
+        n=side * side, a=a, x_star=x_star, y=y, w=WeightSpec.identity(), label="blur",
+        kron_factor=t,
     )
 
 
@@ -253,15 +278,18 @@ def save_problem(instance, path):
         "label": instance.label,
         "w_kind": instance.w.kind,
     }
+    if instance.kron_factor is not None:
+        header["kron_factor"] = instance.kron_factor.tolist()
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    arrays = [instance.a, instance.x_star, instance.y]
+    if instance.w.kind == "explicit":
+        arrays.append(instance.w.matrix)
     with open(path, "wb") as fh:
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(instance.a, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(instance.x_star, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(instance.y, dtype="<f8").tobytes())
-        if instance.w.kind == "explicit":
-            fh.write(np.ascontiguousarray(instance.w.matrix, dtype="<f8").tobytes())
+        for v in arrays:
+            # the array's own buffer when it is already contiguous little-endian
+            fh.write(memoryview(np.ascontiguousarray(v, dtype="<f8")))
 
 
 def load_problem(path):
@@ -269,7 +297,9 @@ def load_problem(path):
 
     The header and the file size are checked before any array is read, so a
     truncated, padded or garbage file raises DomainError, as does a NaN or
-    infinite entry in A, x*, y or W.
+    infinite entry in A, x*, y or W. Each array is read straight into its own
+    float64 array. An optional "kron_factor" header key becomes the
+    instance's Kronecker factor, which ProblemInstance checks against A.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -292,11 +322,22 @@ def load_problem(path):
         expected = 8 + hlen + 8 * (n * n + 2 * n) + (8 * n * n if w_kind == "explicit" else 0)
         if size != expected:
             raise DomainError(f".prob file has {size} bytes, expected {expected} for n = {n}: {path}")
+        kron_factor = header.get("kron_factor")
+        if kron_factor is not None:
+            try:
+                kron_factor = np.array(kron_factor, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"bad .prob header (kron_factor is not a matrix): {path}") from exc
         shapes = [(n, n), (n,), (n,)] + ([(n, n)] if w_kind == "explicit" else [])
-        arrays = [np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
-                  .reshape(shape).astype(np.float64) for shape in shapes]
+        arrays = []
+        for shape in shapes:
+            v = np.empty(shape, dtype="<f8")
+            if fh.readinto(memoryview(v)) != v.nbytes:
+                raise DomainError(f".prob file ended early: {path}")
+            arrays.append(v.astype(np.float64, copy=False))
     if not all(np.isfinite(v).all() for v in arrays):
         raise DomainError(f".prob file holds non-finite values: {path}")
     a, x_star, y = arrays[:3]
     w = WeightSpec.explicit(arrays[3]) if w_kind == "explicit" else WeightSpec.identity()
-    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=label)
+    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=label,
+                           kron_factor=kron_factor)

@@ -5,6 +5,13 @@ the symmetric matrix L^{-1} A^T A L^{-T} is eigendecomposed and the
 eigenvectors are mapped back through psi = L^{-T} z, which makes the psi_k
 W-orthonormal and (A psi_i, A psi_j) = rho_i delta_ij. For W = identity this
 reduces to an ordinary eigendecomposition of A^T A.
+
+Kronecker route. For W = identity and an instance with a Kronecker factor
+(A = kron(T, T), the blur family), A^T A = kron(T^T T, T^T T), so with
+T^T T v_i = mu_i v_i the eigenpairs are rho = mu_i mu_j with
+psi = kron(v_i, v_j) and A psi = kron(T v_i, T v_j). Only the side x side
+matrix T^T T is eigensolved, and no n x n array is formed. Every other
+instance takes the dense route, which is the reference.
 """
 
 import math
@@ -17,7 +24,8 @@ from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
 from .linalg import sym_eig
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1; below that they are
-# numerically indistinguishable from rank deficiency and are dropped.
+# numerically indistinguishable from rank deficiency and are dropped. The
+# Kronecker route applies the same threshold to its products mu_i mu_j.
 _EPS = float(np.finfo(np.float64).eps)
 
 # Log-log fit window: ranks 6 .. min(400, floor(m/2)), at least two points.
@@ -60,20 +68,50 @@ def _whitened_gram(a, chol):
     return scipy.linalg.solve_triangular(chol, tmp.T, lower=True, check_finite=False).T
 
 
+def _retained(rho, n):
+    # number of leading modes of the descending rho above n * eps * rho_1
+    rho1 = rho[0] if rho.size else 0.0
+    return int(np.sum(rho > n * _EPS * rho1))
+
+
+def _kron_decompose(instance):
+    # eigenpairs of kron(T^T T, T^T T) from those of T^T T; the stable sort
+    # keeps tied products (mu_i mu_j = mu_j mu_i) in index order
+    t = instance.kron_factor
+    side = t.shape[0]
+    mu, v = sym_eig(t.T @ t)
+    mu = np.maximum(mu, 0.0)
+    rho = np.outer(mu, mu).ravel()
+    order = np.argsort(-rho, kind="stable")
+    rho = rho[order]
+    m = _retained(rho, instance.n)
+    i, j = np.divmod(order[:m], side)
+    tv = t @ v
+
+    def columns(f):
+        # column k is kron(f[:, i_k], f[:, j_k])
+        return (f[:, i][:, None, :] * f[:, j][None, :, :]).reshape(instance.n, m)
+
+    return SpectralDecomposition(rho=rho[:m], psi=columns(v), a_psi=columns(tv),
+                                 m=m, n=instance.n)
+
+
 def decompose(instance):
     """Eigendecompose (A^T A, W) and retain the numerically positive part.
 
-    No reference to the whitened Gram matrix is kept, so during the
-    eigensolve the only n x n arrays alive besides the instance's own are
-    sym_eig's working copy and LAPACK's workspace.
+    Modes with rho_k <= n * eps * rho_1 are dropped. An instance with a
+    Kronecker factor and W = identity takes the Kronecker route (module
+    docstring); otherwise no reference to the whitened Gram matrix is kept,
+    so during the eigensolve the only n x n arrays alive besides the
+    instance's own are sym_eig's working copy and LAPACK's workspace.
     """
+    if instance.kron_factor is not None and instance.w.is_identity:
+        return _kron_decompose(instance)
     a = instance.a
     chol = instance.w.chol_lower
     vals, vecs = sym_eig(_whitened_gram(a, chol))
     vals = np.maximum(vals, 0.0)
-    rho1 = vals[0] if vals.size else 0.0
-    threshold = instance.n * _EPS * rho1
-    m = int(np.sum(vals > threshold))
+    m = _retained(vals, instance.n)
     rho = vals[:m].copy()
     z = vecs[:, :m]
     if chol is None:

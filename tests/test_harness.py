@@ -261,6 +261,15 @@ def test_study_rejects_a_lambda_that_is_not_finite_and_positive(fred100, lam):
         run_sample_study(fred100, 0.05, lam, 120)
 
 
+@pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan])
+def test_study_rejects_a_bad_lambda_before_decomposing(monkeypatch, fred100, lam):
+    calls = []
+    monkeypatch.setattr("tikhreg.harness.decompose", lambda inst: calls.append(inst))
+    with pytest.raises(NonFiniteLambda):
+        run_sample_study(fred100, 0.05, lam, 120)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from tikhreg import (
     add_noise,
     build_blur,
     build_fredholm,
+    decompose,
     greens_kernel,
     load_problem,
     noise_sigma,
@@ -303,4 +307,98 @@ def test_prob_with_nonfinite_entry_rejected(tmp_path, field, index, bad):
     save_problem(ProblemInstance(n=8, a=arrays["a"], x_star=arrays["x_star"], y=arrays["y"],
                                  w=w, label="bad"), str(path))
     with pytest.raises(DomainError, match="non-finite"):
+        load_problem(str(path))
+
+
+def _rewrite_header(path, edit):
+    """Replace the JSON header of a saved .prob by edit(header), arrays untouched."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    header = edit(json.loads(blob[8:8 + hlen]))
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(len(new).to_bytes(8, "little") + new + blob[8 + hlen:])
+
+
+def test_blur_carries_its_kronecker_factor():
+    inst = build_blur(6, 1.5)
+    assert inst.kron_factor.shape == (6, 6)
+    assert np.array_equal(inst.a, np.kron(inst.kron_factor, inst.kron_factor))
+
+
+def test_prob_roundtrip_keeps_kronecker_factor(tmp_path):
+    inst = build_blur(10, 2.0)
+    path = tmp_path / "b.prob"
+    save_problem(inst, str(path))
+    back = load_problem(str(path))
+    assert np.array_equal(back.kron_factor, inst.kron_factor)
+    assert np.array_equal(back.a, inst.a)
+    dec, dec_back = decompose(inst), decompose(back)
+    assert dec_back.m == dec.m
+    for field in ("rho", "psi", "a_psi"):
+        assert np.array_equal(getattr(dec_back, field), getattr(dec, field))
+
+
+def test_prob_arrays_unchanged_by_kronecker_header(tmp_path):
+    inst = build_blur(8, 2.0)
+    with_key, without_key = tmp_path / "k.prob", tmp_path / "d.prob"
+    save_problem(inst, str(with_key))
+    save_problem(dataclasses.replace(inst, kron_factor=None), str(without_key))
+    blob_k, blob_d = with_key.read_bytes(), without_key.read_bytes()
+    arrays = 8 * (inst.n * inst.n + 2 * inst.n)
+    assert blob_k[-arrays:] == blob_d[-arrays:]
+    assert len(blob_k) - len(blob_d) == (int.from_bytes(blob_k[:8], "little")
+                                         - int.from_bytes(blob_d[:8], "little"))
+
+
+def test_prob_without_kronecker_key_loads_on_dense_route(tmp_path):
+    inst = build_blur(8, 2.0)
+    path = tmp_path / "old.prob"
+    save_problem(dataclasses.replace(inst, kron_factor=None), str(path))
+    back = load_problem(str(path))
+    assert back.kron_factor is None
+    assert np.array_equal(back.a, inst.a)
+
+
+def test_prob_a_one_ulp_off_its_kronecker_factor_rejected(tmp_path):
+    inst = build_blur(8, 2.0)
+    path = tmp_path / "off.prob"
+    save_problem(inst, str(path))
+    blob = bytearray(path.read_bytes())
+    offset = 8 + int.from_bytes(blob[:8], "little") + 8 * (3 * inst.n + 5)   # A[3, 5]
+    entry = np.frombuffer(bytes(blob[offset:offset + 8]), dtype="<f8")
+    blob[offset:offset + 8] = np.nextafter(entry, np.inf).astype("<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DomainError, match="kron"):
+        load_problem(str(path))
+
+
+def test_instance_a_not_kronecker_of_its_factor_rejected():
+    inst = build_blur(6, 1.5)
+    with pytest.raises(DomainError):
+        dataclasses.replace(inst, kron_factor=inst.kron_factor.T + 1e-3)
+
+
+@pytest.mark.parametrize("factor", [
+    lambda t: t[:-1],                  # not square
+    lambda t: t[:-1, :-1],             # square, but side^2 != n
+    lambda t: t.ravel(),               # not a matrix
+])
+def test_wrongly_shaped_kronecker_factor_rejected(tmp_path, factor):
+    inst = build_blur(6, 1.5)
+    bad = factor(inst.kron_factor)
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(inst, kron_factor=bad)
+    path = tmp_path / "shape.prob"
+    save_problem(inst, str(path))
+    _rewrite_header(path, lambda h: {**h, "kron_factor": bad.tolist()})
+    with pytest.raises(DimensionMismatch):
+        load_problem(str(path))
+
+
+@pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], "T", {"rows": 2}])
+def test_prob_kronecker_factor_not_a_matrix_rejected(tmp_path, value):
+    path = tmp_path / "junk.prob"
+    save_problem(build_blur(4, 1.0), str(path))
+    _rewrite_header(path, lambda h: {**h, "kron_factor": value})
+    with pytest.raises(DomainError):
         load_problem(str(path))

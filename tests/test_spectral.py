@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +7,18 @@ from hypothesis import strategies as st
 
 from tikhreg import (
     InsufficientSpectrum,
+    NoiseSpec,
     ProblemInstance,
     SpectralDecomposition,
     WeightSpec,
+    add_noise,
     b_seminorm_sq,
     build_blur,
     decompose,
     error_filter,
     fit_alpha,
     solve_direct,
+    solve_spectral,
     spectrum_rows,
     sym_eig,
 )
@@ -213,3 +218,38 @@ def test_error_filter_batch_matches_single_columns(seed):
             np.testing.assert_allclose(c[:, j], c_j, rtol=1e-12, atol=0)
             assert out_sq[j] == pytest.approx(out_j, rel=1e-12)
             assert b_sq[j] == pytest.approx(b_j, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [8, 12, 20])
+@pytest.mark.parametrize("psf_width", [0.7, 2.0])
+def test_kronecker_route_matches_dense_route(side, psf_width):
+    inst = build_blur(side, psf_width)
+    n, eps = inst.n, np.finfo(np.float64).eps
+    kron = decompose(inst)
+    dense = decompose(dataclasses.replace(inst, kron_factor=None))
+    assert kron.m == dense.m
+    assert np.max(np.abs(kron.rho - dense.rho)) <= n * eps * dense.rho[0]
+    assert np.max(np.abs(kron.psi.T @ kron.psi - np.eye(kron.m))) <= 1e-13
+    gram = inst.a.T @ inst.a
+    residuals = np.linalg.norm(gram @ kron.psi - kron.psi * kron.rho, axis=0)
+    assert np.max(residuals) <= 1e-13 * kron.rho[0]
+    assert np.max(np.abs(kron.a_psi - inst.a @ kron.psi)) <= 1e-13
+    b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
+    for lam in (1e-2, 1.0):
+        x = solve_spectral(kron, inst, b, lam).x
+        x_dense = solve_spectral(dense, inst, b, lam).x
+        assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+        if psf_width == 0.7:      # full rank: every mode retained, so x is exact
+            assert kron.m == n
+            x_direct = solve_direct(inst, b, lam).x
+            assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
+
+
+def test_kronecker_route_not_taken_with_explicit_weight():
+    inst = build_blur(6, 1.0)
+    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, inst.n)))
+    weighted = dataclasses.replace(inst, w=w)
+    dec = decompose(weighted)
+    reference = decompose(dataclasses.replace(weighted, kron_factor=None))
+    assert np.array_equal(dec.rho, reference.rho)
+    assert np.array_equal(dec.psi, reference.psi)
