@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
-from .errors import DegenerateSample, DomainError
+from .errors import DegenerateSample, DomainError, SizeCap
 from .linalg import w_norm
 from .params import PriorRuleInput, adaptive_select, prior_rule_rho0, prior_rule_w
 from .problems import (
@@ -36,6 +36,10 @@ from .tikhonov import error_report, spectral_solver
 # memory of a cell, and the constant batch fixes the GEMM shape, so the thread
 # count cannot change any bit
 _REP_BATCH = 64
+
+# most lambda grid points a sweep takes: each one is a spectral solve and a
+# CSV row, and the cap is checked before the grid is allocated
+_GRID_CAP = 100_000
 
 
 # ===========================================================================
@@ -118,7 +122,8 @@ def rule_lambda(rule, alpha, instance, sigma, constant_c):
 def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
     """Solve along a log-equispaced lambda grid for one noise draw.
 
-    grid is (lo, hi, count) with 0 < lo < hi and count >= 2. The predicted
+    grid is (lo, hi, count) with 0 < lo < hi and 2 <= count <= 100000 (a
+    larger count raises SizeCap before anything is allocated). The predicted
     parameter comes from the chosen a-priori rule evaluated with the true
     sigma and ||x*||_W, and is solved separately (it need not lie on the
     grid).
@@ -128,6 +133,8 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
         raise DomainError(f"grid needs 0 < lo < hi, got ({lo}, {hi})")
     if count < 2:
         raise DomainError(f"grid needs count >= 2, got {count}")
+    if count > _GRID_CAP:
+        raise SizeCap(f"grid count {count} exceeds the {_GRID_CAP} cap")
     lambdas = np.logspace(math.log10(lo), math.log10(hi), int(count))
     data = add_noise(instance, noise)
     decomp = decompose(instance)
@@ -246,10 +253,13 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
 
     Returns the raw samples, a histogram, and normal QQ pairs of the
     standardized sample against quantiles at (i - 1/2)/reps. A lambda that is
-    not finite and positive raises NonFiniteLambda before the decomposition.
+    not finite and positive raises NonFiniteLambda, and fewer than one bin
+    DomainError, both before the decomposition.
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")
+    if bins < 1:
+        raise DomainError(f"bins must be >= 1, got {bins}")
     _check_lambda(lam)
     samples, _ = _scaled_errors(instance, decompose(instance), noise_sigma(instance, delta),
                                 delta, lam, reps, master_seed)

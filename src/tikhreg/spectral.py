@@ -10,8 +10,29 @@ Kronecker route. For W = identity and an instance with a Kronecker factor
 (A = kron(T, T), the blur family), A^T A = kron(T^T T, T^T T), so with
 T^T T v_i = mu_i v_i the eigenpairs are rho = mu_i mu_j with
 psi = kron(v_i, v_j) and A psi = kron(T v_i, T v_j). Only the side x side
-matrix T^T T is eigensolved, and no n x n array is formed. Every other
-instance takes the dense route, which is the reference.
+matrix T^T T is eigensolved, and no n x n array is formed.
+
+Sine route. For W = identity and an instance marked fredholm_kernel (A is the
+kernel fill of build_fredholm(n), Hansen's deriv2), the singular system has a
+closed form. With theta_k = k pi / n for k = 1..n-1:
+
+    sigma_k = cos(theta_k / 2) / (n^2 (2 - 2 cos theta_k)),   rho_k = sigma_k^2,
+    psi_k[i] = sqrt(2/n) sin((2i+1) k pi / (2n)),   i = 0..n-1 (the DST-II basis),
+    (A psi_k)[j] = sigma_k sqrt(2/n) sin(j k pi / n),   j = 0..n-1.
+
+Why: column i of n A is piecewise linear in t, its slope drops by 1 at the
+midpoint node s_i, and it vanishes at t = 0 (row 0 of A is zero) and at
+t = 1. The second difference D over the rows t = (j-1)/n, j = 2..n, with the
+zero row of t = 1 appended, therefore gives n^2 D A = -1/2 E, with E the
+(n-1) x n bidiagonal of ones. So rows 2..n of A are -1/2 n^-2 T^-1 E with
+T = tridiag(1, -2, 1), and T and E E^T = tridiag(1, 2, 1) are both functions
+of tridiag(1, 0, 1), whose eigenvectors are the sines sin(j k pi / n).
+Nothing is eigensolved and no Gram matrix is formed, so the route costs
+O(n m), and rho keeps the relative accuracy that forming A^T A loses: at
+n = 2000, rho_1100 is within 1e-12 of svdvals(A)^2 on this route and 1.5e-5
+off on the dense one.
+
+Every other instance takes the dense route, which is the reference.
 """
 
 import math
@@ -23,9 +44,15 @@ import scipy.linalg
 from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
 from .linalg import sym_eig
 
-# Eigenvalues are kept only while rho_k > n * eps * rho_1; below that they are
-# numerically indistinguishable from rank deficiency and are dropped. The
-# Kronecker route applies the same threshold to its products mu_i mu_j.
+# Eigenvalues are kept only while rho_k > n * eps * rho_1. The dense route
+# eigensolves the Gram matrix with a backward-stable solver, so each computed
+# rho_k carries an absolute error of order n * eps * ||A^T A|| = n * eps * rho_1;
+# below that level a computed rho_k has no correct digit (it may come out
+# negative) and cannot be told from rank deficiency, such as the null mode of
+# the Fredholm A, whose row 0 is zero. The Kronecker and sine routes compute
+# rho more accurately but apply the same threshold, so that every route keeps
+# the same modes: the sine route keeps m = 59, 489 and 1117 at n = 60, 500 and
+# 2000, as the dense route does.
 _EPS = float(np.finfo(np.float64).eps)
 
 # Log-log fit window: ranks 6 .. min(400, floor(m/2)), at least two points.
@@ -96,17 +123,45 @@ def _kron_decompose(instance):
                                  m=m, n=instance.n)
 
 
+def _sine_decompose(instance):
+    # closed-form singular system of build_fredholm(n) (module docstring).
+    # Every sine argument is an integer r times pi/(2n); r is reduced mod 4n
+    # before it indexes the table sin(r pi/(2n)), so no argument exceeds 2 pi.
+    n = instance.n
+    tab = np.sin(np.arange(4 * n) * (math.pi / (2 * n)))
+    k = np.arange(1, n)
+    # 2 - 2 cos theta_k = 4 sin^2(theta_k/2), free of cancellation at small k;
+    # cos(theta_k/2) = sin((n - k) pi/(2n))
+    sigma = tab[n - k] / (4.0 * n * n * tab[k] ** 2)
+    rho = sigma**2
+    m = _retained(rho, n)
+    tab *= math.sqrt(2.0 / n)
+    i = np.arange(n)
+    r = np.multiply.outer(2 * i + 1, k[:m])
+    r %= 4 * n
+    psi = tab[r]
+    np.multiply.outer(2 * i, k[:m], out=r)
+    r %= 4 * n
+    a_psi = tab[r]
+    a_psi *= sigma[:m]
+    return SpectralDecomposition(rho=rho[:m], psi=psi, a_psi=a_psi, m=m, n=n)
+
+
 def decompose(instance):
     """Eigendecompose (A^T A, W) and retain the numerically positive part.
 
-    Modes with rho_k <= n * eps * rho_1 are dropped. An instance with a
-    Kronecker factor and W = identity takes the Kronecker route (module
-    docstring); otherwise no reference to the whitened Gram matrix is kept,
-    so during the eigensolve the only n x n arrays alive besides the
-    instance's own are sym_eig's working copy and LAPACK's workspace.
+    Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity, a
+    Fredholm instance (fredholm_kernel) takes the sine route and an instance
+    with a Kronecker factor the Kronecker route (module docstring). On the
+    dense route no reference to the whitened Gram matrix is kept, so during
+    the eigensolve the only n x n arrays alive besides the instance's own are
+    sym_eig's working copy and LAPACK's workspace.
     """
-    if instance.kron_factor is not None and instance.w.is_identity:
-        return _kron_decompose(instance)
+    if instance.w.is_identity:
+        if instance.fredholm_kernel:
+            return _sine_decompose(instance)
+        if instance.kron_factor is not None:
+            return _kron_decompose(instance)
     a = instance.a
     chol = instance.w.chol_lower
     vals, vecs = sym_eig(_whitened_gram(a, chol))

@@ -274,3 +274,40 @@ def test_adaptive_reruns_byte_identical(tmp_path, command):
     assert sorted(os.listdir(a)) == sorted(os.listdir(b))
     for name in os.listdir(a):
         assert read(os.path.join(a, name)) == read(os.path.join(b, name))
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_study_bins_below_one_exits_1_without_traceback(tmp_path, bins):
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli", "study", "--n", "60", "--delta", "0.05",
+         "--reps", "120", "--bins", bins, "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "bins" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def _address_space_cap():
+    # the child may reserve at most 2 GiB, so a grid of 10^9 lambdas (8 GB)
+    # fails inside the child instead of exhausting the machine
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_oversized_grid_count_exits_1_without_traceback(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli", "sweep", "--n", "60", "--delta", "0.01",
+         "--grid-count", str(10**9), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_address_space_cap,
+    )
+    assert out.returncode == 1
+    assert "grid count" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("width", ["inf", "nan"])
+def test_psf_width_that_is_not_finite_exits_1(tmp_path, capsys, width):
+    assert run(["generate", "--problem", "blur", "--side", "8", "--psf-width", width,
+                "--out", str(tmp_path)]) == 1
+    assert "psf_width" in capsys.readouterr().err

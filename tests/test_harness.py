@@ -10,6 +10,7 @@ from tikhreg import (
     DomainError,
     NoiseSpec,
     NonFiniteLambda,
+    SizeCap,
     add_noise,
     adaptive_select,
     b_seminorm_sq,
@@ -26,6 +27,7 @@ from tikhreg import (
     stream_seed,
 )
 from tikhreg.harness import (
+    _GRID_CAP,
     rule_lambda,
     save_montecarlo,
     save_sweep,
@@ -330,3 +332,22 @@ def test_save_sweep_noise_free_serializes_null(tmp_path, fred100):
 def test_montecarlo_rejects_threads_below_one(threads):
     with pytest.raises(DomainError):
         run_montecarlo([60], [0.1], 4, threads=threads)
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_study_rejects_bins_below_one_before_decomposing(monkeypatch, fred100, bins):
+    calls = []
+    monkeypatch.setattr("tikhreg.harness.decompose", lambda inst: calls.append(inst))
+    with pytest.raises(DomainError, match="bins"):
+        run_sample_study(fred100, 0.05, 1e-6, 120, bins=bins)
+    assert calls == []
+
+
+def test_sweep_grid_count_above_cap_rejected_before_decomposing(monkeypatch, fred20):
+    # one past the cap: small enough that code without the cap fails fast on the spy
+    def spy(inst):
+        raise AssertionError("decomposed before the grid count was checked")
+
+    monkeypatch.setattr("tikhreg.harness.decompose", spy)
+    with pytest.raises(SizeCap, match="grid count"):
+        run_sweep(fred20, NoiseSpec(delta=0.01, seed=0), (1e-10, 1e-4, _GRID_CAP + 1))

@@ -402,3 +402,68 @@ def test_prob_kronecker_factor_not_a_matrix_rejected(tmp_path, value):
     _rewrite_header(path, lambda h: {**h, "kron_factor": value})
     with pytest.raises(DomainError):
         load_problem(str(path))
+
+
+def test_fredholm_carries_its_kernel_marker():
+    assert build_fredholm(12).fredholm_kernel is True
+    assert build_blur(6, 1.5).fredholm_kernel is False
+
+
+def test_instance_a_one_ulp_off_the_kernel_fill_rejected():
+    inst = build_fredholm(300)                  # the bad entry sits in the second row block
+    a = inst.a.copy()
+    a[290, 7] = np.nextafter(a[290, 7], np.inf)
+    with pytest.raises(DomainError, match="kernel"):
+        dataclasses.replace(inst, a=a)
+
+
+def test_prob_a_one_ulp_off_the_kernel_fill_rejected(tmp_path):
+    inst = build_fredholm(8)
+    path = tmp_path / "off.prob"
+    save_problem(inst, str(path))
+    blob = bytearray(path.read_bytes())
+    offset = 8 + int.from_bytes(blob[:8], "little") + 8 * (3 * inst.n + 5)   # A[3, 5]
+    entry = np.frombuffer(bytes(blob[offset:offset + 8]), dtype="<f8")
+    blob[offset:offset + 8] = np.nextafter(entry, np.inf).astype("<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DomainError, match="kernel"):
+        load_problem(str(path))
+
+
+def test_prob_roundtrip_keeps_fredholm_marker(tmp_path):
+    inst = build_fredholm(40)
+    path = tmp_path / "f.prob"
+    save_problem(inst, str(path))
+    back = load_problem(str(path))
+    assert back.fredholm_kernel is True
+    dec, dec_back = decompose(inst), decompose(back)
+    assert dec_back.m == dec.m
+    for field in ("rho", "psi", "a_psi"):
+        assert np.array_equal(getattr(dec_back, field), getattr(dec, field))
+
+
+def test_prob_without_fredholm_key_loads_on_dense_route(tmp_path):
+    inst = build_fredholm(10)
+    with_key, without_key = tmp_path / "k.prob", tmp_path / "d.prob"
+    save_problem(inst, str(with_key))
+    save_problem(dataclasses.replace(inst, fredholm_kernel=False), str(without_key))
+    arrays = 8 * (inst.n * inst.n + 2 * inst.n)
+    assert with_key.read_bytes()[-arrays:] == without_key.read_bytes()[-arrays:]
+    back = load_problem(str(without_key))
+    assert back.fredholm_kernel is False
+    assert np.array_equal(back.a, inst.a)
+
+
+@pytest.mark.parametrize("value", [1, "true", None, [True]])
+def test_prob_fredholm_marker_not_a_bool_rejected(tmp_path, value):
+    path = tmp_path / "junk.prob"
+    save_problem(build_fredholm(6), str(path))
+    _rewrite_header(path, lambda h: {**h, "fredholm_kernel": value})
+    with pytest.raises(DomainError, match="fredholm_kernel"):
+        load_problem(str(path))
+
+
+@pytest.mark.parametrize("psf_width", [np.inf, np.nan])
+def test_blur_rejects_a_psf_width_that_is_not_finite(psf_width):
+    with pytest.raises(DomainError, match="psf_width"):
+        build_blur(8, psf_width)

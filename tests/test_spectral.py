@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from tikhreg import (
     add_noise,
     b_seminorm_sq,
     build_blur,
+    build_fredholm,
     decompose,
     error_filter,
     fit_alpha,
@@ -251,5 +253,43 @@ def test_kronecker_route_not_taken_with_explicit_weight():
     weighted = dataclasses.replace(inst, w=w)
     dec = decompose(weighted)
     reference = decompose(dataclasses.replace(weighted, kron_factor=None))
+    assert np.array_equal(dec.rho, reference.rho)
+    assert np.array_equal(dec.psi, reference.psi)
+
+
+@pytest.mark.parametrize("n", [8, 60, 500])
+def test_sine_route_matches_dense_route(n):
+    inst = build_fredholm(n)
+    sine = decompose(inst)
+    dense = decompose(dataclasses.replace(inst, fredholm_kernel=False))
+    assert sine.m == dense.m
+    assert np.all(np.diff(sine.rho) < 0)
+    assert np.max(np.abs(sine.psi.T @ sine.psi - np.eye(sine.m))) <= 1e-13
+    sigma_1 = np.sqrt(sine.rho[0])
+    assert np.linalg.norm(inst.a @ sine.psi - sine.a_psi) <= 1e-12 * sigma_1
+    b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
+    for lam in (1e-6, 1e-2, 1.0):
+        x = solve_spectral(sine, inst, b, lam).x
+        x_dense = solve_spectral(dense, inst, b, lam).x
+        assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+        if lam >= 1e-2:   # the modes both routes drop no longer move x (n = 500)
+            x_direct = solve_direct(inst, b, lam).x
+            assert np.linalg.norm(x - x_direct) <= 1e-8 * np.linalg.norm(x_direct)
+
+
+def test_sine_route_spectrum_matches_singular_values():
+    # forming A^T A costs the dense route ~1e-5 relative on these modes
+    inst = build_fredholm(2000)
+    dec = decompose(inst)
+    sv_sq = scipy.linalg.svdvals(inst.a)[:dec.m] ** 2
+    assert np.max(np.abs(dec.rho - sv_sq) / sv_sq) <= 1e-9
+
+
+def test_sine_route_not_taken_with_explicit_weight():
+    inst = build_fredholm(30)
+    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, inst.n)))
+    weighted = dataclasses.replace(inst, w=w)
+    dec = decompose(weighted)
+    reference = decompose(dataclasses.replace(weighted, fredholm_kernel=False))
     assert np.array_equal(dec.rho, reference.rho)
     assert np.array_equal(dec.psi, reference.psi)
