@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -291,7 +292,6 @@ def test_study_bins_below_one_exits_1_without_traceback(tmp_path, bins):
 def _address_space_cap():
     # the child may reserve at most 2 GiB, so a grid of 10^9 lambdas (8 GB)
     # fails inside the child instead of exhausting the machine
-    import resource
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
