@@ -29,14 +29,13 @@ so the stream can be replicated outside this package from the description
 alone. Derived streams (one per Monte Carlo repetition) are keyed by the low
 8 bytes, little-endian, of SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}").
 
-Both families carry their structure, so that ``spectral.decompose`` need not
-eigensolve the n x n A^T A. A Fredholm instance from ``build_fredholm`` is
-marked ``ProblemInstance.fredholm_kernel = True``, which lets ``decompose``
-write down its singular system in closed form (a sine basis). A blur
+Neither family needs ``spectral.decompose`` to eigensolve the n x n A^T A.
+A Fredholm A is fixed by n alone, so ``decompose`` recognizes it by comparing
+A bit for bit with the kernel fill of ``build_fredholm(n)`` (``_kernel_blocks``)
+and writes down its singular system in closed form (a sine basis). A blur
 instance carries its side x side factor T with A = kron(T, T)
-(``ProblemInstance.kron_factor``), which lets ``decompose`` eigensolve T^T T.
-Every other instance has neither. On construction the instance checks bit for
-bit that A is the kernel fill of ``build_fredholm(n)``, or kron(T, T).
+(``ProblemInstance.kron_factor``), which lets ``decompose`` eigensolve T^T T;
+on construction the instance checks bit for bit that A is kron(T, T).
 
 Serialization. ``save_problem`` writes a `.prob` container: an 8-byte
 little-endian header length, a UTF-8 JSON header
@@ -44,8 +43,7 @@ little-endian header length, a UTF-8 JSON header
 then raw little-endian float64 arrays: A (n*n, row-major), x* (n), y (n), and,
 only when w_kind == "explicit", W (n*n, row-major). A Kronecker factor goes
 into the header as an optional "kron_factor" key (a list of rows, repr-exact
-floats), and the Fredholm marker as an optional "fredholm_kernel": true; a
-file without the keys loads with kron_factor None and fredholm_kernel False.
+floats); a file without the key loads with kron_factor None.
 """
 
 import hashlib
@@ -78,7 +76,6 @@ class ProblemInstance:
     w: WeightSpec
     label: str
     kron_factor: Optional[np.ndarray] = None   # (side, side) T with A = kron(T, T)
-    fredholm_kernel: bool = False              # A is the kernel fill of build_fredholm(n)
 
     def __post_init__(self):
         if self.n < 2:
@@ -89,11 +86,6 @@ class ProblemInstance:
             raise DimensionMismatch("x_star and y must have length n")
         if self.kron_factor is not None:
             _check_kron_factor(self.a, self.kron_factor)
-        if self.fredholm_kernel:
-            # one row block of the fill at a time, no second n x n array
-            for lo, hi, rows in _kernel_blocks(self.n):
-                if not np.array_equal(self.a[lo:hi], rows):
-                    raise DomainError("A is not the Fredholm kernel fill of its size")
 
 
 def _check_kron_factor(a, t):
@@ -176,8 +168,7 @@ def build_fredholm(n):
     Row nodes are (j-1)/n for j = 1..n, quadrature (column) nodes are the
     panel midpoints (2i-1)/(2n), and the quadrature weight 1/n multiplies
     every entry. The exact solution is the quintic
-    x(t) = -6 t^2 (1-t) (2 - 8t + 7t^2) sampled at the midpoints. The
-    instance is marked fredholm_kernel, which ``spectral.decompose`` reads.
+    x(t) = -6 t^2 (1-t) (2 - 8t + 7t^2) sampled at the midpoints.
     """
     if n < 2:
         raise DomainError(f"build_fredholm needs n >= 2, got {n}")
@@ -188,8 +179,7 @@ def build_fredholm(n):
     tm = _midpoints(n)  # x* lives on the midpoint grid
     x_star = -6.0 * tm**2 * (1.0 - tm) * (2.0 - 8.0 * tm + 7.0 * tm**2)
     y = a @ x_star
-    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=WeightSpec.identity(), label="fredholm",
-                           fredholm_kernel=True)
+    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=WeightSpec.identity(), label="fredholm")
 
 
 # Fixed test image for the blur family: two axis-aligned rectangles and one
@@ -304,8 +294,6 @@ def save_problem(instance, path):
     }
     if instance.kron_factor is not None:
         header["kron_factor"] = instance.kron_factor.tolist()
-    if instance.fredholm_kernel:
-        header["fredholm_kernel"] = True
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     arrays = [instance.a, instance.x_star, instance.y]
     if instance.w.kind == "explicit":
@@ -324,9 +312,8 @@ def load_problem(path):
     The header and the file size are checked before any array is read, so a
     truncated, padded or garbage file raises DomainError, as does a NaN or
     infinite entry in A, x*, y or W. Each array is read straight into its own
-    float64 array. The optional header keys "kron_factor" and
-    "fredholm_kernel" become the instance's Kronecker factor and Fredholm
-    marker, which ProblemInstance checks against A.
+    float64 array. An optional "kron_factor" header key becomes the
+    instance's Kronecker factor, which ProblemInstance checks against A.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -355,9 +342,6 @@ def load_problem(path):
                 kron_factor = np.array(kron_factor, dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise DomainError(f"bad .prob header (kron_factor is not a matrix): {path}") from exc
-        fredholm_kernel = header.get("fredholm_kernel", False)
-        if type(fredholm_kernel) is not bool:
-            raise DomainError(f"bad .prob header (fredholm_kernel={fredholm_kernel!r}): {path}")
         shapes = [(n, n), (n,), (n,)] + ([(n, n)] if w_kind == "explicit" else [])
         arrays = []
         for shape in shapes:
@@ -370,4 +354,4 @@ def load_problem(path):
     a, x_star, y = arrays[:3]
     w = WeightSpec.explicit(arrays[3]) if w_kind == "explicit" else WeightSpec.identity()
     return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=label,
-                           kron_factor=kron_factor, fredholm_kernel=fredholm_kernel)
+                           kron_factor=kron_factor)

@@ -12,8 +12,8 @@ T^T T v_i = mu_i v_i the eigenpairs are rho = mu_i mu_j with
 psi = kron(v_i, v_j) and A psi = kron(T v_i, T v_j). Only the side x side
 matrix T^T T is eigensolved, and no n x n array is formed.
 
-Sine route. For W = identity and an instance marked fredholm_kernel (A is the
-kernel fill of build_fredholm(n), Hansen's deriv2), the singular system has a
+Sine route. For W = identity and an A that equals the kernel fill of
+build_fredholm(n) bit for bit (Hansen's deriv2), the singular system has a
 closed form. With theta_k = k pi / n for k = 1..n-1:
 
     sigma_k = cos(theta_k / 2) / (n^2 (2 - 2 cos theta_k)),   rho_k = sigma_k^2,
@@ -32,7 +32,13 @@ O(n m), and rho keeps the relative accuracy that forming A^T A loses: at
 n = 2000, rho_1100 is within 1e-12 of svdvals(A)^2 on this route and 1.5e-5
 off on the dense one.
 
-Every other instance takes the dense route, which is the reference.
+The fill is compared one row block at a time and the comparison stops at the
+first block that differs. An A with a nonzero row 0 (the Fredholm A has
+none) differs in the first block, so the dense route pays one 256-row block;
+the Fredholm A pays one kernel fill.
+
+Every other instance takes the dense route (_dense_decompose), which is the
+reference.
 """
 
 import math
@@ -43,6 +49,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
 from .linalg import sym_eig
+from .problems import _kernel_blocks
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1. The dense route
 # eigensolves the Gram matrix with a backward-stable solver, so each computed
@@ -150,18 +157,25 @@ def _sine_decompose(instance):
 def decompose(instance):
     """Eigendecompose (A^T A, W) and retain the numerically positive part.
 
-    Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity, a
-    Fredholm instance (fredholm_kernel) takes the sine route and an instance
-    with a Kronecker factor the Kronecker route (module docstring). On the
-    dense route no reference to the whitened Gram matrix is kept, so during
-    the eigensolve the only n x n arrays alive besides the instance's own are
-    sym_eig's working copy and LAPACK's workspace.
+    Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity, an
+    instance with a Kronecker factor takes the Kronecker route, and an A that
+    is the kernel fill of build_fredholm(n) the sine route (module docstring).
     """
     if instance.w.is_identity:
-        if instance.fredholm_kernel:
-            return _sine_decompose(instance)
         if instance.kron_factor is not None:
             return _kron_decompose(instance)
+        # A is the kernel fill of build_fredholm(n) bit for bit; all() stops
+        # at the first row block that differs
+        a = instance.a
+        if all(np.array_equal(a[lo:hi], rows) for lo, hi, rows in _kernel_blocks(instance.n)):
+            return _sine_decompose(instance)
+    return _dense_decompose(instance)
+
+
+def _dense_decompose(instance):
+    # the reference route; no reference to the whitened Gram matrix is kept,
+    # so during the eigensolve the only n x n arrays alive besides the
+    # instance's own are sym_eig's working copy and LAPACK's workspace
     a = instance.a
     chol = instance.w.chol_lower
     vals, vecs = sym_eig(_whitened_gram(a, chol))

@@ -300,6 +300,9 @@ def test_oversized_grid_count_exits_1_without_traceback(tmp_path):
         [sys.executable, "-m", "tikhreg.cli", "sweep", "--n", "60", "--delta", "0.01",
          "--grid-count", str(10**9), "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120, preexec_fn=_address_space_cap,
+        # one BLAS thread, so the child's reserved stacks and buffers do not
+        # grow with the core count and the 2 GiB cap fits on any host
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
     )
     assert out.returncode == 1
     assert "grid count" in out.stderr

@@ -24,6 +24,7 @@ from tikhreg import (
     spectrum_rows,
     sym_eig,
 )
+from tikhreg.spectral import _dense_decompose
 
 
 def _instance(a, w=None, label="t"):
@@ -261,7 +262,7 @@ def test_kronecker_route_not_taken_with_explicit_weight():
 def test_sine_route_matches_dense_route(n):
     inst = build_fredholm(n)
     sine = decompose(inst)
-    dense = decompose(dataclasses.replace(inst, fredholm_kernel=False))
+    dense = _dense_decompose(inst)
     assert sine.m == dense.m
     assert np.all(np.diff(sine.rho) < 0)
     assert np.max(np.abs(sine.psi.T @ sine.psi - np.eye(sine.m))) <= 1e-13
@@ -290,6 +291,24 @@ def test_sine_route_not_taken_with_explicit_weight():
     w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, inst.n)))
     weighted = dataclasses.replace(inst, w=w)
     dec = decompose(weighted)
-    reference = decompose(dataclasses.replace(weighted, fredholm_kernel=False))
+    reference = _dense_decompose(weighted)
     assert np.array_equal(dec.rho, reference.rho)
     assert np.array_equal(dec.psi, reference.psi)
+
+
+def test_fredholm_instance_takes_sine_route(monkeypatch):
+    def no_eigensolve(_):
+        raise AssertionError("the sine route eigensolves nothing")
+
+    monkeypatch.setattr("tikhreg.spectral.sym_eig", no_eigensolve)
+    assert decompose(build_fredholm(300)).m == 298
+
+
+def test_a_one_ulp_off_the_kernel_fill_takes_dense_route():
+    inst = build_fredholm(300)                  # the bad entry sits in the second row block
+    a = inst.a.copy()
+    a[290, 7] = np.nextafter(a[290, 7], np.inf)
+    off = dataclasses.replace(inst, a=a)
+    dec, reference = decompose(off), _dense_decompose(off)
+    for field in ("rho", "psi", "a_psi"):
+        assert np.array_equal(getattr(dec, field), getattr(reference, field))
