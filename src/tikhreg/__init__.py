@@ -29,8 +29,6 @@ from .errors import (
 )
 from .linalg import (
     WeightSpec,
-    scaled_norm,
-    spd_factor,
     spd_solve,
     sym_eig,
     symmetrize,

@@ -229,7 +229,7 @@ def _cmd_solve(args, parser, out_dir):
     data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
     lam = _chosen_lambda(args, instance, data.sigma)
     sol = solve_direct(instance, data.b, lam)
-    report = error_report(instance, None, sol, data.b)
+    report = error_report(instance, sol, data.b)
     write_csv(
         os.path.join(out_dir, "solve.csv"),
         ["lambda", "sigma", "rel_x", "rel_Ax", "rel_res", "scaled_output"],
@@ -261,9 +261,9 @@ def _cmd_sweep(args, parser, out_dir):
 def _cmd_adaptive(args, parser, out_dir):
     instance = _build_instance(args, parser)
     data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
-    trace = adaptive_select(instance, data.b, _adaptive_config(args),
+    trace = adaptive_select(instance, _adaptive_config(args),
                             spectral_solver(decompose(instance), instance, data.b))
-    report = error_report(instance, None, trace.final, data.b)
+    report = error_report(instance, trace.final, data.b)
     outputs = save_trace(out_dir, trace)
     write_json(os.path.join(out_dir, "adaptive.json"), {
         "terminated": trace.terminated,

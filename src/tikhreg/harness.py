@@ -41,6 +41,10 @@ _REP_BATCH = 64
 # CSV row, and the cap is checked before the grid is allocated
 _GRID_CAP = 100_000
 
+# most repetitions a Monte Carlo cell or a sample study takes: each keeps two
+# float64 errors, and the cap is checked before any build or decomposition
+_REPS_CAP = 1_000_000
+
 
 # ===========================================================================
 # result records
@@ -203,10 +207,13 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     rep r of cell (n, delta) reads noise stream stream_seed(master_seed, n,
     delta, r), and repeated sizes or deltas that share a stream are
     rejected. Cells run on a pool of `threads` workers and are reduced in
-    (ns x deltas) order, so `threads` affects wall time only.
+    (ns x deltas) order, so `threads` affects wall time only. More than
+    1000000 reps raise SizeCap before any build.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
+    if reps > _REPS_CAP:
+        raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     for d in deltas:
@@ -253,11 +260,17 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
 
     Returns the raw samples, a histogram, and normal QQ pairs of the
     standardized sample against quantiles at (i - 1/2)/reps. A lambda that is
-    not finite and positive raises NonFiniteLambda, and fewer than one bin
-    DomainError, both before the decomposition.
+    not finite and positive raises NonFiniteLambda, a delta that is negative
+    or not finite or fewer than one bin DomainError, and more than 1000000
+    reps SizeCap, all before the decomposition. delta = 0 draws no noise, so
+    every sample is the same and DegenerateSample follows.
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")
+    if reps > _REPS_CAP:
+        raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
+    if not 0 <= delta < math.inf:
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     _check_lambda(lam)
@@ -302,8 +315,8 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
         for n in ns:
             inst, decomp = shared[n]
             data = add_noise(inst, NoiseSpec(delta=delta, seed=stream_seed(master_seed, n, delta, 0)))
-            trace = adaptive_select(inst, data.b, cfg, spectral_solver(decomp, inst, data.b))
-            report = error_report(inst, None, trace.final, data.b)
+            trace = adaptive_select(inst, cfg, spectral_solver(decomp, inst, data.b))
+            report = error_report(inst, trace.final, data.b)
             rows.append(TableRow(
                 delta=delta, n=n, sigma=data.sigma,
                 lam=trace.final.lam, iters=trace.iters,

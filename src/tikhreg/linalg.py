@@ -48,25 +48,6 @@ def symmetrize(m):
     return 0.5 * (m + m.T)
 
 
-def spd_factor(m):
-    """Cholesky-factor a symmetric positive definite matrix.
-
-    Returns the (c, lower) pair accepted by :func:`scipy.linalg.cho_solve`.
-
-    Raises
-    ------
-    NotSPD
-        On a non-positive pivot.
-    NotSymmetric
-        If the input fails the symmetry tolerance.
-    """
-    m = symmetrize(m)
-    try:
-        return scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSPD(str(exc)) from exc
-
-
 def spd_solve(m, rhs):
     """Solve M z = rhs for symmetric positive definite M via Cholesky.
 
@@ -83,14 +64,20 @@ def spd_solve(m, rhs):
 
     Raises
     ------
-    NotSPD, NotSymmetric, DimensionMismatch
+    NotSPD
+        On a non-positive Cholesky pivot.
+    NotSymmetric, DimensionMismatch
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    factor = spd_factor(m)
-    if rhs.shape[0] != factor[0].shape[0]:
+    m = symmetrize(m)
+    if rhs.shape[0] != m.shape[0]:
         raise DimensionMismatch(
-            f"matrix is {factor[0].shape[0]}x{factor[0].shape[0]}, rhs has leading dim {rhs.shape[0]}"
+            f"matrix is {m.shape[0]}x{m.shape[0]}, rhs has leading dim {rhs.shape[0]}"
         )
+    try:
+        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotSPD(str(exc)) from exc
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
@@ -133,41 +120,36 @@ class WeightSpec:
 
     Explicit matrices are validated on construction (symmetry within 1e-12
     relative, Cholesky succeeds) and the lower Cholesky factor is cached for
-    whitening transforms.
+    whitening transforms; the identity holds neither.
     """
 
-    __slots__ = ("kind", "matrix", "chol_lower")
+    __slots__ = ("matrix", "chol_lower")
 
-    def __init__(self, kind, matrix=None):
-        if kind not in ("identity", "explicit"):
-            raise ValueError(f"unknown weight kind {kind!r}")
-        if kind == "identity":
-            if matrix is not None:
-                raise ValueError("identity weight takes no matrix")
-            self.kind = "identity"
-            self.matrix = None
-            self.chol_lower = None
+    def __init__(self, matrix=None):
+        self.matrix = self.chol_lower = None
+        if matrix is None:
             return
-        matrix = symmetrize(matrix)
+        self.matrix = symmetrize(matrix)
         try:
-            chol = scipy.linalg.cholesky(matrix, lower=True, check_finite=False)
+            self.chol_lower = scipy.linalg.cholesky(self.matrix, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NotSPD(f"weight matrix is not positive definite: {exc}") from exc
-        self.kind = "explicit"
-        self.matrix = matrix
-        self.chol_lower = chol
 
     @classmethod
     def identity(cls):
-        return cls("identity")
+        return cls()
 
     @classmethod
     def explicit(cls, matrix):
-        return cls("explicit", matrix)
+        return cls(matrix)
+
+    @property
+    def kind(self):
+        return "identity" if self.matrix is None else "explicit"
 
     @property
     def is_identity(self):
-        return self.kind == "identity"
+        return self.matrix is None
 
     def apply(self, v):
         """Return W v (v may be a vector or a matrix of columns)."""
@@ -220,9 +202,3 @@ def w_norm(u, w):
     val = w_inner(u, u, w)
     # guard tiny negative round-off from the quadratic form
     return float(np.sqrt(max(val, 0.0)))
-
-
-def scaled_norm(v):
-    """Normalized Euclidean norm n^{-1/2} ||v||, the grid analogue of an L2 norm."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(np.linalg.norm(v) / np.sqrt(v.shape[0]))

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
 from .errors import DegenerateSolution, DomainError, ZeroSolutionNorm
 from .tikhonov import RegularizedSolution
 
@@ -103,12 +101,12 @@ def initial_lambda(alpha, n):
     return float(n) ** (-alpha / (alpha + 1.0))
 
 
-def adaptive_select(instance, b, cfg, solver):
+def adaptive_select(instance, cfg, solver):
     """Run the adaptive fixed-point iteration and return its full trace.
 
-    solver is any callable lam -> RegularizedSolution for this (instance, b)
-    pair; see tikhonov.direct_solver and tikhonov.spectral_solver. Each
-    update is
+    solver is any callable lam -> RegularizedSolution for one right-hand side
+    b of this instance; tikhonov.direct_solver and tikhonov.spectral_solver
+    build one, and both reject a b that is not finite. Each update is
 
         lambda_{k+1}^{(alpha+1)/(2 alpha)} =
             C * (n^{-1/2} ||A x_k - b||) * n^{-1/2} * (n^{-1/2} ||x_k||_W)^{-1}
@@ -118,9 +116,6 @@ def adaptive_select(instance, b, cfg, solver):
     iteration cap is hit, or an update underflows or turns nonfinite (the
     trace then carries terminated = "nonfinite" and the last solved iterate).
     """
-    b = np.asarray(b, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise DomainError("b must be finite")
     root_n = math.sqrt(instance.n)
     exponent = 2.0 * cfg.alpha / (cfg.alpha + 1.0)
 

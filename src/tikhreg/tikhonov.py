@@ -9,13 +9,12 @@ precision and the test suite holds them against each other.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .linalg import spd_solve, w_norm
-from .spectral import _check_lambda, b_seminorm_sq, error_filter
+from .spectral import _check_lambda, error_filter
 
 
 @dataclass
@@ -24,8 +23,7 @@ class RegularizedSolution:
     x: np.ndarray
     residual_b: float                 # ||A x - b||
     w_norm: float                     # ||x||_W
-    output_err: Optional[float] = None    # ||A x - A x*||
-    b_err_sq: Optional[float] = None      # ||B (x - x*)||^2
+    output_err: float                 # ||A x - A x*||
 
 
 @dataclass
@@ -34,7 +32,6 @@ class ErrorReport:
     rel_ax: float
     rel_res: float
     scaled_output: float              # n^{-1/2} ||A x - A x*||
-    scaled_b: Optional[float] = None  # n^{-1/2} ||B (x - x*)||, needs a decomposition
 
 
 def _check_rhs(instance, b):
@@ -53,14 +50,13 @@ def _regularized_matrix(gram, lam, w):
     return m
 
 
-def _solution(instance, b, lam, x, ax, b_err_sq=None):
+def _solution(instance, b, lam, x, ax):
     return RegularizedSolution(
         lam=lam,
         x=x,
         residual_b=float(np.linalg.norm(ax - b)),
         w_norm=w_norm(x, instance.w),
         output_err=float(np.linalg.norm(ax - instance.y)),
-        b_err_sq=b_err_sq,
     )
 
 
@@ -86,18 +82,17 @@ def direct_solver(instance, b):
 def spectral_solver(decomp, instance, b):
     """Callable lam -> RegularizedSolution of the filter c_k = (b, A psi_k) / (lambda + rho_k).
 
-    The projections (b, A psi_k) are formed once; c and ||B(x - x*)||^2 come
-    from spectral.error_filter, while x, the residual and ||A x - A x*|| are
-    measured in n-space.
+    The projections (b, A psi_k) are formed once; c comes from
+    spectral.error_filter, the one filter kernel, while x, the residual and
+    ||A x - A x*|| are measured in n-space.
     """
     b = _check_rhs(instance, b)
     errors = error_filter(decomp, instance)
     d = decomp.a_psi.T @ b
 
     def solve(lam):
-        c, _, b_err_sq = errors(d, lam)
-        return _solution(instance, b, float(lam), decomp.psi @ c, decomp.a_psi @ c,
-                         b_err_sq=float(b_err_sq))
+        c, _, _ = errors(d, lam)
+        return _solution(instance, b, float(lam), decomp.psi @ c, decomp.a_psi @ c)
 
     return solve
 
@@ -112,29 +107,17 @@ def solve_spectral(decomp, instance, b, lam):
     return spectral_solver(decomp, instance, b)(lam)
 
 
-def error_report(instance, decomp, sol, b):
-    """All error functionals of a solution against the instance's truth."""
+def error_report(instance, sol, b):
+    """Relative errors of a solution in x, A x and the residual, and the scaled
+    output error n^{-1/2} ||A x - A x*||, all against the instance's truth."""
     b = _check_rhs(instance, b)
     x_err = float(np.linalg.norm(sol.x - instance.x_star))
     x_norm = float(np.linalg.norm(instance.x_star))
-    if sol.output_err is not None:
-        output_err = sol.output_err
-    else:
-        output_err = float(np.linalg.norm(instance.a @ sol.x - instance.y))
     y_norm = float(np.linalg.norm(instance.y))
     b_norm = float(np.linalg.norm(b))
-    root_n = math.sqrt(instance.n)
-    if sol.b_err_sq is not None:
-        scaled_b = math.sqrt(max(sol.b_err_sq, 0.0)) / root_n
-    elif decomp is not None:
-        scaled_b = math.sqrt(b_seminorm_sq(decomp, sol.x - instance.x_star, instance.w)) / root_n
-    else:
-        scaled_b = None
     return ErrorReport(
         rel_x=x_err / x_norm,
-        rel_ax=output_err / y_norm,
+        rel_ax=sol.output_err / y_norm,
         rel_res=sol.residual_b / b_norm,
-        scaled_output=output_err / root_n,
-        scaled_b=scaled_b,
+        scaled_output=sol.output_err / math.sqrt(instance.n),
     )
-

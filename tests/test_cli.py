@@ -309,6 +309,36 @@ def test_oversized_grid_count_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["study", "--n", "60", "--delta", "0.05", "--lam", "1e-6"],
+    ["montecarlo", "--ns", "60", "--deltas", "0.1"],
+])
+def test_oversized_reps_exits_1_without_traceback(tmp_path, command):
+    # 10^9 reps would ask for 16 GB of per-rep errors; the 2 GiB cap turns
+    # an unchecked count into a failure inside the child
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli"] + command
+        + ["--reps", str(10**9), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_address_space_cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert out.returncode == 1
+    assert "reps" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_study_negative_delta_exits_1_without_traceback(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli", "study", "--n", "60", "--delta", "-0.05",
+         "--lam", "1e-6", "--reps", "120", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "delta" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not os.path.exists(tmp_path / "study.json")
+
+
 @pytest.mark.parametrize("width", ["inf", "nan"])
 def test_psf_width_that_is_not_finite_exits_1(tmp_path, capsys, width):
     assert run(["generate", "--problem", "blur", "--side", "8", "--psf-width", width,

@@ -28,6 +28,7 @@ from tikhreg import (
 )
 from tikhreg.harness import (
     _GRID_CAP,
+    _REPS_CAP,
     rule_lambda,
     save_montecarlo,
     save_sweep,
@@ -248,8 +249,8 @@ def test_table_rows_match_the_direct_route(alpha):
     for row in rows:
         inst = build_fredholm(row.n)
         data = add_noise(inst, NoiseSpec(delta=row.delta, seed=stream_seed(0, row.n, row.delta, 0)))
-        trace = adaptive_select(inst, data.b, cfg, direct_solver(inst, data.b))
-        report = error_report(inst, None, trace.final, data.b)
+        trace = adaptive_select(inst, cfg, direct_solver(inst, data.b))
+        report = error_report(inst, trace.final, data.b)
         assert row.iters == trace.iters
         assert row.terminated == trace.terminated
         assert row.lam == pytest.approx(trace.final.lam, rel=1e-7)
@@ -351,3 +352,28 @@ def test_sweep_grid_count_above_cap_rejected_before_decomposing(monkeypatch, fre
     monkeypatch.setattr("tikhreg.harness.decompose", spy)
     with pytest.raises(SizeCap, match="grid count"):
         run_sweep(fred20, NoiseSpec(delta=0.01, seed=0), (1e-10, 1e-4, _GRID_CAP + 1))
+
+
+def _no_decompose(inst):
+    raise AssertionError("decomposed before the arguments were checked")
+
+
+def test_study_reps_above_cap_rejected_before_decomposing(monkeypatch, fred20):
+    monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
+    with pytest.raises(SizeCap, match="reps"):
+        run_sample_study(fred20, 0.05, 1e-6, _REPS_CAP + 1)
+
+
+def test_montecarlo_reps_above_cap_rejected_before_building():
+    def no_build(n):
+        raise AssertionError("built an instance before reps was checked")
+
+    with pytest.raises(SizeCap, match="reps"):
+        run_montecarlo([60], [0.1], _REPS_CAP + 1, problem=no_build)
+
+
+@pytest.mark.parametrize("delta", [-0.05, math.nan, math.inf])
+def test_study_rejects_a_negative_or_nonfinite_delta_before_decomposing(monkeypatch, fred20, delta):
+    monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
+    with pytest.raises(DomainError, match="delta"):
+        run_sample_study(fred20, delta, 1e-6, 120)

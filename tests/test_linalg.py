@@ -8,7 +8,6 @@ from tikhreg import (
     NotSPD,
     NotSymmetric,
     WeightSpec,
-    scaled_norm,
     spd_solve,
     sym_eig,
     symmetrize,
@@ -96,10 +95,6 @@ def test_weightspec_explicit_rejects_indefinite():
 def test_identity_apply_is_noop(rng):
     v = rng.standard_normal(7)
     assert np.array_equal(WeightSpec.identity().apply(v), v)
-
-
-def test_scaled_norm():
-    assert scaled_norm(np.array([3.0, 4.0, 0.0, 0.0])) == pytest.approx(2.5)
 
 
 _vec = arrays(np.float64, (6,), elements=st.floats(-1e6, 1e6))

@@ -118,12 +118,11 @@ def test_bad_lambda_rejected(fred20, lam):
 def test_error_report_exact_recovery(fred100):
     from tikhreg.tikhonov import RegularizedSolution
 
-    dec = decompose(fred100)
     sol = RegularizedSolution(
         lam=1e-6, x=fred100.x_star.copy(), residual_b=0.0,
-        w_norm=float(np.linalg.norm(fred100.x_star)),
+        w_norm=float(np.linalg.norm(fred100.x_star)), output_err=0.0,
     )
-    rep = error_report(fred100, dec, sol, fred100.y)
+    rep = error_report(fred100, sol, fred100.y)
     assert rep.rel_x == 0.0
     assert rep.rel_ax == 0.0
     assert rep.rel_res == 0.0
@@ -133,21 +132,12 @@ def test_error_report_exact_recovery(fred100):
 def test_error_report_zero_solution(fred100):
     from tikhreg.tikhonov import RegularizedSolution
 
-    sol = RegularizedSolution(lam=1.0, x=np.zeros(100), residual_b=float(np.linalg.norm(fred100.y)), w_norm=0.0)
-    rep = error_report(fred100, None, sol, fred100.y)
+    y_norm = float(np.linalg.norm(fred100.y))
+    sol = RegularizedSolution(lam=1.0, x=np.zeros(100), residual_b=y_norm, w_norm=0.0,
+                              output_err=y_norm)
+    rep = error_report(fred100, sol, fred100.y)
     assert rep.rel_x == pytest.approx(1.0)
     assert rep.rel_res == pytest.approx(1.0)
-
-
-def test_error_report_scaled_b_plumbing(fred100):
-    from tikhreg import b_seminorm_sq
-
-    dec = decompose(fred100)
-    b = fred100.y + 1e-4
-    sol = solve_spectral(dec, fred100, b, 1e-6)
-    rep = error_report(fred100, dec, sol, b)
-    want = math.sqrt(b_seminorm_sq(dec, sol.x - fred100.x_star, fred100.w) / fred100.n)
-    assert rep.scaled_b == pytest.approx(want, rel=1e-6)
 
 
 def test_solver_closures_match_free_functions(fred100):
