@@ -32,9 +32,9 @@ from .problems import (
 from .spectral import _check_lambda, decompose, error_filter, spectrum_rows
 from .tikhonov import error_report, spectral_solver
 
-# reps are processed in fixed-size batches: one (n, 64) noise block bounds the
-# memory of a cell, and the constant batch fixes the GEMM shape, so the thread
-# count cannot change any bit
+# reps are processed in fixed-size batches: one (64, n) noise block, drawn in
+# one call, bounds the memory of a cell, and the constant batch fixes the GEMM
+# shape, so the thread count cannot change any bit
 _REP_BATCH = 64
 
 # most lambda grid points a sweep takes: each one is a spectral solve and a
@@ -168,7 +168,9 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
 
 def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     # Per-rep n^{-1/2} ||A(x_r - x*)|| and n^{-1/2} ||B(x_r - x*)|| at one lambda,
-    # x_r solving b = y + sigma xi_r: one GEMM per batch, measured by error_filter.
+    # x_r solving b = y + sigma xi_r: one noise block and one GEMM per batch,
+    # measured by error_filter. A delta so large that an error overflows
+    # float64 raises DomainError instead of passing inf on.
     n = instance.n
     errors = error_filter(decomp, instance)
     d_clean = decomp.a_psi.T @ instance.y
@@ -176,11 +178,13 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     b_sq = np.empty(reps, dtype=np.float64)
     for lo in range(0, reps, _REP_BATCH):
         hi = min(lo + _REP_BATCH, reps)
-        xi = np.empty((n, hi - lo), dtype=np.float64)
-        for j, rep in enumerate(range(lo, hi)):
-            xi[:, j] = standard_normal(stream_seed(master_seed, n, delta, rep), n)
-        d = d_clean[:, None] + sigma * (decomp.a_psi.T @ xi)
-        _, out_sq[lo:hi], b_sq[lo:hi] = errors(d, lam)
+        xi = standard_normal([stream_seed(master_seed, n, delta, rep) for rep in range(lo, hi)], n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = d_clean[:, None] + sigma * (decomp.a_psi.T @ xi.T)
+            _, out_sq[lo:hi], b_sq[lo:hi] = errors(d, lam)
+        if not (np.isfinite(out_sq[lo:hi]).all() and np.isfinite(b_sq[lo:hi]).all()):
+            raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes the scaled errors "
+                              f"overflow float64")
     return np.sqrt(out_sq) / math.sqrt(n), np.sqrt(b_sq) / math.sqrt(n)
 
 
@@ -208,7 +212,8 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     delta, r), and repeated sizes or deltas that share a stream are
     rejected. Cells run on a pool of `threads` workers and are reduced in
     (ns x deltas) order, so `threads` affects wall time only. More than
-    1000000 reps raise SizeCap before any build.
+    1000000 reps raise SizeCap before any build, and a delta so large that
+    a scaled error overflows float64 raises DomainError.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
@@ -263,7 +268,8 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     not finite and positive raises NonFiniteLambda, a delta that is negative
     or not finite or fewer than one bin DomainError, and more than 1000000
     reps SizeCap, all before the decomposition. delta = 0 draws no noise, so
-    every sample is the same and DegenerateSample follows.
+    every sample is the same and DegenerateSample follows; a delta so large
+    that a sample overflows float64 raises DomainError.
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")

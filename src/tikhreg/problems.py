@@ -25,9 +25,18 @@ sequential pair consumption:
     r = sqrt(-2 log(1 - u[2k])),  z[2k] = r cos(2 pi u[2k+1]),
                                   z[2k+1] = r sin(2 pi u[2k+1])
 
-so the stream can be replicated outside this package from the description
-alone. Derived streams (one per Monte Carlo repetition) are keyed by the low
-8 bytes, little-endian, of SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}").
+The description fixes every uniform bit for bit. The normals follow from it to
+within a few ulp under any libm; bit-exact replication needs numpy's float64
+log1p, sqrt, cos and sin, which differ from Python's math module in the last
+bit on some inputs (math.log1p(-u) on about 7 % of uniforms). Derived streams
+(one per Monte Carlo repetition) are keyed by the low 8 bytes, little-endian,
+of SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}").
+
+Batched draws. ``standard_normal`` also takes a sequence of seeds and returns
+one row per seed, row i equal bit for bit to the one-seed draw. It builds one
+Philox generator per call and re-keys it per row through its state (key
+[seed, 0], counter 0, empty buffer: where Philox(key=seed) starts), so a
+64-rep Monte Carlo batch pays for one construction instead of 64.
 
 Neither family needs ``spectral.decompose`` to eigensolve the n x n A^T A.
 A Fredholm A is fixed by n alone, so ``decompose`` recognizes it by comparing
@@ -230,26 +239,45 @@ def build_blur(side, psf_width):
 
 
 def standard_normal(seed, count):
-    """``count`` standard normal variates from the documented Philox stream.
+    """Standard normal variates from the documented Philox stream of each seed.
 
     Box-Muller on Philox4x64-10 uniforms; see the module docstring for the
-    exact conventions. Same seed, same count prefix: bit-identical output.
+    exact conventions. One 64-bit seed gives ``count`` variates; a sequence
+    of seeds gives a (len(seeds), count) block whose row i equals
+    standard_normal(seeds[i], count) bit for bit. Same seed, same count
+    prefix: bit-identical output.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
-    if count == 0:
-        return np.zeros(0, dtype=np.float64)
+    single = np.isscalar(seed)
+    seeds = [seed] if single else seed
     pairs = (count + 1) // 2
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = gen.random(2 * pairs, dtype=np.float64)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log1p(-u1))     # log(1 - u1), safe at u1 = 0
-    theta = 2.0 * np.pi * u2
-    z = np.empty(2 * pairs, dtype=np.float64)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return z[:count]
+    z = np.empty((len(seeds), 2 * pairs), dtype=np.float64)
+    if z.size:
+        # one generator, re-keyed per row to where Philox(key=seed) starts:
+        # key [seed, 0], counter 0, empty buffer
+        key = np.zeros(2, dtype=np.uint64)
+        start = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        bitgen = np.random.Philox(key=0)
+        gen = np.random.Generator(bitgen)
+        u = np.empty(2 * pairs, dtype=np.float64)
+        for row, s in zip(z, seeds):
+            s = int(s)
+            if not 0 <= s < 2**64:
+                raise DomainError(f"seed {s} does not fit in an unsigned 64-bit integer")
+            key[0] = s
+            bitgen.state = start
+            gen.random(out=u)
+            u1 = u[0::2]
+            u2 = u[1::2]
+            r = np.sqrt(-2.0 * np.log1p(-u1))     # log(1 - u1), safe at u1 = 0
+            theta = 2.0 * np.pi * u2
+            row[0::2] = r * np.cos(theta)
+            row[1::2] = r * np.sin(theta)
+    return z[0, :count] if single else z[:, :count]
 
 
 def stream_seed(master_seed, n, delta, rep):

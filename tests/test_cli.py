@@ -344,3 +344,18 @@ def test_psf_width_that_is_not_finite_exits_1(tmp_path, capsys, width):
     assert run(["generate", "--problem", "blur", "--side", "8", "--psf-width", width,
                 "--out", str(tmp_path)]) == 1
     assert "psf_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--ns", "60,100", "--deltas", "1e300", "--reps", "4"],
+    ["study", "--n", "60", "--delta", "1e300", "--lam", "1e-6", "--reps", "100"],
+])
+def test_delta_whose_errors_overflow_exits_1_without_traceback(tmp_path, command):
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli"] + command + ["--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "delta = 1e+300" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from tikhreg import (
     build_fredholm,
     decompose,
     direct_solver,
+    error_filter,
     error_report,
+    noise_sigma,
     run_montecarlo,
     run_sample_study,
     run_sweep,
@@ -28,6 +31,7 @@ from tikhreg import (
 )
 from tikhreg.harness import (
     _GRID_CAP,
+    _REP_BATCH,
     _REPS_CAP,
     rule_lambda,
     save_montecarlo,
@@ -150,6 +154,47 @@ def test_montecarlo_means_match_per_rep_solves():
     assert cell.mean_scaled_output == pytest.approx(np.mean(outs), rel=1e-9)
     assert cell.mean_scaled_b == pytest.approx(np.mean(bs), rel=1e-9)
     assert cell.reps == reps
+
+
+def _per_rep_scaled_errors(inst, delta, lam, reps, master):
+    # reference for _scaled_errors: one one-seed draw per rep, stacked into the
+    # driver's batches so the projection GEMM has the same shape
+    n = inst.n
+    dec = decompose(inst)
+    sigma = noise_sigma(inst, delta)
+    errors = error_filter(dec, inst)
+    d_clean = dec.a_psi.T @ inst.y
+    out_sq, b_sq = [], []
+    for lo in range(0, reps, _REP_BATCH):
+        xi = np.array([standard_normal(stream_seed(master, n, delta, rep), n)
+                       for rep in range(lo, min(lo + _REP_BATCH, reps))])
+        _, o, b = errors(d_clean[:, None] + sigma * (dec.a_psi.T @ xi.T), lam)
+        out_sq.append(o)
+        b_sq.append(b)
+    return (np.sqrt(np.concatenate(out_sq)) / math.sqrt(n),
+            np.sqrt(np.concatenate(b_sq)) / math.sqrt(n))
+
+
+def test_batched_noise_draws_change_no_bit():
+    # 130 reps: two full 64-rep batches and a partial one
+    reps, master = 130, 31
+    inst = build_fredholm(61)
+    study = run_sample_study(inst, 0.05, 1e-7, reps, master_seed=master)
+    assert np.array_equal(study.samples, _per_rep_scaled_errors(inst, 0.05, 1e-7, reps, master)[0])
+
+    cell = run_montecarlo([61], [0.01], reps, master_seed=master).cells[0]
+    out, berr = _per_rep_scaled_errors(inst, 0.01, cell.lam, reps, master)
+    assert cell.mean_scaled_output == float(np.mean(out))
+    assert cell.mean_scaled_b == float(np.mean(berr))
+
+
+def test_drivers_reject_a_delta_whose_errors_overflow(fred100):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="delta = 1e"):
+            run_montecarlo([60, 100], [1e300], 4)
+        with pytest.raises(DomainError, match="delta = 1e"):
+            run_sample_study(fred100, 1e300, 1e-6, 100)
 
 
 def test_montecarlo_cell_count_and_finiteness():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,50 @@ def test_standard_normal_prefix_stability():
     a = standard_normal(5, 10)
     b = standard_normal(5, 50)
     assert np.array_equal(a, b[:10])
+
+
+def _documented_stream(seed, count):
+    # the module docstring's recipe with scalar math: Philox uniforms, then
+    # r = sqrt(-2 log(1 - u[2k])), z = r cos / r sin of 2 pi u[2k+1]
+    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * ((count + 1) // 2))
+    z = []
+    for k in range(0, len(u), 2):
+        r = math.sqrt(-2.0 * math.log1p(-float(u[k])))
+        theta = 2.0 * math.pi * float(u[k + 1])
+        z += [r * math.cos(theta), r * math.sin(theta)]
+    return np.array(z[:count])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
+def test_standard_normal_follows_the_documented_recipe(seed):
+    # libm and numpy's ufuncs may differ in the last bits, never by more
+    want = _documented_stream(seed, 9)
+    got = standard_normal(seed, 9)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_standard_normal_pinned_values():
+    # a swapped u1/u2 or cos/sin order changes these far beyond 1e-14
+    want = [0.2190063046507114, -1.4251673872451207, 0.9452944356903861]
+    assert standard_normal(12345, 3) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_batched_rows_equal_one_seed_draws():
+    seeds = [0, 2**64 - 1, 1, 2**63] + [stream_seed(9, 500, 0.01, rep) for rep in range(70)]
+    for count in (0, 1, 2, 7, 63, 64, 65, 500, 501):
+        block = standard_normal(seeds, count)
+        assert block.shape == (len(seeds), count)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, standard_normal(seed, count))
+    assert standard_normal([], 5).shape == (0, 5)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_standard_normal_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(DomainError, match="64-bit"):
+        standard_normal(seed, 4)
+    with pytest.raises(DomainError, match="64-bit"):
+        standard_normal([3, seed], 4)
 
 
 def test_stream_seed_distinct_and_stable():
