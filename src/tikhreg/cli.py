@@ -56,9 +56,13 @@ def _seed_type(text):
 def _list_of(convert, what):
     def parse(text):
         try:
-            return [convert(tok) for tok in text.split(",") if tok]
+            values = [convert(tok) for tok in text.split(",") if tok]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a comma-separated {what} list, got {text!r}")
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a nonempty comma-separated {what} list, got {text!r}")
+        return values
     return parse
 
 

@@ -3,10 +3,14 @@
 SPD solves, symmetric eigendecomposition and weighted inner products, used
 everywhere else in the package. Everything is real64 and operates on plain
 numpy arrays (row-major); inputs are never mutated.
+
+scipy.linalg is imported inside the three functions that call it (spd_solve,
+sym_eig and an explicit WeightSpec), not at module level: importing it costs
+about 0.3 s, more than a whole Fredholm or blur run, and those routes never
+reach it.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotSPD, NotSymmetric
 
@@ -68,6 +72,8 @@ def spd_solve(m, rhs):
         On a non-positive Cholesky pivot.
     NotSymmetric, DimensionMismatch
     """
+    import scipy.linalg
+
     rhs = np.asarray(rhs, dtype=np.float64)
     m = symmetrize(m)
     if rhs.shape[0] != m.shape[0]:
@@ -104,6 +110,8 @@ def sym_eig(m):
     ConvergenceFailure
         If the underlying solver fails to converge.
     """
+    import scipy.linalg
+
     m = symmetrize(m)
     try:
         # LAPACK syevd (as np.linalg.eigh) overwrites the private symmetric
@@ -129,6 +137,8 @@ class WeightSpec:
         self.matrix = self.chol_lower = None
         if matrix is None:
             return
+        import scipy.linalg
+
         self.matrix = symmetrize(matrix)
         try:
             self.chol_lower = scipy.linalg.cholesky(self.matrix, lower=True, check_finite=False)

@@ -287,13 +287,21 @@ def stream_seed(master_seed, n, delta, rep):
     SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}"). Distinct
     (n, round(delta*1e6), rep) triples give independent streams under one
     master seed; 0 < delta <= 5e-7 would read the delta = 0 stream and is
-    rejected, as is a non-finite delta.
+    rejected, as is a non-finite delta. A sequence of reps gives the list of
+    their seeds, each equal to the one-rep call; the shared tag prefix is
+    hashed once.
     """
     if not math.isfinite(delta) or (delta != 0 and round(delta * 1e6) == 0):
         raise DomainError(f"delta = {delta!r} has no noise stream of its own; use 0 or > 5e-7")
-    tag = f"tikhreg:{int(master_seed)}:{int(n)}:{round(delta * 1e6)}:{int(rep)}"
-    digest = hashlib.sha256(tag.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "little")
+    tag = f"tikhreg:{int(master_seed)}:{int(n)}:{round(delta * 1e6)}:"
+    prefix = hashlib.sha256(tag.encode("ascii"))
+
+    def seed(r):
+        h = prefix.copy()
+        h.update(str(int(r)).encode("ascii"))
+        return int.from_bytes(h.digest()[:8], "little")
+
+    return seed(rep) if np.isscalar(rep) else [seed(r) for r in rep]
 
 
 def noise_sigma(instance, delta):

@@ -10,7 +10,8 @@ Kronecker route. For W = identity and an instance with a Kronecker factor
 (A = kron(T, T), the blur family), A^T A = kron(T^T T, T^T T), so with
 T^T T v_i = mu_i v_i the eigenpairs are rho = mu_i mu_j with
 psi = kron(v_i, v_j) and A psi = kron(T v_i, T v_j). Only the side x side
-matrix T^T T is eigensolved, and no n x n array is formed.
+matrix T^T T is eigensolved (np.linalg.eigh, the same LAPACK syevd as
+sym_eig), and no n x n array is formed.
 
 Sine route. For W = identity and an A that equals the kernel fill of
 build_fredholm(n) bit for bit (Hansen's deriv2), the singular system has a
@@ -38,17 +39,18 @@ none) differs in the first block, so the dense route pays one 256-row block;
 the Fredholm A pays one kernel fill.
 
 Every other instance takes the dense route (_dense_decompose), which is the
-reference.
+reference. Only that route reaches scipy: sym_eig for the eigensolve, and
+solve_triangular for an explicit W, each imported where it is called, so the
+Kronecker and sine routes run on numpy alone.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
-from .linalg import sym_eig
+from .errors import ConvergenceFailure, DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
+from .linalg import sym_eig, symmetrize
 from .problems import _kernel_blocks
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1. The dense route
@@ -98,6 +100,8 @@ def _whitened_gram(a, chol):
     # A^T A, or L^{-1} A^T A L^{-T} for W = L L^T; psi = L^{-T} z maps back
     if chol is None:
         return a.T @ a
+    import scipy.linalg
+
     tmp = scipy.linalg.solve_triangular(chol, a.T @ a, lower=True, check_finite=False)
     return scipy.linalg.solve_triangular(chol, tmp.T, lower=True, check_finite=False).T
 
@@ -113,8 +117,14 @@ def _kron_decompose(instance):
     # keeps tied products (mu_i mu_j = mu_j mu_i) in index order
     t = instance.kron_factor
     side = t.shape[0]
-    mu, v = sym_eig(t.T @ t)
-    mu = np.maximum(mu, 0.0)
+    # the same LAPACK syevd as sym_eig, without its scipy import; the side x
+    # side matrix gains nothing from being overwritten in place
+    try:
+        mu, v = np.linalg.eigh(symmetrize(t.T @ t))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    mu = np.maximum(mu[::-1], 0.0)
+    v = v[:, ::-1]
     rho = np.outer(mu, mu).ravel()
     order = np.argsort(-rho, kind="stable")
     rho = rho[order]
@@ -186,6 +196,8 @@ def _dense_decompose(instance):
     if chol is None:
         psi = z.copy()
     else:
+        import scipy.linalg
+
         psi = scipy.linalg.solve_triangular(chol.T, z, lower=False, check_finite=False)
     a_psi = a @ psi
     return SpectralDecomposition(rho=rho, psi=psi, a_psi=a_psi, m=m, n=instance.n)

@@ -235,6 +235,16 @@ def test_repeated_size_exits_1(tmp_path, capsys, command):
     assert "repeat a size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--ns", "", "--deltas", "0.1", "--reps", "4"],
+    ["table", "--ns", "60", "--deltas", ","],
+])
+def test_empty_size_or_delta_list_is_usage_error(tmp_path, capsys, command):
+    assert run(command + ["--out", str(tmp_path / "o")]) == 2
+    assert "nonempty comma-separated" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def _nonfinite_prob(path, field):
     inst = build_fredholm(40)
     a, x_star = inst.a.copy(), inst.x_star.copy()
@@ -359,3 +369,16 @@ def test_delta_whose_errors_overflow_exits_1_without_traceback(tmp_path, command
     assert "delta = 1e+300" in out.stderr
     assert "Traceback" not in out.stderr
     assert "Warning" not in out.stderr
+
+
+def test_infinite_grid_bound_exits_1_without_warning(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli", "sweep", "--n", "60", "--delta", "0.01",
+         "--grid-hi", "inf", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "finite 0 < lo < hi" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr
+    assert not os.path.exists(tmp_path / "sweep.csv")

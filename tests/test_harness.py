@@ -272,6 +272,18 @@ def test_drivers_reject_a_repeated_size():
         run_table([60, 60], [0.1], AdaptiveConfig(alpha=2.0))
 
 
+@pytest.mark.parametrize("ns, deltas", [([], [0.1]), ([60], []), ([], [])])
+def test_drivers_reject_an_empty_size_or_delta_list(ns, deltas):
+    # no cell at all would write a header-only CSV and NaN slopes
+    def no_build(n):
+        raise AssertionError("built an instance for an empty grid")
+
+    with pytest.raises(DomainError, match="nonempty"):
+        run_montecarlo(ns, deltas, 4, problem=no_build)
+    with pytest.raises(DomainError, match="nonempty"):
+        run_table(ns, deltas, AdaptiveConfig(alpha=2.0), problem=no_build)
+
+
 def test_table_builds_each_size_once():
     calls = []
 
@@ -422,3 +434,16 @@ def test_study_rejects_a_negative_or_nonfinite_delta_before_decomposing(monkeypa
     monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
     with pytest.raises(DomainError, match="delta"):
         run_sample_study(fred20, delta, 1e-6, 120)
+
+
+@pytest.mark.parametrize("grid", [(1e-10, math.inf, 10), (1e-10, math.nan, 10), (math.nan, 1e-4, 10)])
+def test_sweep_rejects_a_bound_that_is_not_finite_before_drawing_noise(monkeypatch, fred20, grid):
+    def no_noise(inst, spec):
+        raise AssertionError("drew noise before the grid was checked")
+
+    monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
+    monkeypatch.setattr("tikhreg.harness.add_noise", no_noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite 0 < lo < hi"):
+            run_sweep(fred20, NoiseSpec(delta=0.01, seed=0), grid)

@@ -209,7 +209,23 @@ def test_stream_seed_rejects_deltas_without_a_stream_of_their_own():
     for delta in (1e-7, 4e-7, 5e-7, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             stream_seed(0, 100, delta, 0)
+        with pytest.raises(DomainError):
+            stream_seed(0, 100, delta, [0, 1])
     assert stream_seed(0, 100, 6e-7, 0) != zero
+
+
+def test_stream_seed_pinned():
+    # low 8 bytes, little-endian, of SHA-256("tikhreg:0:1000:10000:0")
+    assert stream_seed(0, 1000, 0.01, 0) == 8696528686600633650
+
+
+def test_stream_seed_batch_equals_one_rep_calls():
+    reps = [0, 63, 64, 10**6]
+    assert stream_seed(7, 500, 0.01, reps) == [stream_seed(7, 500, 0.01, r) for r in reps]
+    assert stream_seed(7, 500, 0.01, range(60, 70)) == [
+        stream_seed(7, 500, 0.01, r) for r in range(60, 70)]
+    assert stream_seed(0, 1000, 0.01, [0]) == [8696528686600633650]
+    assert stream_seed(7, 500, 0.01, []) == []
 
 
 def test_fredholm_size_cap_before_allocation():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tikhreg import (
+    ConvergenceFailure,
     InsufficientSpectrum,
     NoiseSpec,
     ProblemInstance,
@@ -246,6 +247,15 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
             assert kron.m == n
             x_direct = solve_direct(inst, b, lam).x
             assert np.linalg.norm(x - x_direct) <= 1e-12 * np.linalg.norm(x_direct)
+
+
+def test_kronecker_eigensolve_failure_is_a_convergence_failure(monkeypatch):
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        decompose(build_blur(6, 1.0))
 
 
 def test_kronecker_route_not_taken_with_explicit_weight():
