@@ -5,7 +5,7 @@ Library layout:
 - linalg: SPD solves, symmetric eigendecomposition, weighted inner products
 - problems: Fredholm and blur test problems, noise model, .prob round-trip
 - spectral: generalized eigendecomposition, decay-exponent fit, B-seminorm
-- tikhonov: direct and spectral solvers plus error functionals
+- tikhonov: spectral solver, normal-equations reference, error functionals
 - params: a-priori parameter rules and the adaptive fixed-point iteration
 - harness: sweep / Monte Carlo / concentration / table experiment drivers
 - cli: `tikhreg` command exposing every experiment with reproducible seeds
@@ -61,7 +61,6 @@ from .spectral import (
 from .tikhonov import (
     ErrorReport,
     RegularizedSolution,
-    direct_solver,
     error_report,
     solve_direct,
     solve_spectral,

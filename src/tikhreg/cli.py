@@ -39,8 +39,8 @@ from .params import AdaptiveConfig, adaptive_select
 from .problems import (
     NoiseSpec, add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
 )
-from .spectral import decompose, fit_alpha
-from .tikhonov import error_report, solve_direct, spectral_solver
+from .spectral import _check_lambda, decompose, fit_alpha
+from .tikhonov import error_report, spectral_solver
 
 
 def _seed_type(text):
@@ -231,8 +231,9 @@ def _cmd_spectrum(args, parser, out_dir):
 def _cmd_solve(args, parser, out_dir):
     instance = _build_instance(args, parser)
     data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
-    lam = _chosen_lambda(args, instance, data.sigma)
-    sol = solve_direct(instance, data.b, lam)
+    # a bad lambda exits before the decomposition is paid for
+    lam = _check_lambda(_chosen_lambda(args, instance, data.sigma))
+    sol = spectral_solver(decompose(instance), instance, data.b)(lam)
     report = error_report(instance, sol, data.b)
     write_csv(
         os.path.join(out_dir, "solve.csv"),
@@ -389,6 +390,10 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else int(exc.code)
     except (TikhregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a size within the caps that this host still cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

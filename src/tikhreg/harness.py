@@ -269,10 +269,10 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     Returns the raw samples, a histogram, and normal QQ pairs of the
     standardized sample against quantiles at (i - 1/2)/reps. A lambda that is
     not finite and positive raises NonFiniteLambda, a delta that is negative
-    or not finite or fewer than one bin DomainError, and more than 1000000
-    reps SizeCap, all before the decomposition. delta = 0 draws no noise, so
-    every sample is the same and DegenerateSample follows; a delta so large
-    that a sample overflows float64 raises DomainError.
+    or not finite or a bin count outside 1..reps DomainError, and more than
+    1000000 reps SizeCap, all before the decomposition. delta = 0 draws no
+    noise, so every sample is the same and DegenerateSample follows; a delta
+    so large that a sample overflows float64 raises DomainError.
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")
@@ -280,8 +280,8 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
         raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
     if not 0 <= delta < math.inf:
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    if not 1 <= bins <= reps:
+        raise DomainError(f"bins must be between 1 and reps = {reps}, got {bins}")
     _check_lambda(lam)
     samples, _ = _scaled_errors(instance, decompose(instance), noise_sigma(instance, delta),
                                 delta, lam, reps, master_seed)

@@ -79,12 +79,17 @@ class AdaptiveTrace:
         return len(self.lambdas) - 1
 
 
+def _solve_rule(alpha, constant_c, n, s, q):
+    # the lambda with lambda^{(alpha+1)/(2 alpha)} = C s n^{-1/2} / q, shared
+    # by both a-priori rules and the adaptive update
+    return (constant_c * s / (math.sqrt(n) * q)) ** (2.0 * alpha / (alpha + 1.0))
+
+
 def prior_rule_w(inp):
     """lambda = (C sigma n^{-1/2} / (n^{-1/2} ||x*||_W))^{2 alpha/(alpha+1)}."""
     if inp.x_norm_w_scaled == 0.0:
         raise ZeroSolutionNorm("x_norm_w_scaled is zero")
-    base = inp.constant_c * inp.sigma / (math.sqrt(inp.n) * inp.x_norm_w_scaled)
-    return base ** (2.0 * inp.alpha / (inp.alpha + 1.0))
+    return _solve_rule(inp.alpha, inp.constant_c, inp.n, inp.sigma, inp.x_norm_w_scaled)
 
 
 def prior_rule_rho0(inp):
@@ -92,8 +97,7 @@ def prior_rule_rho0(inp):
     rho0 = inp.x_norm_w_scaled + inp.sigma / math.sqrt(inp.n)
     if rho0 == 0.0:
         raise ZeroSolutionNorm("x_norm_w_scaled + sigma * n^{-1/2} is zero")
-    base = inp.constant_c * inp.sigma / (math.sqrt(inp.n) * rho0)
-    return base ** (2.0 * inp.alpha / (inp.alpha + 1.0))
+    return _solve_rule(inp.alpha, inp.constant_c, inp.n, inp.sigma, rho0)
 
 
 def initial_lambda(alpha, n):
@@ -105,8 +109,8 @@ def adaptive_select(instance, cfg, solver):
     """Run the adaptive fixed-point iteration and return its full trace.
 
     solver is any callable lam -> RegularizedSolution for one right-hand side
-    b of this instance; tikhonov.direct_solver and tikhonov.spectral_solver
-    build one, and both reject a b that is not finite. Each update is
+    b of this instance, such as tikhonov.spectral_solver(decomp, instance, b),
+    which rejects a b that is not finite. Each update is
 
         lambda_{k+1}^{(alpha+1)/(2 alpha)} =
             C * (n^{-1/2} ||A x_k - b||) * n^{-1/2} * (n^{-1/2} ||x_k||_W)^{-1}
@@ -117,8 +121,6 @@ def adaptive_select(instance, cfg, solver):
     trace then carries terminated = "nonfinite" and the last solved iterate).
     """
     root_n = math.sqrt(instance.n)
-    exponent = 2.0 * cfg.alpha / (cfg.alpha + 1.0)
-
     trace = AdaptiveTrace()
     lam = initial_lambda(cfg.alpha, instance.n)
     for k in range(cfg.max_iters + 1):
@@ -138,8 +140,8 @@ def adaptive_select(instance, cfg, solver):
             raise DegenerateSolution(
                 f"iterate at lambda = {lam:.6e} has zero W-norm; the update is undefined"
             )
-        base = cfg.constant_c * trace.residuals[-1] / (root_n * trace.w_norms[-1])
-        lam = base**exponent
+        lam = _solve_rule(cfg.alpha, cfg.constant_c, instance.n, trace.residuals[-1],
+                          trace.w_norms[-1])
         if not math.isfinite(lam) or lam < _LAMBDA_FLOOR:
             trace.terminated = "nonfinite"
             return trace

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from tikhreg import ProblemInstance, build_fredholm, save_problem
+from tikhreg import (
+    NoiseSpec, ProblemInstance, add_noise, build_blur, build_fredholm, decompose, error_report,
+    rule_lambda, save_problem, solve_spectral,
+)
 from tikhreg.cli import main
 
 
@@ -70,6 +73,32 @@ def test_solve_rule_lambda_when_not_fixed(tmp_path):
     assert code == 0
     lam = float(read(os.path.join(out, "solve.csv")).decode().splitlines()[1].split(",")[0])
     assert lam > 0
+
+
+@pytest.mark.parametrize("problem,build", [
+    (["--n", "500"], lambda: build_fredholm(500)),
+    (["--problem", "blur", "--side", "16"], lambda: build_blur(16, 2.0)),
+], ids=["fredholm", "blur"])
+def test_solve_csv_is_the_spectral_route(tmp_path, problem, build):
+    out = str(tmp_path / "s")
+    assert run(["solve"] + problem + ["--delta", "0.01", "--out", out]) == 0
+    inst = build()
+    data = add_noise(inst, NoiseSpec(delta=0.01, seed=0))
+    lam = rule_lambda("rho0", 4.0, inst, data.sigma, 1.0)
+    sol = solve_spectral(decompose(inst), inst, data.b, lam)
+    rep = error_report(inst, sol, data.b)
+    row = [float(v) for v in read(os.path.join(out, "solve.csv")).decode().splitlines()[1].split(",")]
+    assert row == [lam, data.sigma, rep.rel_x, rep.rel_ax, rep.rel_res, rep.scaled_output]
+
+
+def test_solve_rejects_a_bad_lambda_before_decomposing(tmp_path, capsys, monkeypatch):
+    def no_decompose(inst):
+        raise AssertionError("decomposed before lambda was checked")
+
+    monkeypatch.setattr("tikhreg.cli.decompose", no_decompose)
+    assert run(["solve", "--n", "60", "--delta", "0.05", "--lam", "-1",
+                "--out", str(tmp_path)]) == 1
+    assert "lambda must be finite and positive" in capsys.readouterr().err
 
 
 def test_sweep_outputs(tmp_path):
@@ -287,7 +316,8 @@ def test_adaptive_reruns_byte_identical(tmp_path, command):
         assert read(os.path.join(a, name)) == read(os.path.join(b, name))
 
 
-@pytest.mark.parametrize("bins", ["0", "-3"])
+# 121 is one more bin than the 120 reps
+@pytest.mark.parametrize("bins", ["0", "-3", "121"])
 def test_study_bins_below_one_exits_1_without_traceback(tmp_path, bins):
     out = subprocess.run(
         [sys.executable, "-m", "tikhreg.cli", "study", "--n", "60", "--delta", "0.05",
@@ -334,6 +364,23 @@ def test_oversized_reps_exits_1_without_traceback(tmp_path, command):
     )
     assert out.returncode == 1
     assert "reps" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--n", "40000"],
+    ["generate", "--problem", "blur", "--side", "200"],
+])
+def test_in_cap_size_that_cannot_be_allocated_exits_1_without_traceback(tmp_path, command):
+    # within the 40000 cap, but the dense A alone is 12.8 GB; only run
+    # under the 2 GiB cap, where the allocation fails at once
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli"] + command + ["--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_address_space_cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert out.returncode == 1
+    assert "error: out of memory" in out.stderr
     assert "Traceback" not in out.stderr
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from tikhreg import (
     b_seminorm_sq,
     build_fredholm,
     decompose,
-    direct_solver,
     error_filter,
     error_report,
     noise_sigma,
@@ -25,6 +25,7 @@ from tikhreg import (
     run_sample_study,
     run_sweep,
     run_table,
+    solve_direct,
     solve_spectral,
     standard_normal,
     stream_seed,
@@ -306,7 +307,7 @@ def test_table_rows_match_the_direct_route(alpha):
     for row in rows:
         inst = build_fredholm(row.n)
         data = add_noise(inst, NoiseSpec(delta=row.delta, seed=stream_seed(0, row.n, row.delta, 0)))
-        trace = adaptive_select(inst, cfg, direct_solver(inst, data.b))
+        trace = adaptive_select(inst, cfg, partial(solve_direct, inst, data.b))
         report = error_report(inst, trace.final, data.b)
         assert row.iters == trace.iters
         assert row.terminated == trace.terminated
@@ -392,7 +393,8 @@ def test_montecarlo_rejects_threads_below_one(threads):
         run_montecarlo([60], [0.1], 4, threads=threads)
 
 
-@pytest.mark.parametrize("bins", [0, -3])
+# 121 is one more bin than the 120 reps
+@pytest.mark.parametrize("bins", [0, -3, 121])
 def test_study_rejects_bins_below_one_before_decomposing(monkeypatch, fred100, bins):
     calls = []
     monkeypatch.setattr("tikhreg.harness.decompose", lambda inst: calls.append(inst))

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tikhreg import (
     prior_rule_w,
     run_sweep,
 )
-from tikhreg.tikhonov import RegularizedSolution, direct_solver, spectral_solver
+from tikhreg.tikhonov import RegularizedSolution, solve_direct, spectral_solver
 
 
 def _inp(**kw):
@@ -121,7 +122,7 @@ def _noisy(inst, delta, seed):
 def test_adaptive_converges_and_traces(fred200):
     b = _noisy(fred200, 0.1, 5)
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-10, stop_mode="absolute")
-    tr = adaptive_select(fred200, cfg, direct_solver(fred200, b))
+    tr = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
     assert tr.terminated == "converged"
     assert tr.iters == len(tr.lambdas) - 1
     assert len(tr.lambdas) == len(tr.residuals) == len(tr.w_norms)
@@ -134,8 +135,8 @@ def test_adaptive_converges_and_traces(fred200):
 def test_adaptive_deterministic(fred200):
     b = _noisy(fred200, 0.05, 6)
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-10, stop_mode="absolute")
-    t1 = adaptive_select(fred200, cfg, direct_solver(fred200, b))
-    t2 = adaptive_select(fred200, cfg, direct_solver(fred200, b))
+    t1 = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
+    t2 = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
     assert t1.lambdas == t2.lambdas
     assert t1.terminated == t2.terminated
 
@@ -151,8 +152,8 @@ def test_adaptive_scale_equivariant(fred200):
     )
     b = _noisy(fred200, 0.1, 7)
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-14, stop_mode="relative", max_iters=40)
-    t1 = adaptive_select(fred200, cfg, direct_solver(fred200, b))
-    t2 = adaptive_select(scaled, cfg, direct_solver(scaled, c * b))
+    t1 = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
+    t2 = adaptive_select(scaled, cfg, partial(solve_direct, scaled, c * b))
     assert len(t1.lambdas) == len(t2.lambdas)
     assert np.allclose(t1.lambdas, t2.lambdas, rtol=1e-9)
 
@@ -160,7 +161,7 @@ def test_adaptive_scale_equivariant(fred200):
 def test_adaptive_relative_stop(fred200):
     b = _noisy(fred200, 0.1, 8)
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-3, stop_mode="relative")
-    tr = adaptive_select(fred200, cfg, direct_solver(fred200, b))
+    tr = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
     assert tr.terminated == "converged"
     dl = abs(tr.lambdas[-1] - tr.lambdas[-2]) / tr.lambdas[-1]
     assert dl <= 1e-3
@@ -169,7 +170,7 @@ def test_adaptive_relative_stop(fred200):
 def test_adaptive_max_iters(fred200):
     b = _noisy(fred200, 0.1, 9)
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-300, stop_mode="relative", max_iters=3)
-    tr = adaptive_select(fred200, cfg, direct_solver(fred200, b))
+    tr = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
     assert tr.terminated == "max_iters"
     assert tr.iters == 3
 
@@ -178,9 +179,9 @@ def test_adaptive_rejects_nonfinite_b(fred200):
     b = fred200.y.copy()
     b[0] = math.nan
     cfg = AdaptiveConfig(alpha=2.0)
-    # the solver closure owns b and rejects it before the first iterate
+    # the solver owns b and rejects it at the first iterate
     with pytest.raises(DomainError):
-        adaptive_select(fred200, cfg, direct_solver(fred200, b))
+        adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
 
 
 def test_adaptive_degenerate_solution(fred200):
@@ -235,7 +236,7 @@ def test_adaptive_spectral_and_direct_routes_agree(fred200):
     b = _noisy(fred200, 0.1, 10)
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-10, stop_mode="absolute")
     dec = decompose(fred200)
-    td = adaptive_select(fred200, cfg, direct_solver(fred200, b))
+    td = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
     ts = adaptive_select(fred200, cfg, spectral_solver(dec, fred200, b))
     assert td.terminated == ts.terminated == "converged"
     assert td.final.lam == pytest.approx(ts.final.lam, rel=1e-6)

@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the direct and explicit-W routes load it.
+"""scipy stays off the import path: of the CLI routes, only an explicit W loads it.
 
 Each case runs in a fresh interpreter, imports tikhreg.cli, calls main() on
 one command line and reports the scipy modules left in sys.modules.
@@ -45,19 +45,21 @@ def test_import_loads_no_scipy():
     ["spectrum", "--problem", "fredholm", "--n", "60"],
     ["generate", "--problem", "blur", "--side", "8"],
     ["spectrum", "--problem", "blur", "--side", "8"],
+    ["solve", "--n", "60", "--delta", "0.05"],
+    ["solve", "--problem", "blur", "--side", "8", "--delta", "0.05"],
 ])
 def test_fredholm_blur_and_study_routes_load_no_scipy(tmp_path, argv):
     assert _probe(argv + ["--out", str(tmp_path)]) == [0, []]
 
 
-def test_direct_and_explicit_w_routes_load_scipy_when_called(tmp_path):
+def test_explicit_w_routes_load_scipy_when_called(tmp_path):
     inst = build_fredholm(30)
     prob = str(tmp_path / "w.prob")
     save_problem(ProblemInstance(n=30, a=inst.a, x_star=inst.x_star, y=inst.y,
                                  w=WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, 30))),
                                  label="w"), prob)
     for i, argv in enumerate([
-        ["solve", "--n", "40", "--delta", "0.05", "--lam", "1e-6"],
+        ["solve", "--prob", prob, "--delta", "0.05", "--lam", "1e-6"],
         ["spectrum", "--prob", prob],
         ["adaptive", "--prob", prob, "--delta", "0.05"],
     ]):

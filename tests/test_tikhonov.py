@@ -15,7 +15,7 @@ from tikhreg import (
     solve_direct,
     solve_spectral,
 )
-from tikhreg.tikhonov import direct_solver, spectral_solver
+from tikhreg.tikhonov import spectral_solver
 
 
 def _instance(a, x_star=None, w=None, label="t"):
@@ -143,10 +143,8 @@ def test_error_report_zero_solution(fred100):
 def test_solver_closures_match_free_functions(fred100):
     dec = decompose(fred100)
     b = fred100.y + 1e-4
-    ds = direct_solver(fred100, b)
     ss = spectral_solver(dec, fred100, b)
     for lam in (1e-6, 1e-3):
-        assert np.allclose(ds(lam).x, solve_direct(fred100, b, lam).x, rtol=1e-12, atol=1e-15)
         assert np.allclose(ss(lam).x, solve_spectral(dec, fred100, b, lam).x, rtol=1e-12, atol=1e-15)
 
 
@@ -174,8 +172,6 @@ def test_nonfinite_rhs_rejected(fred20, bad):
         solve_direct(fred20, b, 1e-6)
     with pytest.raises(DomainError):
         solve_spectral(dec, fred20, b, 1e-6)
-    with pytest.raises(DomainError):
-        direct_solver(fred20, b)
     with pytest.raises(DomainError):
         spectral_solver(dec, fred20, b)
 
