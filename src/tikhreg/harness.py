@@ -124,13 +124,15 @@ def rule_lambda(rule, alpha, instance, sigma, constant_c):
 # ===========================================================================
 
 def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
-    """Solve along a log-equispaced lambda grid for one noise draw.
+    """Scaled output error along a log-equispaced lambda grid for one noise draw.
 
     grid is (lo, hi, count) with finite 0 < lo < hi and 2 <= count <= 100000
     (a larger count raises SizeCap), all checked before the noise draw. The
-    predicted parameter comes from the chosen a-priori rule evaluated with
-    the true sigma and ||x*||_W, and is solved separately (it need not lie
-    on the grid).
+    noisy b is projected once, and each grid point and the prediction read
+    n^{-1/2} ||A(x_lam - x*)|| from spectral.error_filter, as the Monte Carlo
+    and study drivers do, in O(m) per lambda; no solution vector is formed.
+    The predicted parameter comes from the chosen a-priori rule evaluated
+    with the true sigma and ||x*||_W (it need not lie on the grid).
     """
     lo, hi, count = grid
     if not (0 < lo < hi < math.inf):
@@ -142,22 +144,22 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
     lambdas = np.logspace(math.log10(lo), math.log10(hi), int(count))
     data = add_noise(instance, noise)
     decomp = decompose(instance)
-    solver = spectral_solver(decomp, instance, data.b)
-    errors = np.array([solver(lam).output_err / math.sqrt(instance.n) for lam in lambdas])
+    errors, d = error_filter(decomp, instance), decomp.project(data.b)
+    output_errors = np.sqrt([errors(d, lam)[1] for lam in lambdas]) / math.sqrt(instance.n)
     lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
     if lam_pred > 0:
-        err_at_pred = solver(lam_pred).output_err / math.sqrt(instance.n)
+        err_at_pred = math.sqrt(errors(d, lam_pred)[1]) / math.sqrt(instance.n)
     else:
-        # sigma == 0 makes the rule return 0, which no solver accepts; keep
+        # sigma == 0 makes the rule return 0, which error_filter rejects; keep
         # the grid results and leave the prediction column empty.
         err_at_pred = math.nan
-    k_min = int(np.argmin(errors))
+    k_min = int(np.argmin(output_errors))
     return SweepResult(
         lambdas=lambdas,
-        output_errors=errors,
+        output_errors=output_errors,
         lambda_pred=float(lam_pred),
         err_at_pred=float(err_at_pred),
-        err_min=float(errors[k_min]),
+        err_min=float(output_errors[k_min]),
         argmin_lambda=float(lambdas[k_min]),
     )
 
@@ -173,14 +175,14 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     # float64 raises DomainError instead of passing inf on.
     n = instance.n
     errors = error_filter(decomp, instance)
-    d_clean = decomp.a_psi.T @ instance.y
+    d_clean = decomp.project(instance.y)
     out_sq = np.empty(reps, dtype=np.float64)
     b_sq = np.empty(reps, dtype=np.float64)
     for lo in range(0, reps, _REP_BATCH):
         hi = min(lo + _REP_BATCH, reps)
         xi = standard_normal(stream_seed(master_seed, n, delta, range(lo, hi)), n)
         with np.errstate(over="ignore", invalid="ignore"):
-            d = d_clean[:, None] + sigma * (decomp.a_psi.T @ xi.T)
+            d = d_clean[:, None] + sigma * decomp.project(xi.T)
             _, out_sq[lo:hi], b_sq[lo:hi] = errors(d, lam)
         if not (np.isfinite(out_sq[lo:hi]).all() and np.isfinite(b_sq[lo:hi]).all()):
             raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes the scaled errors "

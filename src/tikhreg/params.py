@@ -81,8 +81,12 @@ class AdaptiveTrace:
 
 def _solve_rule(alpha, constant_c, n, s, q):
     # the lambda with lambda^{(alpha+1)/(2 alpha)} = C s n^{-1/2} / q, shared
-    # by both a-priori rules and the adaptive update
-    return (constant_c * s / (math.sqrt(n) * q)) ** (2.0 * alpha / (alpha + 1.0))
+    # by both a-priori rules and the adaptive update; a power that overflows
+    # is inf, which the solvers reject and the adaptive iteration stops on
+    try:
+        return (constant_c * s / (math.sqrt(n) * q)) ** (2.0 * alpha / (alpha + 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def prior_rule_w(inp):

@@ -217,18 +217,24 @@ def build_blur(side, psf_width):
     g(d) = exp(-d^2 / (2 psf_width^2)) normalized by the full in-range mass,
     so interior rows sum to ~1 and boundary rows lose the mass that falls
     outside the image. A = kron(T, T) acts on row-major flattened images.
-    psf_width is in pixels.
+    psf_width is in pixels; one whose 2 psf_width^2 is not a finite positive
+    float raises DomainError before anything is allocated.
     """
     if side < 4:
         raise DomainError(f"build_blur needs side >= 4, got {side}")
     _check_size_cap(side * side, f"side^2 = {side * side}")
-    if not (math.isfinite(psf_width) and psf_width > 0):
-        raise DomainError(f"psf_width must be finite and positive, got {psf_width}")
+    try:
+        two_w_sq = 2.0 * psf_width**2
+    except OverflowError:
+        two_w_sq = math.inf
+    if not (psf_width > 0 and 0.0 < two_w_sq < math.inf):
+        raise DomainError(f"psf_width must be positive with 2 psf_width^2 a finite positive "
+                          f"float, got {psf_width}")
     d = np.arange(side, dtype=np.float64)
-    g = np.exp(-(d**2) / (2.0 * psf_width**2))
+    g = np.exp(-(d**2) / two_w_sq)
     mass = g[0] + 2.0 * g[1:].sum()       # total kernel mass over |d| < side
     offsets = np.abs(d[:, None] - d[None, :])
-    t = np.exp(-(offsets**2) / (2.0 * psf_width**2)) / mass
+    t = np.exp(-(offsets**2) / two_w_sq) / mass
     a = np.kron(t, t)
     x_star = _blur_image(side).reshape(-1)
     y = a @ x_star
@@ -310,12 +316,20 @@ def noise_sigma(instance, delta):
 
 
 def add_noise(instance, spec):
-    """Draw b = y + sigma * xi with sigma = noise_sigma(instance, spec.delta)."""
+    """Draw b = y + sigma * xi with sigma = noise_sigma(instance, spec.delta).
+
+    A delta so large that ||b||^2 overflows float64 raises DomainError.
+    """
     sigma = noise_sigma(instance, spec.delta)
     if sigma == 0.0:
         b = instance.y.copy()
     else:
-        b = instance.y + sigma * standard_normal(spec.seed, instance.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = instance.y + sigma * standard_normal(spec.seed, instance.n)
+            b_sq = float(b @ b)
+        if not math.isfinite(b_sq):
+            raise DomainError(f"delta = {spec.delta!r} (sigma = {sigma!r}) makes ||b||^2 "
+                              f"overflow float64")
     return NoisyData(b=b, sigma=sigma, delta=spec.delta, seed=spec.seed)
 
 

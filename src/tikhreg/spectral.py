@@ -75,14 +75,30 @@ class SpectralDecomposition:
 
     rho is descending and strictly positive, psi holds the W-orthonormal
     eigenvectors as columns, and a_psi = A @ psi is cached because every
-    spectral solve and Monte Carlo projection needs it.
+    spectral solve and Monte Carlo projection needs it; m and n are read off
+    rho and psi. Other modules reach the basis only through project and
+    expand, so its layout stays this module's business.
     """
 
     rho: np.ndarray        # (m,) descending, > 0
     psi: np.ndarray        # (n, m)
     a_psi: np.ndarray      # (n, m)
-    m: int
-    n: int
+
+    @property
+    def m(self):
+        return self.rho.shape[0]
+
+    @property
+    def n(self):
+        return self.psi.shape[0]
+
+    def project(self, v):
+        """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
+        return self.a_psi.T @ v
+
+    def expand(self, c):
+        """(psi c, A psi c) for the coefficients c of the retained modes."""
+        return self.psi @ c, self.a_psi @ c
 
 
 @dataclass
@@ -136,8 +152,7 @@ def _kron_decompose(instance):
         # column k is kron(f[:, i_k], f[:, j_k])
         return (f[:, i][:, None, :] * f[:, j][None, :, :]).reshape(instance.n, m)
 
-    return SpectralDecomposition(rho=rho[:m], psi=columns(v), a_psi=columns(tv),
-                                 m=m, n=instance.n)
+    return SpectralDecomposition(rho=rho[:m], psi=columns(v), a_psi=columns(tv))
 
 
 def _sine_decompose(instance):
@@ -161,7 +176,7 @@ def _sine_decompose(instance):
     r %= 4 * n
     a_psi = tab[r]
     a_psi *= sigma[:m]
-    return SpectralDecomposition(rho=rho[:m], psi=psi, a_psi=a_psi, m=m, n=n)
+    return SpectralDecomposition(rho=rho[:m], psi=psi, a_psi=a_psi)
 
 
 def decompose(instance):
@@ -200,7 +215,7 @@ def _dense_decompose(instance):
 
         psi = scipy.linalg.solve_triangular(chol.T, z, lower=False, check_finite=False)
     a_psi = a @ psi
-    return SpectralDecomposition(rho=rho, psi=psi, a_psi=a_psi, m=m, n=instance.n)
+    return SpectralDecomposition(rho=rho, psi=psi, a_psi=a_psi)
 
 
 def _envelope(c_upper, alpha_hat, ks):

@@ -57,17 +57,18 @@ def _solution(instance, b, lam, x, ax):
 def spectral_solver(decomp, instance, b):
     """Callable lam -> RegularizedSolution of the filter c_k = (b, A psi_k) / (lambda + rho_k).
 
-    The projections (b, A psi_k) are formed once; c comes from
-    spectral.error_filter, the one filter kernel, while x, the residual and
-    ||A x - A x*|| are measured in n-space.
+    The projections (b, A psi_k) are formed once by decomp.project; c comes
+    from spectral.error_filter, the one filter kernel, and x and A x from
+    decomp.expand(c), so the residual and ||A x - A x*|| are measured in
+    n-space.
     """
     b = _check_rhs(instance, b)
     errors = error_filter(decomp, instance)
-    d = decomp.a_psi.T @ b
+    d = decomp.project(b)
 
     def solve(lam):
         c, _, _ = errors(d, lam)
-        return _solution(instance, b, float(lam), decomp.psi @ c, decomp.a_psi @ c)
+        return _solution(instance, b, float(lam), *decomp.expand(c))
 
     return solve
 

@@ -396,7 +396,7 @@ def test_study_negative_delta_exits_1_without_traceback(tmp_path):
     assert not os.path.exists(tmp_path / "study.json")
 
 
-@pytest.mark.parametrize("width", ["inf", "nan"])
+@pytest.mark.parametrize("width", ["inf", "nan", "1e200", "1e-200"])
 def test_psf_width_that_is_not_finite_exits_1(tmp_path, capsys, width):
     assert run(["generate", "--problem", "blur", "--side", "8", "--psf-width", width,
                 "--out", str(tmp_path)]) == 1
@@ -406,6 +406,10 @@ def test_psf_width_that_is_not_finite_exits_1(tmp_path, capsys, width):
 @pytest.mark.parametrize("command", [
     ["montecarlo", "--ns", "60,100", "--deltas", "1e300", "--reps", "4"],
     ["study", "--n", "60", "--delta", "1e300", "--lam", "1e-6", "--reps", "100"],
+    ["solve", "--n", "60", "--delta", "1e300"],
+    ["sweep", "--n", "60", "--delta", "1e300"],
+    ["adaptive", "--n", "60", "--delta", "1e300"],
+    ["table", "--ns", "60", "--deltas", "1e300"],
 ])
 def test_delta_whose_errors_overflow_exits_1_without_traceback(tmp_path, command):
     out = subprocess.run(
@@ -429,3 +433,26 @@ def test_infinite_grid_bound_exits_1_without_warning(tmp_path):
     assert "Traceback" not in out.stderr
     assert "Warning" not in out.stderr
     assert not os.path.exists(tmp_path / "sweep.csv")
+
+
+@pytest.mark.parametrize("command, code", [
+    (["solve", "--n", "60", "--delta", "0.1"], 1),
+    (["sweep", "--n", "60", "--delta", "0.1"], 1),
+    (["study", "--n", "60", "--delta", "0.1", "--reps", "100"], 1),
+    (["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "4"], 1),
+    # the adaptive update overflows at once and the iteration stops as "nonfinite"
+    (["adaptive", "--n", "60", "--delta", "0.1"], 0),
+    (["table", "--ns", "60", "--deltas", "0.1"], 0),
+])
+def test_rule_constant_that_overflows_ends_without_traceback(tmp_path, command, code):
+    out = subprocess.run(
+        [sys.executable, "-m", "tikhreg.cli"] + command + ["--c", "1e308", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == code
+    assert "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr
+    if code == 1:
+        assert "lambda must be finite and positive, got inf" in out.stderr
+    elif command[0] == "adaptive":
+        assert json.loads(read(tmp_path / "adaptive.json"))["terminated"] == "nonfinite"

@@ -42,6 +42,7 @@ from tikhreg.harness import (
     write_manifest,
 )
 from tikhreg.params import AdaptiveConfig
+from tikhreg.tikhonov import spectral_solver
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,23 @@ def test_sweep_noise_free(fred100):
     assert res.argmin_lambda == res.lambdas[0]
     assert res.lambda_pred == 0.0
     assert math.isnan(res.err_at_pred)
+
+
+def test_sweep_reads_the_spectral_route_output_error(monkeypatch, fred100):
+    # one formula: the sweep's error_filter values agree with the n-space
+    # ||A x_lam - A x*|| of the spectral solver, which the sweep never calls
+    spec = NoiseSpec(delta=0.05, seed=1)
+
+    def no_solver(*_):
+        raise AssertionError("run_sweep builds no solver")
+
+    monkeypatch.setattr("tikhreg.harness.spectral_solver", no_solver)
+    res = run_sweep(fred100, spec, (1e-9, 1e-3, 13))
+    solver = spectral_solver(decompose(fred100), fred100, add_noise(fred100, spec).b)
+    expected = [solver(lam).output_err / math.sqrt(100) for lam in res.lambdas]
+    assert res.output_errors == pytest.approx(expected, rel=1e-10)
+    assert res.err_at_pred == pytest.approx(
+        solver(res.lambda_pred).output_err / math.sqrt(100), rel=1e-10)
 
 
 def test_rule_lambda_dispatch(fred100):
@@ -196,6 +214,10 @@ def test_drivers_reject_a_delta_whose_errors_overflow(fred100):
             run_montecarlo([60, 100], [1e300], 4)
         with pytest.raises(DomainError, match="delta = 1e"):
             run_sample_study(fred100, 1e300, 1e-6, 100)
+        with pytest.raises(DomainError, match="delta = 1e"):
+            run_sweep(fred100, NoiseSpec(delta=1e300, seed=0), (1e-8, 1e-4, 3))
+        with pytest.raises(DomainError, match="delta = 1e"):
+            run_table([60], [1e300], AdaptiveConfig(alpha=2.0))
 
 
 def test_montecarlo_cell_count_and_finiteness():

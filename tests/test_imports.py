@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and only
+`spectral` reads the basis arrays `psi` and `a_psi`."""
 
 import ast
 import os
@@ -32,3 +33,22 @@ def test_module_uses_every_import(module):
 def test_check_flags_an_unused_import():
     tree = ast.parse("import numpy as np\nimport os.path\nfrom math import sqrt, pi\nprint(pi, os)\n")
     assert _unused_imports(tree) == [(1, "np"), (3, "sqrt")]
+
+
+def _basis_reads(tree):
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("psi", "a_psi"))
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(SRC)
+                                          if f.endswith(".py") and f != "spectral.py"))
+def test_only_spectral_reads_the_basis(module):
+    # other modules go through SpectralDecomposition.project and .expand
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _basis_reads(tree) == []
+
+
+def test_check_flags_a_basis_read():
+    tree = ast.parse("d = dec.project(b)\nx = dec.psi @ c\nax = dec.a_psi.T @ v\nr = dec.rho\n")
+    assert _basis_reads(tree) == [(2, "psi"), (3, "a_psi")]

@@ -97,6 +97,17 @@ def test_rules_monotone(alpha, sigma, x_norm):
         assert rule(bigger_x) < rule(base)
 
 
+def test_rule_constant_that_overflows_gives_inf(fred200, dec200):
+    # C s n^{-1/2} / q = 1e304 here, whose power 8/5 overflows float64
+    assert prior_rule_w(_inp(constant_c=1e308)) == math.inf
+    assert prior_rule_rho0(_inp(constant_c=1e308)) == math.inf
+    b = _noisy(fred200, 0.1, 11)
+    cfg = AdaptiveConfig(alpha=4.0, constant_c=1e308)
+    tr = adaptive_select(fred200, cfg, spectral_solver(dec200, fred200, b))
+    assert tr.terminated == "nonfinite"
+    assert tr.iters == 0
+
+
 def test_initial_lambda_formula():
     assert initial_lambda(4.0, 10000) == pytest.approx(10.0 ** (-16.0 / 5.0), rel=1e-12)
     assert initial_lambda(4.0, 10000) == pytest.approx(6.3096e-4, rel=1e-4)

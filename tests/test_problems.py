@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -497,7 +498,10 @@ def test_prob_roundtrip_gives_bit_identical_fredholm_decomposition(tmp_path, mon
         assert np.array_equal(getattr(dec_back, field), getattr(dec, field))
 
 
-@pytest.mark.parametrize("psf_width", [np.inf, np.nan])
+@pytest.mark.parametrize("psf_width", [np.inf, np.nan, 1e200, 1e-200])
 def test_blur_rejects_a_psf_width_that_is_not_finite(psf_width):
-    with pytest.raises(DomainError, match="psf_width"):
-        build_blur(8, psf_width)
+    # 1e200 and 1e-200 are finite, but 2 psf_width^2 over- or underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="psf_width"):
+            build_blur(8, psf_width)

@@ -103,6 +103,18 @@ def test_parseval_identity(seed):
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
 
+def test_project_and_expand_are_the_basis_products(fred20, rng):
+    dec = decompose(fred20)
+    assert (dec.m, dec.n) == (dec.rho.shape[0], fred20.n) == (19, 20)
+    v = rng.standard_normal((fred20.n, 3))
+    assert np.array_equal(dec.project(v[:, 0]), dec.a_psi.T @ v[:, 0])
+    assert np.array_equal(dec.project(v), dec.a_psi.T @ v)
+    c = rng.standard_normal(dec.m)
+    x, ax = dec.expand(c)
+    assert np.array_equal(x, dec.psi @ c)
+    assert np.array_equal(ax, dec.a_psi @ c)
+
+
 def test_rank_deficient_modes_dropped():
     a = np.diag([1.0, 1e-20, 0.0])
     dec = decompose(_instance(a))
@@ -114,7 +126,7 @@ def test_fit_alpha_exact_power_law():
     m, n = 500, 500
     k = np.arange(1, m + 1, dtype=np.float64)
     rho = 7.0 * k**-3.0
-    dec = SpectralDecomposition(rho=rho, psi=np.eye(n), a_psi=np.eye(n), m=m, n=n)
+    dec = SpectralDecomposition(rho=rho, psi=np.eye(n), a_psi=np.eye(n))
     fit = fit_alpha(dec)
     assert fit.alpha_hat == pytest.approx(3.0, abs=1e-10)
     assert fit.c_upper == pytest.approx(7.0, rel=1e-10)
@@ -124,7 +136,7 @@ def test_fit_alpha_exact_power_law():
 
 def test_fit_alpha_needs_enough_modes():
     k = np.arange(1, 14, dtype=np.float64)
-    dec = SpectralDecomposition(rho=k**-2.0, psi=np.eye(13), a_psi=np.eye(13), m=13, n=13)
+    dec = SpectralDecomposition(rho=k**-2.0, psi=np.eye(13), a_psi=np.eye(13))
     with pytest.raises(InsufficientSpectrum):
         fit_alpha(dec)
 

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from tikhreg import (
     DomainError,
+    NoiseSpec,
     NonFiniteLambda,
     ProblemInstance,
     WeightSpec,
+    add_noise,
+    build_blur,
     decompose,
     error_report,
     solve_direct,
@@ -175,3 +178,14 @@ def test_nonfinite_rhs_rejected(fred20, bad):
     with pytest.raises(DomainError):
         spectral_solver(dec, fred20, b)
 
+
+def test_spectral_scalars_match_direct_route_on_kronecker_route():
+    # the blur instance takes the Kronecker decomposition; its n-space
+    # residual, W-norm and output error hold to the normal equations
+    inst = build_blur(20, 2.0)
+    b = add_noise(inst, NoiseSpec(delta=0.01, seed=3)).b
+    solver = spectral_solver(decompose(inst), inst, b)
+    for lam in (1e-4, 1e-2, 1.0):
+        spectral, direct = solver(lam), solve_direct(inst, b, lam)
+        for field in ("residual_b", "w_norm", "output_err"):
+            assert getattr(spectral, field) == pytest.approx(getattr(direct, field), rel=1e-9)
