@@ -33,8 +33,8 @@ from .spectral import _check_lambda, decompose, error_filter, spectrum_rows
 from .tikhonov import error_report, spectral_solver
 
 # reps are processed in fixed-size batches: one (64, n) noise block, drawn in
-# one call, bounds the memory of a cell, and the constant batch fixes the GEMM
-# shape, so the thread count cannot change any bit
+# one call, bounds the memory of a cell, and the constant batch fixes the
+# shape of its projection, so the thread count cannot change any bit
 _REP_BATCH = 64
 
 # most lambda grid points a sweep takes: each one is a spectral solve and a
@@ -170,8 +170,8 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
 
 def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     # Per-rep n^{-1/2} ||A(x_r - x*)|| and n^{-1/2} ||B(x_r - x*)|| at one lambda,
-    # x_r solving b = y + sigma xi_r: one noise block and one GEMM per batch,
-    # measured by error_filter. A delta so large that an error overflows
+    # x_r solving b = y + sigma xi_r: one noise block and one projection per
+    # batch, measured by error_filter. A delta so large that an error overflows
     # float64 raises DomainError instead of passing inf on.
     n = instance.n
     errors = error_filter(decomp, instance)
@@ -190,22 +190,18 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     return np.sqrt(out_sq) / math.sqrt(n), np.sqrt(b_sq) / math.sqrt(n)
 
 
-def _decomposed_instances(ns, deltas, master_seed, problem):
-    # {n: (instance, decompose(instance))}, one per size and shared by that
-    # size's deltas; a repeated size or two deltas with one stream key would
-    # give two cells the same noise, so both are rejected before any build,
-    # as is an empty list, which would give no cell at all
+def _instances(ns, deltas, master_seed, problem):
+    # {n: problem(n)}, one instance per size, shared by that size's deltas; a
+    # repeated size or two deltas with one stream key would give two cells
+    # the same noise, so both are rejected before any build, as is an empty
+    # list, which would give no cell at all
     if not (len(ns) and len(deltas)):
         raise DomainError(f"sizes {list(ns)} and deltas {list(deltas)} must both be nonempty")
     if len(set(ns)) < len(ns):
         raise DomainError(f"sizes {list(ns)} repeat a size")
     if len({stream_seed(master_seed, 0, d, 0) for d in deltas}) < len(deltas):
         raise DomainError(f"deltas {list(deltas)} include two that share one noise stream")
-    shared = {}
-    for n in ns:
-        inst = problem(n)
-        shared[n] = (inst, decompose(inst))
-    return shared
+    return {n: problem(n) for n in ns}
 
 
 def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
@@ -217,8 +213,10 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     delta, r), and repeated sizes or deltas that share a stream are
     rejected. Cells run on a pool of `threads` workers and are reduced in
     (ns x deltas) order, so `threads` affects wall time only. More than
-    1000000 reps raise SizeCap before any build, and a delta so large that
-    a scaled error overflows float64 raises DomainError.
+    1000000 reps raise SizeCap before any build; every cell's lambda is
+    evaluated after the builds and before any decomposition, so one that is
+    not finite and positive raises NonFiniteLambda first; and a delta so
+    large that a scaled error overflows float64 raises DomainError.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
@@ -229,21 +227,25 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     for d in deltas:
         if not d > 0:
             raise DomainError(f"deltas must be positive, got {d}")
-    shared = _decomposed_instances(ns, deltas, master_seed, problem)
+    insts = _instances(ns, deltas, master_seed, problem)
+    grid = []
+    for n in ns:
+        for delta in deltas:
+            sigma = noise_sigma(insts[n], delta)
+            lam = _check_lambda(rule_lambda(rule, alpha, insts[n], sigma, constant_c))
+            grid.append((n, delta, sigma, lam))
+    decomps = {n: decompose(inst) for n, inst in insts.items()}
 
     def one_cell(cell):
-        n, delta = cell
-        inst, decomp = shared[n]
-        sigma = noise_sigma(inst, delta)
-        lam = rule_lambda(rule, alpha, inst, sigma, constant_c)
-        out, berr = _scaled_errors(inst, decomp, sigma, delta, lam, reps, master_seed)
+        n, delta, sigma, lam = cell
+        out, berr = _scaled_errors(insts[n], decomps[n], sigma, delta, lam, reps, master_seed)
         return MonteCarloCell(
-            n=n, delta=delta, lam=float(lam),
+            n=n, delta=delta, lam=lam,
             mean_scaled_output=float(np.mean(out)), mean_scaled_b=float(np.mean(berr)), reps=reps,
         )
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        cells = list(pool.map(one_cell, [(n, delta) for n in ns for delta in deltas]))
+        cells = list(pool.map(one_cell, grid))
 
     log_lam = np.log([c.lam for c in cells])
     if np.unique(log_lam).size >= 2:
@@ -323,13 +325,14 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     stream_seed(master_seed, n, delta, 0), so repeated sizes and deltas that
     share a stream are rejected.
     """
-    shared = _decomposed_instances(ns, deltas, master_seed, problem)
+    insts = _instances(ns, deltas, master_seed, problem)
+    decomps = {n: decompose(inst) for n, inst in insts.items()}
     rows = []
     for delta in deltas:
         for n in ns:
-            inst, decomp = shared[n]
+            inst = insts[n]
             data = add_noise(inst, NoiseSpec(delta=delta, seed=stream_seed(master_seed, n, delta, 0)))
-            trace = adaptive_select(inst, cfg, spectral_solver(decomp, inst, data.b))
+            trace = adaptive_select(inst, cfg, spectral_solver(decomps[n], inst, data.b))
             report = error_report(inst, trace.final, data.b)
             rows.append(TableRow(
                 delta=delta, n=n, sigma=data.sigma,

@@ -231,10 +231,14 @@ def build_blur(side, psf_width):
         raise DomainError(f"psf_width must be positive with 2 psf_width^2 a finite positive "
                           f"float, got {psf_width}")
     d = np.arange(side, dtype=np.float64)
-    g = np.exp(-(d**2) / two_w_sq)
-    mass = g[0] + 2.0 * g[1:].sum()       # total kernel mass over |d| < side
     offsets = np.abs(d[:, None] - d[None, :])
-    t = np.exp(-(offsets**2) / two_w_sq) / mass
+    # a subnormal 2 psf_width^2 overflows d^2 / (2 psf_width^2) to inf for
+    # d >= 1, and exp(-inf) = 0 is the limit, so T is the identity there
+    with np.errstate(over="ignore"):
+        g = np.exp(-(d**2) / two_w_sq)
+        t = np.exp(-(offsets**2) / two_w_sq)
+    mass = g[0] + 2.0 * g[1:].sum()       # total kernel mass over |d| < side
+    t /= mass
     a = np.kron(t, t)
     x_star = _blur_image(side).reshape(-1)
     y = a @ x_star

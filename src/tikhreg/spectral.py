@@ -11,7 +11,11 @@ Kronecker route. For W = identity and an instance with a Kronecker factor
 T^T T v_i = mu_i v_i the eigenpairs are rho = mu_i mu_j with
 psi = kron(v_i, v_j) and A psi = kron(T v_i, T v_j). Only the side x side
 matrix T^T T is eigensolved (np.linalg.eigh, the same LAPACK syevd as
-sym_eig), and no n x n array is formed.
+sym_eig), and the basis is never formed: for u = vec(U), U side x side and
+row-major, (u, kron(f_i, f_j)) = (F^T U F)[i, j], so a projection is two
+side x side products and a gather at the index pairs (i_k, j_k), and an
+expansion scatters c into a side x side C and returns vec(V C V^T) and
+vec(TV C (TV)^T). The decomposition keeps rho, V, TV and the index pairs.
 
 Sine route. For W = identity and an A that equals the kernel fill of
 build_fredholm(n) bit for bit (Hansen's deriv2), the singular system has a
@@ -28,10 +32,15 @@ zero row of t = 1 appended, therefore gives n^2 D A = -1/2 E, with E the
 (n-1) x n bidiagonal of ones. So rows 2..n of A are -1/2 n^-2 T^-1 E with
 T = tridiag(1, -2, 1), and T and E E^T = tridiag(1, 2, 1) are both functions
 of tridiag(1, 0, 1), whose eigenvectors are the sines sin(j k pi / n).
-Nothing is eigensolved and no Gram matrix is formed, so the route costs
-O(n m), and rho keeps the relative accuracy that forming A^T A loses: at
-n = 2000, rho_1100 is within 1e-12 of svdvals(A)^2 on this route and 1.5e-5
-off on the dense one.
+Nothing is eigensolved, no Gram matrix is formed and the basis is never
+stored. Bin k of the length-2n real FFT of v is sum_j v_j e^{-i j k pi/n},
+so minus its imaginary part is the sine sum of (v, A psi_k) / (sigma_k
+sqrt(2/n)); with the half-sample phase e^{-i k pi/(2n)} applied first it is
+the DST-II sum of (u, psi_k). Expansions are the matching inverse transform.
+So a projection or an expansion costs O(n log n), the decomposition keeps
+rho, sigma and n, and rho keeps the relative accuracy that forming A^T A
+loses: at n = 2000, rho_1100 is within 1e-12 of svdvals(A)^2 on this route
+and 1.5e-5 off on the dense one.
 
 The fill is compared one row block at a time and the comparison stops at the
 first block that differs. An A with a nonzero row 0 (the Fredholm A has
@@ -39,7 +48,8 @@ none) differs in the first block, so the dense route pays one 256-row block;
 the Fredholm A pays one kernel fill.
 
 Every other instance takes the dense route (_dense_decompose), which is the
-reference. Only that route reaches scipy: sym_eig for the eigensolve, and
+reference and the only route that stores psi and A psi as n x m arrays.
+Only that route reaches scipy: sym_eig for the eigensolve, and
 solve_triangular for an explicit W, each imported where it is called, so the
 Kronecker and sine routes run on numpy alone.
 """
@@ -71,13 +81,15 @@ _FIT_CAP = 400
 
 @dataclass
 class SpectralDecomposition:
-    """Retained generalized eigenpairs of (A^T A, W).
+    """Retained generalized eigenpairs of (A^T A, W), held as dense arrays.
 
     rho is descending and strictly positive, psi holds the W-orthonormal
-    eigenvectors as columns, and a_psi = A @ psi is cached because every
-    spectral solve and Monte Carlo projection needs it; m and n are read off
-    rho and psi. Other modules reach the basis only through project and
-    expand, so its layout stays this module's business.
+    eigenvectors as columns and a_psi = A @ psi; m and n are read off rho and
+    psi. This is the dense route's decomposition. SineDecomposition and
+    KroneckerDecomposition answer the same calls from O(n) numbers: other
+    modules reach the basis only through project, coeffs and expand, so its
+    layout stays this module's business, and basis() returns (psi, A psi)
+    for tests.
     """
 
     rho: np.ndarray        # (m,) descending, > 0
@@ -96,9 +108,138 @@ class SpectralDecomposition:
         """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
         return self.a_psi.T @ v
 
+    def coeffs(self, u):
+        """psi^T u: the coefficients (u, psi_k) of a vector u, with no W applied."""
+        return self.psi.T @ u
+
     def expand(self, c):
         """(psi c, A psi c) for the coefficients c of the retained modes."""
         return self.psi @ c, self.a_psi @ c
+
+    def basis(self):
+        """(psi, A psi) as (n, m) arrays."""
+        return self.psi, self.a_psi
+
+
+def _sine_table(n):
+    # sin(r pi/(2n)) for r = 0..4n-1; every sine argument of the route is such
+    # an r reduced mod 4n, so no argument exceeds 2 pi
+    return np.sin(np.arange(4 * n) * (math.pi / (2 * n)))
+
+
+@dataclass
+class SineDecomposition:
+    """The closed-form singular system of build_fredholm(n) (module docstring).
+
+    psi_k is the DST-II vector sqrt(2/n) sin((2i+1) k pi/(2n)) and A psi_k is
+    sigma_k sqrt(2/n) sin(j k pi/n), k = 1..m; only rho, sigma and n are
+    stored, and every product with the basis is a length-2n real FFT along
+    the length-n axis.
+    """
+
+    rho: np.ndarray        # (m,) descending, > 0
+    sigma: np.ndarray      # (m,) sqrt(rho), from the closed form
+    n: int
+
+    @property
+    def m(self):
+        return self.rho.shape[0]
+
+    def _phase(self, shift):
+        # e^{i k shift pi/n}, k = 1..m
+        return np.exp(1j * shift * math.pi / self.n * np.arange(1, self.m + 1))
+
+    def _sine_sums(self, v, shift, scale):
+        # scale_k sum_j v_j sin(k (j + shift) pi/n), k = 1..m, along axis 0 of v
+        f = np.fft.rfft(v.T, 2 * self.n)[..., 1:self.m + 1]
+        if shift:
+            f *= self._phase(-shift)
+        return (f.imag * -scale).T
+
+    def _sine_synthesis(self, g, shift):
+        # sum_k g_k sin(k (j + shift) pi/n), j = 0..n-1: the inverse real FFT
+        # of the bins -i n g_k e^{i k shift pi/n}
+        h = np.zeros(self.n + 1, dtype=np.complex128)
+        h[1:self.m + 1] = (-1j * self.n) * g
+        if shift:
+            h[1:self.m + 1] *= self._phase(shift)
+        return np.fft.irfft(h, 2 * self.n)[:self.n]
+
+    def project(self, v):
+        """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
+        return self._sine_sums(v, 0.0, self.sigma * math.sqrt(2.0 / self.n))
+
+    def coeffs(self, u):
+        """psi^T u: the coefficients (u, psi_k) of a vector u, with no W applied."""
+        return self._sine_sums(u, 0.5, math.sqrt(2.0 / self.n))
+
+    def expand(self, c):
+        """(psi c, A psi c) for the coefficients c of the retained modes."""
+        c = c * math.sqrt(2.0 / self.n)
+        return self._sine_synthesis(c, 0.5), self._sine_synthesis(self.sigma * c, 0.0)
+
+    def basis(self):
+        """(psi, A psi) as (n, m) arrays from the sine table; not cached, for small n."""
+        n = self.n
+        tab = _sine_table(n) * math.sqrt(2.0 / n)
+        i, k = np.arange(n), np.arange(1, self.m + 1)
+        psi = tab[np.multiply.outer(2 * i + 1, k) % (4 * n)]
+        a_psi = tab[np.multiply.outer(2 * i, k) % (4 * n)] * self.sigma
+        return psi, a_psi
+
+
+@dataclass
+class KroneckerDecomposition:
+    """Eigenpairs of kron(T^T T, T^T T) kept as side x side factors.
+
+    Mode k is psi_k = kron(v[:, i_k], v[:, j_k]) with A psi_k =
+    kron(tv[:, i_k], tv[:, j_k]), tv = T v. A vector of length n = side^2 is a
+    row-major side x side image U, and (u, kron(f_i, f_j)) = (F^T U F)[i, j].
+    """
+
+    rho: np.ndarray        # (m,) descending, > 0
+    v: np.ndarray          # (side, side) eigenvectors of T^T T, mu descending
+    tv: np.ndarray         # (side, side) T @ v
+    i: np.ndarray          # (m,) row factor index of each mode
+    j: np.ndarray          # (m,) column factor index of each mode
+
+    @property
+    def m(self):
+        return self.rho.shape[0]
+
+    @property
+    def n(self):
+        return self.v.shape[0] ** 2
+
+    def _gather(self, f, u):
+        # (F^T U F)[i_k, j_k] per column of u: (m,) or (m, r)
+        side = f.shape[0]
+        images = u.T.reshape(u.shape[1:] + (side, side))
+        return (f.T @ images @ f)[..., self.i, self.j].T
+
+    def project(self, v):
+        """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
+        return self._gather(self.tv, v)
+
+    def coeffs(self, u):
+        """psi^T u: the coefficients (u, psi_k) of a vector u, with no W applied."""
+        return self._gather(self.v, u)
+
+    def expand(self, c):
+        """(psi c, A psi c) for the coefficients c of the retained modes."""
+        side = self.v.shape[0]
+        scattered = np.zeros((side, side))
+        scattered[self.i, self.j] = c
+        return ((self.v @ scattered @ self.v.T).ravel(),
+                (self.tv @ scattered @ self.tv.T).ravel())
+
+    def basis(self):
+        """(psi, A psi) as (n, m) arrays; not cached, for small n."""
+        def columns(f):
+            # column k is kron(f[:, i_k], f[:, j_k])
+            return (f[:, self.i][:, None, :] * f[:, self.j][None, :, :]).reshape(self.n, self.m)
+
+        return columns(self.v), columns(self.tv)
 
 
 @dataclass
@@ -140,51 +281,37 @@ def _kron_decompose(instance):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     mu = np.maximum(mu[::-1], 0.0)
-    v = v[:, ::-1]
+    v = np.ascontiguousarray(v[:, ::-1])
     rho = np.outer(mu, mu).ravel()
     order = np.argsort(-rho, kind="stable")
     rho = rho[order]
     m = _retained(rho, instance.n)
     i, j = np.divmod(order[:m], side)
-    tv = t @ v
-
-    def columns(f):
-        # column k is kron(f[:, i_k], f[:, j_k])
-        return (f[:, i][:, None, :] * f[:, j][None, :, :]).reshape(instance.n, m)
-
-    return SpectralDecomposition(rho=rho[:m], psi=columns(v), a_psi=columns(tv))
+    return KroneckerDecomposition(rho=rho[:m], v=v, tv=t @ v, i=i, j=j)
 
 
 def _sine_decompose(instance):
-    # closed-form singular system of build_fredholm(n) (module docstring).
-    # Every sine argument is an integer r times pi/(2n); r is reduced mod 4n
-    # before it indexes the table sin(r pi/(2n)), so no argument exceeds 2 pi.
+    # closed-form singular values of build_fredholm(n) (module docstring)
     n = instance.n
-    tab = np.sin(np.arange(4 * n) * (math.pi / (2 * n)))
+    tab = _sine_table(n)
     k = np.arange(1, n)
     # 2 - 2 cos theta_k = 4 sin^2(theta_k/2), free of cancellation at small k;
     # cos(theta_k/2) = sin((n - k) pi/(2n))
     sigma = tab[n - k] / (4.0 * n * n * tab[k] ** 2)
     rho = sigma**2
     m = _retained(rho, n)
-    tab *= math.sqrt(2.0 / n)
-    i = np.arange(n)
-    r = np.multiply.outer(2 * i + 1, k[:m])
-    r %= 4 * n
-    psi = tab[r]
-    np.multiply.outer(2 * i, k[:m], out=r)
-    r %= 4 * n
-    a_psi = tab[r]
-    a_psi *= sigma[:m]
-    return SpectralDecomposition(rho=rho[:m], psi=psi, a_psi=a_psi)
+    return SineDecomposition(rho=rho[:m], sigma=sigma[:m], n=n)
 
 
 def decompose(instance):
     """Eigendecompose (A^T A, W) and retain the numerically positive part.
 
     Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity, an
-    instance with a Kronecker factor takes the Kronecker route, and an A that
-    is the kernel fill of build_fredholm(n) the sine route (module docstring).
+    instance with a Kronecker factor takes the Kronecker route
+    (KroneckerDecomposition), and an A that is the kernel fill of
+    build_fredholm(n) the sine route (SineDecomposition); every other
+    instance takes the dense route (SpectralDecomposition). See the module
+    docstring.
     """
     if instance.w.is_identity:
         if instance.kron_factor is not None:
@@ -265,7 +392,7 @@ def b_seminorm_sq(decomp, u, w):
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (decomp.n,):
         raise DimensionMismatch(f"u has shape {u.shape}, expected ({decomp.n},)")
-    coeffs = decomp.psi.T @ w.apply(u)
+    coeffs = decomp.coeffs(w.apply(u))
     return float(np.sum(np.sqrt(decomp.rho) * coeffs**2))
 
 
@@ -286,7 +413,7 @@ def error_filter(decomp, instance):
     """
     if decomp.n != instance.n:
         raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
-    s = decomp.psi.T @ instance.w.apply(instance.x_star)
+    s = decomp.coeffs(instance.w.apply(instance.x_star))
 
     def errors(d, lam):
         lam = _check_lambda(lam)

@@ -177,17 +177,17 @@ def test_montecarlo_means_match_per_rep_solves():
 
 def _per_rep_scaled_errors(inst, delta, lam, reps, master):
     # reference for _scaled_errors: one one-seed draw per rep, stacked into the
-    # driver's batches so the projection GEMM has the same shape
+    # driver's batches so the projection has the same shape
     n = inst.n
     dec = decompose(inst)
     sigma = noise_sigma(inst, delta)
     errors = error_filter(dec, inst)
-    d_clean = dec.a_psi.T @ inst.y
+    d_clean = dec.project(inst.y)
     out_sq, b_sq = [], []
     for lo in range(0, reps, _REP_BATCH):
         xi = np.array([standard_normal(stream_seed(master, n, delta, rep), n)
                        for rep in range(lo, min(lo + _REP_BATCH, reps))])
-        _, o, b = errors(d_clean[:, None] + sigma * (dec.a_psi.T @ xi.T), lam)
+        _, o, b = errors(d_clean[:, None] + sigma * dec.project(xi.T), lam)
         out_sq.append(o)
         b_sq.append(b)
     return (np.sqrt(np.concatenate(out_sq)) / math.sqrt(n),
@@ -443,6 +443,15 @@ def test_study_reps_above_cap_rejected_before_decomposing(monkeypatch, fred20):
     monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
     with pytest.raises(SizeCap, match="reps"):
         run_sample_study(fred20, 0.05, 1e-6, _REPS_CAP + 1)
+
+
+def test_montecarlo_rejects_a_bad_lambda_before_decomposing(monkeypatch):
+    # --c 1e308 makes the rho0 rule's lambda overflow to inf at every size
+    calls = []
+    monkeypatch.setattr("tikhreg.harness.decompose", lambda inst: calls.append(inst))
+    with pytest.raises(NonFiniteLambda):
+        run_montecarlo([60, 100], [0.1], 4, constant_c=1e308)
+    assert calls == []
 
 
 def test_montecarlo_reps_above_cap_rejected_before_building():

@@ -213,14 +213,14 @@ def test_adaptive_noise_free_decays_to_underflow(fred20):
     underflow guard trips.
     """
     dec = decompose(fred20)
-    s = dec.psi.T @ fred20.w.apply(fred20.x_star)
+    s = dec.coeffs(fred20.w.apply(fred20.x_star))
 
     def exact(lam):
         shrink = lam * s / (lam + dec.rho)
         c = dec.rho * s / (lam + dec.rho)
         residual = math.sqrt(float(np.sum(dec.rho * shrink**2)))    # b = y: also ||A x - y||
         return RegularizedSolution(
-            lam=lam, x=dec.psi @ c, residual_b=residual,
+            lam=lam, x=dec.expand(c)[0], residual_b=residual,
             w_norm=math.sqrt(float(np.sum(c**2))), output_err=residual,
         )
 

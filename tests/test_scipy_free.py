@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from tikhreg import ProblemInstance, WeightSpec, build_fredholm, save_problem
+from tikhreg import ProblemInstance, WeightSpec, build_blur, build_fredholm, save_problem
 
 _PROBE = """
 import json, sys
@@ -47,9 +47,16 @@ def test_import_loads_no_scipy():
     ["spectrum", "--problem", "blur", "--side", "8"],
     ["solve", "--n", "60", "--delta", "0.05"],
     ["solve", "--problem", "blur", "--side", "8", "--delta", "0.05"],
+    ["adaptive", "--problem", "blur", "--side", "8", "--delta", "0.05"],
 ])
 def test_fredholm_blur_and_study_routes_load_no_scipy(tmp_path, argv):
     assert _probe(argv + ["--out", str(tmp_path)]) == [0, []]
+
+
+def test_spectrum_of_a_blur_prob_loads_no_scipy(tmp_path):
+    prob = str(tmp_path / "blur.prob")
+    save_problem(build_blur(8, 2.0), prob)
+    assert _probe(["spectrum", "--prob", prob, "--out", str(tmp_path / "spec")]) == [0, []]
 
 
 def test_explicit_w_routes_load_scipy_when_called(tmp_path):

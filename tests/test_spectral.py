@@ -25,7 +25,7 @@ from tikhreg import (
     spectrum_rows,
     sym_eig,
 )
-from tikhreg.spectral import _dense_decompose
+from tikhreg.spectral import KroneckerDecomposition, SineDecomposition, _dense_decompose
 
 
 def _instance(a, w=None, label="t"):
@@ -104,15 +104,50 @@ def test_parseval_identity(seed):
 
 
 def test_project_and_expand_are_the_basis_products(fred20, rng):
-    dec = decompose(fred20)
-    assert (dec.m, dec.n) == (dec.rho.shape[0], fred20.n) == (19, 20)
+    # the dense route's methods are the basis products themselves; the sine
+    # route's transforms match them to rounding
     v = rng.standard_normal((fred20.n, 3))
-    assert np.array_equal(dec.project(v[:, 0]), dec.a_psi.T @ v[:, 0])
-    assert np.array_equal(dec.project(v), dec.a_psi.T @ v)
-    c = rng.standard_normal(dec.m)
+    for dec in (_dense_decompose(fred20), decompose(fred20)):
+        assert (dec.m, dec.n) == (dec.rho.shape[0], fred20.n) == (19, 20)
+        psi, a_psi = dec.basis()
+        c = rng.standard_normal(dec.m)
+        x, ax = dec.expand(c)
+        pairs = [(dec.project(v[:, 0]), a_psi.T @ v[:, 0]), (dec.project(v), a_psi.T @ v),
+                 (dec.coeffs(v[:, 0]), psi.T @ v[:, 0]), (x, psi @ c), (ax, a_psi @ c)]
+        for got, want in pairs:
+            if isinstance(dec, SpectralDecomposition):
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+_IMPLICIT = ([pytest.param(build_fredholm, n, id=f"fredholm-{n}") for n in (8, 60, 501, 2000)]
+             + [pytest.param(lambda side, w=w: build_blur(side, w), side, id=f"blur-{side}-{w}")
+                for side in (6, 20) for w in (0.7, 2.0)])
+
+
+@pytest.mark.parametrize("build, size", _IMPLICIT)
+def test_implicit_routes_match_their_basis(build, size, rng):
+    inst = build(size)
+    dec = decompose(inst)
+    assert isinstance(dec, (SineDecomposition, KroneckerDecomposition))
+    n, m = inst.n, dec.m
+    psi, a_psi = dec.basis()
+    assert psi.shape == a_psi.shape == (n, m)
+    v = rng.standard_normal(n)
+    block = rng.standard_normal((n, 64))
+    c = rng.standard_normal(m)
     x, ax = dec.expand(c)
-    assert np.array_equal(x, dec.psi @ c)
-    assert np.array_equal(ax, dec.a_psi @ c)
+    projected = dec.project(block)
+    for got, want in [(dec.project(v), a_psi.T @ v), (projected, a_psi.T @ block),
+                      (dec.coeffs(v), psi.T @ v), (x, psi @ c), (ax, a_psi @ c)]:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    for j in range(block.shape[1]):
+        assert np.array_equal(projected[:, j], dec.project(block[:, j]))
+    # the decomposition holds O(n) numbers, no n x m array
+    stored = [np.size(a) for a in vars(dec).values() if isinstance(a, np.ndarray)]
+    assert stored and max(stored) <= n
 
 
 def test_rank_deficient_modes_dropped():
@@ -163,7 +198,7 @@ def test_spectrum_rows_schema(dec200):
 
 def test_b_seminorm_single_mode(fred20):
     dec = decompose(fred20)
-    val = b_seminorm_sq(dec, dec.psi[:, 0], fred20.w)
+    val = b_seminorm_sq(dec, dec.basis()[0][:, 0], fred20.w)
     assert val == pytest.approx(np.sqrt(dec.rho[0]), rel=1e-10)
 
 
@@ -245,11 +280,12 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
     dense = decompose(dataclasses.replace(inst, kron_factor=None))
     assert kron.m == dense.m
     assert np.max(np.abs(kron.rho - dense.rho)) <= n * eps * dense.rho[0]
-    assert np.max(np.abs(kron.psi.T @ kron.psi - np.eye(kron.m))) <= 1e-13
+    psi, a_psi = kron.basis()
+    assert np.max(np.abs(psi.T @ psi - np.eye(kron.m))) <= 1e-13
     gram = inst.a.T @ inst.a
-    residuals = np.linalg.norm(gram @ kron.psi - kron.psi * kron.rho, axis=0)
+    residuals = np.linalg.norm(gram @ psi - psi * kron.rho, axis=0)
     assert np.max(residuals) <= 1e-13 * kron.rho[0]
-    assert np.max(np.abs(kron.a_psi - inst.a @ kron.psi)) <= 1e-13
+    assert np.max(np.abs(a_psi - inst.a @ psi)) <= 1e-13
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-2, 1.0):
         x = solve_spectral(kron, inst, b, lam).x
@@ -287,9 +323,10 @@ def test_sine_route_matches_dense_route(n):
     dense = _dense_decompose(inst)
     assert sine.m == dense.m
     assert np.all(np.diff(sine.rho) < 0)
-    assert np.max(np.abs(sine.psi.T @ sine.psi - np.eye(sine.m))) <= 1e-13
+    psi, a_psi = sine.basis()
+    assert np.max(np.abs(psi.T @ psi - np.eye(sine.m))) <= 1e-13
     sigma_1 = np.sqrt(sine.rho[0])
-    assert np.linalg.norm(inst.a @ sine.psi - sine.a_psi) <= 1e-12 * sigma_1
+    assert np.linalg.norm(inst.a @ psi - a_psi) <= 1e-12 * sigma_1
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-6, 1e-2, 1.0):
         x = solve_spectral(sine, inst, b, lam).x
