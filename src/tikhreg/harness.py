@@ -191,17 +191,18 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
 
 
 def _instances(ns, deltas, master_seed, problem):
-    # {n: problem(n)}, one instance per size, shared by that size's deltas; a
-    # repeated size or two deltas with one stream key would give two cells
-    # the same noise, so both are rejected before any build, as is an empty
-    # list, which would give no cell at all
+    # (n, problem(n)) pairs, built one at a time as they are iterated: one
+    # instance per size, shared by that size's deltas. A repeated size or two
+    # deltas with one stream key would give two cells the same noise, so both
+    # are rejected here, before any build, as is an empty list, which would
+    # give no cell at all
     if not (len(ns) and len(deltas)):
         raise DomainError(f"sizes {list(ns)} and deltas {list(deltas)} must both be nonempty")
     if len(set(ns)) < len(ns):
         raise DomainError(f"sizes {list(ns)} repeat a size")
     if len({stream_seed(master_seed, 0, d, 0) for d in deltas}) < len(deltas):
         raise DomainError(f"deltas {list(deltas)} include two that share one noise stream")
-    return {n: problem(n) for n in ns}
+    return ((n, problem(n)) for n in ns)
 
 
 def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
@@ -213,10 +214,11 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     delta, r), and repeated sizes or deltas that share a stream are
     rejected. Cells run on a pool of `threads` workers and are reduced in
     (ns x deltas) order, so `threads` affects wall time only. More than
-    1000000 reps raise SizeCap before any build; every cell's lambda is
-    evaluated after the builds and before any decomposition, so one that is
-    not finite and positive raises NonFiniteLambda first; and a delta so
-    large that a scaled error overflows float64 raises DomainError.
+    1000000 reps raise SizeCap before any build; the sizes are built one at
+    a time and each size's lambdas are evaluated right after its build, so
+    one that is not finite and positive raises NonFiniteLambda before the
+    next build and before any decomposition; and a delta so large that a
+    scaled error overflows float64 raises DomainError.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
@@ -227,12 +229,12 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     for d in deltas:
         if not d > 0:
             raise DomainError(f"deltas must be positive, got {d}")
-    insts = _instances(ns, deltas, master_seed, problem)
-    grid = []
-    for n in ns:
+    insts, grid = {}, []
+    for n, inst in _instances(ns, deltas, master_seed, problem):
+        insts[n] = inst
         for delta in deltas:
-            sigma = noise_sigma(insts[n], delta)
-            lam = _check_lambda(rule_lambda(rule, alpha, insts[n], sigma, constant_c))
+            sigma = noise_sigma(inst, delta)
+            lam = _check_lambda(rule_lambda(rule, alpha, inst, sigma, constant_c))
             grid.append((n, delta, sigma, lam))
     decomps = {n: decompose(inst) for n, inst in insts.items()}
 
@@ -325,7 +327,7 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     stream_seed(master_seed, n, delta, 0), so repeated sizes and deltas that
     share a stream are rejected.
     """
-    insts = _instances(ns, deltas, master_seed, problem)
+    insts = dict(_instances(ns, deltas, master_seed, problem))
     decomps = {n: decompose(inst) for n, inst in insts.items()}
     rows = []
     for delta in deltas:

@@ -2,12 +2,8 @@
 
 SPD solves, symmetric eigendecomposition and weighted inner products, used
 everywhere else in the package. Everything is real64 and operates on plain
-numpy arrays (row-major); inputs are never mutated.
-
-scipy.linalg is imported inside the three functions that call it (spd_solve,
-sym_eig and an explicit WeightSpec), not at module level: importing it costs
-about 0.3 s, more than a whole Fredholm or blur run, and those routes never
-reach it.
+numpy arrays (row-major); inputs are never mutated. The LAPACK routines
+behind them (potrf, syevd, gesv) are reached through np.linalg alone.
 """
 
 import numpy as np
@@ -72,8 +68,6 @@ def spd_solve(m, rhs):
         On a non-positive Cholesky pivot.
     NotSymmetric, DimensionMismatch
     """
-    import scipy.linalg
-
     rhs = np.asarray(rhs, dtype=np.float64)
     m = symmetrize(m)
     if rhs.shape[0] != m.shape[0]:
@@ -81,10 +75,10 @@ def spd_solve(m, rhs):
             f"matrix is {m.shape[0]}x{m.shape[0]}, rhs has leading dim {rhs.shape[0]}"
         )
     try:
-        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
         raise NotSPD(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
 def sym_eig(m):
@@ -110,14 +104,11 @@ def sym_eig(m):
     ConvergenceFailure
         If the underlying solver fails to converge.
     """
-    import scipy.linalg
-
+    # rebinding m releases a caller's temporary before the solve starts
     m = symmetrize(m)
     try:
-        # LAPACK syevd (as np.linalg.eigh) overwrites the private symmetric
-        # copy in place; its transpose is the same matrix in Fortran order
-        vals, vecs = scipy.linalg.eigh(m.T, overwrite_a=True, check_finite=False, driver="evd")
-    except scipy.linalg.LinAlgError as exc:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     # eigh returns ascending order; reverse (stable, deterministic under ties)
     return vals[::-1], vecs[:, ::-1]
@@ -137,12 +128,10 @@ class WeightSpec:
         self.matrix = self.chol_lower = None
         if matrix is None:
             return
-        import scipy.linalg
-
         self.matrix = symmetrize(matrix)
         try:
-            self.chol_lower = scipy.linalg.cholesky(self.matrix, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            self.chol_lower = np.linalg.cholesky(self.matrix)
+        except np.linalg.LinAlgError as exc:
             raise NotSPD(f"weight matrix is not positive definite: {exc}") from exc
 
     @classmethod

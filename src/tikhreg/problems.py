@@ -297,13 +297,16 @@ def stream_seed(master_seed, n, delta, rep):
     SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}"). Distinct
     (n, round(delta*1e6), rep) triples give independent streams under one
     master seed; 0 < delta <= 5e-7 would read the delta = 0 stream and is
-    rejected, as is a non-finite delta. A sequence of reps gives the list of
+    rejected, as is a delta for which delta*1e6 is not finite (a non-finite
+    delta, or one above about 1.8e302). A sequence of reps gives the list of
     their seeds, each equal to the one-rep call; the shared tag prefix is
     hashed once.
     """
-    if not math.isfinite(delta) or (delta != 0 and round(delta * 1e6) == 0):
-        raise DomainError(f"delta = {delta!r} has no noise stream of its own; use 0 or > 5e-7")
-    tag = f"tikhreg:{int(master_seed)}:{int(n)}:{round(delta * 1e6)}:"
+    scaled = delta * 1e6
+    if not math.isfinite(scaled) or (delta != 0 and round(scaled) == 0):
+        raise DomainError(f"delta = {delta!r} has no noise stream of its own; "
+                          f"use 0 or > 5e-7 with delta*1e6 finite")
+    tag = f"tikhreg:{int(master_seed)}:{int(n)}:{round(scaled)}:"
     prefix = hashlib.sha256(tag.encode("ascii"))
 
     def seed(r):

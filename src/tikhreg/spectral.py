@@ -10,11 +10,11 @@ Kronecker route. For W = identity and an instance with a Kronecker factor
 (A = kron(T, T), the blur family), A^T A = kron(T^T T, T^T T), so with
 T^T T v_i = mu_i v_i the eigenpairs are rho = mu_i mu_j with
 psi = kron(v_i, v_j) and A psi = kron(T v_i, T v_j). Only the side x side
-matrix T^T T is eigensolved (np.linalg.eigh, the same LAPACK syevd as
-sym_eig), and the basis is never formed: for u = vec(U), U side x side and
-row-major, (u, kron(f_i, f_j)) = (F^T U F)[i, j], so a projection is two
-side x side products and a gather at the index pairs (i_k, j_k), and an
-expansion scatters c into a side x side C and returns vec(V C V^T) and
+matrix T^T T is eigensolved (sym_eig, as on the dense route), and the basis
+is never formed: for u = vec(U), U side x side and row-major,
+(u, kron(f_i, f_j)) = (F^T U F)[i, j], so a projection is two side x side
+products and a gather at the index pairs (i_k, j_k), and an expansion
+scatters c into a side x side C and returns vec(V C V^T) and
 vec(TV C (TV)^T). The decomposition keeps rho, V, TV and the index pairs.
 
 Sine route. For W = identity and an A that equals the kernel fill of
@@ -49,9 +49,6 @@ the Fredholm A pays one kernel fill.
 
 Every other instance takes the dense route (_dense_decompose), which is the
 reference and the only route that stores psi and A psi as n x m arrays.
-Only that route reaches scipy: sym_eig for the eigensolve, and
-solve_triangular for an explicit W, each imported where it is called, so the
-Kronecker and sine routes run on numpy alone.
 """
 
 import math
@@ -59,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
-from .linalg import sym_eig, symmetrize
+from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
+from .linalg import sym_eig
 from .problems import _kernel_blocks
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1. The dense route
@@ -257,10 +254,9 @@ def _whitened_gram(a, chol):
     # A^T A, or L^{-1} A^T A L^{-T} for W = L L^T; psi = L^{-T} z maps back
     if chol is None:
         return a.T @ a
-    import scipy.linalg
-
-    tmp = scipy.linalg.solve_triangular(chol, a.T @ a, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(chol, tmp.T, lower=True, check_finite=False).T
+    # B^T = L^{-1} A^T, so B^T (B^T)^T is the whitened Gram matrix, exactly symmetric
+    bt = np.linalg.solve(chol, a.T)
+    return bt @ bt.T
 
 
 def _retained(rho, n):
@@ -274,14 +270,9 @@ def _kron_decompose(instance):
     # keeps tied products (mu_i mu_j = mu_j mu_i) in index order
     t = instance.kron_factor
     side = t.shape[0]
-    # the same LAPACK syevd as sym_eig, without its scipy import; the side x
-    # side matrix gains nothing from being overwritten in place
-    try:
-        mu, v = np.linalg.eigh(symmetrize(t.T @ t))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    mu = np.maximum(mu[::-1], 0.0)
-    v = np.ascontiguousarray(v[:, ::-1])
+    mu, v = sym_eig(t.T @ t)
+    mu = np.maximum(mu, 0.0)
+    v = np.ascontiguousarray(v)
     rho = np.outer(mu, mu).ravel()
     order = np.argsort(-rho, kind="stable")
     rho = rho[order]
@@ -327,7 +318,8 @@ def decompose(instance):
 def _dense_decompose(instance):
     # the reference route; no reference to the whitened Gram matrix is kept,
     # so during the eigensolve the only n x n arrays alive besides the
-    # instance's own are sym_eig's working copy and LAPACK's workspace
+    # instance's own are sym_eig's symmetric copy, the Fortran-ordered copy
+    # np.linalg.eigh hands to LAPACK, and the eigenvectors
     a = instance.a
     chol = instance.w.chol_lower
     vals, vecs = sym_eig(_whitened_gram(a, chol))
@@ -335,12 +327,7 @@ def _dense_decompose(instance):
     m = _retained(vals, instance.n)
     rho = vals[:m].copy()
     z = vecs[:, :m]
-    if chol is None:
-        psi = z.copy()
-    else:
-        import scipy.linalg
-
-        psi = scipy.linalg.solve_triangular(chol.T, z, lower=False, check_finite=False)
+    psi = z.copy() if chol is None else np.linalg.solve(chol.T, z)
     a_psi = a @ psi
     return SpectralDecomposition(rho=rho, psi=psi, a_psi=a_psi)
 

@@ -4,11 +4,12 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tikhreg import (
-    NoiseSpec, ProblemInstance, add_noise, build_blur, build_fredholm, decompose, error_report,
-    rule_lambda, save_problem, solve_spectral,
+    NoiseSpec, ProblemInstance, WeightSpec, add_noise, build_blur, build_fredholm, decompose,
+    error_report, rule_lambda, save_problem, solve_spectral,
 )
 from tikhreg.cli import main
 
@@ -89,6 +90,45 @@ def test_solve_csv_is_the_spectral_route(tmp_path, problem, build):
     rep = error_report(inst, sol, data.b)
     row = [float(v) for v in read(os.path.join(out, "solve.csv")).decode().splitlines()[1].split(",")]
     assert row == [lam, data.sigma, rep.rel_x, rep.rel_ax, rep.rel_res, rep.scaled_output]
+
+
+def _blur_prob(path):
+    save_problem(build_blur(8, 2.0), path)
+
+
+def _explicit_w_prob(path):
+    inst = build_fredholm(30)
+    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, 30)))
+    save_problem(ProblemInstance(n=30, a=inst.a, x_star=inst.x_star, y=inst.y, w=w, label="w"),
+                 path)
+
+
+# every command on every decomposition route: sine (Fredholm), Kronecker
+# (blur) and dense (explicit W), from flags and from a .prob file
+@pytest.mark.parametrize("argv", [
+    ["study", "--n", "60", "--delta", "0.05", "--lam", "1e-6", "--reps", "100"],
+    ["montecarlo", "--ns", "60,100", "--deltas", "0.1", "--reps", "4"],
+    ["table", "--ns", "60", "--deltas", "0.1"],
+    ["adaptive", "--n", "60", "--delta", "0.05"],
+    ["sweep", "--n", "60", "--delta", "0.05"],
+    ["spectrum", "--problem", "fredholm", "--n", "60"],
+    ["solve", "--n", "60", "--delta", "0.05"],
+    ["generate", "--problem", "blur", "--side", "8"],
+    ["spectrum", "--problem", "blur", "--side", "8"],
+    ["solve", "--problem", "blur", "--side", "8", "--delta", "0.05"],
+    ["adaptive", "--problem", "blur", "--side", "8", "--delta", "0.05"],
+    ["spectrum", "--prob", _blur_prob],
+    ["solve", "--prob", _explicit_w_prob, "--delta", "0.05", "--lam", "1e-6"],
+    ["spectrum", "--prob", _explicit_w_prob],
+    ["adaptive", "--prob", _explicit_w_prob, "--delta", "0.05"],
+], ids=lambda argv: " ".join(a if isinstance(a, str) else a.__name__.strip("_") for a in argv))
+def test_every_route_runs_without_traceback(tmp_path, capsys, argv):
+    prob = str(tmp_path / "instance.prob")
+    for writer in [a for a in argv if callable(a)]:
+        writer(prob)
+    argv = [prob if callable(a) else a for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_solve_rejects_a_bad_lambda_before_decomposing(tmp_path, capsys, monkeypatch):
@@ -410,6 +450,10 @@ def test_psf_width_that_is_not_finite_exits_1(tmp_path, capsys, width):
     ["sweep", "--n", "60", "--delta", "1e300"],
     ["adaptive", "--n", "60", "--delta", "1e300"],
     ["table", "--ns", "60", "--deltas", "1e300"],
+    # delta * 1e6 overflows float64, so the noise stream key cannot be formed
+    ["table", "--ns", "60", "--deltas", "1e303"],
+    ["montecarlo", "--ns", "60", "--deltas", "1e303", "--reps", "4"],
+    ["study", "--n", "60", "--delta", "1e303", "--lam", "1e-6", "--reps", "100"],
 ])
 def test_delta_whose_errors_overflow_exits_1_without_traceback(tmp_path, command):
     out = subprocess.run(
@@ -417,7 +461,7 @@ def test_delta_whose_errors_overflow_exits_1_without_traceback(tmp_path, command
         capture_output=True, text=True,
     )
     assert out.returncode == 1
-    assert "delta = 1e+300" in out.stderr
+    assert f"delta = {float(command[4])!r}" in out.stderr
     assert "Traceback" not in out.stderr
     assert "Warning" not in out.stderr
 

@@ -446,12 +446,19 @@ def test_study_reps_above_cap_rejected_before_decomposing(monkeypatch, fred20):
 
 
 def test_montecarlo_rejects_a_bad_lambda_before_decomposing(monkeypatch):
-    # --c 1e308 makes the rho0 rule's lambda overflow to inf at every size
-    calls = []
+    # --c 1e308 makes the rho0 rule's lambda overflow to inf at every size,
+    # so the first size's lambda stops the run before the second size is built
+    calls, builds = [], []
+
+    def counting_build(n):
+        builds.append(n)
+        return build_fredholm(n)
+
     monkeypatch.setattr("tikhreg.harness.decompose", lambda inst: calls.append(inst))
     with pytest.raises(NonFiniteLambda):
-        run_montecarlo([60, 100], [0.1], 4, constant_c=1e308)
+        run_montecarlo([60, 100], [0.1], 4, constant_c=1e308, problem=counting_build)
     assert calls == []
+    assert builds == [60]
 
 
 def test_montecarlo_reps_above_cap_rejected_before_building():

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and only
-`spectral` reads the basis arrays `psi` and `a_psi`."""
+"""Every name a package module imports is used in that module, no module
+imports scipy, and only `spectral` reads the basis arrays `psi` and `a_psi`."""
 
 import ast
 import os
@@ -33,6 +33,30 @@ def test_module_uses_every_import(module):
 def test_check_flags_an_unused_import():
     tree = ast.parse("import numpy as np\nimport os.path\nfrom math import sqrt, pi\nprint(pi, os)\n")
     assert _unused_imports(tree) == [(1, "np"), (3, "sqrt")]
+
+
+def _scipy_imports(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_imports_no_scipy(module):
+    # numpy is the only runtime dependency
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _scipy_imports(tree) == []
+
+
+def test_check_flags_a_scipy_import():
+    tree = ast.parse("import numpy as np\ndef f():\n    import scipy.linalg\n"
+                     "    from scipy import linalg\n    from . import spectral\n")
+    assert _scipy_imports(tree) == [(3, "scipy.linalg"), (4, "scipy")]
 
 
 def _basis_reads(tree):

@@ -215,7 +215,8 @@ def test_stream_seed_distinct_and_stable():
 
 def test_stream_seed_rejects_deltas_without_a_stream_of_their_own():
     zero = stream_seed(0, 100, 0.0, 0)
-    for delta in (1e-7, 4e-7, 5e-7, float("nan"), float("inf")):
+    # delta * 1e6 overflows float64 above about 1.8e302
+    for delta in (1e-7, 4e-7, 5e-7, float("nan"), float("inf"), 1e303):
         with pytest.raises(DomainError):
             stream_seed(0, 100, delta, 0)
         with pytest.raises(DomainError):
