@@ -132,7 +132,8 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
     n^{-1/2} ||A(x_lam - x*)|| from spectral.error_filter, as the Monte Carlo
     and study drivers do, in O(m) per lambda; no solution vector is formed.
     The predicted parameter comes from the chosen a-priori rule evaluated
-    with the true sigma and ||x*||_W (it need not lie on the grid).
+    with the true sigma and ||x*||_W (it need not lie on the grid); one that
+    is not finite raises NonFiniteLambda before the decomposition.
     """
     lo, hi, count = grid
     if not (0 < lo < hi < math.inf):
@@ -143,16 +144,15 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
         raise SizeCap(f"grid count {count} exceeds the {_GRID_CAP} cap")
     lambdas = np.logspace(math.log10(lo), math.log10(hi), int(count))
     data = add_noise(instance, noise)
+    lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
+    # sigma == 0 makes the rule return 0, which error_filter rejects; keep the
+    # grid results and leave the prediction column empty
+    if lam_pred:
+        _check_lambda(lam_pred)
     decomp = decompose(instance)
     errors, d = error_filter(decomp, instance), decomp.project(data.b)
     output_errors = np.sqrt([errors(d, lam)[1] for lam in lambdas]) / math.sqrt(instance.n)
-    lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
-    if lam_pred > 0:
-        err_at_pred = math.sqrt(errors(d, lam_pred)[1]) / math.sqrt(instance.n)
-    else:
-        # sigma == 0 makes the rule return 0, which error_filter rejects; keep
-        # the grid results and leave the prediction column empty.
-        err_at_pred = math.nan
+    err_at_pred = math.sqrt(errors(d, lam_pred)[1] if lam_pred else math.nan) / math.sqrt(instance.n)
     k_min = int(np.argmin(output_errors))
     return SweepResult(
         lambdas=lambdas,
@@ -275,10 +275,11 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     Returns the raw samples, a histogram, and normal QQ pairs of the
     standardized sample against quantiles at (i - 1/2)/reps. A lambda that is
     not finite and positive raises NonFiniteLambda, a delta that is negative
-    or not finite or a bin count outside 1..reps DomainError, and more than
-    1000000 reps SizeCap, all before the decomposition. delta = 0 draws no
-    noise, so every sample is the same and DegenerateSample follows; a delta
-    so large that a sample overflows float64 raises DomainError.
+    or not finite, has no noise stream of its own (stream_seed) or a bin
+    count outside 1..reps DomainError, and more than 1000000 reps SizeCap,
+    all before the decomposition. delta = 0 draws no noise, so every sample
+    is the same and DegenerateSample follows; a delta so large that a sample
+    overflows float64 raises DomainError.
     """
     if reps < 100:
         raise DomainError(f"reps must be >= 100, got {reps}")
@@ -286,6 +287,7 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
         raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
     if not 0 <= delta < math.inf:
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    stream_seed(master_seed, instance.n, delta, 0)
     if not 1 <= bins <= reps:
         raise DomainError(f"bins must be between 1 and reps = {reps}, got {bins}")
     _check_lambda(lam)

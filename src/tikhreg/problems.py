@@ -38,13 +38,21 @@ Philox generator per call and re-keys it per row through its state (key
 [seed, 0], counter 0, empty buffer: where Philox(key=seed) starts), so a
 64-rep Monte Carlo batch pays for one construction instead of 64.
 
-Neither family needs ``spectral.decompose`` to eigensolve the n x n A^T A.
-A Fredholm A is fixed by n alone, so ``decompose`` recognizes it by comparing
-A bit for bit with the kernel fill of ``build_fredholm(n)`` (``_kernel_blocks``)
-and writes down its singular system in closed form (a sine basis). A blur
-instance carries its side x side factor T with A = kron(T, T)
-(``ProblemInstance.kron_factor``), which lets ``decompose`` eigensolve T^T T;
-on construction the instance checks bit for bit that A is kron(T, T).
+Neither family stores an n x n A. An instance holds its structure: with a
+Kronecker factor T (``ProblemInstance.kron_factor``, the blur family) A is
+kron(T, T), and with neither a factor nor an explicit matrix A is the kernel
+fill of ``build_fredholm(n)``. ``spectral.decompose`` dispatches on that and
+never reads A on the sine or Kronecker route. ``instance.a`` builds the
+dense matrix afresh on every read, for the three routes that need it:
+``solve_direct``, the dense decomposition (an explicit W) and
+``save_problem``. An explicit A passed to ``ProblemInstance`` (from
+``load_problem`` or a caller) is classified once, in the constructor: with a
+factor T it must equal kron(T, T) bit for bit, one side x side x side block
+at a time, or DomainError is raised; without one it is compared with the
+kernel fill one 256-row block at a time, stopping at the first block that
+differs. A matching A is dropped and a Fredholm or blur `.prob` takes its
+closed-form route; any other A is kept as ``explicit_a`` and takes the dense
+route.
 
 Serialization. ``save_problem`` writes a `.prob` container: an 8-byte
 little-endian header length, a UTF-8 JSON header
@@ -59,7 +67,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -76,10 +84,18 @@ _BLOCK_ROWS = 256
 
 @dataclass
 class ProblemInstance:
-    """A forward matrix with its exact solution and clean data."""
+    """A forward operator with its exact solution and clean data.
+
+    a is an explicit (n, n) A or None. With a Kronecker factor T, A is
+    kron(T, T), and an explicit a must equal it bit for bit (DomainError
+    otherwise). Without one, A is the kernel fill of build_fredholm(n) when a
+    is None or equals that fill bit for bit, and a itself, kept as
+    explicit_a, otherwise. Reading instance.a builds the dense A afresh
+    unless explicit_a holds it (see the module docstring).
+    """
 
     n: int
-    a: np.ndarray          # (n, n) forward matrix
+    a: Optional[np.ndarray] = field(repr=False)
     x_star: np.ndarray     # (n,) exact solution
     y: np.ndarray          # (n,) clean data, y = A x*
     w: WeightSpec
@@ -87,27 +103,36 @@ class ProblemInstance:
     kron_factor: Optional[np.ndarray] = None   # (side, side) T with A = kron(T, T)
 
     def __post_init__(self):
+        a, t = self.a, self.kron_factor
         if self.n < 2:
             raise DomainError(f"instance needs n >= 2, got {self.n}")
-        if self.a.shape != (self.n, self.n):
-            raise DimensionMismatch(f"A has shape {self.a.shape}, expected {(self.n, self.n)}")
+        if a is not None and a.shape != (self.n, self.n):
+            raise DimensionMismatch(f"A has shape {a.shape}, expected {(self.n, self.n)}")
         if self.x_star.shape != (self.n,) or self.y.shape != (self.n,):
             raise DimensionMismatch("x_star and y must have length n")
-        if self.kron_factor is not None:
-            _check_kron_factor(self.a, self.kron_factor)
-
-
-def _check_kron_factor(a, t):
-    # A must be kron(T, T) bit for bit: block row i of A, viewed as (k, j, l),
-    # holds T[i, j] * T[k, l]; one (s, s, s) product at a time, no n x n temporary
-    s = t.shape[0] if np.ndim(t) == 2 else 0
-    if np.shape(t) != (s, s) or s * s != a.shape[0]:
-        raise DimensionMismatch(
-            f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {a.shape[0]}")
-    for i in range(s):
-        if not np.array_equal(a[i * s:(i + 1) * s].reshape(s, s, s),
-                              t[i][None, :, None] * t[:, None, :]):
+        if t is not None and [d * d for d in np.shape(t)] != [self.n, self.n]:   # (s, s), s^2 = n
+            raise DimensionMismatch(
+                f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {self.n}")
+        # all() stops at the first row block that differs: an A with a nonzero
+        # row 0 (the kernel fill has none) costs one block
+        differs = a is not None and not all(np.array_equal(a[lo:hi], rows)
+                                            for lo, hi, rows in _row_blocks(self.n, t))
+        if differs and t is not None:
             raise DomainError("A is not kron(T, T) of its Kronecker factor T")
+        self.explicit_a = a if differs else None
+        if not differs:
+            del self.a     # from here on, instance.a is __getattr__'s
+
+    def __getattr__(self, name):
+        # reached only for names the instance does not hold, so an explicit A
+        # is returned as stored; the structured A is built on every read and
+        # not cached, so it lives only as long as the route that reads it
+        if name != "a":
+            raise AttributeError(name)
+        a = np.empty((self.n, self.n), dtype=np.float64)
+        for lo, hi, rows in _row_blocks(self.n, self.kron_factor):
+            a[lo:hi] = rows
+        return a
 
 
 @dataclass(frozen=True)
@@ -135,7 +160,8 @@ class NoisyData:
 
 
 def _check_size_cap(n, what):
-    # runs before anything is allocated; at the cap the dense A alone is 12.8 GB
+    # runs before anything is allocated; at the cap the dense A that
+    # solve_direct, the dense decomposition and save_problem build is 12.8 GB
     if n > 40000:
         raise SizeCap(f"{what} exceeds the 40000 cap")
 
@@ -161,14 +187,22 @@ def _midpoints(n):
     return (2.0 * np.arange(n, dtype=np.float64) + 1.0) / (2.0 * n)
 
 
-def _kernel_blocks(n):
-    # (lo, hi, rows lo..hi-1 of the Fredholm A), _BLOCK_ROWS rows at a time:
-    # min/max broadcasting over the whole matrix is memory-hungry at n = 10^4
-    t_nodes = np.arange(n, dtype=np.float64) / n                  # (j-1)/n
+def _row_blocks(n, t=None):
+    # (lo, hi, rows lo..hi-1 of A), never the whole n x n A. With a Kronecker
+    # factor T, block i holds rows i s..(i+1) s - 1 of kron(T, T), row k being
+    # kron(T[i], T[k]). Without one, the Fredholm kernel fill comes
+    # _BLOCK_ROWS rows at a time, since min/max broadcasting over the whole
+    # matrix is memory-hungry at n = 10^4, and a 1-row tail joins the block
+    # before it: numpy hands a 1-row block times x* to a dot product, whose
+    # sum order differs from that of the matrix-vector product
+    if t is not None:
+        s = t.shape[0]
+        return ((i * s, (i + 1) * s, np.kron(t[i:i + 1], t)) for i in range(s))
     s_nodes = _midpoints(n)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        yield lo, hi, greens_kernel(t_nodes[lo:hi, None], s_nodes[None, :]) / n
+    starts = list(range(0, n - 1, _BLOCK_ROWS))
+    # row j of a block lies at the node (lo + j)/n
+    return ((lo, hi, greens_kernel(np.arange(lo, hi, dtype=np.float64)[:, None] / n, s_nodes) / n)
+            for lo, hi in zip(starts, starts[1:] + [n]))
 
 
 def build_fredholm(n):
@@ -177,18 +211,16 @@ def build_fredholm(n):
     Row nodes are (j-1)/n for j = 1..n, quadrature (column) nodes are the
     panel midpoints (2i-1)/(2n), and the quadrature weight 1/n multiplies
     every entry. The exact solution is the quintic
-    x(t) = -6 t^2 (1-t) (2 - 8t + 7t^2) sampled at the midpoints.
+    x(t) = -6 t^2 (1-t) (2 - 8t + 7t^2) sampled at the midpoints. No n x n
+    array is formed: y = A x* is summed one kernel block at a time.
     """
     if n < 2:
         raise DomainError(f"build_fredholm needs n >= 2, got {n}")
     _check_size_cap(n, f"n = {n}")
-    a = np.empty((n, n), dtype=np.float64)
-    for lo, hi, rows in _kernel_blocks(n):
-        a[lo:hi, :] = rows
     tm = _midpoints(n)  # x* lives on the midpoint grid
     x_star = -6.0 * tm**2 * (1.0 - tm) * (2.0 - 8.0 * tm + 7.0 * tm**2)
-    y = a @ x_star
-    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=WeightSpec.identity(), label="fredholm")
+    y = np.concatenate([rows @ x_star for _, _, rows in _row_blocks(n)])
+    return ProblemInstance(n=n, a=None, x_star=x_star, y=y, w=WeightSpec.identity(), label="fredholm")
 
 
 # Fixed test image for the blur family: two axis-aligned rectangles and one
@@ -216,7 +248,8 @@ def build_blur(side, psf_width):
     The 1D convolution matrix T has T[i, j] = g(i - j) with
     g(d) = exp(-d^2 / (2 psf_width^2)) normalized by the full in-range mass,
     so interior rows sum to ~1 and boundary rows lose the mass that falls
-    outside the image. A = kron(T, T) acts on row-major flattened images.
+    outside the image. A = kron(T, T) acts on row-major flattened images; the
+    instance keeps T, not A.
     psf_width is in pixels; one whose 2 psf_width^2 is not a finite positive
     float raises DomainError before anything is allocated.
     """
@@ -239,11 +272,12 @@ def build_blur(side, psf_width):
         t = np.exp(-(offsets**2) / two_w_sq)
     mass = g[0] + 2.0 * g[1:].sum()       # total kernel mass over |d| < side
     t /= mass
-    a = np.kron(t, t)
     x_star = _blur_image(side).reshape(-1)
-    y = a @ x_star
+    # the product of the whole kron(T, T), freed as soon as y is formed: a
+    # block-row product would move y in its last bits
+    y = np.kron(t, t) @ x_star
     return ProblemInstance(
-        n=side * side, a=a, x_star=x_star, y=y, w=WeightSpec.identity(), label="blur",
+        n=side * side, a=None, x_star=x_star, y=y, w=WeightSpec.identity(), label="blur",
         kron_factor=t,
     )
 
@@ -370,7 +404,8 @@ def load_problem(path):
     truncated, padded or garbage file raises DomainError, as does a NaN or
     infinite entry in A, x*, y or W. Each array is read straight into its own
     float64 array. An optional "kron_factor" header key becomes the
-    instance's Kronecker factor, which ProblemInstance checks against A.
+    instance's Kronecker factor, which ProblemInstance checks against A; an
+    A that matches its factor or the Fredholm kernel fill is not kept.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -17,9 +17,9 @@ products and a gather at the index pairs (i_k, j_k), and an expansion
 scatters c into a side x side C and returns vec(V C V^T) and
 vec(TV C (TV)^T). The decomposition keeps rho, V, TV and the index pairs.
 
-Sine route. For W = identity and an A that equals the kernel fill of
-build_fredholm(n) bit for bit (Hansen's deriv2), the singular system has a
-closed form. With theta_k = k pi / n for k = 1..n-1:
+Sine route. For W = identity and an instance whose A is the kernel fill of
+build_fredholm(n) (Hansen's deriv2), the singular system has a closed form.
+With theta_k = k pi / n for k = 1..n-1:
 
     sigma_k = cos(theta_k / 2) / (n^2 (2 - 2 cos theta_k)),   rho_k = sigma_k^2,
     psi_k[i] = sqrt(2/n) sin((2i+1) k pi / (2n)),   i = 0..n-1 (the DST-II basis),
@@ -42,13 +42,13 @@ rho, sigma and n, and rho keeps the relative accuracy that forming A^T A
 loses: at n = 2000, rho_1100 is within 1e-12 of svdvals(A)^2 on this route
 and 1.5e-5 off on the dense one.
 
-The fill is compared one row block at a time and the comparison stops at the
-first block that differs. An A with a nonzero row 0 (the Fredholm A has
-none) differs in the first block, so the dense route pays one 256-row block;
-the Fredholm A pays one kernel fill.
-
-Every other instance takes the dense route (_dense_decompose), which is the
-reference and the only route that stores psi and A psi as n x m arrays.
+The route follows the instance's fields and nothing is compared here: the
+instance classified any explicit A when it was made (problems module
+docstring), so an instance with no explicit A is the kernel fill or, with a
+Kronecker factor, kron(T, T), and neither route reads A. Every other
+instance, and every instance with an explicit W, takes the dense route
+(_dense_decompose), which is the reference, the only route that reads the
+dense A, and the only one that stores psi and A psi as n x m arrays.
 """
 
 import math
@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
 from .linalg import sym_eig
-from .problems import _kernel_blocks
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1. The dense route
 # eigensolves the Gram matrix with a backward-stable solver, so each computed
@@ -297,29 +296,23 @@ def _sine_decompose(instance):
 def decompose(instance):
     """Eigendecompose (A^T A, W) and retain the numerically positive part.
 
-    Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity, an
-    instance with a Kronecker factor takes the Kronecker route
-    (KroneckerDecomposition), and an A that is the kernel fill of
-    build_fredholm(n) the sine route (SineDecomposition); every other
-    instance takes the dense route (SpectralDecomposition). See the module
-    docstring.
+    Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity and no
+    explicit A, an instance with a Kronecker factor takes the Kronecker route
+    (KroneckerDecomposition) and one without the sine route
+    (SineDecomposition); every other instance takes the dense route
+    (SpectralDecomposition). See the module docstring.
     """
-    if instance.w.is_identity:
-        if instance.kron_factor is not None:
-            return _kron_decompose(instance)
-        # A is the kernel fill of build_fredholm(n) bit for bit; all() stops
-        # at the first row block that differs
-        a = instance.a
-        if all(np.array_equal(a[lo:hi], rows) for lo, hi, rows in _kernel_blocks(instance.n)):
-            return _sine_decompose(instance)
+    if instance.w.is_identity and instance.explicit_a is None:
+        return (_sine_decompose if instance.kron_factor is None else _kron_decompose)(instance)
     return _dense_decompose(instance)
 
 
 def _dense_decompose(instance):
-    # the reference route; no reference to the whitened Gram matrix is kept,
-    # so during the eigensolve the only n x n arrays alive besides the
-    # instance's own are sym_eig's symmetric copy, the Fortran-ordered copy
-    # np.linalg.eigh hands to LAPACK, and the eigenvectors
+    # the reference route; A is read once (built here unless the instance
+    # keeps an explicit one) and no reference to the whitened Gram matrix is
+    # kept, so during the eigensolve the only n x n arrays alive besides A are
+    # sym_eig's symmetric copy, the Fortran-ordered copy np.linalg.eigh hands
+    # to LAPACK, and the eigenvectors
     a = instance.a
     chol = instance.w.chol_lower
     vals, vecs = sym_eig(_whitened_gram(a, chol))

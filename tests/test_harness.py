@@ -469,11 +469,19 @@ def test_montecarlo_reps_above_cap_rejected_before_building():
         run_montecarlo([60], [0.1], _REPS_CAP + 1, problem=no_build)
 
 
-@pytest.mark.parametrize("delta", [-0.05, math.nan, math.inf])
+# 1e303 is finite, but delta * 1e6 is not, so it has no noise stream of its own
+@pytest.mark.parametrize("delta", [-0.05, math.nan, math.inf, 1e303])
 def test_study_rejects_a_negative_or_nonfinite_delta_before_decomposing(monkeypatch, fred20, delta):
     monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
     with pytest.raises(DomainError, match="delta"):
         run_sample_study(fred20, delta, 1e-6, 120)
+
+
+def test_sweep_rejects_a_bad_predicted_lambda_before_decomposing(monkeypatch, fred20):
+    # --c 1e308 makes the rho0 rule's lambda overflow to inf
+    monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
+    with pytest.raises(NonFiniteLambda):
+        run_sweep(fred20, NoiseSpec(delta=0.01, seed=0), (1e-10, 1e-2, 10), constant_c=1e308)
 
 
 @pytest.mark.parametrize("grid", [(1e-10, math.inf, 10), (1e-10, math.nan, 10), (math.nan, 1e-4, 10)])

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, no module
-imports scipy, and only `spectral` reads the basis arrays `psi` and `a_psi`."""
+imports scipy or a `_`-prefixed name of `problems`, and only `spectral` reads
+the basis arrays `psi` and `a_psi`."""
 
 import ast
 import os
@@ -76,3 +77,26 @@ def test_only_spectral_reads_the_basis(module):
 def test_check_flags_a_basis_read():
     tree = ast.parse("d = dec.project(b)\nx = dec.psi @ c\nax = dec.a_psi.T @ v\nr = dec.rho\n")
     assert _basis_reads(tree) == [(2, "psi"), (3, "a_psi")]
+
+
+def _private_problems_imports(tree):
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "problems"
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_a_private_name_of_problems(module):
+    # problems is the one module that knows what an instance is; the others
+    # read the instance's fields
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _private_problems_imports(tree) == []
+
+
+def test_check_flags_a_private_problems_import():
+    tree = ast.parse("from .problems import _kernel_blocks, build_fredholm\n"
+                     "from tikhreg.problems import _BLOCK_ROWS as rows\n"
+                     "from .spectral import _check_lambda\nfrom . import problems\n")
+    assert _private_problems_imports(tree) == [(1, "_kernel_blocks"), (2, "_BLOCK_ROWS")]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from tikhreg import (
     stream_seed,
 )
 from tikhreg.spectral import _dense_decompose
+from tikhreg.tikhonov import spectral_solver
 
 # continuum value of n^{-1/2} ||A x*||, used as the sigma oracle
 SCALED_Y = 4.7117e-3
@@ -415,7 +417,7 @@ def test_prob_arrays_unchanged_by_kronecker_header(tmp_path):
     inst = build_blur(8, 2.0)
     with_key, without_key = tmp_path / "k.prob", tmp_path / "d.prob"
     save_problem(inst, str(with_key))
-    save_problem(dataclasses.replace(inst, kron_factor=None), str(without_key))
+    save_problem(dataclasses.replace(inst, kron_factor=None, a=inst.a), str(without_key))
     blob_k, blob_d = with_key.read_bytes(), without_key.read_bytes()
     arrays = 8 * (inst.n * inst.n + 2 * inst.n)
     assert blob_k[-arrays:] == blob_d[-arrays:]
@@ -426,7 +428,7 @@ def test_prob_arrays_unchanged_by_kronecker_header(tmp_path):
 def test_prob_without_kronecker_key_loads_on_dense_route(tmp_path):
     inst = build_blur(8, 2.0)
     path = tmp_path / "old.prob"
-    save_problem(dataclasses.replace(inst, kron_factor=None), str(path))
+    save_problem(dataclasses.replace(inst, kron_factor=None, a=inst.a), str(path))
     back = load_problem(str(path))
     assert back.kron_factor is None
     assert np.array_equal(back.a, inst.a)
@@ -516,3 +518,43 @@ def test_blur_rejects_a_psf_width_that_is_not_finite(psf_width):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="psf_width"):
             build_blur(8, psf_width)
+
+
+def test_built_fredholm_instance_never_holds_its_dense_a():
+    # one n x n array at n = 4000 is 128 MB; the build, the decomposition and
+    # a solve together stay well below it
+    tracemalloc.start()
+    try:
+        inst = build_fredholm(4000)
+        spectral_solver(decompose(inst), inst, inst.y)(1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4000**2 / 2
+
+
+def test_built_blur_instance_never_holds_its_dense_a():
+    # the build forms kron(T, T) once, for y, and frees it; the instance it
+    # leaves, the decomposition and a solve stay well below one n x n array
+    dense = 8 * (40 * 40) ** 2
+    tracemalloc.start()
+    try:
+        inst = build_blur(40, 2.0)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        spectral_solver(decompose(inst), inst, inst.y)(1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < dense / 10
+    assert peak < dense / 10
+
+
+def test_decompose_of_a_built_fredholm_instance_fills_no_kernel(monkeypatch):
+    inst = build_fredholm(300)
+
+    def no_fill(t, s):
+        raise AssertionError("decompose filled the kernel")
+
+    monkeypatch.setattr("tikhreg.problems.greens_kernel", no_fill)
+    assert decompose(inst).m == 298
