@@ -20,6 +20,13 @@ from .tikhonov import RegularizedSolution
 _LAMBDA_FLOOR = 1e-300
 
 
+def _check_rule_constants(alpha, constant_c):
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
+    if not 0 < constant_c < math.inf:
+        raise DomainError(f"constant_c must be finite and positive, got {constant_c}")
+
+
 @dataclass(frozen=True)
 class PriorRuleInput:
     alpha: float                 # spectral decay exponent, > 1
@@ -29,10 +36,7 @@ class PriorRuleInput:
     constant_c: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise DomainError(f"alpha must exceed 1, got {self.alpha}")
-        if not self.constant_c > 0:
-            raise DomainError(f"constant_c must be positive, got {self.constant_c}")
+        _check_rule_constants(self.alpha, self.constant_c)
         if self.sigma < 0 or not math.isfinite(self.sigma):
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
 
@@ -46,10 +50,7 @@ class AdaptiveConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise DomainError(f"alpha must exceed 1, got {self.alpha}")
-        if not self.constant_c > 0:
-            raise DomainError(f"constant_c must be positive, got {self.constant_c}")
+        _check_rule_constants(self.alpha, self.constant_c)
         if not self.tol > 0:
             raise DomainError(f"tol must be positive, got {self.tol}")
         if self.stop_mode not in ("absolute", "relative"):

@@ -38,32 +38,43 @@ Philox generator per call and re-keys it per row through its state (key
 [seed, 0], counter 0, empty buffer: where Philox(key=seed) starts), so a
 64-rep Monte Carlo batch pays for one construction instead of 64.
 
-Neither family stores an n x n A. An instance holds its structure: with a
-Kronecker factor T (``ProblemInstance.kron_factor``, the blur family) A is
-kron(T, T), and with neither a factor nor an explicit matrix A is the kernel
-fill of ``build_fredholm(n)``. ``spectral.decompose`` dispatches on that and
-never reads A on the sine or Kronecker route. ``instance.a`` builds the
-dense matrix afresh on every read, for the three routes that need it:
-``solve_direct``, the dense decomposition (an explicit W) and
-``save_problem``. An explicit A passed to ``ProblemInstance`` (from
-``load_problem`` or a caller) is classified once, in the constructor: with a
-factor T it must equal kron(T, T) bit for bit, one side x side x side block
-at a time, or DomainError is raised; without one it is compared with the
-kernel fill one 256-row block at a time, stopping at the first block that
-differs. A matching A is dropped and a Fredholm or blur `.prob` takes its
-closed-form route; any other A is kept as ``explicit_a`` and takes the dense
-route.
+Structure. Neither family stores an n x n A or forms one to compute
+y = A x*. Row j of the Fredholm A (0-based, node t_j = j/n) holds
+kappa(t_j, s_i)/n at the midpoints s_i = (2i+1)/(2n), and s_i <= t_j exactly
+when i < j, so the kernel's two branches split each row at i = j:
+
+    y_j = ((1 - t_j) sum_{i<j} s_i x*_i + t_j sum_{i>=j} (1 - s_i) x*_i) / n,
+
+a prefix sum of s x* and a suffix sum of (1 - s) x*: two cumsum passes, O(n)
+(the semiseparable form of Hansen's deriv2). For the blur family,
+kron(T, T) vec(X) = vec(T X T^T) for a row-major side x side image X, so
+y = vec(T X* T^T) costs two side x side products.
+
+``ProblemInstance.a`` is an explicit A, or None when the structure defines A:
+kron(T, T) with a Kronecker factor T (``kron_factor``, the blur family), the
+kernel fill of ``build_fredholm(n)`` without one. An instance holds an
+explicit A or a factor, never both. ``instance.dense_a()`` returns the
+explicit A or assembles the structured one a block of rows at a time; only
+``solve_direct`` and the dense decomposition call it, and
+``spectral.decompose`` takes a closed-form route exactly when a is None and
+W is the identity.
 
 Serialization. ``save_problem`` writes a `.prob` container: an 8-byte
 little-endian header length, a UTF-8 JSON header
 {"format": "prob", "version": 1, "n": ..., "label": ..., "w_kind": ...},
 then raw little-endian float64 arrays: A (n*n, row-major), x* (n), y (n), and,
-only when w_kind == "explicit", W (n*n, row-major). A Kronecker factor goes
+only when w_kind == "explicit", W (n*n, row-major). A structured A is written
+one block of rows at a time and never assembled. A Kronecker factor goes
 into the header as an optional "kron_factor" key (a list of rows, repr-exact
-floats); a file without the key loads with kron_factor None.
+floats). ``load_problem``, where an outside A arrives, recognizes it one
+block of rows at a time, stopping at the first block that differs: with a
+"kron_factor" key A must equal kron(T, T) bit for bit, or DomainError is
+raised; without the key an A equal to the kernel fill in every bit is
+dropped, so the instance takes the sine route, and any other A is kept.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -78,20 +89,19 @@ from .linalg import WeightSpec
 _PROB_MAGIC = "prob"
 _PROB_VERSION = 1
 
-# rows per block when filling large kernel matrices; keeps temporaries small
-_BLOCK_ROWS = 256
+# entries per block of the kernel fill (1 MB of float64), so that
+# greens_kernel's block-sized temporaries stay small and in cache
+_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass
 class ProblemInstance:
     """A forward operator with its exact solution and clean data.
 
-    a is an explicit (n, n) A or None. With a Kronecker factor T, A is
-    kron(T, T), and an explicit a must equal it bit for bit (DomainError
-    otherwise). Without one, A is the kernel fill of build_fredholm(n) when a
-    is None or equals that fill bit for bit, and a itself, kept as
-    explicit_a, otherwise. Reading instance.a builds the dense A afresh
-    unless explicit_a holds it (see the module docstring).
+    a is an explicit (n, n) A, or None when the instance's structure defines
+    A: kron(T, T) with a Kronecker factor T, else the kernel fill of
+    build_fredholm(n). Giving both a and a factor raises DomainError.
+    dense_a() returns A as an (n, n) array either way.
     """
 
     n: int
@@ -106,6 +116,8 @@ class ProblemInstance:
         a, t = self.a, self.kron_factor
         if self.n < 2:
             raise DomainError(f"instance needs n >= 2, got {self.n}")
+        if a is not None and t is not None:
+            raise DomainError("an instance holds an explicit A or a Kronecker factor, not both")
         if a is not None and a.shape != (self.n, self.n):
             raise DimensionMismatch(f"A has shape {a.shape}, expected {(self.n, self.n)}")
         if self.x_star.shape != (self.n,) or self.y.shape != (self.n,):
@@ -113,22 +125,11 @@ class ProblemInstance:
         if t is not None and [d * d for d in np.shape(t)] != [self.n, self.n]:   # (s, s), s^2 = n
             raise DimensionMismatch(
                 f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {self.n}")
-        # all() stops at the first row block that differs: an A with a nonzero
-        # row 0 (the kernel fill has none) costs one block
-        differs = a is not None and not all(np.array_equal(a[lo:hi], rows)
-                                            for lo, hi, rows in _row_blocks(self.n, t))
-        if differs and t is not None:
-            raise DomainError("A is not kron(T, T) of its Kronecker factor T")
-        self.explicit_a = a if differs else None
-        if not differs:
-            del self.a     # from here on, instance.a is __getattr__'s
 
-    def __getattr__(self, name):
-        # reached only for names the instance does not hold, so an explicit A
-        # is returned as stored; the structured A is built on every read and
-        # not cached, so it lives only as long as the route that reads it
-        if name != "a":
-            raise AttributeError(name)
+    def dense_a(self):
+        """A as an (n, n) array: the explicit a, or the structured A assembled afresh."""
+        if self.a is not None:
+            return self.a
         a = np.empty((self.n, self.n), dtype=np.float64)
         for lo, hi, rows in _row_blocks(self.n, self.kron_factor):
             a[lo:hi] = rows
@@ -160,8 +161,9 @@ class NoisyData:
 
 
 def _check_size_cap(n, what):
-    # runs before anything is allocated; at the cap the dense A that
-    # solve_direct, the dense decomposition and save_problem build is 12.8 GB
+    # runs before anything is allocated. A build is O(n) memory; only
+    # dense_a() allocates n^2 (12.8 GB at the cap, for solve_direct and the
+    # dense decomposition), and generate at the cap writes a 12.8 GB .prob
     if n > 40000:
         raise SizeCap(f"{what} exceeds the 40000 cap")
 
@@ -190,19 +192,17 @@ def _midpoints(n):
 def _row_blocks(n, t=None):
     # (lo, hi, rows lo..hi-1 of A), never the whole n x n A. With a Kronecker
     # factor T, block i holds rows i s..(i+1) s - 1 of kron(T, T), row k being
-    # kron(T[i], T[k]). Without one, the Fredholm kernel fill comes
-    # _BLOCK_ROWS rows at a time, since min/max broadcasting over the whole
-    # matrix is memory-hungry at n = 10^4, and a 1-row tail joins the block
-    # before it: numpy hands a 1-row block times x* to a dot product, whose
-    # sum order differs from that of the matrix-vector product
+    # kron(T[i], T[k]). Without one, the Fredholm kernel fill comes about
+    # _BLOCK_ENTRIES entries at a time
     if t is not None:
         s = t.shape[0]
         return ((i * s, (i + 1) * s, np.kron(t[i:i + 1], t)) for i in range(s))
     s_nodes = _midpoints(n)
-    starts = list(range(0, n - 1, _BLOCK_ROWS))
-    # row j of a block lies at the node (lo + j)/n
+    step = max(1, _BLOCK_ENTRIES // n)
+    bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    # row j of A lies at the node j/n
     return ((lo, hi, greens_kernel(np.arange(lo, hi, dtype=np.float64)[:, None] / n, s_nodes) / n)
-            for lo, hi in zip(starts, starts[1:] + [n]))
+            for lo, hi in bounds)
 
 
 def build_fredholm(n):
@@ -212,14 +212,17 @@ def build_fredholm(n):
     panel midpoints (2i-1)/(2n), and the quadrature weight 1/n multiplies
     every entry. The exact solution is the quintic
     x(t) = -6 t^2 (1-t) (2 - 8t + 7t^2) sampled at the midpoints. No n x n
-    array is formed: y = A x* is summed one kernel block at a time.
+    array is formed: y = A x* is two prefix sums (module docstring).
     """
     if n < 2:
         raise DomainError(f"build_fredholm needs n >= 2, got {n}")
     _check_size_cap(n, f"n = {n}")
     tm = _midpoints(n)  # x* lives on the midpoint grid
     x_star = -6.0 * tm**2 * (1.0 - tm) * (2.0 - 8.0 * tm + 7.0 * tm**2)
-    y = np.concatenate([rows @ x_star for _, _, rows in _row_blocks(n)])
+    t = np.arange(n, dtype=np.float64) / n
+    below = np.concatenate(([0.0], np.cumsum(tm * x_star)[:-1]))   # sum_{i<j} s_i x*_i
+    above = np.cumsum(((1.0 - tm) * x_star)[::-1])[::-1]           # sum_{i>=j} (1 - s_i) x*_i
+    y = ((1.0 - t) * below + t * above) / n
     return ProblemInstance(n=n, a=None, x_star=x_star, y=y, w=WeightSpec.identity(), label="fredholm")
 
 
@@ -268,14 +271,12 @@ def build_blur(side, psf_width):
     # a subnormal 2 psf_width^2 overflows d^2 / (2 psf_width^2) to inf for
     # d >= 1, and exp(-inf) = 0 is the limit, so T is the identity there
     with np.errstate(over="ignore"):
-        g = np.exp(-(d**2) / two_w_sq)
         t = np.exp(-(offsets**2) / two_w_sq)
-    mass = g[0] + 2.0 * g[1:].sum()       # total kernel mass over |d| < side
-    t /= mass
+    # row 0 of T is g(d), d = 0..side-1: the total kernel mass over |d| < side
+    t /= t[0, 0] + 2.0 * t[0, 1:].sum()
     x_star = _blur_image(side).reshape(-1)
-    # the product of the whole kron(T, T), freed as soon as y is formed: a
-    # block-row product would move y in its last bits
-    y = np.kron(t, t) @ x_star
+    # kron(T, T) vec(X) = vec(T X T^T) for the row-major image X
+    y = (t @ x_star.reshape(side, side) @ t.T).reshape(-1)
     return ProblemInstance(
         n=side * side, a=None, x_star=x_star, y=y, w=WeightSpec.identity(), label="blur",
         kron_factor=t,
@@ -386,13 +387,13 @@ def save_problem(instance, path):
     if instance.kron_factor is not None:
         header["kron_factor"] = instance.kron_factor.tolist()
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    arrays = [instance.a, instance.x_star, instance.y]
-    if instance.w.kind == "explicit":
-        arrays.append(instance.w.matrix)
+    a_rows = ([instance.a] if instance.a is not None
+              else (rows for _, _, rows in _row_blocks(instance.n, instance.kron_factor)))
+    w_rows = [instance.w.matrix] if instance.w.kind == "explicit" else []
     with open(path, "wb") as fh:
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for v in arrays:
+        for v in itertools.chain(a_rows, [instance.x_star, instance.y], w_rows):
             # the array's own buffer when it is already contiguous little-endian
             fh.write(memoryview(np.ascontiguousarray(v, dtype="<f8")))
 
@@ -404,8 +405,9 @@ def load_problem(path):
     truncated, padded or garbage file raises DomainError, as does a NaN or
     infinite entry in A, x*, y or W. Each array is read straight into its own
     float64 array. An optional "kron_factor" header key becomes the
-    instance's Kronecker factor, which ProblemInstance checks against A; an
-    A that matches its factor or the Fredholm kernel fill is not kept.
+    instance's Kronecker factor, and A is then checked against kron(T, T)
+    bit for bit (DomainError if any bit differs); without the key an A equal
+    to the Fredholm kernel fill is dropped and any other A is kept.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -445,5 +447,14 @@ def load_problem(path):
         raise DomainError(f".prob file holds non-finite values: {path}")
     a, x_star, y = arrays[:3]
     w = WeightSpec.explicit(arrays[3]) if w_kind == "explicit" else WeightSpec.identity()
-    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=label,
-                           kron_factor=kron_factor)
+    # made without A first, so the factor's shape is checked before
+    # _row_blocks reads it
+    instance = ProblemInstance(n=n, a=None, x_star=x_star, y=y, w=w, label=label,
+                               kron_factor=kron_factor)
+    # all() stops at the first row block that differs: an A with a nonzero
+    # row 0 (the kernel fill has none) costs one block
+    if not all(np.array_equal(a[lo:hi], rows) for lo, hi, rows in _row_blocks(n, kron_factor)):
+        if kron_factor is not None:
+            raise DomainError(f"A is not kron(T, T) of its Kronecker factor T: {path}")
+        instance.a = a      # an A that fits no structure takes the dense route
+    return instance

@@ -42,13 +42,13 @@ rho, sigma and n, and rho keeps the relative accuracy that forming A^T A
 loses: at n = 2000, rho_1100 is within 1e-12 of svdvals(A)^2 on this route
 and 1.5e-5 off on the dense one.
 
-The route follows the instance's fields and nothing is compared here: the
-instance classified any explicit A when it was made (problems module
-docstring), so an instance with no explicit A is the kernel fill or, with a
-Kronecker factor, kron(T, T), and neither route reads A. Every other
-instance, and every instance with an explicit W, takes the dense route
-(_dense_decompose), which is the reference, the only route that reads the
-dense A, and the only one that stores psi and A psi as n x m arrays.
+The route follows the instance's fields and nothing is compared here: an
+instance with no explicit A (instance.a is None) is the kernel fill or, with
+a Kronecker factor, kron(T, T) (problems module docstring), and neither route
+reads A. Every instance with an explicit A or an explicit W takes the dense
+route (_dense_decompose), which is the reference, the only route that reads
+the dense A (instance.dense_a()), and the only one that stores psi and A psi
+as n x m arrays.
 """
 
 import math
@@ -296,24 +296,24 @@ def _sine_decompose(instance):
 def decompose(instance):
     """Eigendecompose (A^T A, W) and retain the numerically positive part.
 
-    Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity and no
-    explicit A, an instance with a Kronecker factor takes the Kronecker route
-    (KroneckerDecomposition) and one without the sine route
+    Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity and
+    instance.a None, an instance with a Kronecker factor takes the Kronecker
+    route (KroneckerDecomposition) and one without the sine route
     (SineDecomposition); every other instance takes the dense route
     (SpectralDecomposition). See the module docstring.
     """
-    if instance.w.is_identity and instance.explicit_a is None:
+    if instance.w.is_identity and instance.a is None:
         return (_sine_decompose if instance.kron_factor is None else _kron_decompose)(instance)
     return _dense_decompose(instance)
 
 
 def _dense_decompose(instance):
-    # the reference route; A is read once (built here unless the instance
-    # keeps an explicit one) and no reference to the whitened Gram matrix is
+    # the reference route; A is read once (assembled here unless the instance
+    # holds an explicit one) and no reference to the whitened Gram matrix is
     # kept, so during the eigensolve the only n x n arrays alive besides A are
     # sym_eig's symmetric copy, the Fortran-ordered copy np.linalg.eigh hands
     # to LAPACK, and the eigenvectors
-    a = instance.a
+    a = instance.dense_a()
     chol = instance.w.chol_lower
     vals, vecs = sym_eig(_whitened_gram(a, chol))
     vals = np.maximum(vals, 0.0)

@@ -82,7 +82,7 @@ def solve_direct(instance, b, lam):
     """
     b = _check_rhs(instance, b)
     lam = _check_lambda(lam)
-    a = instance.a
+    a = instance.dense_a()
     m = a.T @ a
     if instance.w.is_identity:
         m[np.diag_indices_from(m)] += lam
@@ -99,12 +99,17 @@ def solve_spectral(decomp, instance, b, lam):
 
 def error_report(instance, sol, b):
     """Relative errors of a solution in x, A x and the residual, and the scaled
-    output error n^{-1/2} ||A x - A x*||, all against the instance's truth."""
+    output error n^{-1/2} ||A x - A x*||, all against the instance's truth.
+
+    A zero ||x*||, ||y|| or ||b|| raises DomainError."""
     b = _check_rhs(instance, b)
     x_err = float(np.linalg.norm(sol.x - instance.x_star))
     x_norm = float(np.linalg.norm(instance.x_star))
     y_norm = float(np.linalg.norm(instance.y))
     b_norm = float(np.linalg.norm(b))
+    if 0.0 in (x_norm, y_norm, b_norm):
+        raise DomainError(f"relative errors need nonzero norms, got ||x*|| = {x_norm}, "
+                          f"||y|| = {y_norm}, ||b|| = {b_norm}")
     return ErrorReport(
         rel_x=x_err / x_norm,
         rel_ax=sol.output_err / y_norm,

@@ -99,8 +99,8 @@ def _blur_prob(path):
 def _explicit_w_prob(path):
     inst = build_fredholm(30)
     w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, 30)))
-    save_problem(ProblemInstance(n=30, a=inst.a, x_star=inst.x_star, y=inst.y, w=w, label="w"),
-                 path)
+    save_problem(ProblemInstance(n=30, a=inst.dense_a(), x_star=inst.x_star, y=inst.y, w=w,
+                                 label="w"), path)
 
 
 # every command on every decomposition route: sine (Fredholm), Kronecker
@@ -129,6 +129,32 @@ def test_every_route_runs_without_traceback(tmp_path, capsys, argv):
     argv = [prob if callable(a) else a for a in argv]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--delta", "0.01", "--lam", "1e-6"],
+    ["adaptive", "--delta", "0.01"],
+], ids=["solve", "adaptive"])
+def test_zero_x_star_prob_exits_1_without_traceback(tmp_path, capsys, argv):
+    # the errors relative to ||x*|| = 0 are undefined
+    prob = str(tmp_path / "zero.prob")
+    save_problem(ProblemInstance(n=30, a=None, x_star=np.zeros(30), y=np.ones(30),
+                                 w=WeightSpec.identity(), label="zero"), prob)
+    assert run(argv + ["--prob", prob, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "||x*|| = 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["table", "--ns", "100", "--deltas", "0.1", "--c", "inf"], "constant_c"),
+    (["solve", "--n", "60", "--delta", "0.05", "--alpha", "inf"], "alpha"),
+    (["table", "--ns", "60", "--deltas", "0.1", "--alpha", "inf"], "alpha"),
+], ids=["table-c", "solve-alpha", "table-alpha"])
+def test_infinite_rule_constant_exits_1_naming_it(tmp_path, capsys, argv, name):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "table1.csv")
 
 
 def test_solve_rejects_a_bad_lambda_before_decomposing(tmp_path, capsys, monkeypatch):
@@ -316,7 +342,7 @@ def test_empty_size_or_delta_list_is_usage_error(tmp_path, capsys, command):
 
 def _nonfinite_prob(path, field):
     inst = build_fredholm(40)
-    a, x_star = inst.a.copy(), inst.x_star.copy()
+    a, x_star = inst.dense_a(), inst.x_star.copy()
     if field == "a":
         a[7, 11] = float("nan")
     else:
@@ -408,14 +434,22 @@ def test_oversized_reps_exits_1_without_traceback(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", [
-    ["generate", "--n", "40000"],
-    ["generate", "--problem", "blur", "--side", "200"],
+    ["spectrum"],
+    ["solve", "--delta", "0.01", "--lam", "1e-6"],
 ])
 def test_in_cap_size_that_cannot_be_allocated_exits_1_without_traceback(tmp_path, command):
-    # within the 40000 cap, but the dense A alone is 12.8 GB; only run
-    # under the 2 GiB cap, where the allocation fails at once
+    # a .prob at the n = 40000 cap, whose dense A alone is 12.8 GB; the
+    # arrays are written as a sparse all-zero file, so the size check passes
+    # without 12.8 GB on disk. Only run under the 2 GiB cap, where reading
+    # the A fails at once
+    n, prob = 40000, str(tmp_path / "big.prob")
+    header = json.dumps({"format": "prob", "version": 1, "n": n, "label": "big",
+                         "w_kind": "identity"}).encode("utf-8")
+    with open(prob, "wb") as fh:
+        fh.write(len(header).to_bytes(8, "little") + header)
+        fh.truncate(8 + len(header) + 8 * (n * n + 2 * n))
     out = subprocess.run(
-        [sys.executable, "-m", "tikhreg.cli"] + command + ["--out", str(tmp_path)],
+        [sys.executable, "-m", "tikhreg.cli"] + command + ["--prob", prob, "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120, preexec_fn=_address_space_cap,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
     )

@@ -44,6 +44,18 @@ def test_rule_input_validation():
         _inp(sigma=math.inf)
 
 
+@pytest.mark.parametrize("make", [
+    lambda **kw: _inp(**kw),
+    lambda **kw: AdaptiveConfig(**{"alpha": 4.0, **kw}),
+], ids=["PriorRuleInput", "AdaptiveConfig"])
+@pytest.mark.parametrize("name,value", [
+    ("alpha", math.inf), ("alpha", math.nan), ("constant_c", math.inf), ("constant_c", math.nan),
+])
+def test_rule_constants_must_be_finite(make, name, value):
+    with pytest.raises(DomainError, match=name):
+        make(**{name: value})
+
+
 def test_prior_rule_w_zero_sigma():
     assert prior_rule_w(_inp(sigma=0.0)) == 0.0
 
@@ -158,7 +170,7 @@ def test_adaptive_scale_equivariant(fred200):
 
     c = 37.0
     scaled = ProblemInstance(
-        n=fred200.n, a=fred200.a, x_star=c * fred200.x_star,
+        n=fred200.n, a=fred200.dense_a(), x_star=c * fred200.x_star,
         y=c * fred200.y, w=fred200.w, label=fred200.label,
     )
     b = _noisy(fred200, 0.1, 7)

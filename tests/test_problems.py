@@ -61,8 +61,8 @@ def test_kernel_broadcasts():
 def test_fredholm_first_row_is_zero():
     # t_1 = 0 and kappa(0, s) = 0
     inst = build_fredholm(2)
-    assert inst.a[0, 0] == 0.0
-    assert np.all(inst.a[0] == 0.0)
+    assert inst.dense_a()[0, 0] == 0.0
+    assert np.all(inst.dense_a()[0] == 0.0)
 
 
 def test_fredholm_x_star_at_quarter_point():
@@ -74,10 +74,11 @@ def test_fredholm_x_star_at_quarter_point():
 def test_fredholm_consistency():
     inst = build_fredholm(64)
     assert inst.n == 64
-    assert inst.a.shape == (64, 64)
+    assert inst.a is None
+    assert inst.dense_a().shape == (64, 64)
     assert inst.w.kind == "identity"
     assert inst.label == "fredholm"
-    assert np.allclose(inst.y, inst.a @ inst.x_star, rtol=0, atol=1e-15)
+    assert np.allclose(inst.y, inst.dense_a() @ inst.x_star, rtol=0, atol=1e-15)
 
 
 def test_fredholm_scaled_data_norm():
@@ -104,13 +105,13 @@ def test_blur_row_sums_and_exact_data():
     inst = build_blur(8, 2.0)
     assert inst.n == 64
     assert inst.label == "blur"
-    assert np.all(inst.a.sum(axis=1) <= 1.0 + 1e-12)
-    assert np.linalg.norm(inst.y - inst.a @ inst.x_star) <= 1e-12
+    assert np.all(inst.dense_a().sum(axis=1) <= 1.0 + 1e-12)
+    assert np.linalg.norm(inst.y - inst.dense_a() @ inst.x_star) <= 1e-12
 
 
 def test_blur_narrow_psf_is_near_identity():
     inst = build_blur(10, 1e-3)
-    assert np.all(np.diag(inst.a) >= 0.99)
+    assert np.all(np.diag(inst.dense_a()) >= 0.99)
 
 
 def test_blur_subnormal_width_gives_identity_without_warnings():
@@ -286,7 +287,8 @@ def test_prob_roundtrip_identity_weight(tmp_path, fred20):
     assert back.n == fred20.n
     assert back.label == fred20.label
     assert back.w.kind == "identity"
-    assert np.array_equal(back.a, fred20.a)
+    assert back.a is None          # the stored A is the kernel fill, so it is dropped
+    assert np.array_equal(back.dense_a(), fred20.dense_a())
     assert np.array_equal(back.x_star, fred20.x_star)
     assert np.array_equal(back.y, fred20.y)
 
@@ -303,7 +305,7 @@ def test_prob_roundtrip_explicit_weight(tmp_path, rng):
     back = load_problem(str(path))
     assert back.w.kind == "explicit"
     assert np.array_equal(back.w.matrix, inst.w.matrix)
-    assert np.array_equal(back.a, a)
+    assert np.array_equal(back.dense_a(), a)
 
 
 def test_prob_rejects_garbage(tmp_path):
@@ -323,7 +325,7 @@ def test_noise_sigma_is_add_noise_sigma(fred100):
 def saved_blobs(tmp_path_factory):
     """Bytes of a small saved instance, with identity and with explicit weight."""
     inst = build_fredholm(6)
-    weighted = ProblemInstance(n=inst.n, a=inst.a, x_star=inst.x_star, y=inst.y,
+    weighted = ProblemInstance(n=inst.n, a=inst.dense_a(), x_star=inst.x_star, y=inst.y,
                                w=WeightSpec.explicit(2.0 * np.eye(inst.n)), label="w")
     blobs = []
     for each in (inst, weighted):
@@ -374,7 +376,7 @@ def test_prob_with_nonfinite_entry_rejected(tmp_path, field, index, bad):
     inst = build_fredholm(8)
     w = WeightSpec.explicit(2.0 * np.eye(8))
     # WeightSpec rejects a non-finite W, so the bad entry goes into its stored copy
-    arrays = {"a": inst.a.copy(), "x_star": inst.x_star.copy(), "y": inst.y.copy(),
+    arrays = {"a": inst.dense_a(), "x_star": inst.x_star.copy(), "y": inst.y.copy(),
               "w": w.matrix}
     arrays[field][index] = bad
     path = tmp_path / "bad.prob"
@@ -396,7 +398,7 @@ def _rewrite_header(path, edit):
 def test_blur_carries_its_kronecker_factor():
     inst = build_blur(6, 1.5)
     assert inst.kron_factor.shape == (6, 6)
-    assert np.array_equal(inst.a, np.kron(inst.kron_factor, inst.kron_factor))
+    assert np.array_equal(inst.dense_a(), np.kron(inst.kron_factor, inst.kron_factor))
 
 
 def test_prob_roundtrip_keeps_kronecker_factor(tmp_path):
@@ -405,7 +407,8 @@ def test_prob_roundtrip_keeps_kronecker_factor(tmp_path):
     save_problem(inst, str(path))
     back = load_problem(str(path))
     assert np.array_equal(back.kron_factor, inst.kron_factor)
-    assert np.array_equal(back.a, inst.a)
+    assert back.a is None
+    assert np.array_equal(back.dense_a(), inst.dense_a())
     dec, dec_back = decompose(inst), decompose(back)
     assert dec_back.m == dec.m
     assert vars(dec_back).keys() == vars(dec).keys()
@@ -417,7 +420,7 @@ def test_prob_arrays_unchanged_by_kronecker_header(tmp_path):
     inst = build_blur(8, 2.0)
     with_key, without_key = tmp_path / "k.prob", tmp_path / "d.prob"
     save_problem(inst, str(with_key))
-    save_problem(dataclasses.replace(inst, kron_factor=None, a=inst.a), str(without_key))
+    save_problem(dataclasses.replace(inst, kron_factor=None, a=inst.dense_a()), str(without_key))
     blob_k, blob_d = with_key.read_bytes(), without_key.read_bytes()
     arrays = 8 * (inst.n * inst.n + 2 * inst.n)
     assert blob_k[-arrays:] == blob_d[-arrays:]
@@ -428,10 +431,10 @@ def test_prob_arrays_unchanged_by_kronecker_header(tmp_path):
 def test_prob_without_kronecker_key_loads_on_dense_route(tmp_path):
     inst = build_blur(8, 2.0)
     path = tmp_path / "old.prob"
-    save_problem(dataclasses.replace(inst, kron_factor=None, a=inst.a), str(path))
+    save_problem(dataclasses.replace(inst, kron_factor=None, a=inst.dense_a()), str(path))
     back = load_problem(str(path))
     assert back.kron_factor is None
-    assert np.array_equal(back.a, inst.a)
+    assert np.array_equal(back.dense_a(), inst.dense_a())
 
 
 def test_prob_a_one_ulp_off_its_kronecker_factor_rejected(tmp_path):
@@ -448,9 +451,13 @@ def test_prob_a_one_ulp_off_its_kronecker_factor_rejected(tmp_path):
 
 
 def test_instance_a_not_kronecker_of_its_factor_rejected():
+    # an instance holds an explicit A or a factor, never both, even when the
+    # A is kron(T, T) itself; a file's A is checked against its factor by
+    # load_problem (test_prob_a_one_ulp_off_its_kronecker_factor_rejected)
     inst = build_blur(6, 1.5)
-    with pytest.raises(DomainError):
-        dataclasses.replace(inst, kron_factor=inst.kron_factor.T + 1e-3)
+    for a in (inst.dense_a(), inst.dense_a() + 1e-3):
+        with pytest.raises(DomainError, match="not both"):
+            dataclasses.replace(inst, a=a)
 
 
 @pytest.mark.parametrize("factor", [
@@ -520,34 +527,77 @@ def test_blur_rejects_a_psf_width_that_is_not_finite(psf_width):
             build_blur(8, psf_width)
 
 
-def test_built_fredholm_instance_never_holds_its_dense_a():
-    # one n x n array at n = 4000 is 128 MB; the build, the decomposition and
-    # a solve together stay well below it
+def _traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn() runs, and fn's result."""
     tracemalloc.start()
     try:
-        inst = build_fredholm(4000)
-        spectral_solver(decompose(inst), inst, inst.y)(1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 4000**2 / 2
+
+
+def test_built_fredholm_instance_never_holds_its_dense_a():
+    # the build, the decomposition and a solve together take O(n) memory:
+    # fewer than 64 length-n vectors, where one n x n array is 4000 of them
+    def run():
+        inst = build_fredholm(4000)
+        spectral_solver(decompose(inst), inst, inst.y)(1e-6)
+
+    assert _traced_peak(run)[0] < 64 * 8 * 4000
 
 
 def test_built_blur_instance_never_holds_its_dense_a():
-    # the build forms kron(T, T) once, for y, and frees it; the instance it
-    # leaves, the decomposition and a solve stay well below one n x n array
-    dense = 8 * (40 * 40) ** 2
-    tracemalloc.start()
-    try:
-        inst = build_blur(40, 2.0)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        spectral_solver(decompose(inst), inst, inst.y)(1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert held < dense / 10
-    assert peak < dense / 10
+    # the build, the decomposition and a solve each stay well below one n x n
+    # array (104 MB at side 60)
+    dense = 8 * (60 * 60) ** 2
+    build_peak, inst = _traced_peak(lambda: build_blur(60, 2.0))
+    solve_peak, _ = _traced_peak(lambda: spectral_solver(decompose(inst), inst, inst.y)(1e-6))
+    assert build_peak < dense / 100
+    assert solve_peak < dense / 10
+
+
+@pytest.mark.parametrize("build", [lambda: build_fredholm(4000), lambda: build_blur(60, 2.0)],
+                         ids=["fredholm", "blur"])
+def test_replacing_a_field_of_a_built_instance_builds_no_dense_a(build):
+    inst = build()
+    peak, copy = _traced_peak(lambda: dataclasses.replace(inst, label="x"))
+    assert copy.a is None
+    assert peak < 64 * 8 * inst.n
+
+
+@pytest.mark.parametrize("build", [lambda: build_fredholm(2000), lambda: build_blur(48, 2.0)],
+                         ids=["fredholm", "blur"])
+def test_save_problem_writes_a_structured_a_without_assembling_it(tmp_path, build):
+    # the file holds the whole A, written one block of rows at a time
+    inst = build()
+    path = tmp_path / "s.prob"
+    peak, _ = _traced_peak(lambda: save_problem(inst, str(path)))
+    assert peak < 8 * inst.n**2 / 4
+    assert np.array_equal(load_problem(str(path)).dense_a(), inst.dense_a())
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513, 2000])
+def test_fredholm_y_from_prefix_sums_is_the_dense_product(n):
+    inst = build_fredholm(n)
+    want = inst.dense_a() @ inst.x_star
+    assert np.linalg.norm(inst.y - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("side", [4, 5, 20, 48])
+def test_blur_y_from_the_factor_is_the_dense_product(side):
+    inst = build_blur(side, 2.0)
+    want = inst.dense_a() @ inst.x_star
+    assert np.linalg.norm(inst.y - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_builds_read_no_row_block(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("the build read a block of the dense A")
+
+    monkeypatch.setattr("tikhreg.problems._row_blocks", no_blocks)
+    build_fredholm(300)
+    build_blur(20, 2.0)
 
 
 def test_decompose_of_a_built_fredholm_instance_fills_no_kernel(monkeypatch):

@@ -85,7 +85,7 @@ def test_images_orthogonal_with_rho_norms(seed):
 def test_a_psi_cached_consistently():
     inst = _random_instance(4, 10)
     dec = decompose(inst)
-    assert np.allclose(dec.a_psi, inst.a @ dec.psi, atol=1e-13)
+    assert np.allclose(dec.a_psi, inst.dense_a() @ dec.psi, atol=1e-13)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -97,7 +97,7 @@ def test_parseval_identity(seed):
     gen = np.random.Generator(np.random.Philox(key=seed ^ 0xABCD))
     u = gen.standard_normal(9)
     coeffs = dec.psi.T @ inst.w.apply(u)
-    lhs = float(np.linalg.norm(inst.a @ u) ** 2)
+    lhs = float(np.linalg.norm(inst.dense_a() @ u) ** 2)
     rhs = float(np.sum(dec.rho * coeffs**2))
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
@@ -249,7 +249,7 @@ def test_error_filter_matches_direct_solve_errors(seed, lam):
     for j in range(b.shape[1]):
         err = solve_direct(inst, b[:, j], lam).x - inst.x_star
         _, out_sq, b_sq = errors(dec.a_psi.T @ b[:, j], lam)
-        assert out_sq == pytest.approx(np.linalg.norm(inst.a @ err) ** 2, rel=1e-8)
+        assert out_sq == pytest.approx(np.linalg.norm(inst.dense_a() @ err) ** 2, rel=1e-8)
         assert b_sq == pytest.approx(b_seminorm_sq(dec, err, inst.w), rel=1e-8)
 
 
@@ -275,16 +275,17 @@ def test_error_filter_batch_matches_single_columns(seed):
 def test_kronecker_route_matches_dense_route(side, psf_width):
     inst = build_blur(side, psf_width)
     n, eps = inst.n, np.finfo(np.float64).eps
+    a = inst.dense_a()
     kron = decompose(inst)
-    dense = decompose(dataclasses.replace(inst, kron_factor=None, a=inst.a))
+    dense = decompose(dataclasses.replace(inst, kron_factor=None, a=a))
     assert kron.m == dense.m
     assert np.max(np.abs(kron.rho - dense.rho)) <= n * eps * dense.rho[0]
     psi, a_psi = kron.basis()
     assert np.max(np.abs(psi.T @ psi - np.eye(kron.m))) <= 1e-13
-    gram = inst.a.T @ inst.a
+    gram = a.T @ a
     residuals = np.linalg.norm(gram @ psi - psi * kron.rho, axis=0)
     assert np.max(residuals) <= 1e-13 * kron.rho[0]
-    assert np.max(np.abs(a_psi - inst.a @ psi)) <= 1e-13
+    assert np.max(np.abs(a_psi - a @ psi)) <= 1e-13
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-2, 1.0):
         x = solve_spectral(kron, inst, b, lam).x
@@ -314,7 +315,7 @@ def test_kronecker_route_not_taken_with_explicit_weight():
     w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, inst.n)))
     weighted = dataclasses.replace(inst, w=w)
     dec = decompose(weighted)
-    reference = decompose(dataclasses.replace(weighted, kron_factor=None, a=inst.a))
+    reference = decompose(dataclasses.replace(weighted, kron_factor=None, a=inst.dense_a()))
     assert np.array_equal(dec.rho, reference.rho)
     assert np.array_equal(dec.psi, reference.psi)
 
@@ -329,7 +330,7 @@ def test_sine_route_matches_dense_route(n):
     psi, a_psi = sine.basis()
     assert np.max(np.abs(psi.T @ psi - np.eye(sine.m))) <= 1e-13
     sigma_1 = np.sqrt(sine.rho[0])
-    assert np.linalg.norm(inst.a @ psi - a_psi) <= 1e-12 * sigma_1
+    assert np.linalg.norm(inst.dense_a() @ psi - a_psi) <= 1e-12 * sigma_1
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-6, 1e-2, 1.0):
         x = solve_spectral(sine, inst, b, lam).x
@@ -344,7 +345,7 @@ def test_sine_route_spectrum_matches_singular_values():
     # forming A^T A costs the dense route ~1e-5 relative on these modes
     inst = build_fredholm(2000)
     dec = decompose(inst)
-    sv_sq = np.linalg.svd(inst.a, compute_uv=False)[:dec.m] ** 2
+    sv_sq = np.linalg.svd(inst.dense_a(), compute_uv=False)[:dec.m] ** 2
     assert np.max(np.abs(dec.rho - sv_sq) / sv_sq) <= 1e-9
 
 
@@ -368,7 +369,7 @@ def test_fredholm_instance_takes_sine_route(monkeypatch):
 
 def test_a_one_ulp_off_the_kernel_fill_takes_dense_route():
     inst = build_fredholm(300)                  # the bad entry sits in the second row block
-    a = inst.a.copy()
+    a = inst.dense_a()
     a[290, 7] = np.nextafter(a[290, 7], np.inf)
     off = dataclasses.replace(inst, a=a)
     dec, reference = decompose(off), _dense_decompose(off)
