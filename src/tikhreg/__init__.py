@@ -2,9 +2,9 @@
 
 Library layout:
 
-- linalg: SPD solves, symmetric eigendecomposition, weighted inner products
+- linalg: SPD solves, weight matrices, weighted inner products
 - problems: Fredholm and blur test problems, noise model, .prob round-trip
-- spectral: generalized eigendecomposition, decay-exponent fit, B-seminorm
+- spectral: generalized eigenpairs from one SVD, decay-exponent fit, B-seminorm
 - tikhonov: spectral solver, normal-equations reference, error functionals
 - params: a-priori parameter rules and the adaptive fixed-point iteration
 - harness: sweep / Monte Carlo / concentration / table experiment drivers
@@ -30,7 +30,6 @@ from .errors import (
 from .linalg import (
     WeightSpec,
     spd_solve,
-    sym_eig,
     symmetrize,
     w_inner,
     w_norm,
@@ -63,7 +62,6 @@ from .tikhonov import (
     RegularizedSolution,
     error_report,
     solve_direct,
-    solve_spectral,
     spectral_solver,
 )
 from .params import (

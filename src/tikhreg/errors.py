@@ -18,7 +18,7 @@ class NotSPD(TikhregError):
 
 
 class ConvergenceFailure(TikhregError):
-    """An iterative eigensolver did not converge within its budget."""
+    """The SVD of a spectral route did not converge."""
 
 
 class DomainError(TikhregError):

@@ -1,14 +1,15 @@
 """Dense symmetric linear algebra primitives.
 
-SPD solves, symmetric eigendecomposition and weighted inner products, used
+SPD solves, the weight matrix descriptor and weighted inner products, used
 everywhere else in the package. Everything is real64 and operates on plain
 numpy arrays (row-major); inputs are never mutated. The LAPACK routines
-behind them (potrf, syevd, gesv) are reached through np.linalg alone.
+behind them (potrf, gesv) are reached through np.linalg alone; the one
+factorization of the spectral routes, an SVD, is spectral's.
 """
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotSPD, NotSymmetric
+from .errors import DimensionMismatch, NotSPD, NotSymmetric
 
 # Relative asymmetry tolerated before a matrix is rejected outright.
 SYM_RTOL = 1e-12
@@ -79,39 +80,6 @@ def spd_solve(m, rhs):
     except np.linalg.LinAlgError as exc:
         raise NotSPD(str(exc)) from exc
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-
-
-def sym_eig(m):
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    m : ndarray, shape (k, k)
-        Symmetric to within 1e-12 relative; symmetrized internally.
-
-    Returns
-    -------
-    vals : ndarray, shape (k,)
-        Eigenvalues in descending order.
-    vecs : ndarray, shape (k, k)
-        Orthonormal eigenvectors; column j pairs with vals[j].
-
-    Both are reversed views of the solver's ascending output, not copies; the
-    input is left unchanged.
-
-    Raises
-    ------
-    ConvergenceFailure
-        If the underlying solver fails to converge.
-    """
-    # rebinding m releases a caller's temporary before the solve starts
-    m = symmetrize(m)
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    # eigh returns ascending order; reverse (stable, deterministic under ties)
-    return vals[::-1], vecs[:, ::-1]
 
 
 class WeightSpec:

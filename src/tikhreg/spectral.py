@@ -1,17 +1,18 @@
 """Generalized eigendecomposition, spectral-decay fitting, and the B-seminorm.
 
-The decomposition solves A^T A psi = rho W psi by whitening: with W = L L^T,
-the symmetric matrix L^{-1} A^T A L^{-T} is eigendecomposed and the
-eigenvectors are mapped back through psi = L^{-T} z, which makes the psi_k
-W-orthonormal and (A psi_i, A psi_j) = rho_i delta_ij. For W = identity this
-reduces to an ordinary eigendecomposition of A^T A.
+The decomposition solves A^T A psi = rho W psi without forming A^T A, whose
+condition number is the square of A's: with W = L L^T and B = A L^{-T}, the
+SVD B^T = L^{-1} A^T = U S V^T gives rho = s^2, psi = L^{-T} U and
+A psi = B U = V S, which makes the psi_k W-orthonormal and
+(A psi_i, A psi_j) = rho_i delta_ij. For W = identity this is the SVD of A^T.
 
 Kronecker route. For W = identity and an instance with a Kronecker factor
-(A = kron(T, T), the blur family), A^T A = kron(T^T T, T^T T), so with
-T^T T v_i = mu_i v_i the eigenpairs are rho = mu_i mu_j with
-psi = kron(v_i, v_j) and A psi = kron(T v_i, T v_j). Only the side x side
-matrix T^T T is eigensolved (sym_eig, as on the dense route), and the basis
-is never formed: for u = vec(U), U side x side and row-major,
+(A = kron(T, T), the blur family), the SVD T = U S V^T gives
+A = kron(U, U) kron(S, S) kron(V, V)^T (Kamm and Nagy, LAA 284, 1998), so
+with mu = s^2 the eigenpairs are rho = mu_i mu_j with psi = kron(v_i, v_j)
+and A psi = kron(T v_i, T v_j), T V = U S. Only the side x side T is
+factored, by the same SVD call as the dense route, and the basis is never
+formed: for u = vec(U), U side x side and row-major,
 (u, kron(f_i, f_j)) = (F^T U F)[i, j], so a projection is two side x side
 products and a gather at the index pairs (i_k, j_k), and an expansion
 scatters c into a side x side C and returns vec(V C V^T) and
@@ -32,15 +33,14 @@ zero row of t = 1 appended, therefore gives n^2 D A = -1/2 E, with E the
 (n-1) x n bidiagonal of ones. So rows 2..n of A are -1/2 n^-2 T^-1 E with
 T = tridiag(1, -2, 1), and T and E E^T = tridiag(1, 2, 1) are both functions
 of tridiag(1, 0, 1), whose eigenvectors are the sines sin(j k pi / n).
-Nothing is eigensolved, no Gram matrix is formed and the basis is never
+Nothing is factored, no Gram matrix is formed and the basis is never
 stored. Bin k of the length-2n real FFT of v is sum_j v_j e^{-i j k pi/n},
 so minus its imaginary part is the sine sum of (v, A psi_k) / (sigma_k
 sqrt(2/n)); with the half-sample phase e^{-i k pi/(2n)} applied first it is
 the DST-II sum of (u, psi_k). Expansions are the matching inverse transform.
-So a projection or an expansion costs O(n log n), the decomposition keeps
-rho, sigma and n, and rho keeps the relative accuracy that forming A^T A
-loses: at n = 2000, rho_1100 is within 1e-12 of svdvals(A)^2 on this route
-and 1.5e-5 off on the dense one.
+So a projection or an expansion costs O(n log n), and the decomposition
+keeps rho, sigma and n. At n = 2000 every retained rho_k of this route is
+within 5e-12 relative of the dense route's, which takes the SVD of A itself.
 
 The route follows the instance's fields and nothing is compared here: an
 instance with no explicit A (instance.a is None) is the kernel fill or, with
@@ -56,18 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
-from .linalg import sym_eig
+from .errors import ConvergenceFailure, DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
 
-# Eigenvalues are kept only while rho_k > n * eps * rho_1. The dense route
-# eigensolves the Gram matrix with a backward-stable solver, so each computed
-# rho_k carries an absolute error of order n * eps * ||A^T A|| = n * eps * rho_1;
-# below that level a computed rho_k has no correct digit (it may come out
-# negative) and cannot be told from rank deficiency, such as the null mode of
-# the Fredholm A, whose row 0 is zero. The Kronecker and sine routes compute
-# rho more accurately but apply the same threshold, so that every route keeps
-# the same modes: the sine route keeps m = 59, 489 and 1117 at n = 60, 500 and
-# 2000, as the dense route does.
+# Eigenvalues are kept only while rho_k > n * eps * rho_1. No route loses
+# precision near that level, since none forms A^T A: the threshold is a fixed
+# policy, not a precision floor. It drops the null mode of the Fredholm A
+# (row 0 is zero) and keeps the same modes on every route: m = 59, 489 and
+# 1117 at n = 60, 500 and 2000 on the sine and dense routes, and 1394 for
+# blur side 48 on the Kronecker and dense routes.
 _EPS = float(np.finfo(np.float64).eps)
 
 # Log-log fit window: ranks 6 .. min(400, floor(m/2)), at least two points.
@@ -186,16 +182,17 @@ class SineDecomposition:
 
 @dataclass
 class KroneckerDecomposition:
-    """Eigenpairs of kron(T^T T, T^T T) kept as side x side factors.
+    """Generalized eigenpairs of A = kron(T, T), W = I, kept as side x side factors.
 
     Mode k is psi_k = kron(v[:, i_k], v[:, j_k]) with A psi_k =
-    kron(tv[:, i_k], tv[:, j_k]), tv = T v. A vector of length n = side^2 is a
-    row-major side x side image U, and (u, kron(f_i, f_j)) = (F^T U F)[i, j].
+    kron(tv[:, i_k], tv[:, j_k]), where T = U S V^T, v = V and tv = T V = U S.
+    A vector of length n = side^2 is a row-major side x side image U, and
+    (u, kron(f_i, f_j)) = (F^T U F)[i, j].
     """
 
     rho: np.ndarray        # (m,) descending, > 0
-    v: np.ndarray          # (side, side) eigenvectors of T^T T, mu descending
-    tv: np.ndarray         # (side, side) T @ v
+    v: np.ndarray          # (side, side) right singular vectors of T, s descending
+    tv: np.ndarray         # (side, side) T @ v = U S
     i: np.ndarray          # (m,) row factor index of each mode
     j: np.ndarray          # (m,) column factor index of each mode
 
@@ -249,13 +246,12 @@ class AlphaFit:
     residual_rms: float
 
 
-def _whitened_gram(a, chol):
-    # A^T A, or L^{-1} A^T A L^{-T} for W = L L^T; psi = L^{-T} z maps back
-    if chol is None:
-        return a.T @ a
-    # B^T = L^{-1} A^T, so B^T (B^T)^T is the whitened Gram matrix, exactly symmetric
-    bt = np.linalg.solve(chol, a.T)
-    return bt @ bt.T
+def _svd(m):
+    # the one factorization of every route that factors an operator
+    try:
+        return np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def _retained(rho, n):
@@ -265,19 +261,17 @@ def _retained(rho, n):
 
 
 def _kron_decompose(instance):
-    # eigenpairs of kron(T^T T, T^T T) from those of T^T T; the stable sort
-    # keeps tied products (mu_i mu_j = mu_j mu_i) in index order
+    # T = U S V^T gives mu = s^2, V and T V = U S; the stable sort keeps tied
+    # products (mu_i mu_j = mu_j mu_i) in index order
     t = instance.kron_factor
     side = t.shape[0]
-    mu, v = sym_eig(t.T @ t)
-    mu = np.maximum(mu, 0.0)
-    v = np.ascontiguousarray(v)
-    rho = np.outer(mu, mu).ravel()
+    u, s, vt = _svd(t)
+    rho = np.outer(s**2, s**2).ravel()
     order = np.argsort(-rho, kind="stable")
     rho = rho[order]
     m = _retained(rho, instance.n)
     i, j = np.divmod(order[:m], side)
-    return KroneckerDecomposition(rho=rho[:m], v=v, tv=t @ v, i=i, j=j)
+    return KroneckerDecomposition(rho=rho[:m], v=np.ascontiguousarray(vt.T), tv=u * s, i=i, j=j)
 
 
 def _sine_decompose(instance):
@@ -294,7 +288,7 @@ def _sine_decompose(instance):
 
 
 def decompose(instance):
-    """Eigendecompose (A^T A, W) and retain the numerically positive part.
+    """Generalized eigenpairs of (A^T A, W) from one SVD (none on the sine route).
 
     Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity and
     instance.a None, an instance with a Kronecker factor takes the Kronecker
@@ -308,21 +302,20 @@ def decompose(instance):
 
 
 def _dense_decompose(instance):
-    # the reference route; A is read once (assembled here unless the instance
-    # holds an explicit one) and no reference to the whitened Gram matrix is
-    # kept, so during the eigensolve the only n x n arrays alive besides A are
-    # sym_eig's symmetric copy, the Fortran-ordered copy np.linalg.eigh hands
-    # to LAPACK, and the eigenvectors
-    a = instance.dense_a()
+    # the reference route: B^T = L^{-1} A^T (A^T for W = I) = U S V^T, so
+    # rho = s^2, psi = L^{-T} U and A psi = V S; A is read once (assembled
+    # here unless the instance holds an explicit one), and rebinding bt frees
+    # an assembled A before the SVD when W is explicit
     chol = instance.w.chol_lower
-    vals, vecs = sym_eig(_whitened_gram(a, chol))
-    vals = np.maximum(vals, 0.0)
-    m = _retained(vals, instance.n)
-    rho = vals[:m].copy()
-    z = vecs[:, :m]
-    psi = z.copy() if chol is None else np.linalg.solve(chol.T, z)
-    a_psi = a @ psi
-    return SpectralDecomposition(rho=rho, psi=psi, a_psi=a_psi)
+    bt = instance.dense_a().T
+    if chol is not None:
+        bt = np.linalg.solve(chol, bt)
+    u, s, vt = _svd(bt)
+    rho = s**2
+    m = _retained(rho, instance.n)
+    u = u[:, :m]
+    psi = u.copy() if chol is None else np.linalg.solve(chol.T, u)
+    return SpectralDecomposition(rho=rho[:m], psi=psi, a_psi=vt[:m].T * s[:m])
 
 
 def _envelope(c_upper, alpha_hat, ks):

@@ -92,11 +92,6 @@ def solve_direct(instance, b, lam):
     return _solution(instance, b, lam, x, a @ x)
 
 
-def solve_spectral(decomp, instance, b, lam):
-    """One-call form of spectral_solver(decomp, instance, b)(lam)."""
-    return spectral_solver(decomp, instance, b)(lam)
-
-
 def error_report(instance, sol, b):
     """Relative errors of a solution in x, A x and the residual, and the scaled
     output error n^{-1/2} ||A x - A x*||, all against the instance's truth.

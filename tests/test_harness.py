@@ -26,7 +26,6 @@ from tikhreg import (
     run_sweep,
     run_table,
     solve_direct,
-    solve_spectral,
     standard_normal,
     stream_seed,
 )
@@ -167,7 +166,7 @@ def test_montecarlo_means_match_per_rep_solves():
     for rep in range(reps):
         seed = stream_seed(master, n, delta, rep)
         b = inst.y + sigma * standard_normal(seed, n)
-        sol = solve_spectral(dec, inst, b, lam)
+        sol = spectral_solver(dec, inst, b)(lam)
         outs.append(np.linalg.norm(inst.dense_a() @ sol.x - inst.y) / math.sqrt(n))
         bs.append(math.sqrt(b_seminorm_sq(dec, sol.x - inst.x_star, inst.w) / n))
     assert cell.mean_scaled_output == pytest.approx(np.mean(outs), rel=1e-9)
@@ -257,7 +256,7 @@ def test_study_samples_are_scaled_output_errors(fred100):
     sigma = 0.05 * np.linalg.norm(fred100.y) / math.sqrt(100)
     seed = stream_seed(5, 100, 0.05, 0)
     b = fred100.y + sigma * standard_normal(seed, 100)
-    sol = solve_spectral(dec, fred100, b, 1e-6)
+    sol = spectral_solver(dec, fred100, b)(1e-6)
     want = np.linalg.norm(fred100.dense_a() @ sol.x - fred100.y) / math.sqrt(100)
     assert s.samples[0] == pytest.approx(want, rel=1e-8)
 

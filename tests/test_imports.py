@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, no module
-imports scipy or a `_`-prefixed name of `problems`, and only `spectral` reads
-the basis arrays `psi` and `a_psi`."""
+imports scipy or a `_`-prefixed name of `problems` or calls `np.linalg.eigh`,
+and only `spectral` reads the basis arrays `psi` and `a_psi`."""
 
 import ast
 import os
@@ -100,3 +100,28 @@ def test_check_flags_a_private_problems_import():
                      "from tikhreg.problems import _BLOCK_ROWS as rows\n"
                      "from .spectral import _check_lambda\nfrom . import problems\n")
     assert _private_problems_imports(tree) == [(1, "_kernel_blocks"), (2, "_BLOCK_ROWS")]
+
+
+def _eigh_uses(tree):
+    # np.linalg.eigh, numpy.linalg.eigh or `from numpy.linalg import eigh`
+    found = [(node.lineno, "eigh") for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "eigh"]
+    found += [(node.lineno, "eigh") for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name == "eigh"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_calls_eigh(module):
+    # every route factors A (or T) by one SVD; an eigensolve of a Gram matrix
+    # would square the condition number again
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _eigh_uses(tree) == []
+
+
+def test_check_flags_an_eigh_call():
+    tree = ast.parse("import numpy as np\nimport numpy\nu, s, vt = np.linalg.svd(a)\n"
+                     "vals, vecs = np.linalg.eigh(a.T @ a)\nnumpy.linalg.eigh(g)\n"
+                     "from numpy.linalg import eigh as e\n")
+    assert _eigh_uses(tree) == [(4, "eigh"), (5, "eigh"), (6, "eigh")]

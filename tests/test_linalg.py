@@ -9,7 +9,6 @@ from tikhreg import (
     NotSymmetric,
     WeightSpec,
     spd_solve,
-    sym_eig,
     symmetrize,
     w_inner,
     w_norm,
@@ -46,28 +45,6 @@ def test_symmetrize_averages_roundoff():
     m = np.array([[1.0, 0.5 + 1e-15], [0.5, 2.0]])
     out = symmetrize(m)
     assert np.array_equal(out, out.T)
-
-
-def test_sym_eig_diagonal_descending():
-    vals, _ = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(vals, [3.0, 2.0, 1.0])
-
-
-def test_sym_eig_2x2_exchange():
-    vals, vecs = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [1.0, -1.0])
-    # eigenvectors defined up to sign
-    for k, target in enumerate([[1.0, 1.0], [1.0, -1.0]]):
-        t = np.array(target) / np.sqrt(2.0)
-        assert min(np.linalg.norm(vecs[:, k] - t), np.linalg.norm(vecs[:, k] + t)) < 1e-14
-
-
-def test_sym_eig_reconstructs_random_symmetric(rng):
-    m = rng.standard_normal((10, 10))
-    m = m + m.T
-    vals, vecs = sym_eig(m)
-    rebuilt = (vecs * vals) @ vecs.T
-    assert np.linalg.norm(rebuilt - m) <= 1e-9 * np.linalg.norm(m)
 
 
 def test_w_inner_identity_cases():
@@ -127,12 +104,3 @@ def test_spd_solve_inverts_random_spd(n, seed):
     m = l @ l.T + 0.5 * np.eye(n)
     x = gen.standard_normal(n)
     assert np.allclose(spd_solve(m, m @ x), x, rtol=1e-9, atol=1e-9)
-
-
-def test_sym_eig_leaves_argument_unchanged(rng):
-    m = rng.standard_normal((12, 12))
-    m = m + m.T
-    for arg in (m, np.asfortranarray(m), m.T):
-        before = arg.copy()
-        sym_eig(arg)
-        assert np.array_equal(arg, before)

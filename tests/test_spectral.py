@@ -20,9 +20,8 @@ from tikhreg import (
     error_filter,
     fit_alpha,
     solve_direct,
-    solve_spectral,
+    spectral_solver,
     spectrum_rows,
-    sym_eig,
 )
 from tikhreg.spectral import KroneckerDecomposition, SineDecomposition, _dense_decompose
 
@@ -71,6 +70,9 @@ def test_w_orthonormal_eigenvectors(seed, explicit_w):
     dec = decompose(inst)
     gram_w = dec.psi.T @ inst.w.apply(dec.psi)
     assert np.allclose(gram_w, np.eye(dec.m), atol=1e-10)
+    # the decomposition satisfies its own equation ||A psi_k||^2 = rho_k
+    a_psi_sq = np.sum((inst.dense_a() @ dec.psi) ** 2, axis=0)
+    assert np.max(np.abs(a_psi_sq / dec.rho - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [2, 3])
@@ -215,11 +217,11 @@ def test_b_seminorm_matches_matrix_power_oracle(rng):
     inst = _instance(a, WeightSpec.explicit(wmat))
     dec = decompose(inst)
 
-    wvals, wvecs = sym_eig(wmat)
+    wvals, wvecs = np.linalg.eigh(wmat)
     w_half = (wvecs * np.sqrt(wvals)) @ wvecs.T
     w_ihalf = (wvecs / np.sqrt(wvals)) @ wvecs.T
     s = w_ihalf @ (a.T @ a) @ w_ihalf
-    svals, svecs = sym_eig((s + s.T) / 2.0)
+    svals, svecs = np.linalg.eigh((s + s.T) / 2.0)
     svals = np.clip(svals, 0.0, None)
     s_quarter = (svecs * svals**0.25) @ svecs.T
 
@@ -280,16 +282,18 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
     dense = decompose(dataclasses.replace(inst, kron_factor=None, a=a))
     assert kron.m == dense.m
     assert np.max(np.abs(kron.rho - dense.rho)) <= n * eps * dense.rho[0]
+    assert np.max(np.abs(dense.rho / kron.rho - 1.0)) <= 1e-9
     psi, a_psi = kron.basis()
     assert np.max(np.abs(psi.T @ psi - np.eye(kron.m))) <= 1e-13
+    assert np.max(np.abs(np.sum((a @ psi) ** 2, axis=0) / kron.rho - 1.0)) <= 1e-9
     gram = a.T @ a
     residuals = np.linalg.norm(gram @ psi - psi * kron.rho, axis=0)
     assert np.max(residuals) <= 1e-13 * kron.rho[0]
     assert np.max(np.abs(a_psi - a @ psi)) <= 1e-13
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-2, 1.0):
-        x = solve_spectral(kron, inst, b, lam).x
-        x_dense = solve_spectral(dense, inst, b, lam).x
+        x = spectral_solver(kron, inst, b)(lam).x
+        x_dense = spectral_solver(dense, inst, b)(lam).x
         assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         if psf_width == 0.7:      # full rank: every mode retained, so x is exact
             assert kron.m == n
@@ -298,13 +302,13 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
 
 
 def test_kronecker_eigensolve_failure_is_a_convergence_failure(monkeypatch):
-    # the Kronecker route and the dense route share one eigensolver call
+    # the Kronecker route and the dense route share one SVD call
     insts = [build_blur(6, 1.0), _random_instance(3, 12, explicit_w=False)]
 
-    def no_convergence(m):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
     for inst in insts:
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             decompose(inst)
@@ -327,14 +331,15 @@ def test_sine_route_matches_dense_route(n):
     dense = _dense_decompose(inst)
     assert sine.m == dense.m
     assert np.all(np.diff(sine.rho) < 0)
+    assert np.max(np.abs(dense.rho / sine.rho - 1.0)) <= 1e-9
     psi, a_psi = sine.basis()
     assert np.max(np.abs(psi.T @ psi - np.eye(sine.m))) <= 1e-13
     sigma_1 = np.sqrt(sine.rho[0])
     assert np.linalg.norm(inst.dense_a() @ psi - a_psi) <= 1e-12 * sigma_1
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-6, 1e-2, 1.0):
-        x = solve_spectral(sine, inst, b, lam).x
-        x_dense = solve_spectral(dense, inst, b, lam).x
+        x = spectral_solver(sine, inst, b)(lam).x
+        x_dense = spectral_solver(dense, inst, b)(lam).x
         assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         if lam >= 1e-2:   # the modes both routes drop no longer move x (n = 500)
             x_direct = solve_direct(inst, b, lam).x
@@ -342,7 +347,7 @@ def test_sine_route_matches_dense_route(n):
 
 
 def test_sine_route_spectrum_matches_singular_values():
-    # forming A^T A costs the dense route ~1e-5 relative on these modes
+    # the closed form against LAPACK's singular values of the assembled A
     inst = build_fredholm(2000)
     dec = decompose(inst)
     sv_sq = np.linalg.svd(inst.dense_a(), compute_uv=False)[:dec.m] ** 2
@@ -360,10 +365,10 @@ def test_sine_route_not_taken_with_explicit_weight():
 
 
 def test_fredholm_instance_takes_sine_route(monkeypatch):
-    def no_eigensolve(_):
-        raise AssertionError("the sine route eigensolves nothing")
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("the sine route factors nothing")
 
-    monkeypatch.setattr("tikhreg.spectral.sym_eig", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "svd", no_factorization)
     assert decompose(build_fredholm(300)).m == 298
 
 
