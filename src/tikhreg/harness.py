@@ -352,6 +352,8 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
 # ===========================================================================
 
 def _fmt(v):
+    if type(v) is float:                   # the common cell, ahead of the isinstance chain
+        return "%.17g" % v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
@@ -362,8 +364,7 @@ def _fmt(v):
 def write_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_json(path, payload):

@@ -33,10 +33,17 @@ bit on some inputs (math.log1p(-u) on about 7 % of uniforms). Derived streams
 of SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}").
 
 Batched draws. ``standard_normal`` also takes a sequence of seeds and returns
-one row per seed, row i equal bit for bit to the one-seed draw. It builds one
-Philox generator per call and re-keys it per row through its state (key
-[seed, 0], counter 0, empty buffer: where Philox(key=seed) starts), so a
-64-rep Monte Carlo batch pays for one construction instead of 64.
+one row per seed, row i equal bit for bit to the one-seed draw. It works in
+two passes. The fill builds one Philox generator per call and re-keys it per
+row through its state (key [seed, 0], counter 0, empty buffer: where
+Philox(key=seed) starts), writing each row's uniforms straight into the
+output block, so a 64-rep Monte Carlo batch pays for one construction
+instead of 64. The transform then runs Box-Muller once over every pair of
+the block, in place, a slab of 8192 pairs at a time: the even column
+becomes r, the odd column theta, and cos(theta) goes to a 64 KB scratch
+that does not grow with the block. Each variate takes the same float64
+operations as a row-by-row draw, so the bits do not depend on the batch; a
+one-seed call is the one-row case of the same code.
 
 Structure. Neither family stores an n x n A or forms one to compute
 y = A x*. Row j of the Fredholm A (0-based, node t_j = j/n) holds
@@ -92,6 +99,9 @@ _PROB_VERSION = 1
 # entries per block of the kernel fill (1 MB of float64), so that
 # greens_kernel's block-sized temporaries stay small and in cache
 _BLOCK_ENTRIES = 1 << 17
+
+# (u1, u2) pairs per Box-Muller slab: 64 KB of cos scratch
+_BOX_MULLER_SLAB = 8192
 
 
 @dataclass
@@ -308,20 +318,30 @@ def standard_normal(seed, count):
                  "has_uint32": 0, "uinteger": 0}
         bitgen = np.random.Philox(key=0)
         gen = np.random.Generator(bitgen)
-        u = np.empty(2 * pairs, dtype=np.float64)
         for row, s in zip(z, seeds):
             s = int(s)
             if not 0 <= s < 2**64:
                 raise DomainError(f"seed {s} does not fit in an unsigned 64-bit integer")
             key[0] = s
             bitgen.state = start
-            gen.random(out=u)
-            u1 = u[0::2]
-            u2 = u[1::2]
-            r = np.sqrt(-2.0 * np.log1p(-u1))     # log(1 - u1), safe at u1 = 0
-            theta = 2.0 * np.pi * u2
-            row[0::2] = r * np.cos(theta)
-            row[1::2] = r * np.sin(theta)
+            gen.random(out=row)
+        # Box-Muller on every (u1, u2) pair of the block in place, one slab of
+        # pairs at a time so that the cos scratch stays 64 KB at any size
+        uv = z.reshape(-1, 2)
+        cos = np.empty(min(len(uv), _BOX_MULLER_SLAB))
+        for lo in range(0, len(uv), _BOX_MULLER_SLAB):
+            slab = uv[lo:lo + _BOX_MULLER_SLAB]
+            r, theta = slab[:, 0], slab[:, 1]
+            c = cos[:len(slab)]
+            np.negative(r, out=r)
+            np.log1p(r, out=r)                    # log(1 - u1), safe at u1 = 0
+            np.multiply(r, -2.0, out=r)
+            np.sqrt(r, out=r)
+            np.multiply(theta, 2.0 * np.pi, out=theta)
+            np.cos(theta, out=c)
+            np.sin(theta, out=theta)
+            np.multiply(r, theta, out=theta)      # z[2k+1] = r sin
+            np.multiply(r, c, out=r)              # z[2k] = r cos
     return z[0, :count] if single else z[:, :count]
 
 

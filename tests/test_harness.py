@@ -369,6 +369,28 @@ def test_write_csv_full_precision(tmp_path):
     assert back == 0.1
 
 
+def _per_cell_fmt(v):
+    # the reference cell format: ints (bool and numpy ints too) as integers,
+    # floats (np.float64 too) with 17 significant digits, anything else by str
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
+
+
+def test_write_csv_bytes_equal_the_per_cell_reference(tmp_path):
+    rows = [
+        (3, np.int64(-7), True, 0.1, np.float64(1.0 / 3.0), math.nan, math.inf, "x"),
+        (-0.0, np.float64(-math.inf), np.float32(0.5), False, 2**70, np.uint64(2**64 - 1), "", 1e-300),
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), list("abcdefgh"), rows)
+    want = "a,b,c,d,e,f,g,h\n" + "".join(",".join(_per_cell_fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
+    assert want.splitlines()[1] == "3,-7,1,0.10000000000000001,0.33333333333333331,nan,inf,x"
+
+
 def test_write_json_sorted_and_newline(tmp_path):
     path = str(tmp_path / "t.json")
     write_json(path, {"zeta": 1, "alpha": 2.5})

@@ -194,6 +194,36 @@ def test_batched_rows_equal_one_seed_draws():
     assert standard_normal([], 5).shape == (0, 5)
 
 
+def _per_row_normals(seed, count):
+    # the reference: one fresh generator per seed and numpy's ufuncs on the
+    # even/odd halves of its uniforms, one row at a time
+    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * ((count + 1) // 2))
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    z = np.empty_like(u)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:count]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 500, 501, 2000])
+def test_batched_block_equals_the_per_row_reference(count):
+    # 64 rows: at count 2000 the block holds 64000 pairs, several transform slabs
+    seeds = [0, 2**64 - 1] + stream_seed(3, 500, 0.01, range(62))
+    block = standard_normal(seeds, count)
+    assert np.array_equal(block, [_per_row_normals(s, count) for s in seeds])
+    assert np.array_equal(standard_normal(seeds[2], count), _per_row_normals(seeds[2], count))
+
+
+def test_batched_draw_holds_only_its_block_and_a_bounded_scratch():
+    # the transform's scratch is one slab, not a temporary the size of the block
+    seeds = stream_seed(7, 2000, 0.01, range(64))
+    standard_normal(seeds[:1], 2)          # numpy.random's lazy import is not the draw's
+    peak, z = _traced_peak(lambda: standard_normal(seeds, 2000))
+    assert peak <= z.nbytes + 128 * 1024
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_standard_normal_rejects_a_seed_outside_64_bits(seed):
     with pytest.raises(DomainError, match="64-bit"):
