@@ -73,11 +73,13 @@ then raw little-endian float64 arrays: A (n*n, row-major), x* (n), y (n), and,
 only when w_kind == "explicit", W (n*n, row-major). A structured A is written
 one block of rows at a time and never assembled. A Kronecker factor goes
 into the header as an optional "kron_factor" key (a list of rows, repr-exact
-floats). ``load_problem``, where an outside A arrives, recognizes it one
-block of rows at a time, stopping at the first block that differs: with a
-"kron_factor" key A must equal kron(T, T) bit for bit, or DomainError is
-raised; without the key an A equal to the kernel fill in every bit is
-dropped, so the instance takes the sine route, and any other A is kept.
+floats). ``load_problem``, where an outside A arrives, streams it through
+one reused buffer a block of rows at a time and compares each block with the
+structure's rows as it is read: with a "kron_factor" key A must equal
+kron(T, T) bit for bit, or DomainError is raised; without the key an A equal
+to the kernel fill in every bit is never held whole, so the instance takes
+the sine route; any other A is allocated at the first block that differs
+and kept. A structured file therefore loads without an n x n array.
 """
 
 import hashlib
@@ -96,8 +98,8 @@ from .linalg import WeightSpec
 _PROB_MAGIC = "prob"
 _PROB_VERSION = 1
 
-# entries per block of the kernel fill (1 MB of float64), so that
-# greens_kernel's block-sized temporaries stay small and in cache
+# entries per block of the kernel fill (1 MB of float64), so that the
+# block and its scratch stay small and in cache
 _BLOCK_ENTRIES = 1 << 17
 
 # (u1, u2) pairs per Box-Muller slab: 64 KB of cos scratch
@@ -132,9 +134,7 @@ class ProblemInstance:
             raise DimensionMismatch(f"A has shape {a.shape}, expected {(self.n, self.n)}")
         if self.x_star.shape != (self.n,) or self.y.shape != (self.n,):
             raise DimensionMismatch("x_star and y must have length n")
-        if t is not None and [d * d for d in np.shape(t)] != [self.n, self.n]:   # (s, s), s^2 = n
-            raise DimensionMismatch(
-                f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {self.n}")
+        _check_factor_shape(t, self.n)
 
     def dense_a(self):
         """A as an (n, n) array: the explicit a, or the structured A assembled afresh."""
@@ -170,10 +170,18 @@ class NoisyData:
     seed: int
 
 
+def _check_factor_shape(t, n):
+    # a Kronecker factor T must be (s, s) with s^2 = n
+    if t is not None and [d * d for d in np.shape(t)] != [n, n]:
+        raise DimensionMismatch(
+            f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {n}")
+
+
 def _check_size_cap(n, what):
     # runs before anything is allocated. A build is O(n) memory; only
-    # dense_a() allocates n^2 (12.8 GB at the cap, for solve_direct and the
-    # dense decomposition), and generate at the cap writes a 12.8 GB .prob
+    # dense_a() (solve_direct and the dense decomposition) and the load of a
+    # .prob whose A fits no structure allocate n^2, 12.8 GB at the cap, and
+    # generate at the cap writes a 12.8 GB .prob
     if n > 40000:
         raise SizeCap(f"{what} exceeds the 40000 cap")
 
@@ -188,10 +196,20 @@ def greens_kernel(t, s):
     s = np.asarray(s, dtype=np.float64)
     if np.any(t < 0) or np.any(t > 1) or np.any(s < 0) or np.any(s > 1):
         raise DomainError("greens_kernel arguments must lie in [0, 1]")
-    out = np.minimum(t, s) * (1.0 - np.maximum(t, s))
+    shape = np.broadcast_shapes(t.shape, s.shape)
+    out = _kernel(t, s, np.empty(shape), np.empty(shape))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _kernel(t, s, out, scratch):
+    # min(t, s) (1 - max(t, s)) into out, through scratch: the caller's two
+    # buffers, so that a fill reusing them across blocks allocates nothing
+    np.minimum(t, s, out=out)
+    np.maximum(t, s, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    return np.multiply(out, scratch, out=out)
 
 
 def _midpoints(n):
@@ -200,19 +218,31 @@ def _midpoints(n):
 
 
 def _row_blocks(n, t=None):
-    # (lo, hi, rows lo..hi-1 of A), never the whole n x n A. With a Kronecker
-    # factor T, block i holds rows i s..(i+1) s - 1 of kron(T, T), row k being
+    # (lo, hi, rows lo..hi-1 of A), never the whole n x n A. Every block is
+    # written into one buffer reused across blocks, so a caller copies, writes
+    # or compares it before asking for the next. With a Kronecker factor T,
+    # block i holds rows i s..(i+1) s - 1 of kron(T, T), row k being
     # kron(T[i], T[k]). Without one, the Fredholm kernel fill comes about
     # _BLOCK_ENTRIES entries at a time
     if t is not None:
         s = t.shape[0]
-        return ((i * s, (i + 1) * s, np.kron(t[i:i + 1], t)) for i in range(s))
+        buf = np.empty((s, s, s))
+        for i in range(s):
+            # entry a s + b of row k is T[k, b] T[i, a], the one product np.kron
+            # forms, without its reshapes and copies
+            np.multiply(t[:, None, :], t[i][None, :, None], out=buf)
+            yield i * s, (i + 1) * s, buf.reshape(s, s * s)
+        return
     s_nodes = _midpoints(n)
     step = max(1, _BLOCK_ENTRIES // n)
-    bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    # row j of A lies at the node j/n
-    return ((lo, hi, greens_kernel(np.arange(lo, hi, dtype=np.float64)[:, None] / n, s_nodes) / n)
-            for lo, hi in bounds)
+    buf, scratch = np.empty((step, n)), np.empty((step, n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # row j of A lies at the node j/n
+        rows = _kernel(np.arange(lo, hi, dtype=np.float64)[:, None] / n, s_nodes,
+                       buf[:hi - lo], scratch[:hi - lo])
+        rows /= n
+        yield lo, hi, rows
 
 
 def build_fredholm(n):
@@ -423,11 +453,18 @@ def load_problem(path):
 
     The header and the file size are checked before any array is read, so a
     truncated, padded or garbage file raises DomainError, as does a NaN or
-    infinite entry in A, x*, y or W. Each array is read straight into its own
-    float64 array. An optional "kron_factor" header key becomes the
-    instance's Kronecker factor, and A is then checked against kron(T, T)
-    bit for bit (DomainError if any bit differs); without the key an A equal
+    infinite entry in A, x*, y or W. An optional "kron_factor" header key
+    becomes the instance's Kronecker factor; its shape is checked
+    (DimensionMismatch) before A is read, and A must then equal kron(T, T)
+    bit for bit (DomainError if any bit differs). Without the key an A equal
     to the Fredholm kernel fill is dropped and any other A is kept.
+
+    A is streamed through one buffer of a row block at a time, each block
+    compared with the same rows of the structure, so a structured file loads
+    in O(block) memory beyond x*, y and T. The (n, n) A is allocated only at
+    the first block that differs from the kernel fill: the rows before it are
+    filled afresh (they matched bit for bit) and the rest is read straight
+    into place. x*, y and W are read straight into their own arrays.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -456,25 +493,50 @@ def load_problem(path):
                 kron_factor = np.array(kron_factor, dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise DomainError(f"bad .prob header (kron_factor is not a matrix): {path}") from exc
-        shapes = [(n, n), (n,), (n,)] + ([(n, n)] if w_kind == "explicit" else [])
-        arrays = []
-        for shape in shapes:
-            v = np.empty(shape, dtype="<f8")
-            if fh.readinto(memoryview(v)) != v.nbytes:
-                raise DomainError(f".prob file ended early: {path}")
-            arrays.append(v.astype(np.float64, copy=False))
-    if not all(np.isfinite(v).all() for v in arrays):
+        # before any byte of A is read: _row_blocks slices T by its shape
+        _check_factor_shape(kron_factor, n)
+        a, kron_ok, buf = None, True, None
+        for lo, hi, rows in _row_blocks(n, kron_factor):
+            if buf is None:
+                buf = np.empty((hi - lo, n), dtype="<f8")   # the first block is the largest
+            block = _read_finite(fh, buf[:hi - lo], path)
+            if kron_ok and not np.array_equal(block, rows):
+                if kron_factor is None:
+                    a = _dense_a_from(fh, n, lo, block, path)
+                    break
+                # reported once the whole file is read, so that a non-finite
+                # entry anywhere in it is reported first
+                kron_ok = False
+        x_star = _read_finite(fh, np.empty(n, dtype="<f8"), path)
+        y = _read_finite(fh, np.empty(n, dtype="<f8"), path)
+        w = (WeightSpec.explicit(_read_finite(fh, np.empty((n, n), dtype="<f8"), path))
+             if w_kind == "explicit" else WeightSpec.identity())
+    if not kron_ok:
+        raise DomainError(f"A is not kron(T, T) of its Kronecker factor T: {path}")
+    # an A that fits no structure is kept and takes the dense route
+    return ProblemInstance(n=n, a=a, x_star=x_star, y=y, w=w, label=label,
+                           kron_factor=kron_factor)
+
+
+def _read_finite(fh, v, path):
+    # fill the contiguous float64 array v from the file, as native float64
+    if fh.readinto(memoryview(v)) != v.nbytes:
+        raise DomainError(f".prob file ended early: {path}")
+    if not np.isfinite(v).all():
         raise DomainError(f".prob file holds non-finite values: {path}")
-    a, x_star, y = arrays[:3]
-    w = WeightSpec.explicit(arrays[3]) if w_kind == "explicit" else WeightSpec.identity()
-    # made without A first, so the factor's shape is checked before
-    # _row_blocks reads it
-    instance = ProblemInstance(n=n, a=None, x_star=x_star, y=y, w=w, label=label,
-                               kron_factor=kron_factor)
-    # all() stops at the first row block that differs: an A with a nonzero
-    # row 0 (the kernel fill has none) costs one block
-    if not all(np.array_equal(a[lo:hi], rows) for lo, hi, rows in _row_blocks(n, kron_factor)):
-        if kron_factor is not None:
-            raise DomainError(f"A is not kron(T, T) of its Kronecker factor T: {path}")
-        instance.a = a      # an A that fits no structure takes the dense route
-    return instance
+    return v.astype(np.float64, copy=False)
+
+
+def _dense_a_from(fh, n, lo, block, path):
+    # the kernel fill's rows up to lo equalled the file's bit for bit, so they
+    # are filled afresh; block holds rows lo.., and the rest of A is read
+    # straight into place
+    a = np.empty((n, n), dtype="<f8")
+    for lo_k, hi_k, rows in _row_blocks(n):
+        if lo_k == lo:
+            break
+        a[lo_k:hi_k] = rows
+    hi = lo + len(block)
+    a[lo:hi] = block
+    _read_finite(fh, a[hi:], path)
+    return a.astype(np.float64, copy=False)

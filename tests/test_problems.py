@@ -27,6 +27,7 @@ from tikhreg import (
     standard_normal,
     stream_seed,
 )
+from tikhreg.problems import _row_blocks
 from tikhreg.spectral import _dense_decompose
 from tikhreg.tikhonov import spectral_solver
 
@@ -63,6 +64,16 @@ def test_fredholm_first_row_is_zero():
     inst = build_fredholm(2)
     assert inst.dense_a()[0, 0] == 0.0
     assert np.all(inst.dense_a()[0] == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 257, 600])
+def test_fredholm_row_block_fill_is_the_kernel_formula_bit_for_bit(n):
+    # dense_a() fills A a row block at a time through two reused buffers;
+    # the reference evaluates kappa / n on the whole grid at once
+    t = np.arange(n, dtype=np.float64)[:, None] / n
+    s = (2.0 * np.arange(n, dtype=np.float64) + 1.0) / (2.0 * n)
+    want = np.minimum(t, s) * (1.0 - np.maximum(t, s)) / n
+    assert build_fredholm(n).dense_a().tobytes() == want.tobytes()
 
 
 def test_fredholm_x_star_at_quarter_point():
@@ -425,6 +436,21 @@ def _rewrite_header(path, edit):
     path.write_bytes(len(new).to_bytes(8, "little") + new + blob[8 + hlen:])
 
 
+def _edit_a(path, n, edits):
+    """Replace entries of a saved .prob's A in place: edits maps (row, col) to f(old entry)."""
+    blob = bytearray(path.read_bytes())
+    start = 8 + int.from_bytes(blob[:8], "little")
+    for (row, col), f in edits.items():
+        offset = start + 8 * (row * n + col)
+        entry = np.frombuffer(bytes(blob[offset:offset + 8]), dtype="<f8")[0]
+        blob[offset:offset + 8] = np.array([f(entry)], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def _one_ulp_up(entry):
+    return np.nextafter(entry, np.inf)
+
+
 def test_blur_carries_its_kronecker_factor():
     inst = build_blur(6, 1.5)
     assert inst.kron_factor.shape == (6, 6)
@@ -471,11 +497,7 @@ def test_prob_a_one_ulp_off_its_kronecker_factor_rejected(tmp_path):
     inst = build_blur(8, 2.0)
     path = tmp_path / "off.prob"
     save_problem(inst, str(path))
-    blob = bytearray(path.read_bytes())
-    offset = 8 + int.from_bytes(blob[:8], "little") + 8 * (3 * inst.n + 5)   # A[3, 5]
-    entry = np.frombuffer(bytes(blob[offset:offset + 8]), dtype="<f8")
-    blob[offset:offset + 8] = np.nextafter(entry, np.inf).astype("<f8").tobytes()
-    path.write_bytes(bytes(blob))
+    _edit_a(path, inst.n, {(3, 5): _one_ulp_up})
     with pytest.raises(DomainError, match="kron"):
         load_problem(str(path))
 
@@ -520,15 +542,58 @@ def test_prob_a_one_ulp_off_the_kernel_fill_takes_dense_route(tmp_path):
     inst = build_fredholm(8)
     path = tmp_path / "off.prob"
     save_problem(inst, str(path))
-    blob = bytearray(path.read_bytes())
-    offset = 8 + int.from_bytes(blob[:8], "little") + 8 * (3 * inst.n + 5)   # A[3, 5]
-    entry = np.frombuffer(bytes(blob[offset:offset + 8]), dtype="<f8")
-    blob[offset:offset + 8] = np.nextafter(entry, np.inf).astype("<f8").tobytes()
-    path.write_bytes(bytes(blob))
+    _edit_a(path, inst.n, {(3, 5): _one_ulp_up})
     back = load_problem(str(path))
     dec, reference = decompose(back), _dense_decompose(back)
     for field in ("rho", "psi", "a_psi"):
         assert np.array_equal(getattr(dec, field), getattr(reference, field))
+
+
+@pytest.mark.parametrize("where", ["first-block", "middle-block", "last-row"])
+def test_prob_a_leaving_the_kernel_fill_in_any_block_loads_bit_for_bit(tmp_path, where):
+    # A is streamed a row block at a time; the dense A is assembled from the
+    # blocks before the first one that differs, that block and the rest of the file
+    n = 600
+    starts = [lo for lo, _, _ in _row_blocks(n)]
+    assert len(starts) >= 3
+    row = {"first-block": 0, "middle-block": starts[len(starts) // 2] + 1,
+           "last-row": n - 1}[where]
+    path = tmp_path / "late.prob"
+    save_problem(build_fredholm(n), str(path))
+    _edit_a(path, n, {(row, n // 3): _one_ulp_up})
+    blob = path.read_bytes()
+    stored = blob[8 + int.from_bytes(blob[:8], "little"):][:8 * n * n]
+    back = load_problem(str(path))
+    assert back.a is not None           # the dense route
+    assert back.a.astype("<f8").tobytes() == stored
+
+
+def test_prob_a_one_ulp_off_its_kronecker_factor_in_the_last_block_rejected(tmp_path):
+    inst = build_blur(8, 2.0)
+    path = tmp_path / "off.prob"
+    save_problem(inst, str(path))
+    _edit_a(path, inst.n, {(inst.n - 1, inst.n - 2): _one_ulp_up})
+    with pytest.raises(DomainError, match="kron"):
+        load_problem(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("build,earlier", [
+    (lambda: build_blur(8, 2.0), None),
+    (lambda: build_blur(8, 2.0), (3, 5)),          # A is not kron(T, T) before the bad block
+    (lambda: build_fredholm(600), None),
+    (lambda: build_fredholm(600), (0, 1)),         # A leaves the kernel fill in block 0
+], ids=["blur", "blur-not-kron", "fredholm", "fredholm-dense"])
+def test_prob_nonfinite_entry_in_the_last_block_of_a_rejected(tmp_path, build, earlier, bad):
+    inst = build()
+    path = tmp_path / "bad.prob"
+    save_problem(inst, str(path))
+    edits = {(inst.n - 1, 2): lambda entry: bad}
+    if earlier is not None:
+        edits[earlier] = _one_ulp_up
+    _edit_a(path, inst.n, edits)
+    with pytest.raises(DomainError, match="non-finite"):
+        load_problem(str(path))
 
 
 def test_prob_roundtrip_gives_bit_identical_fredholm_decomposition(tmp_path, monkeypatch):
@@ -607,6 +672,19 @@ def test_save_problem_writes_a_structured_a_without_assembling_it(tmp_path, buil
     assert np.array_equal(load_problem(str(path)).dense_a(), inst.dense_a())
 
 
+@pytest.mark.parametrize("build", [lambda: build_fredholm(2000), lambda: build_blur(48, 2.0)],
+                         ids=["fredholm", "blur"])
+def test_load_problem_reads_a_structured_a_without_holding_it(tmp_path, build):
+    # the file holds the whole A, streamed through one row block and compared
+    # with the structure as it is read
+    inst = build()
+    path = tmp_path / "s.prob"
+    save_problem(inst, str(path))
+    peak, back = _traced_peak(lambda: load_problem(str(path)))
+    assert peak < 8 * inst.n**2 / 4
+    assert back.a is None
+
+
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513, 2000])
 def test_fredholm_y_from_prefix_sums_is_the_dense_product(n):
     inst = build_fredholm(n)
@@ -633,8 +711,9 @@ def test_builds_read_no_row_block(monkeypatch):
 def test_decompose_of_a_built_fredholm_instance_fills_no_kernel(monkeypatch):
     inst = build_fredholm(300)
 
-    def no_fill(t, s):
+    def no_fill(*args):
         raise AssertionError("decompose filled the kernel")
 
-    monkeypatch.setattr("tikhreg.problems.greens_kernel", no_fill)
+    # greens_kernel and the row-block fill both evaluate the kernel here
+    monkeypatch.setattr("tikhreg.problems._kernel", no_fill)
     assert decompose(inst).m == 298
