@@ -70,16 +70,18 @@ Serialization. ``save_problem`` writes a `.prob` container: an 8-byte
 little-endian header length, a UTF-8 JSON header
 {"format": "prob", "version": 1, "n": ..., "label": ..., "w_kind": ...},
 then raw little-endian float64 arrays: A (n*n, row-major), x* (n), y (n), and,
-only when w_kind == "explicit", W (n*n, row-major). A structured A is written
-one block of rows at a time and never assembled. A Kronecker factor goes
-into the header as an optional "kron_factor" key (a list of rows, repr-exact
-floats). ``load_problem``, where an outside A arrives, streams it through
-one reused buffer a block of rows at a time and compares each block with the
+only when w_kind == "explicit", W (n*n, row-major). ``save_problem`` raises
+SizeCap before it opens the file when the target directory has fewer bytes
+free than the file takes. A structured A is written one block of rows at a
+time and never assembled. A Kronecker factor goes into the header as an
+optional "kron_factor" key (a list of rows, repr-exact floats).
+``load_problem``, where an outside A arrives, streams it through one reused
+buffer a block of rows at a time and compares each block with the
 structure's rows as it is read: with a "kron_factor" key A must equal
 kron(T, T) bit for bit, or DomainError is raised; without the key an A equal
 to the kernel fill in every bit is never held whole, so the instance takes
-the sine route; any other A is allocated at the first block that differs
-and kept. A structured file therefore loads without an n x n array.
+the sine route; any other A is read whole from its first byte once a block
+differs, and kept. A structured file therefore loads without an n x n array.
 """
 
 import hashlib
@@ -87,6 +89,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -166,8 +169,6 @@ class NoisyData:
 
     b: np.ndarray
     sigma: float
-    delta: float
-    seed: int
 
 
 def _check_factor_shape(t, n):
@@ -181,7 +182,7 @@ def _check_size_cap(n, what):
     # runs before anything is allocated. A build is O(n) memory; only
     # dense_a() (solve_direct and the dense decomposition) and the load of a
     # .prob whose A fits no structure allocate n^2, 12.8 GB at the cap, and
-    # generate at the cap writes a 12.8 GB .prob
+    # generate at the cap writes a 12.8 GB .prob if the disk has room for it
     if n > 40000:
         raise SizeCap(f"{what} exceeds the 40000 cap")
 
@@ -422,11 +423,20 @@ def add_noise(instance, spec):
         if not math.isfinite(b_sq):
             raise DomainError(f"delta = {spec.delta!r} (sigma = {sigma!r}) makes ||b||^2 "
                               f"overflow float64")
-    return NoisyData(b=b, sigma=sigma, delta=spec.delta, seed=spec.seed)
+    return NoisyData(b=b, sigma=sigma)
+
+
+def _prob_bytes(hlen, n, w_kind):
+    # the size of a .prob file: header length and header, A, x*, y and an explicit W
+    return 8 + hlen + 8 * (n * n + 2 * n) + (8 * n * n if w_kind == "explicit" else 0)
 
 
 def save_problem(instance, path):
-    """Write a ProblemInstance to the `.prob` container format."""
+    """Write a ProblemInstance to the `.prob` container format.
+
+    Raises SizeCap, before the file is opened, when the directory of path has
+    fewer bytes free than the file takes.
+    """
     header = {
         "format": _PROB_MAGIC,
         "version": _PROB_VERSION,
@@ -440,6 +450,10 @@ def save_problem(instance, path):
     a_rows = ([instance.a] if instance.a is not None
               else (rows for _, _, rows in _row_blocks(instance.n, instance.kron_factor)))
     w_rows = [instance.w.matrix] if instance.w.kind == "explicit" else []
+    size = _prob_bytes(len(blob), instance.n, instance.w.kind)
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    if free < size:
+        raise SizeCap(f"{path} would take {size} bytes, but only {free} are free")
     with open(path, "wb") as fh:
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
@@ -462,9 +476,8 @@ def load_problem(path):
     A is streamed through one buffer of a row block at a time, each block
     compared with the same rows of the structure, so a structured file loads
     in O(block) memory beyond x*, y and T. The (n, n) A is allocated only at
-    the first block that differs from the kernel fill: the rows before it are
-    filled afresh (they matched bit for bit) and the rest is read straight
-    into place. x*, y and W are read straight into their own arrays.
+    the first block that differs from the kernel fill, and then read whole
+    from its first byte. x*, y and W are read straight into their own arrays.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -484,7 +497,7 @@ def load_problem(path):
                 or not isinstance(label, str)):
             raise DomainError(
                 f"bad .prob header (n={n!r}, w_kind={w_kind!r}, label={label!r}): {path}")
-        expected = 8 + hlen + 8 * (n * n + 2 * n) + (8 * n * n if w_kind == "explicit" else 0)
+        expected = _prob_bytes(hlen, n, w_kind)
         if size != expected:
             raise DomainError(f".prob file has {size} bytes, expected {expected} for n = {n}: {path}")
         kron_factor = header.get("kron_factor")
@@ -502,7 +515,8 @@ def load_problem(path):
             block = _read_finite(fh, buf[:hi - lo], path)
             if kron_ok and not np.array_equal(block, rows):
                 if kron_factor is None:
-                    a = _dense_a_from(fh, n, lo, block, path)
+                    fh.seek(8 + hlen)
+                    a = _read_finite(fh, np.empty((n, n), dtype="<f8"), path)
                     break
                 # reported once the whole file is read, so that a non-finite
                 # entry anywhere in it is reported first
@@ -526,17 +540,3 @@ def _read_finite(fh, v, path):
         raise DomainError(f".prob file holds non-finite values: {path}")
     return v.astype(np.float64, copy=False)
 
-
-def _dense_a_from(fh, n, lo, block, path):
-    # the kernel fill's rows up to lo equalled the file's bit for bit, so they
-    # are filled afresh; block holds rows lo.., and the rest of A is read
-    # straight into place
-    a = np.empty((n, n), dtype="<f8")
-    for lo_k, hi_k, rows in _row_blocks(n):
-        if lo_k == lo:
-            break
-        a[lo_k:hi_k] = rows
-    hi = lo + len(block)
-    a[lo:hi] = block
-    _read_finite(fh, a[hi:], path)
-    return a.astype(np.float64, copy=False)

@@ -1,9 +1,14 @@
 """Generalized eigendecomposition, spectral-decay fitting, and the B-seminorm.
 
-The decomposition solves A^T A psi = rho W psi without forming A^T A, whose
-condition number is the square of A's: with W = L L^T and B = A L^{-T}, the
-SVD B^T = L^{-1} A^T = U S V^T gives rho = s^2, psi = L^{-T} U and
-A psi = B U = V S, which makes the psi_k W-orthonormal and
+Every route returns one SpectralDecomposition: rho and the bases psi and
+A psi, each an (n, m) array on the dense route or an implicit basis, held in
+O(n) numbers, on the sine and Kronecker routes. The methods that read the
+basis (project, coeffs, expand) are written once against B @ c and B.T @ v.
+
+Dense route. The decomposition solves A^T A psi = rho W psi without forming
+A^T A, whose condition number is the square of A's: with W = L L^T and
+B = A L^{-T}, the SVD B^T = L^{-1} A^T = U S V^T gives rho = s^2,
+psi = L^{-T} U and A psi = B U = V S, which makes the psi_k W-orthonormal and
 (A psi_i, A psi_j) = rho_i delta_ij. For W = identity this is the SVD of A^T.
 
 Kronecker route. For W = identity and an instance with a Kronecker factor
@@ -13,10 +18,10 @@ with mu = s^2 the eigenpairs are rho = mu_i mu_j with psi = kron(v_i, v_j)
 and A psi = kron(T v_i, T v_j), T V = U S. Only the side x side T is
 factored, by the same SVD call as the dense route, and the basis is never
 formed: for u = vec(U), U side x side and row-major,
-(u, kron(f_i, f_j)) = (F^T U F)[i, j], so a projection is two side x side
-products and a gather at the index pairs (i_k, j_k), and an expansion
-scatters c into a side x side C and returns vec(V C V^T) and
-vec(TV C (TV)^T). The decomposition keeps rho, V, TV and the index pairs.
+(u, kron(f_i, f_j)) = (F^T U F)[i, j], so a product B^T u is two side x side
+products and a gather at the index pairs (i_k, j_k), and B c scatters c into
+a side x side C and returns vec(F C F^T). psi and A psi are _KronBasis of
+F = V and F = TV with the same index pairs.
 
 Sine route. For W = identity and an instance whose A is the kernel fill of
 build_fredholm(n) (Hansen's deriv2), the singular system has a closed form.
@@ -33,22 +38,21 @@ zero row of t = 1 appended, therefore gives n^2 D A = -1/2 E, with E the
 (n-1) x n bidiagonal of ones. So rows 2..n of A are -1/2 n^-2 T^-1 E with
 T = tridiag(1, -2, 1), and T and E E^T = tridiag(1, 2, 1) are both functions
 of tridiag(1, 0, 1), whose eigenvectors are the sines sin(j k pi / n).
-Nothing is factored, no Gram matrix is formed and the basis is never
-stored. Bin k of the length-2n real FFT of v is sum_j v_j e^{-i j k pi/n},
-so minus its imaginary part is the sine sum of (v, A psi_k) / (sigma_k
-sqrt(2/n)); with the half-sample phase e^{-i k pi/(2n)} applied first it is
-the DST-II sum of (u, psi_k). Expansions are the matching inverse transform.
-So a projection or an expansion costs O(n log n), and the decomposition
-keeps rho, sigma and n. At n = 2000 every retained rho_k of this route is
+Nothing is factored and no Gram matrix is formed. Bin k of the length-2n
+real FFT of v is sum_j v_j e^{-i j k pi/n}, so minus its imaginary part is
+the sine sum of (v, A psi_k) / (sigma_k sqrt(2/n)); with the half-sample
+phase e^{-i k pi/(2n)} applied first it is the DST-II sum of (u, psi_k).
+Expansions are the matching inverse transform, so a product costs
+O(n log n). psi and A psi are _SineBasis of shift 1/2 with weights 1 and of
+shift 0 with weights sigma. At n = 2000 every retained rho_k of this route is
 within 5e-12 relative of the dense route's, which takes the SVD of A itself.
 
 The route follows the instance's fields and nothing is compared here: an
 instance with no explicit A (instance.a is None) is the kernel fill or, with
 a Kronecker factor, kron(T, T) (problems module docstring), and neither route
 reads A. Every instance with an explicit A or an explicit W takes the dense
-route (_dense_decompose), which is the reference, the only route that reads
-the dense A (instance.dense_a()), and the only one that stores psi and A psi
-as n x m arrays.
+route (_dense_decompose), the reference and the only route that reads the
+dense A (instance.dense_a()).
 """
 
 import math
@@ -71,22 +75,117 @@ _FIT_LO = 6
 _FIT_CAP = 400
 
 
+class _Basis:
+    """An (n, m) basis held implicitly: B @ c synthesizes, B.T @ v analyses."""
+
+    @property
+    def T(self):
+        return _Transposed(self)
+
+    def __matmul__(self, c):
+        return self._synthesis(c)
+
+
+@dataclass
+class _Transposed:
+    basis: _Basis
+
+    def __matmul__(self, v):
+        return self.basis._analysis(v)
+
+
+def _sine_table(n):
+    # sin(r pi/(2n)) for r = 0..4n-1; every sine argument of the route is such
+    # an r reduced mod 4n, so no argument exceeds 2 pi
+    return np.sin(np.arange(4 * n) * (math.pi / (2 * n)))
+
+
+@dataclass
+class _SineBasis(_Basis):
+    """Columns w_k sqrt(2/n) sin(k (j + shift) pi/n), j < n, k = 1..m; products by real FFT."""
+
+    n: int
+    shift: float
+    w: np.ndarray          # (m,)
+
+    @property
+    def shape(self):
+        return self.n, self.w.shape[0]
+
+    def _phase(self, shift):
+        # e^{i k shift pi/n}, k = 1..m
+        return np.exp(1j * shift * math.pi / self.n * np.arange(1, self.w.shape[0] + 1))
+
+    def _analysis(self, v):
+        # w_k sqrt(2/n) sum_j v_j sin(k (j + shift) pi/n) along axis 0 of v
+        scale = self.w * math.sqrt(2.0 / self.n)
+        f = np.fft.rfft(v.T, 2 * self.n)[..., 1:self.w.shape[0] + 1]
+        if self.shift:
+            f *= self._phase(-self.shift)
+        return (f.imag * -scale).T
+
+    def _synthesis(self, c):
+        # sum_k g_k sin(k (j + shift) pi/n) with g = w c sqrt(2/n): the inverse
+        # real FFT of the bins -i n g_k e^{i k shift pi/n}
+        h = np.zeros(self.n + 1, dtype=np.complex128)
+        h[1:self.w.shape[0] + 1] = (-1j * self.n) * (self.w * (c * math.sqrt(2.0 / self.n)))
+        if self.shift:
+            h[1:self.w.shape[0] + 1] *= self._phase(self.shift)
+        return np.fft.irfft(h, 2 * self.n)[:self.n]
+
+    def dense(self):
+        """The (n, m) array from the sine table; not cached, for tests at small n."""
+        n, m = self.shape
+        tab = _sine_table(n) * math.sqrt(2.0 / n)
+        i, k = np.arange(n), np.arange(1, m + 1)
+        return tab[np.multiply.outer(2 * i + int(2 * self.shift), k) % (4 * n)] * self.w
+
+
+@dataclass
+class _KronBasis(_Basis):
+    """Columns kron(f[:, i_k], f[:, j_k]), k = 1..m; a length-n vector is a side x side image."""
+
+    f: np.ndarray          # (side, side)
+    i: np.ndarray          # (m,) row factor index of each mode
+    j: np.ndarray          # (m,) column factor index of each mode
+
+    @property
+    def shape(self):
+        return self.f.shape[0] ** 2, self.i.shape[0]
+
+    def _analysis(self, u):
+        # (F^T U F)[i_k, j_k] per column of u: (m,) or (m, r)
+        side = self.f.shape[0]
+        images = u.T.reshape(u.shape[1:] + (side, side))
+        return (self.f.T @ images @ self.f)[..., self.i, self.j].T
+
+    def _synthesis(self, c):
+        # vec(F C F^T) for C = c scattered to the index pairs
+        side = self.f.shape[0]
+        scattered = np.zeros((side, side))
+        scattered[self.i, self.j] = c
+        return (self.f @ scattered @ self.f.T).ravel()
+
+    def dense(self):
+        """The (n, m) array; not cached, for tests at small n."""
+        f = self.f
+        return (f[:, self.i][:, None, :] * f[:, self.j][None, :, :]).reshape(self.shape)
+
+
 @dataclass
 class SpectralDecomposition:
-    """Retained generalized eigenpairs of (A^T A, W), held as dense arrays.
+    """Retained generalized eigenpairs (rho_k, psi_k, A psi_k) of (A^T A, W).
 
     rho is descending and strictly positive, psi holds the W-orthonormal
-    eigenvectors as columns and a_psi = A @ psi; m and n are read off rho and
-    psi. This is the dense route's decomposition. SineDecomposition and
-    KroneckerDecomposition answer the same calls from O(n) numbers: other
-    modules reach the basis only through project, coeffs and expand, so its
-    layout stays this module's business, and basis() returns (psi, A psi)
-    for tests.
+    eigenvectors as columns and a_psi = A @ psi, each an (n, m) array or an
+    implicit basis (module docstring). Other modules reach the basis only
+    through project, coeffs and expand, so its layout stays this module's
+    business, and basis() returns (psi, A psi) as arrays for tests.
     """
 
     rho: np.ndarray        # (m,) descending, > 0
-    psi: np.ndarray        # (n, m)
-    a_psi: np.ndarray      # (n, m)
+    psi: object            # (n, m) array or implicit basis
+    a_psi: object          # (n, m) array or implicit basis
 
     @property
     def m(self):
@@ -109,130 +208,8 @@ class SpectralDecomposition:
         return self.psi @ c, self.a_psi @ c
 
     def basis(self):
-        """(psi, A psi) as (n, m) arrays."""
-        return self.psi, self.a_psi
-
-
-def _sine_table(n):
-    # sin(r pi/(2n)) for r = 0..4n-1; every sine argument of the route is such
-    # an r reduced mod 4n, so no argument exceeds 2 pi
-    return np.sin(np.arange(4 * n) * (math.pi / (2 * n)))
-
-
-@dataclass
-class SineDecomposition:
-    """The closed-form singular system of build_fredholm(n) (module docstring).
-
-    psi_k is the DST-II vector sqrt(2/n) sin((2i+1) k pi/(2n)) and A psi_k is
-    sigma_k sqrt(2/n) sin(j k pi/n), k = 1..m; only rho, sigma and n are
-    stored, and every product with the basis is a length-2n real FFT along
-    the length-n axis.
-    """
-
-    rho: np.ndarray        # (m,) descending, > 0
-    sigma: np.ndarray      # (m,) sqrt(rho), from the closed form
-    n: int
-
-    @property
-    def m(self):
-        return self.rho.shape[0]
-
-    def _phase(self, shift):
-        # e^{i k shift pi/n}, k = 1..m
-        return np.exp(1j * shift * math.pi / self.n * np.arange(1, self.m + 1))
-
-    def _sine_sums(self, v, shift, scale):
-        # scale_k sum_j v_j sin(k (j + shift) pi/n), k = 1..m, along axis 0 of v
-        f = np.fft.rfft(v.T, 2 * self.n)[..., 1:self.m + 1]
-        if shift:
-            f *= self._phase(-shift)
-        return (f.imag * -scale).T
-
-    def _sine_synthesis(self, g, shift):
-        # sum_k g_k sin(k (j + shift) pi/n), j = 0..n-1: the inverse real FFT
-        # of the bins -i n g_k e^{i k shift pi/n}
-        h = np.zeros(self.n + 1, dtype=np.complex128)
-        h[1:self.m + 1] = (-1j * self.n) * g
-        if shift:
-            h[1:self.m + 1] *= self._phase(shift)
-        return np.fft.irfft(h, 2 * self.n)[:self.n]
-
-    def project(self, v):
-        """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
-        return self._sine_sums(v, 0.0, self.sigma * math.sqrt(2.0 / self.n))
-
-    def coeffs(self, u):
-        """psi^T u: the coefficients (u, psi_k) of a vector u, with no W applied."""
-        return self._sine_sums(u, 0.5, math.sqrt(2.0 / self.n))
-
-    def expand(self, c):
-        """(psi c, A psi c) for the coefficients c of the retained modes."""
-        c = c * math.sqrt(2.0 / self.n)
-        return self._sine_synthesis(c, 0.5), self._sine_synthesis(self.sigma * c, 0.0)
-
-    def basis(self):
-        """(psi, A psi) as (n, m) arrays from the sine table; not cached, for small n."""
-        n = self.n
-        tab = _sine_table(n) * math.sqrt(2.0 / n)
-        i, k = np.arange(n), np.arange(1, self.m + 1)
-        psi = tab[np.multiply.outer(2 * i + 1, k) % (4 * n)]
-        a_psi = tab[np.multiply.outer(2 * i, k) % (4 * n)] * self.sigma
-        return psi, a_psi
-
-
-@dataclass
-class KroneckerDecomposition:
-    """Generalized eigenpairs of A = kron(T, T), W = I, kept as side x side factors.
-
-    Mode k is psi_k = kron(v[:, i_k], v[:, j_k]) with A psi_k =
-    kron(tv[:, i_k], tv[:, j_k]), where T = U S V^T, v = V and tv = T V = U S.
-    A vector of length n = side^2 is a row-major side x side image U, and
-    (u, kron(f_i, f_j)) = (F^T U F)[i, j].
-    """
-
-    rho: np.ndarray        # (m,) descending, > 0
-    v: np.ndarray          # (side, side) right singular vectors of T, s descending
-    tv: np.ndarray         # (side, side) T @ v = U S
-    i: np.ndarray          # (m,) row factor index of each mode
-    j: np.ndarray          # (m,) column factor index of each mode
-
-    @property
-    def m(self):
-        return self.rho.shape[0]
-
-    @property
-    def n(self):
-        return self.v.shape[0] ** 2
-
-    def _gather(self, f, u):
-        # (F^T U F)[i_k, j_k] per column of u: (m,) or (m, r)
-        side = f.shape[0]
-        images = u.T.reshape(u.shape[1:] + (side, side))
-        return (f.T @ images @ f)[..., self.i, self.j].T
-
-    def project(self, v):
-        """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
-        return self._gather(self.tv, v)
-
-    def coeffs(self, u):
-        """psi^T u: the coefficients (u, psi_k) of a vector u, with no W applied."""
-        return self._gather(self.v, u)
-
-    def expand(self, c):
-        """(psi c, A psi c) for the coefficients c of the retained modes."""
-        side = self.v.shape[0]
-        scattered = np.zeros((side, side))
-        scattered[self.i, self.j] = c
-        return ((self.v @ scattered @ self.v.T).ravel(),
-                (self.tv @ scattered @ self.tv.T).ravel())
-
-    def basis(self):
-        """(psi, A psi) as (n, m) arrays; not cached, for small n."""
-        def columns(f):
-            # column k is kron(f[:, i_k], f[:, j_k])
-            return (f[:, self.i][:, None, :] * f[:, self.j][None, :, :]).reshape(self.n, self.m)
-
-        return columns(self.v), columns(self.tv)
+        """(psi, A psi) as (n, m) arrays; an implicit basis is formed, for tests at small n."""
+        return tuple(b if isinstance(b, np.ndarray) else b.dense() for b in (self.psi, self.a_psi))
 
 
 @dataclass
@@ -271,7 +248,8 @@ def _kron_decompose(instance):
     rho = rho[order]
     m = _retained(rho, instance.n)
     i, j = np.divmod(order[:m], side)
-    return KroneckerDecomposition(rho=rho[:m], v=np.ascontiguousarray(vt.T), tv=u * s, i=i, j=j)
+    return SpectralDecomposition(rho=rho[:m], psi=_KronBasis(np.ascontiguousarray(vt.T), i, j),
+                                 a_psi=_KronBasis(u * s, i, j))
 
 
 def _sine_decompose(instance):
@@ -284,7 +262,8 @@ def _sine_decompose(instance):
     sigma = tab[n - k] / (4.0 * n * n * tab[k] ** 2)
     rho = sigma**2
     m = _retained(rho, n)
-    return SineDecomposition(rho=rho[:m], sigma=sigma[:m], n=n)
+    return SpectralDecomposition(rho=rho[:m], psi=_SineBasis(n, 0.5, np.ones(m)),
+                                 a_psi=_SineBasis(n, 0.0, sigma[:m]))
 
 
 def decompose(instance):
@@ -292,9 +271,9 @@ def decompose(instance):
 
     Modes with rho_k <= n * eps * rho_1 are dropped. With W = identity and
     instance.a None, an instance with a Kronecker factor takes the Kronecker
-    route (KroneckerDecomposition) and one without the sine route
-    (SineDecomposition); every other instance takes the dense route
-    (SpectralDecomposition). See the module docstring.
+    route and one without the sine route, whose bases are implicit; every
+    other instance takes the dense route, whose bases are arrays. See the
+    module docstring.
     """
     if instance.w.is_identity and instance.a is None:
         return (_sine_decompose if instance.kron_factor is None else _kron_decompose)(instance)

@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -43,6 +44,17 @@ def test_generate_writes_prob_and_manifest(tmp_path):
     # run-shape flags stay out of the manifest
     assert "out" not in doc["params"]
     assert "config" not in doc["params"]
+
+
+def test_generate_without_room_on_disk_exits_1(tmp_path, monkeypatch, capsys):
+    usage = shutil.disk_usage(".")
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=1000))
+    out = str(tmp_path / "g")
+    assert run(["generate", "--problem", "fredholm", "--n", "40", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "only 1000 are free" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "instance.prob"))
 
 
 def test_generate_then_load_elsewhere(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import shutil
 import tracemalloc
 import warnings
 
@@ -457,6 +458,44 @@ def test_blur_carries_its_kronecker_factor():
     assert np.array_equal(inst.dense_a(), np.kron(inst.kron_factor, inst.kron_factor))
 
 
+def _free_bytes(monkeypatch, free):
+    # the directory of any path reports `free` bytes free
+    usage = shutil.disk_usage(".")
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=free))
+
+
+def _weighted_fredholm(n):
+    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, n)))
+    return dataclasses.replace(build_fredholm(n), w=w)
+
+
+@pytest.mark.parametrize("make, size", [
+    (build_fredholm, 20), (lambda side: build_blur(side, 1.0), 5), (_weighted_fredholm, 6),
+], ids=["fredholm", "blur", "explicit-w"])
+def test_save_problem_needs_the_whole_file_free_on_disk(make, size, tmp_path, monkeypatch):
+    inst = make(size)
+    save_problem(inst, str(tmp_path / "room.prob"))
+    nbytes = (tmp_path / "room.prob").stat().st_size
+    _free_bytes(monkeypatch, nbytes - 1)
+    with pytest.raises(SizeCap, match=f"{nbytes} bytes"):
+        save_problem(inst, str(tmp_path / "full.prob"))
+    assert not (tmp_path / "full.prob").exists()
+    _free_bytes(monkeypatch, nbytes)
+    save_problem(inst, str(tmp_path / "fits.prob"))
+    assert (tmp_path / "fits.prob").read_bytes() == (tmp_path / "room.prob").read_bytes()
+
+
+def _assert_bit_identical(dec, dec_back):
+    # rho and every field of both implicit bases, bit for bit
+    assert np.array_equal(dec_back.rho, dec.rho)
+    for basis, basis_back in [(dec.psi, dec_back.psi), (dec.a_psi, dec_back.a_psi)]:
+        assert type(basis_back) is type(basis)
+        assert not isinstance(basis, np.ndarray)
+        assert vars(basis_back).keys() == vars(basis).keys()
+        for field, value in vars(basis).items():
+            assert np.array_equal(getattr(basis_back, field), value)
+
+
 def test_prob_roundtrip_keeps_kronecker_factor(tmp_path):
     inst = build_blur(10, 2.0)
     path = tmp_path / "b.prob"
@@ -465,11 +504,7 @@ def test_prob_roundtrip_keeps_kronecker_factor(tmp_path):
     assert np.array_equal(back.kron_factor, inst.kron_factor)
     assert back.a is None
     assert np.array_equal(back.dense_a(), inst.dense_a())
-    dec, dec_back = decompose(inst), decompose(back)
-    assert dec_back.m == dec.m
-    assert vars(dec_back).keys() == vars(dec).keys()
-    for field, value in vars(dec).items():
-        assert np.array_equal(getattr(dec_back, field), value)
+    _assert_bit_identical(decompose(inst), decompose(back))
 
 
 def test_prob_arrays_unchanged_by_kronecker_header(tmp_path):
@@ -606,11 +641,7 @@ def test_prob_roundtrip_gives_bit_identical_fredholm_decomposition(tmp_path, mon
         raise AssertionError("the sine route factors nothing")
 
     monkeypatch.setattr(np.linalg, "svd", no_factorization)
-    dec, dec_back = decompose(inst), decompose(back)
-    assert dec_back.m == dec.m
-    assert vars(dec_back).keys() == vars(dec).keys()
-    for field, value in vars(dec).items():
-        assert np.array_equal(getattr(dec_back, field), value)
+    _assert_bit_identical(decompose(inst), decompose(back))
 
 
 @pytest.mark.parametrize("psf_width", [np.inf, np.nan, 1e200, 1e-200])

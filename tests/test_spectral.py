@@ -19,11 +19,13 @@ from tikhreg import (
     decompose,
     error_filter,
     fit_alpha,
+    load_problem,
+    save_problem,
     solve_direct,
     spectral_solver,
     spectrum_rows,
 )
-from tikhreg.spectral import KroneckerDecomposition, SineDecomposition, _dense_decompose
+from tikhreg.spectral import _dense_decompose
 
 
 def _instance(a, w=None, label="t"):
@@ -116,7 +118,7 @@ def test_project_and_expand_are_the_basis_products(fred20, rng):
         pairs = [(dec.project(v[:, 0]), a_psi.T @ v[:, 0]), (dec.project(v), a_psi.T @ v),
                  (dec.coeffs(v[:, 0]), psi.T @ v[:, 0]), (x, psi @ c), (ax, a_psi @ c)]
         for got, want in pairs:
-            if isinstance(dec, SpectralDecomposition):
+            if isinstance(dec.psi, np.ndarray):
                 assert np.array_equal(got, want)
             else:
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -131,7 +133,7 @@ _IMPLICIT = ([pytest.param(build_fredholm, n, id=f"fredholm-{n}") for n in (8, 6
 def test_implicit_routes_match_their_basis(build, size, rng):
     inst = build(size)
     dec = decompose(inst)
-    assert isinstance(dec, (SineDecomposition, KroneckerDecomposition))
+    assert not isinstance(dec.psi, np.ndarray)
     n, m = inst.n, dec.m
     psi, a_psi = dec.basis()
     assert psi.shape == a_psi.shape == (n, m)
@@ -147,8 +149,33 @@ def test_implicit_routes_match_their_basis(build, size, rng):
     for j in range(block.shape[1]):
         assert np.array_equal(projected[:, j], dec.project(block[:, j]))
     # the decomposition holds O(n) numbers, no n x m array
-    stored = [np.size(a) for a in vars(dec).values() if isinstance(a, np.ndarray)]
-    assert stored and max(stored) <= n
+    stored = [np.size(dec.rho)] + [np.size(a) for b in (dec.psi, dec.a_psi)
+                                   for a in vars(b).values() if isinstance(a, np.ndarray)]
+    assert len(stored) > 2 and max(stored) <= n
+
+
+def _explicit_w_fredholm(n):
+    inst = build_fredholm(n)
+    return dataclasses.replace(inst, w=WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, n))))
+
+
+@pytest.mark.parametrize("make, from_prob", [
+    pytest.param(lambda: build_fredholm(30), False, id="built-fredholm"),
+    pytest.param(lambda: build_blur(6, 1.0), False, id="built-blur"),
+    pytest.param(lambda: _explicit_w_fredholm(30), True, id="explicit-w-prob"),
+    pytest.param(lambda: _random_instance(5, 12, explicit_w=False), True, id="unstructured-prob"),
+])
+def test_every_route_returns_one_decomposition_type(make, from_prob, tmp_path):
+    inst = make()
+    if from_prob:
+        save_problem(inst, str(tmp_path / "i.prob"))
+        inst = load_problem(str(tmp_path / "i.prob"))
+    dec = decompose(inst)
+    assert type(dec) is SpectralDecomposition
+    # both .prob instances fit no closed form, so they take the dense route
+    assert isinstance(dec.psi, np.ndarray) == isinstance(dec.a_psi, np.ndarray) == from_prob
+    psi, a_psi = dec.basis()
+    assert psi.shape == a_psi.shape == (inst.n, dec.m)
 
 
 def test_rank_deficient_modes_dropped():
