@@ -32,10 +32,15 @@ from .problems import (
 from .spectral import _check_lambda, decompose, error_filter, spectrum_rows
 from .tikhonov import error_report, spectral_solver
 
-# reps are processed in fixed-size batches: one (64, n) noise block, drawn in
-# one call, bounds the memory of a cell, and the constant batch fixes the
-# shape of its projection, so the thread count cannot change any bit
+# reps are processed in batches, one noise block drawn in one call per
+# batch, of at most _REP_BATCH rows and _BATCH_BYTES of noise (64 rows at
+# n <= 512, 16 at n = 2000, 1 at n = 40000): the block, its FFT and the
+# filter temporaries then stay a few MB per worker at any n. The width
+# depends on n alone, so the thread count cannot change any bit. The sine and
+# Kronecker routes project each row on its own and error_filter sums each rep
+# on its own, so on those routes the width moves no bit either
 _REP_BATCH = 64
+_BATCH_BYTES = 1 << 18
 
 # most lambda grid points a sweep takes: each one is a spectral solve and a
 # CSV row, and the cap is checked before the grid is allocated
@@ -171,15 +176,17 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
 def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     # Per-rep n^{-1/2} ||A(x_r - x*)|| and n^{-1/2} ||B(x_r - x*)|| at one lambda,
     # x_r solving b = y + sigma xi_r: one noise block and one projection per
-    # batch, measured by error_filter. A delta so large that an error overflows
-    # float64 raises DomainError instead of passing inf on.
+    # batch of reps (see _BATCH_BYTES), measured by error_filter. A delta so
+    # large that an error overflows float64 raises DomainError instead of
+    # passing inf on.
     n = instance.n
+    batch = max(1, min(_REP_BATCH, _BATCH_BYTES // (8 * n)))
     errors = error_filter(decomp, instance)
     d_clean = decomp.project(instance.y)
     out_sq = np.empty(reps, dtype=np.float64)
     b_sq = np.empty(reps, dtype=np.float64)
-    for lo in range(0, reps, _REP_BATCH):
-        hi = min(lo + _REP_BATCH, reps)
+    for lo in range(0, reps, batch):
+        hi = min(lo + batch, reps)
         xi = standard_normal(stream_seed(master_seed, n, delta, range(lo, hi)), n)
         with np.errstate(over="ignore", invalid="ignore"):
             d = d_clean[:, None] + sigma * decomp.project(xi.T)
@@ -400,7 +407,7 @@ def save_spectrum(out_dir, decomp, fit):
 
 def save_sweep(out_dir, result):
     write_csv(os.path.join(out_dir, "sweep.csv"), ["lambda", "error"],
-              list(zip(result.lambdas.tolist(), result.output_errors.tolist())))
+              zip(result.lambdas.tolist(), result.output_errors.tolist()))
     write_json(os.path.join(out_dir, "sweep.json"), {
         "lambda_pred": result.lambda_pred,
         "err_at_pred": None if math.isnan(result.err_at_pred) else result.err_at_pred,
@@ -446,7 +453,7 @@ def save_study(out_dir, study):
     ]
     write_csv(os.path.join(out_dir, "study_hist.csv"), ["bin_lo", "bin_hi", "count"], hist_rows)
     write_csv(os.path.join(out_dir, "study_qq.csv"), ["normal_q", "sample_q"],
-              list(zip(study.qq_theoretical.tolist(), study.qq_sample.tolist())))
+              zip(study.qq_theoretical.tolist(), study.qq_sample.tolist()))
     write_json(os.path.join(out_dir, "study.json"), {
         "qq_correlation": study.qq_correlation,
         "mean": float(np.mean(study.samples)),

@@ -37,9 +37,10 @@ one row per seed, row i equal bit for bit to the one-seed draw. It works in
 two passes. The fill builds one Philox generator per call and re-keys it per
 row through its state (key [seed, 0], counter 0, empty buffer: where
 Philox(key=seed) starts), writing each row's uniforms straight into the
-output block, so a 64-rep Monte Carlo batch pays for one construction
-instead of 64. The transform then runs Box-Muller once over every pair of
-the block, in place, a slab of 8192 pairs at a time: the even column
+output block, so a Monte Carlo batch (up to 64 reps, bounded in bytes by
+the harness) pays for one construction instead of one per rep. The
+transform then runs Box-Muller once over every pair of the block, in place,
+a slab of 8192 pairs at a time: the even column
 becomes r, the odd column theta, and cos(theta) goes to a 64 KB scratch
 that does not grow with the block. Each variate takes the same float64
 operations as a row-by-row draw, so the bits do not depend on the batch; a

@@ -361,19 +361,22 @@ def error_filter(decomp, instance):
     d = (b, A psi_k) is a vector or has one column per right-hand side. The
     filter is c = d / (lam + rho); with s = (x*, psi_k)_W, formed once, the
     errors are the rho- and sqrt(rho)-weighted sums of (c - s)^2 per column.
-    A lambda that is not finite and positive raises NonFiniteLambda.
+    Each column is summed as a contiguous row, in the pairwise order of a
+    vector d, so a column's errors have the same bits whatever the number of
+    columns or the layout of d. A lambda that is not finite and positive
+    raises NonFiniteLambda.
     """
     if decomp.n != instance.n:
         raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
     s = decomp.coeffs(instance.w.apply(instance.x_star))
+    rho, sqrt_rho = decomp.rho, np.sqrt(decomp.rho)
 
     def errors(d, lam):
         lam = _check_lambda(lam)
-        col = (slice(None),) + (None,) * (np.ndim(d) - 1)
-        rho = decomp.rho[col]
-        c = d / (lam + rho)
-        diff_sq = (c - s[col]) ** 2
-        return c, np.sum(rho * diff_sq, axis=0), np.sum(np.sqrt(rho) * diff_sq, axis=0)
+        # one C-contiguous row per right-hand side
+        c = np.divide(np.transpose(d), lam + rho, order="C")
+        diff_sq = (c - s) ** 2
+        return c.T, np.sum(rho * diff_sq, axis=-1), np.sum(sqrt_rho * diff_sq, axis=-1)
 
     return errors
 

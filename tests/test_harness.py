@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -16,6 +17,7 @@ from tikhreg import (
     add_noise,
     adaptive_select,
     b_seminorm_sq,
+    build_blur,
     build_fredholm,
     decompose,
     error_filter,
@@ -29,7 +31,9 @@ from tikhreg import (
     standard_normal,
     stream_seed,
 )
+from tikhreg import harness
 from tikhreg.harness import (
+    _BATCH_BYTES,
     _GRID_CAP,
     _REP_BATCH,
     _REPS_CAP,
@@ -175,35 +179,93 @@ def test_montecarlo_means_match_per_rep_solves():
 
 
 def _per_rep_scaled_errors(inst, delta, lam, reps, master):
-    # reference for _scaled_errors: one one-seed draw per rep, stacked into the
-    # driver's batches so the projection has the same shape
+    # batch-free reference for _scaled_errors: one one-seed draw, one vector
+    # projection and one vector errors call per rep
     n = inst.n
     dec = decompose(inst)
     sigma = noise_sigma(inst, delta)
     errors = error_filter(dec, inst)
     d_clean = dec.project(inst.y)
     out_sq, b_sq = [], []
-    for lo in range(0, reps, _REP_BATCH):
-        xi = np.array([standard_normal(stream_seed(master, n, delta, rep), n)
-                       for rep in range(lo, min(lo + _REP_BATCH, reps))])
-        _, o, b = errors(d_clean[:, None] + sigma * dec.project(xi.T), lam)
+    for rep in range(reps):
+        xi = standard_normal(stream_seed(master, n, delta, rep), n)
+        _, o, b = errors(d_clean + sigma * dec.project(xi), lam)
         out_sq.append(o)
         b_sq.append(b)
-    return (np.sqrt(np.concatenate(out_sq)) / math.sqrt(n),
-            np.sqrt(np.concatenate(b_sq)) / math.sqrt(n))
+    return np.sqrt(out_sq) / math.sqrt(n), np.sqrt(b_sq) / math.sqrt(n)
+
+
+def _batch_rows(n):
+    # the batch width of _scaled_errors
+    return max(1, min(_REP_BATCH, _BATCH_BYTES // (8 * n)))
+
+
+_build_blur = partial(build_blur, psf_width=2.0)
 
 
 def test_batched_noise_draws_change_no_bit():
-    # 130 reps: two full 64-rep batches and a partial one
-    reps, master = 130, 31
-    inst = build_fredholm(61)
-    study = run_sample_study(inst, 0.05, 1e-7, reps, master_seed=master)
-    assert np.array_equal(study.samples, _per_rep_scaled_errors(inst, 0.05, 1e-7, reps, master)[0])
+    # every rep, in a full batch or in a last batch of 1 or 3 rows, has the
+    # bits of its own one-seed draw, projection and errors call
+    master = 31
+    cases = [(build_fredholm, 61), (build_fredholm, 1000), (_build_blur, 12), (_build_blur, 48)]
+    for build, size in cases:
+        inst = build(size)
+        batch = _batch_rows(inst.n)
+        for tail in (1, 3):
+            reps = batch * -(-100 // batch) + tail
+            study = run_sample_study(inst, 0.05, 1e-7, reps, master_seed=master)
+            want = _per_rep_scaled_errors(inst, 0.05, 1e-7, reps, master)[0]
+            assert np.array_equal(study.samples, want), (inst.label, size, tail)
 
-    cell = run_montecarlo([61], [0.01], reps, master_seed=master).cells[0]
-    out, berr = _per_rep_scaled_errors(inst, 0.01, cell.lam, reps, master)
-    assert cell.mean_scaled_output == float(np.mean(out))
-    assert cell.mean_scaled_b == float(np.mean(berr))
+            cell = run_montecarlo([size], [0.01], reps, master_seed=master, problem=build).cells[0]
+            out, berr = _per_rep_scaled_errors(inst, 0.01, cell.lam, reps, master)
+            assert cell.mean_scaled_output == float(np.mean(out)), (inst.label, size, tail)
+            assert cell.mean_scaled_b == float(np.mean(berr)), (inst.label, size, tail)
+
+
+@pytest.mark.parametrize("problem, size, rows", [
+    (build_fredholm, 500, 64),        # the noise_study size
+    (build_fredholm, 2000, 16),
+    (_build_blur, 48, 14),
+], ids=["fredholm-500", "fredholm-2000", "blur-48"])
+def test_noise_batch_rows_follow_the_byte_bound(monkeypatch, problem, size, rows):
+    widths = []
+
+    def spy(seeds, count):
+        widths.append(len(seeds))
+        return standard_normal(seeds, count)
+
+    monkeypatch.setattr(harness, "standard_normal", spy)
+    run_montecarlo([size], [0.01], rows + 3, problem=problem)
+    assert widths == [rows, 3]
+
+
+@pytest.mark.parametrize("build, size", [(build_fredholm, 1000), (_build_blur, 48)],
+                         ids=["fredholm", "blur"])
+def test_the_byte_bound_moves_no_bit(monkeypatch, build, size):
+    # 8 KB gives one row per batch at these sizes, 1 MB 64 (Fredholm) or 56 (blur)
+    inst = build(size)
+    results = []
+    for bound in (8 << 10, 1 << 20, _BATCH_BYTES):
+        monkeypatch.setattr(harness, "_BATCH_BYTES", bound)
+        study = run_sample_study(inst, 0.05, 1e-7, 100, master_seed=3)
+        mc = run_montecarlo([size], [0.1, 0.01], 70, master_seed=3, problem=build)
+        results.append((study.samples.tolist(), study.qq_correlation,
+                        [(c.mean_scaled_output, c.mean_scaled_b) for c in mc.cells],
+                        mc.slope_output, mc.slope_b))
+    assert results[0] == results[1] == results[2]
+
+
+def test_montecarlo_at_the_size_cap_holds_a_bounded_noise_batch():
+    # one row of 40000 normals per batch; a 64-row block at this n, with its
+    # length-80000 FFT and the filter temporaries, would peak near 60 MB
+    tracemalloc.start()
+    try:
+        run_montecarlo([40000], [0.01], 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_drivers_reject_a_delta_whose_errors_overflow(fred100):

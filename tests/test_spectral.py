@@ -282,21 +282,41 @@ def test_error_filter_matches_direct_solve_errors(seed, lam):
         assert b_sq == pytest.approx(b_seminorm_sq(dec, err, inst.w), rel=1e-8)
 
 
+def _route_instance(route, seed):
+    """An instance of one decomposition route, with nonzero x*, plus 5 noisy columns b."""
+    if route == "dense":
+        return _well_conditioned(seed, n=40, columns=5)
+    inst = build_fredholm(61) if route == "sine" else build_blur(12, 2.0)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    sigma = 0.01 * np.linalg.norm(inst.y) / np.sqrt(inst.n)
+    return inst, inst.y[:, None] + sigma * gen.standard_normal((inst.n, 5))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_error_filter_batch_matches_single_columns(seed):
-    inst, b = _well_conditioned(seed)
-    dec = decompose(inst)
-    errors = error_filter(dec, inst)
-    d = dec.a_psi.T @ b
-    for lam in (1e-8, 1e-4, 1.0):
-        c, out_sq, b_sq = errors(d, lam)
-        assert c.shape == d.shape
-        assert out_sq.shape == b_sq.shape == (b.shape[1],)
-        for j in range(b.shape[1]):
-            c_j, out_j, b_j = errors(d[:, j], lam)
-            np.testing.assert_allclose(c[:, j], c_j, rtol=1e-12, atol=0)
-            assert out_sq[j] == pytest.approx(out_j, rel=1e-12)
-            assert b_sq[j] == pytest.approx(b_j, rel=1e-12)
+    # on every route each column's errors have the bits of its own vector
+    # call, in either memory layout of d; on the implicit routes so does each
+    # column's projection, so no batch width can move a Monte Carlo bit
+    for route in ("dense", "sine", "kronecker"):
+        inst, b = _route_instance(route, seed)
+        dec = decompose(inst)
+        errors = error_filter(dec, inst)
+        d = dec.project(b)
+        if route != "dense":
+            for j in range(b.shape[1]):
+                assert np.array_equal(d[:, j], dec.project(b[:, j])), (route, j)
+        for lam in (1e-8, 1e-4, 1.0):
+            c, out_sq, b_sq = errors(d, lam)
+            assert c.shape == d.shape
+            assert out_sq.shape == b_sq.shape == (b.shape[1],)
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                c_l, out_l, b_l = errors(layout(d), lam)
+                assert np.array_equal(c_l, c)
+                assert np.array_equal(out_l, out_sq) and np.array_equal(b_l, b_sq)
+            for j in range(b.shape[1]):
+                c_j, out_j, b_j = errors(d[:, j], lam)
+                assert np.array_equal(c[:, j], c_j)
+                assert out_sq[j] == out_j and b_sq[j] == b_j, (route, lam, j)
 
 
 @pytest.mark.parametrize("side", [8, 12, 20])
