@@ -2,10 +2,10 @@
 
 Library layout:
 
-- linalg: SPD solves, weight matrices, weighted inner products
+- linalg: weight matrices, symmetrization, the weighted norm
 - problems: Fredholm and blur test problems, noise model, .prob round-trip
-- spectral: generalized eigenpairs from one SVD, decay-exponent fit, B-seminorm
-- tikhonov: spectral solver, normal-equations reference, error functionals
+- spectral: generalized eigenpairs from one SVD, decay-exponent fit, the one filter
+- tikhonov: spectral solver, error functionals
 - params: a-priori parameter rules and the adaptive fixed-point iteration
 - harness: sweep / Monte Carlo / concentration / table experiment drivers
 - cli: `tikhreg` command exposing every experiment with reproducible seeds
@@ -29,9 +29,7 @@ from .errors import (
 )
 from .linalg import (
     WeightSpec,
-    spd_solve,
     symmetrize,
-    w_inner,
     w_norm,
 )
 from .problems import (
@@ -41,7 +39,6 @@ from .problems import (
     add_noise,
     build_blur,
     build_fredholm,
-    greens_kernel,
     load_problem,
     noise_sigma,
     save_problem,
@@ -51,7 +48,6 @@ from .problems import (
 from .spectral import (
     AlphaFit,
     SpectralDecomposition,
-    b_seminorm_sq,
     decompose,
     error_filter,
     fit_alpha,
@@ -61,7 +57,6 @@ from .tikhonov import (
     ErrorReport,
     RegularizedSolution,
     error_report,
-    solve_direct,
     spectral_solver,
 )
 from .params import (

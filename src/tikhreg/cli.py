@@ -338,7 +338,7 @@ def _merge_config(argv):
     if path is None:
         return argv
     extra = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -370,7 +370,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"usage error: cannot read config file: {exc}", file=sys.stderr)
         return 2
     try:

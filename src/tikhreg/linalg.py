@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra primitives.
 
-SPD solves, the weight matrix descriptor and weighted inner products, used
-everywhere else in the package. Everything is real64 and operates on plain
-numpy arrays (row-major); inputs are never mutated. The LAPACK routines
-behind them (potrf, gesv) are reached through np.linalg alone; the one
-factorization of the spectral routes, an SVD, is spectral's.
+The weight matrix descriptor, the symmetrization it validates with, and the
+weighted norm. Everything is real64 and operates on plain numpy arrays
+(row-major); inputs are never mutated. np.linalg.cholesky (potrf) factors an
+explicit W, once; the one factorization of the spectral routes, an SVD, is
+spectral's.
 """
 
 import numpy as np
@@ -47,39 +47,6 @@ def symmetrize(m):
             f"asymmetry {asym:.3e} exceeds {SYM_RTOL:.0e} * max|M| = {SYM_RTOL * scale:.3e}"
         )
     return 0.5 * (m + m.T)
-
-
-def spd_solve(m, rhs):
-    """Solve M z = rhs for symmetric positive definite M via Cholesky.
-
-    Parameters
-    ----------
-    m : ndarray, shape (k, k)
-        Symmetric positive definite matrix.
-    rhs : ndarray, shape (k,) or (k, j)
-
-    Returns
-    -------
-    ndarray
-        Solution with the same trailing shape as ``rhs``.
-
-    Raises
-    ------
-    NotSPD
-        On a non-positive Cholesky pivot.
-    NotSymmetric, DimensionMismatch
-    """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    m = symmetrize(m)
-    if rhs.shape[0] != m.shape[0]:
-        raise DimensionMismatch(
-            f"matrix is {m.shape[0]}x{m.shape[0]}, rhs has leading dim {rhs.shape[0]}"
-        )
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD(str(exc)) from exc
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
 class WeightSpec:
@@ -135,37 +102,8 @@ class WeightSpec:
         return f"WeightSpec(explicit, {self.matrix.shape[0]}x{self.matrix.shape[1]})"
 
 
-def w_inner(u, v, w):
-    """Weighted inner product u^T W v.
-
-    Parameters
-    ----------
-    u, v : ndarray, shape (k,)
-    w : WeightSpec
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    DimensionMismatch
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionMismatch(f"incompatible shapes {u.shape} and {v.shape}")
-    if w.is_identity:
-        return float(u @ v)
-    if w.matrix.shape[0] != u.shape[0]:
-        raise DimensionMismatch(
-            f"weight is {w.matrix.shape[0]}x{w.matrix.shape[0]}, vectors have length {u.shape[0]}"
-        )
-    return float(u @ (w.matrix @ v))
-
-
 def w_norm(u, w):
     """Weighted norm ||u||_W = sqrt(u^T W u)."""
-    val = w_inner(u, u, w)
+    val = float(u @ w.apply(u))
     # guard tiny negative round-off from the quadratic form
     return float(np.sqrt(max(val, 0.0)))

@@ -62,8 +62,8 @@ y = vec(T X* T^T) costs two side x side products.
 kron(T, T) with a Kronecker factor T (``kron_factor``, the blur family), the
 kernel fill of ``build_fredholm(n)`` without one. An instance holds an
 explicit A or a factor, never both. ``instance.dense_a()`` returns the
-explicit A or assembles the structured one a block of rows at a time; only
-``solve_direct`` and the dense decomposition call it, and
+explicit A or assembles the structured one a block of rows at a time; in
+the package only the dense decomposition calls it, and
 ``spectral.decompose`` takes a closed-form route exactly when a is None and
 W is the identity.
 
@@ -181,28 +181,11 @@ def _check_factor_shape(t, n):
 
 def _check_size_cap(n, what):
     # runs before anything is allocated. A build is O(n) memory; only
-    # dense_a() (solve_direct and the dense decomposition) and the load of a
-    # .prob whose A fits no structure allocate n^2, 12.8 GB at the cap, and
-    # generate at the cap writes a 12.8 GB .prob if the disk has room for it
+    # dense_a() (the dense decomposition) and the load of a .prob whose A
+    # fits no structure allocate n^2, 12.8 GB at the cap, and generate at
+    # the cap writes a 12.8 GB .prob if the disk has room for it
     if n > 40000:
         raise SizeCap(f"{what} exceeds the 40000 cap")
-
-
-def greens_kernel(t, s):
-    """Kernel kappa(t, s) = s (1 - t) for s <= t, else t (1 - s).
-
-    Symmetric and nonnegative on the unit square. Accepts scalars or
-    broadcastable arrays; raises DomainError outside [0, 1]^2.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > 1) or np.any(s < 0) or np.any(s > 1):
-        raise DomainError("greens_kernel arguments must lie in [0, 1]")
-    shape = np.broadcast_shapes(t.shape, s.shape)
-    out = _kernel(t, s, np.empty(shape), np.empty(shape))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _kernel(t, s, out, scratch):

@@ -1,4 +1,4 @@
-"""Generalized eigendecomposition, spectral-decay fitting, and the B-seminorm.
+"""Generalized eigendecomposition, spectral-decay fitting, and the one filter.
 
 Every route returns one SpectralDecomposition: rho and the bases psi and
 A psi, each an (n, m) array on the dense route or an implicit basis, held in
@@ -333,19 +333,6 @@ def fit_alpha(decomp):
         c_upper=c_upper,
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
-
-
-def b_seminorm_sq(decomp, u, w):
-    """Squared B-seminorm: sum_k sqrt(rho_k) * ((u, psi_k)_W)^2.
-
-    Equals ||(W^{-1/2} A^T A W^{-1/2})^{1/4} W^{1/2} u||^2 on the retained
-    modes; nonnegative by construction.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (decomp.n,):
-        raise DimensionMismatch(f"u has shape {u.shape}, expected ({decomp.n},)")
-    coeffs = decomp.coeffs(w.apply(u))
-    return float(np.sum(np.sqrt(decomp.rho) * coeffs**2))
 
 
 def _check_lambda(lam):

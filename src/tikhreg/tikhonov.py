@@ -1,11 +1,10 @@
-"""Weighted Tikhonov solvers and error functionals.
+"""The weighted Tikhonov solver and its error functionals.
 
-The minimizer of ||A x - b||^2 + lambda ||x||_W^2 is computed by two
-independent routes: the normal equations (A^T A + lambda W) x = A^T b via a
-Cholesky solve, and the spectral filter x = sum_k (b, A psi_k)/(lambda+rho_k)
-psi_k over the retained generalized eigenpairs. Every driver and CLI command
-runs on the spectral route; the normal equations (solve_direct) are the
-independent reference the test suite holds it against.
+The minimizer of ||A x - b||^2 + lambda ||x||_W^2 is the spectral filter
+x = sum_k (b, A psi_k)/(lambda+rho_k) psi_k over the retained generalized
+eigenpairs, the route of every driver and CLI command. The normal equations
+(A^T A + lambda W) x = A^T b are not shipped: the test suite holds this route
+against them (tests/reference.py, criterion 3).
 """
 
 import math
@@ -14,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import spd_solve, w_norm
-from .spectral import _check_lambda, error_filter
+from .linalg import w_norm
+from .spectral import error_filter
 
 
 @dataclass
@@ -44,16 +43,6 @@ def _check_rhs(instance, b):
     return b
 
 
-def _solution(instance, b, lam, x, ax):
-    return RegularizedSolution(
-        lam=lam,
-        x=x,
-        residual_b=float(np.linalg.norm(ax - b)),
-        w_norm=w_norm(x, instance.w),
-        output_err=float(np.linalg.norm(ax - instance.y)),
-    )
-
-
 def spectral_solver(decomp, instance, b):
     """Callable lam -> RegularizedSolution of the filter c_k = (b, A psi_k) / (lambda + rho_k).
 
@@ -68,28 +57,16 @@ def spectral_solver(decomp, instance, b):
 
     def solve(lam):
         c, _, _ = errors(d, lam)
-        return _solution(instance, b, float(lam), *decomp.expand(c))
+        x, ax = decomp.expand(c)
+        return RegularizedSolution(
+            lam=float(lam),
+            x=x,
+            residual_b=float(np.linalg.norm(ax - b)),
+            w_norm=w_norm(x, instance.w),
+            output_err=float(np.linalg.norm(ax - instance.y)),
+        )
 
     return solve
-
-
-def solve_direct(instance, b, lam):
-    """RegularizedSolution of (A^T A + lambda W) x = A^T b by a Cholesky solve.
-
-    The normal-equations route, independent of the decomposition: the
-    reference the spectral route is tested against (criterion 3). A^T A and
-    A^T b are formed on every call.
-    """
-    b = _check_rhs(instance, b)
-    lam = _check_lambda(lam)
-    a = instance.dense_a()
-    m = a.T @ a
-    if instance.w.is_identity:
-        m[np.diag_indices_from(m)] += lam
-    else:
-        m += lam * instance.w.matrix
-    x = spd_solve(m, a.T @ b)
-    return _solution(instance, b, lam, x, a @ x)
 
 
 def error_report(instance, sol, b):

@@ -28,11 +28,12 @@ from tikhreg import (
     run_sample_study,
     run_sweep,
     run_table,
-    solve_direct,
     spectral_solver,
 )
 from tikhreg.cli import main as cli_main
 from tikhreg.harness import rule_lambda
+
+from reference import solve_direct
 
 
 def _line(num, ok, detail):

@@ -274,6 +274,16 @@ def test_config_conflict_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_not_utf8_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00bad=1\n")
+    code = run(["adaptive", "--n", "50", "--delta", "0.01", "--config", str(cfg),
+                "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "usage error: cannot read config file" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "c")
+
+
 def test_out_env_var(tmp_path, monkeypatch):
     target = str(tmp_path / "envout")
     monkeypatch.setenv("TIKHREG_OUT", target)

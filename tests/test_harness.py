@@ -16,7 +16,6 @@ from tikhreg import (
     SizeCap,
     add_noise,
     adaptive_select,
-    b_seminorm_sq,
     build_blur,
     build_fredholm,
     decompose,
@@ -27,7 +26,6 @@ from tikhreg import (
     run_sample_study,
     run_sweep,
     run_table,
-    solve_direct,
     standard_normal,
     stream_seed,
 )
@@ -46,6 +44,8 @@ from tikhreg.harness import (
 )
 from tikhreg.params import AdaptiveConfig
 from tikhreg.tikhonov import spectral_solver
+
+from reference import b_seminorm_sq, solve_direct
 
 
 # ---------------------------------------------------------------------------

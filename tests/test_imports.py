@@ -1,9 +1,11 @@
 """Every name a package module imports is used in that module, no module
 imports scipy or a `_`-prefixed name of `problems` or calls `np.linalg.eigh`,
-and only `spectral` reads the basis arrays `psi` and `a_psi`."""
+only `spectral` reads the basis arrays `psi` and `a_psi`, and no function or
+method is reached only from the tests."""
 
 import ast
 import os
+from collections import defaultdict
 
 import pytest
 
@@ -125,3 +127,93 @@ def test_check_flags_an_eigh_call():
                      "vals, vecs = np.linalg.eigh(a.T @ a)\nnumpy.linalg.eigh(g)\n"
                      "from numpy.linalg import eigh as e\n")
     assert _eigh_uses(tree) == [(4, "eigh"), (5, "eigh"), (6, "eigh")]
+
+
+def _defs_and_refs(sources):
+    # module-level functions and methods of module-level classes, keyed
+    # module.name or module.Class.name, and for every name loaded as a Name or
+    # an attribute, the keys of the defs it is read in (None outside any def).
+    # self.name in a class that annotates name as a field reads that field,
+    # so it counts for no def of that name
+    defs, refs = {}, defaultdict(set)
+    for module, source in sources.items():
+        tree = ast.parse(source, filename=module)
+        owner, field_reads = {}, set()
+        for node in tree.body:
+            is_class = isinstance(node, ast.ClassDef)
+            fields = {item.target.id for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)} if is_class else set()
+            prefix = f"{module}.{node.name}." if is_class else f"{module}."
+            for item in node.body if is_class else [node]:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                key = prefix + item.name
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    defs[key] = item.name
+                for sub in ast.walk(item):
+                    owner[id(sub)] = key
+                    if (isinstance(sub, ast.Attribute) and sub.attr in fields
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        field_reads.add(id(sub))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs[node.id].add(owner.get(id(node)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in field_reads):
+                refs[node.attr].add(owner.get(id(node)))
+    return defs, refs
+
+
+def _test_only_defs(sources, entry=frozenset(), exempt=frozenset()):
+    # a def is reached when it is an entry point or its name is read outside
+    # its own body and outside every def found unreached so far, to a fixed
+    # point; an exempt def counts as unreached but is not reported
+    defs, refs = _defs_and_refs(sources)
+    dead = set(exempt)
+    while True:
+        found = {key for key, name in defs.items() if key not in dead and key not in entry
+                 and not any(where != key and where not in dead for where in refs[name])}
+        if not found:
+            return sorted(dead - set(exempt))
+        dead |= found
+
+
+# The three defs that form an implicit basis as an (n, m) array for tests at
+# small n: they read the bases' private layout, which only `spectral` may
+# know, so they stay there.
+TEST_ONLY = frozenset({
+    "spectral.SpectralDecomposition.basis",
+    "spectral._SineBasis.dense",
+    "spectral._KronBasis.dense",
+})
+
+
+def test_no_def_is_reached_only_from_tests():
+    # __init__.py only re-exports, so the names it imports count for nothing;
+    # cli.main is the console entry point
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module[:-3]] = fh.read()
+    assert _test_only_defs(sources, entry={"cli.main"}, exempt=TEST_ONLY) == []
+    # and every exemption is still needed
+    assert _test_only_defs(sources, entry={"cli.main"}) == sorted(TEST_ONLY)
+
+
+def test_check_flags_a_test_only_def():
+    sources = {
+        "a": "def used():\n    return helper()\ndef helper():\n    return 1\n"
+             "def reference():\n    return helper() + only_from_reference()\n"
+             "def only_from_reference():\n    return 2\n"
+             "def recurse(k):\n    return recurse(k - 1)\n"
+             "class C:\n    def method(self):\n        return used()\n"
+             "    def __repr__(self):\n        return 'C'\n"
+             "    def planted(self):\n        return self.method()\n"
+             "@dataclass\nclass D:\n    planted: int\n"
+             "    def twice(self):\n        return 2 * self.planted\n"
+             "print(C().method(), D(1).twice())\n",
+        "b": "from .a import reference, recurse\ndef main():\n    return reference()\n",
+    }
+    assert _test_only_defs(sources) == ["a.C.planted", "a.only_from_reference", "a.recurse",
+                                        "a.reference", "b.main"]
+    assert _test_only_defs(sources, entry={"b.main"}, exempt={"a.C.planted"}) == ["a.recurse"]

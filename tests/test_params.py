@@ -24,7 +24,9 @@ from tikhreg import (
     prior_rule_w,
     run_sweep,
 )
-from tikhreg.tikhonov import RegularizedSolution, solve_direct, spectral_solver
+from tikhreg.tikhonov import RegularizedSolution, spectral_solver
+
+from reference import solve_direct
 
 
 def _inp(**kw):
@@ -198,13 +200,13 @@ def test_adaptive_max_iters(fred200):
     assert tr.iters == 3
 
 
-def test_adaptive_rejects_nonfinite_b(fred200):
+def test_adaptive_rejects_nonfinite_b(fred200, dec200):
     b = fred200.y.copy()
     b[0] = math.nan
     cfg = AdaptiveConfig(alpha=2.0)
-    # the solver owns b and rejects it at the first iterate
+    # the solver owns b and rejects it before the first iterate
     with pytest.raises(DomainError):
-        adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
+        adaptive_select(fred200, cfg, spectral_solver(dec200, fred200, b))
 
 
 def test_adaptive_degenerate_solution(fred200):

@@ -13,7 +13,6 @@ from tikhreg import (
     SpectralDecomposition,
     WeightSpec,
     add_noise,
-    b_seminorm_sq,
     build_blur,
     build_fredholm,
     decompose,
@@ -21,11 +20,12 @@ from tikhreg import (
     fit_alpha,
     load_problem,
     save_problem,
-    solve_direct,
     spectral_solver,
     spectrum_rows,
 )
 from tikhreg.spectral import _dense_decompose
+
+from reference import b_seminorm_sq, solve_direct
 
 
 def _instance(a, w=None, label="t"):

@@ -15,9 +15,10 @@ from tikhreg import (
     build_blur,
     decompose,
     error_report,
-    solve_direct,
 )
 from tikhreg.tikhonov import spectral_solver
+
+from reference import solve_direct
 
 
 def _instance(a, x_star=None, w=None, label="t"):
@@ -110,8 +111,6 @@ def test_cross_solver_agreement(rng):
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
 def test_bad_lambda_rejected(fred20, lam):
-    with pytest.raises(NonFiniteLambda):
-        solve_direct(fred20, fred20.y, lam)
     dec = decompose(fred20)
     with pytest.raises(NonFiniteLambda):
         spectral_solver(dec, fred20, fred20.y)(lam)
@@ -170,8 +169,6 @@ def test_nonfinite_rhs_rejected(fred20, bad):
     dec = decompose(fred20)
     b = fred20.y.copy()
     b[3] = bad
-    with pytest.raises(DomainError):
-        solve_direct(fred20, b, 1e-6)
     with pytest.raises(DomainError):
         spectral_solver(dec, fred20, b)(1e-6)
     with pytest.raises(DomainError):
