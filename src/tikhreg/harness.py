@@ -10,15 +10,16 @@ evaluation order can change any number.
 
 CSV cells are printed with repr-exact precision (%.17g) and manifests are
 JSON with sorted keys and no timestamps, so reruns are byte-identical.
+
+Start-up: the records are NamedTuples, and statistics and
+concurrent.futures are imported inside run_sample_study and run_montecarlo,
+so a command that runs neither driver does not load them.
 """
 
 import json
 import math
 import os
-import statistics
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ _REPS_CAP = 1_000_000
 # result records
 # ===========================================================================
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     lambdas: np.ndarray          # grid, strictly increasing
     output_errors: np.ndarray    # n^{-1/2} ||A x_lam - A x*|| per grid point
     lambda_pred: float
@@ -65,8 +65,7 @@ class SweepResult:
     argmin_lambda: float
 
 
-@dataclass
-class MonteCarloCell:
+class MonteCarloCell(NamedTuple):
     n: int
     delta: float
     lam: float
@@ -75,8 +74,7 @@ class MonteCarloCell:
     reps: int
 
 
-@dataclass
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     cells: List[MonteCarloCell]
     slope_output: float
     slope_b: float
@@ -84,8 +82,7 @@ class MonteCarloSummary:
     intercept_b: float
 
 
-@dataclass
-class SampleStudy:
+class SampleStudy(NamedTuple):
     samples: np.ndarray          # scaled output errors, one per repetition
     bin_edges: np.ndarray
     bin_counts: np.ndarray
@@ -94,8 +91,7 @@ class SampleStudy:
     qq_correlation: float
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     delta: float
     n: int
     sigma: float
@@ -253,6 +249,9 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
             mean_scaled_output=float(np.mean(out)), mean_scaled_b=float(np.mean(berr)), reps=reps,
         )
 
+    # imported here, not at module level: no other command then loads it and logging
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         cells = list(pool.map(one_cell, grid))
 
@@ -308,9 +307,12 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     counts, edges = np.histogram(samples, bins=bins)
     standardized = np.sort((samples - float(np.mean(samples))) / sd)
     probs = (np.arange(1, reps + 1) - 0.5) / reps
+    # imported here, not at module level: no other command then loads it, decimal and fractions
+    from statistics import NormalDist
+
     # Wichura's AS241 in the stdlib, within a few ulp of scipy.special.ndtri
     # and without its 0.3 s import
-    inv_cdf = statistics.NormalDist().inv_cdf
+    inv_cdf = NormalDist().inv_cdf
     theo = np.array([inv_cdf(p) for p in probs.tolist()])
     corr = float(np.corrcoef(theo, standardized)[0, 1])
     return SampleStudy(

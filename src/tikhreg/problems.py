@@ -92,7 +92,7 @@ import math
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -164,8 +164,7 @@ class NoiseSpec:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass
-class NoisyData:
+class NoisyData(NamedTuple):
     """One noisy right-hand side together with the noise strength that made it."""
 
     b: np.ndarray

@@ -57,6 +57,7 @@ dense A (instance.dense_a()).
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +87,7 @@ class _Basis:
         return self._synthesis(c)
 
 
-@dataclass
-class _Transposed:
+class _Transposed(NamedTuple):
     basis: _Basis
 
     def __matmul__(self, v):
@@ -172,8 +172,7 @@ class _KronBasis(_Basis):
         return (f[:, self.i][:, None, :] * f[:, self.j][None, :, :]).reshape(self.shape)
 
 
-@dataclass
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Retained generalized eigenpairs (rho_k, psi_k, A psi_k) of (A^T A, W).
 
     rho is descending and strictly positive, psi holds the W-orthonormal
@@ -212,8 +211,7 @@ class SpectralDecomposition:
         return tuple(b if isinstance(b, np.ndarray) else b.dense() for b in (self.psi, self.a_psi))
 
 
-@dataclass
-class AlphaFit:
+class AlphaFit(NamedTuple):
     """Least-squares power-law fit log rho_k ~ log_c - alpha_hat * log k."""
 
     alpha_hat: float

@@ -8,7 +8,7 @@ against them (tests/reference.py, criterion 3).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .linalg import w_norm
 from .spectral import error_filter
 
 
-@dataclass
-class RegularizedSolution:
+class RegularizedSolution(NamedTuple):
     lam: float
     x: np.ndarray
     residual_b: float                 # ||A x - b||
@@ -26,8 +25,7 @@ class RegularizedSolution:
     output_err: float                 # ||A x - A x*||
 
 
-@dataclass
-class ErrorReport:
+class ErrorReport(NamedTuple):
     rel_x: float
     rel_ax: float
     rel_res: float

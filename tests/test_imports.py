@@ -1,10 +1,16 @@
 """Every name a package module imports is used in that module, no module
 imports scipy or a `_`-prefixed name of `problems` or calls `np.linalg.eigh`,
-only `spectral` reads the basis arrays `psi` and `a_psi`, and no function or
-method is reached only from the tests."""
+only `spectral` reads the basis arrays `psi` and `a_psi`, no function or
+method is reached only from the tests, and starting the CLI loads no module
+that only some commands use."""
 
 import ast
+import dataclasses
+import importlib
+import json
 import os
+import subprocess
+import sys
 from collections import defaultdict
 
 import pytest
@@ -217,3 +223,30 @@ def test_check_flags_a_test_only_def():
     assert _test_only_defs(sources) == ["a.C.planted", "a.only_from_reference", "a.recurse",
                                         "a.reference", "b.main"]
     assert _test_only_defs(sources, entry={"b.main"}, exempt={"a.C.planted"}) == ["a.recurse"]
+
+
+# the result records, which carry fields and validate nothing
+RECORDS = {
+    "harness": ["SweepResult", "MonteCarloCell", "MonteCarloSummary", "SampleStudy", "TableRow"],
+    "tikhonov": ["RegularizedSolution", "ErrorReport"],
+    "spectral": ["AlphaFit", "SpectralDecomposition", "_Transposed"],
+    "problems": ["NoisyData"],
+}
+
+# statistics and concurrent.futures serve one driver each, and logging,
+# decimal and fractions load only through those two
+DEFERRED = ["statistics", "concurrent.futures", "logging", "decimal", "fractions"]
+
+
+def test_cli_start_loads_only_what_every_command_runs():
+    # a fresh interpreter, so that nothing this test session imported counts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import json, sys, tikhreg.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    assert [m for m in DEFERRED if m in loaded] == []
+    for module, names in RECORDS.items():
+        mod = importlib.import_module(f"tikhreg.{module}")
+        assert [name for name in names if dataclasses.is_dataclass(getattr(mod, name))] == []
