@@ -58,6 +58,7 @@ from .tikhonov import (
     RegularizedSolution,
     error_report,
     spectral_solver,
+    spectral_solvers,
 )
 from .params import (
     AdaptiveConfig,

@@ -103,33 +103,25 @@ def _add_common(sub):
     sub.add_argument("--seed", type=_seed_type, default=0)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tikhreg",
-        description="Weighted Tikhonov regularization experiments with reproducible seeds.",
-    )
-    parser.add_argument("--version", action="version", version=f"tikhreg {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("generate", help="build a problem instance and write instance.prob")
+def _generate_args(p):
     _add_problem_args(p, with_prob=False)
     _add_common(p)
-    p.set_defaults(func=_cmd_generate)
 
-    p = commands.add_parser("spectrum", help="eigendecompose and fit the decay exponent")
+
+def _spectrum_args(p):
     _add_problem_args(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = commands.add_parser("solve", help="one noisy draw, one regularized solve")
+
+def _solve_args(p):
     _add_problem_args(p)
     _add_rule_args(p)
     _add_common(p)
     p.add_argument("--delta", type=float, required=True, help="relative noise level")
     p.add_argument("--lam", type=float, help="fixed lambda (otherwise the rule chooses it)")
-    p.set_defaults(func=_cmd_solve)
 
-    p = commands.add_parser("sweep", help="error along a log-equispaced lambda grid")
+
+def _sweep_args(p):
     _add_problem_args(p)
     _add_rule_args(p)
     _add_common(p)
@@ -137,25 +129,25 @@ def build_parser():
     p.add_argument("--grid-lo", type=float, default=1e-10)
     p.add_argument("--grid-hi", type=float, default=1e-4)
     p.add_argument("--grid-count", type=int, default=10)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = commands.add_parser("adaptive", help="adaptive parameter iteration with trace output")
+
+def _adaptive_args(p):
     _add_problem_args(p)
     _add_common(p)
     p.add_argument("--delta", type=float, required=True)
     _add_adaptive_args(p)
-    p.set_defaults(func=_cmd_adaptive)
 
-    p = commands.add_parser("montecarlo", help="mean errors per (n, delta) cell and slope fits")
+
+def _montecarlo_args(p):
     _add_rule_args(p)
     _add_common(p)
     _add_grid_args(p)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--threads", type=int, default=1,
                    help="worker cap; results are identical for any value")
-    p.set_defaults(func=_cmd_montecarlo)
 
-    p = commands.add_parser("study", help="histogram and normal QQ of the error distribution")
+
+def _study_args(p):
     _add_problem_args(p)
     _add_rule_args(p)
     _add_common(p)
@@ -163,14 +155,34 @@ def build_parser():
     p.add_argument("--lam", type=float, help="fixed lambda (otherwise the rule chooses it)")
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--bins", type=int, default=50)
-    p.set_defaults(func=_cmd_study)
 
-    p = commands.add_parser("table", help="adaptive summary rows over (delta, n) pairs")
+
+def _table_args(p):
     _add_common(p)
     _add_grid_args(p)
     _add_adaptive_args(p)
-    p.set_defaults(func=_cmd_table)
 
+
+def build_parser(command=None):
+    """The tikhreg parser with all eight subparsers, or with only `command`'s.
+
+    A one-command parser parses that command's argv as the full one does;
+    its subparsers action lists every command name as its metavar, so the
+    top-level usage line of an error is the same too. The full parser takes
+    no metavar, which would rename "argument command" in its own errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tikhreg",
+        description="Weighted Tikhonov regularization experiments with reproducible seeds.",
+    )
+    parser.add_argument("--version", action="version", version=f"tikhreg {__version__}")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_args, body) in _COMMANDS.items():
+        if command in (None, name):
+            p = commands.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=body)
     return parser
 
 
@@ -322,6 +334,22 @@ def _cmd_table(args, parser, out_dir):
     return outputs, f"table: wrote {len(rows)} rows to table1.csv"
 
 
+# name -> (help, argument adder, body) of every subcommand, in help order
+_COMMANDS = {
+    "generate": ("build a problem instance and write instance.prob", _generate_args,
+                 _cmd_generate),
+    "spectrum": ("eigendecompose and fit the decay exponent", _spectrum_args, _cmd_spectrum),
+    "solve": ("one noisy draw, one regularized solve", _solve_args, _cmd_solve),
+    "sweep": ("error along a log-equispaced lambda grid", _sweep_args, _cmd_sweep),
+    "adaptive": ("adaptive parameter iteration with trace output", _adaptive_args,
+                 _cmd_adaptive),
+    "montecarlo": ("mean errors per (n, delta) cell and slope fits", _montecarlo_args,
+                   _cmd_montecarlo),
+    "study": ("histogram and normal QQ of the error distribution", _study_args, _cmd_study),
+    "table": ("adaptive summary rows over (delta, n) pairs", _table_args, _cmd_table),
+}
+
+
 # ---------------------------------------------------------------------------
 # --config merging and entry point
 
@@ -364,7 +392,10 @@ _MANIFEST_SKIP = ("func", "command", "out", "config", "threads")
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    # --config only appends options, so argv[0] names the command before and
+    # after the merge; any other first token (a flag, nothing, an unknown
+    # name) gets the full parser and its help or error
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         argv = _merge_config(argv)
     except _UsageError as exc:

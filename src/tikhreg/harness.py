@@ -31,7 +31,7 @@ from .problems import (
     NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
 )
 from .spectral import _check_lambda, decompose, error_filter, spectrum_rows
-from .tikhonov import error_report, spectral_solver
+from .tikhonov import error_report, spectral_solvers
 
 # reps are processed in batches, one noise block drawn in one call per
 # batch, of at most _REP_BATCH rows and _BATCH_BYTES of noise (64 rows at
@@ -332,20 +332,22 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
 def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     """One adaptive run per (delta, n): noise draw, iteration, error report.
 
-    One instance and one decomposition per n, shared across that n's rows;
-    the iteration runs on the spectral route. Rows come out grouped by delta
+    One instance, one decomposition and one spectral_solvers per n, shared
+    across that n's rows, so the terms of y are formed once per size; the
+    iteration runs on the spectral route, O(m) per lambda, and forms x once
+    per row, at its final lambda. Rows come out grouped by delta
     (outer) then n (inner). The noise stream of a row is
     stream_seed(master_seed, n, delta, 0), so repeated sizes and deltas that
     share a stream are rejected.
     """
     insts = dict(_instances(ns, deltas, master_seed, problem))
-    decomps = {n: decompose(inst) for n, inst in insts.items()}
+    solvers = {n: spectral_solvers(decompose(inst), inst) for n, inst in insts.items()}
     rows = []
     for delta in deltas:
         for n in ns:
             inst = insts[n]
             data = add_noise(inst, NoiseSpec(delta=delta, seed=stream_seed(master_seed, n, delta, 0)))
-            trace = adaptive_select(inst, cfg, spectral_solver(decomps[n], inst, data.b))
+            trace = adaptive_select(inst, cfg, solvers[n](data.b))
             report = error_report(inst, trace.final, data.b)
             rows.append(TableRow(
                 delta=delta, n=n, sigma=data.sigma,

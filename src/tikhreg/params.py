@@ -115,7 +115,11 @@ def adaptive_select(instance, cfg, solver):
 
     solver is any callable lam -> RegularizedSolution for one right-hand side
     b of this instance, such as tikhonov.spectral_solver(decomp, instance, b),
-    which rejects a b that is not finite. Each update is
+    which rejects a b that is not finite. A solver with a scalars attribute
+    (spectral_solver's), a callable lam -> RegularizedSolution with x None,
+    has every iterate measured by it, in O(m) on the spectral route, and is
+    itself called once, at the last solved lambda, for trace.final. Each
+    update is
 
         lambda_{k+1}^{(alpha+1)/(2 alpha)} =
             C * (n^{-1/2} ||A x_k - b||) * n^{-1/2} * (n^{-1/2} ||x_k||_W)^{-1}
@@ -125,22 +129,22 @@ def adaptive_select(instance, cfg, solver):
     iteration cap is hit, or an update underflows or turns nonfinite (the
     trace then carries terminated = "nonfinite" and the last solved iterate).
     """
+    measure = getattr(solver, "scalars", solver)
     root_n = math.sqrt(instance.n)
     trace = AdaptiveTrace()
     lam = initial_lambda(cfg.alpha, instance.n)
     for k in range(cfg.max_iters + 1):
-        sol = solver(lam)
+        sol = measure(lam)
         trace.lambdas.append(lam)
         trace.residuals.append(sol.residual_b / root_n)
         trace.w_norms.append(sol.w_norm / root_n)
-        trace.final = sol
         if k > 0:
             change = abs(lam - trace.lambdas[-2])
             if (change <= cfg.tol if cfg.stop_mode == "absolute" else change / lam <= cfg.tol):
                 trace.terminated = "converged"
-                return trace
+                break
         if k == cfg.max_iters:
-            break
+            break          # terminated keeps its default, "max_iters"
         if trace.w_norms[-1] == 0.0:
             raise DegenerateSolution(
                 f"iterate at lambda = {lam:.6e} has zero W-norm; the update is undefined"
@@ -149,5 +153,6 @@ def adaptive_select(instance, cfg, solver):
                           trace.w_norms[-1])
         if not math.isfinite(lam) or lam < _LAMBDA_FLOOR:
             trace.terminated = "nonfinite"
-            return trace
-    return trace       # terminated keeps its default, "max_iters"
+            break
+    trace.final = sol if sol.x is not None else solver(sol.lam)
+    return trace

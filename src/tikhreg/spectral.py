@@ -94,12 +94,6 @@ class _Transposed(NamedTuple):
         return self.basis._analysis(v)
 
 
-def _sine_table(n):
-    # sin(r pi/(2n)) for r = 0..4n-1; every sine argument of the route is such
-    # an r reduced mod 4n, so no argument exceeds 2 pi
-    return np.sin(np.arange(4 * n) * (math.pi / (2 * n)))
-
-
 @dataclass
 class _SineBasis(_Basis):
     """Columns w_k sqrt(2/n) sin(k (j + shift) pi/n), j < n, k = 1..m; products by real FFT."""
@@ -134,9 +128,11 @@ class _SineBasis(_Basis):
         return np.fft.irfft(h, 2 * self.n)[:self.n]
 
     def dense(self):
-        """The (n, m) array from the sine table; not cached, for tests at small n."""
+        """The (n, m) array from a table of sines; not cached, for tests at small n."""
         n, m = self.shape
-        tab = _sine_table(n) * math.sqrt(2.0 / n)
+        # sin(r pi/(2n)) for r = 0..4n-1: every sine argument of the basis is
+        # such an r reduced mod 4n, so no argument exceeds 2 pi
+        tab = np.sin(np.arange(4 * n) * (math.pi / (2 * n))) * math.sqrt(2.0 / n)
         i, k = np.arange(n), np.arange(1, m + 1)
         return tab[np.multiply.outer(2 * i + int(2 * self.shift), k) % (4 * n)] * self.w
 
@@ -253,11 +249,11 @@ def _kron_decompose(instance):
 def _sine_decompose(instance):
     # closed-form singular values of build_fredholm(n) (module docstring)
     n = instance.n
-    tab = _sine_table(n)
-    k = np.arange(1, n)
-    # 2 - 2 cos theta_k = 4 sin^2(theta_k/2), free of cancellation at small k;
-    # cos(theta_k/2) = sin((n - k) pi/(2n))
-    sigma = tab[n - k] / (4.0 * n * n * tab[k] ** 2)
+    # sines[k - 1] = sin(k pi/(2n)) for k = 1..n-1, the n - 1 sines sigma
+    # needs: 2 - 2 cos theta_k = 4 sin^2(theta_k/2), free of cancellation at
+    # small k, and cos(theta_k/2) = sin((n - k) pi/(2n))
+    sines = np.sin(np.arange(1, n) * (math.pi / (2 * n)))
+    sigma = sines[::-1] / (4.0 * n * n * sines**2)
     rho = sigma**2
     m = _retained(rho, n)
     return SpectralDecomposition(rho=rho[:m], psi=_SineBasis(n, 0.5, np.ones(m)),

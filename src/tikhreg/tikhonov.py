@@ -1,8 +1,23 @@
 """The weighted Tikhonov solver and its error functionals.
 
 The minimizer of ||A x - b||^2 + lambda ||x||_W^2 is the spectral filter
-x = sum_k (b, A psi_k)/(lambda+rho_k) psi_k over the retained generalized
-eigenpairs, the route of every driver and CLI command. The normal equations
+x = sum_k c_k psi_k, c_k = d_k/(lambda+rho_k) with d_k = (b, A psi_k), over
+the retained generalized eigenpairs, the route of every driver and CLI
+command. On every route the psi_k are W-orthonormal and the A psi_k are
+orthogonal with ||A psi_k||^2 = rho_k, so the scalars of a solution are
+m-term sums (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM
+1998, 4.4). With d_y = (y, A psi_k):
+
+    ||A x - b||^2 = ||b_perp||^2 + sum_k (rho_k c_k - d_k)^2 / rho_k,
+    ||A x - y||^2 = ||y_perp||^2 + sum_k (rho_k c_k - d_y,k)^2 / rho_k,
+    ||x||_W^2     = sum_k c_k^2,
+
+where v_perp = v - sum_k ((v, A psi_k)/rho_k) A psi_k is the part of v
+outside the span of the A psi_k. b_perp and y_perp are formed once, in
+n-space, when the solver is built; after that every lambda costs O(m), and
+x is formed only when a solution is asked for. rho c - d_y is summed as
+(b - y, A psi_k) - lambda c_k, which keeps the noise projection free of the
+cancellation between d and d_y. The normal equations
 (A^T A + lambda W) x = A^T b are not shipped: the test suite holds this route
 against them (tests/reference.py, criterion 3).
 """
@@ -13,13 +28,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import w_norm
-from .spectral import error_filter
+from .spectral import _check_lambda
 
 
 class RegularizedSolution(NamedTuple):
     lam: float
-    x: np.ndarray
+    x: np.ndarray                     # None from a solver's scalars, which form no x
     residual_b: float                 # ||A x - b||
     w_norm: float                     # ||x||_W
     output_err: float                 # ||A x - A x*||
@@ -41,30 +55,76 @@ def _check_rhs(instance, b):
     return b
 
 
+def _perp_sq(decomp, v, d):
+    # ||v_perp||^2 for the projections d = (v, A psi_k)
+    v_perp = v - decomp.expand(d / decomp.rho)[1]
+    return float(v_perp @ v_perp)
+
+
+def _filter_terms(d, rho, sqrt_rho, lam):
+    # c = d/(lam + rho) and the residual terms (rho c - d)^2/rho, the latter
+    # as (d g / sqrt(rho))^2 with g = 1/(1 + rho/lam) = lam/(lam + rho): each
+    # operation rounds a monotone function of its one varying operand, so
+    # every c_k^2 is nonincreasing and every term nondecreasing in lam
+    c = d / (lam + rho)
+    return c, (d * (1.0 / (1.0 + rho / lam)) / sqrt_rho) ** 2
+
+
+def spectral_solvers(decomp, instance):
+    """Callable b -> spectral_solver(decomp, instance, b), for many b of one instance.
+
+    The terms of y, (y, A psi_k) and ||y_perp||^2, are formed once, here,
+    and shared by every solver it returns.
+    """
+    if decomp.n != instance.n:
+        raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
+    rho = decomp.rho
+    sqrt_rho = np.sqrt(rho)
+    d_y = decomp.project(instance.y)
+    y_perp_sq = _perp_sq(decomp, instance.y, d_y)
+
+    def for_rhs(b):
+        b = _check_rhs(instance, b)
+        d = decomp.project(b)
+        b_perp_sq = _perp_sq(decomp, b, d)
+        d_noise = decomp.project(b - instance.y)
+
+        def filtered(lam):
+            # (the solution with x None, its coefficients c), in O(m)
+            lam = _check_lambda(lam)
+            c, res_terms = _filter_terms(d, rho, sqrt_rho, lam)
+            out = (d_noise - lam * c) / sqrt_rho
+            sol = RegularizedSolution(
+                lam=lam,
+                x=None,
+                residual_b=math.sqrt(b_perp_sq + float(np.sum(res_terms))),
+                w_norm=math.sqrt(float(np.sum(c * c))),
+                output_err=math.sqrt(y_perp_sq + float(np.sum(out * out))),
+            )
+            return sol, c
+
+        def solve(lam):
+            sol, c = filtered(lam)
+            return sol._replace(x=decomp.expand(c)[0])
+
+        solve.scalars = lambda lam: filtered(lam)[0]
+        return solve
+
+    return for_rhs
+
+
 def spectral_solver(decomp, instance, b):
     """Callable lam -> RegularizedSolution of the filter c_k = (b, A psi_k) / (lambda + rho_k).
 
-    The projections (b, A psi_k) are formed once by decomp.project; c comes
-    from spectral.error_filter, the one filter kernel, and x and A x from
-    decomp.expand(c), so the residual and ||A x - A x*|| are measured in
-    n-space.
+    The projections (b, A psi_k) and ||b_perp||^2 are formed once, here;
+    residual_b, w_norm and output_err at each lambda are the m-term sums of
+    the module docstring, and x = psi c is formed by decomp.expand on each
+    call. solver.scalars(lam) returns the same solution with x None and
+    forms no length-n vector, so a run over many lambdas (adaptive_select)
+    forms x once, at the lambda it keeps. A b that is not finite raises
+    DomainError, a lambda that is not finite and positive NonFiniteLambda.
     """
-    b = _check_rhs(instance, b)
-    errors = error_filter(decomp, instance)
-    d = decomp.project(b)
-
-    def solve(lam):
-        c, _, _ = errors(d, lam)
-        x, ax = decomp.expand(c)
-        return RegularizedSolution(
-            lam=float(lam),
-            x=x,
-            residual_b=float(np.linalg.norm(ax - b)),
-            w_norm=w_norm(x, instance.w),
-            output_err=float(np.linalg.norm(ax - instance.y)),
-        )
-
-    return solve
+    return spectral_solvers(decomp, instance)(b)
 
 
 def error_report(instance, sol, b):

@@ -12,6 +12,7 @@ from tikhreg import (
     NoiseSpec, ProblemInstance, WeightSpec, add_noise, build_blur, build_fredholm, decompose,
     error_report, rule_lambda, save_problem, spectral_solver,
 )
+from tikhreg import cli
 from tikhreg.cli import main
 
 
@@ -556,3 +557,71 @@ def test_rule_constant_that_overflows_ends_without_traceback(tmp_path, command, 
         assert "lambda must be finite and positive, got inf" in out.stderr
     elif command[0] == "adaptive":
         assert json.loads(read(tmp_path / "adaptive.json"))["terminated"] == "nonfinite"
+
+
+def _one_argv_per_command(tmp_path):
+    # montecarlo takes its sizes and deltas from a --config file
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("ns=60,120\ndeltas=0.1,0.01\n")
+    return {
+        "generate": ["generate", "--problem", "blur", "--side", "8", "--psf-width", "1.5"],
+        "spectrum": ["spectrum", "--n", "60", "--seed", "0x10"],
+        "solve": ["solve", "--n", "50", "--delta", "0.05", "--lam", "1e-6", "--rule", "w"],
+        "sweep": ["sweep", "--n", "60", "--delta", "0.05", "--grid-count", "6", "--alpha", "3"],
+        "adaptive": ["adaptive", "--problem", "blur", "--side", "10", "--delta", "0.01",
+                     "--stop", "relative"],
+        "montecarlo": ["montecarlo", "--config", str(cfg), "--reps", "4", "--threads", "2"],
+        "study": ["study", "--n", "60", "--delta", "0.01", "--bins", "7", "--out", "x"],
+        "table": ["table", "--ns", "60", "--deltas", "0.1,0.01", "--max-iters", "5"],
+    }
+
+
+def test_one_command_parser_parses_as_the_full_parser(tmp_path):
+    argvs = _one_argv_per_command(tmp_path)
+    assert list(argvs) == list(cli._COMMANDS)
+    parsed = {}
+    for name, argv in argvs.items():
+        argv = cli._merge_config(argv)
+        parsed[name] = cli.build_parser(name).parse_args(argv)
+        assert parsed[name] == cli.build_parser().parse_args(argv)
+        assert parsed[name].command == name
+    # the --config keys reach the one-command parse
+    assert (parsed["montecarlo"].ns, parsed["montecarlo"].deltas) == ([60, 120], [0.1, 0.01])
+
+
+def _help_and_usage_invocations(tmp_path):
+    return [
+        ["--help"], ["-h", "table"], ["--version"], ["nosuch"], [], ["table", "--bogus"],
+        ["sweep", "-h"], ["table", "--help"], ["study", "--delta", "x"], ["table", "--version"],
+        ["montecarlo", "--ns", "40", "--deltas", "0.1", "--threads", "0",
+         "--out", str(tmp_path / "m")],
+        ["solve", "--delta", "0.1", "--out", str(tmp_path / "s")],
+        ["generate", "--problem", "nope"],
+        ["table", "--config", str(tmp_path / "missing.cfg")],
+    ]
+
+
+def test_help_and_usage_errors_match_the_full_parser(tmp_path, capsys, monkeypatch):
+    # a command's own subparser prints what the parser holding all eight
+    # prints, on stdout and stderr, with the same exit code; a call that
+    # names no command builds all eight
+    full_parser = cli.build_parser
+    built = []
+
+    def recorded(command=None):
+        built.append(command)
+        return full_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    invocations = _help_and_usage_invocations(tmp_path)
+    seen = []
+    for argv in invocations:
+        code = main(list(argv))
+        seen.append((code, *capsys.readouterr()))
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None
+                     for argv in invocations]
+    assert [code for code, _, _ in seen] == [0, 0, 0, 2, 2, 2, 0, 0, 2, 2, 2, 2, 2, 2]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    for argv, want in zip(invocations, seen):
+        code = main(list(argv))
+        assert (code, *capsys.readouterr()) == want, argv

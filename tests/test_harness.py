@@ -94,7 +94,7 @@ def test_sweep_reads_the_spectral_route_output_error(monkeypatch, fred100):
     def no_solver(*_):
         raise AssertionError("run_sweep builds no solver")
 
-    monkeypatch.setattr("tikhreg.harness.spectral_solver", no_solver)
+    monkeypatch.setattr("tikhreg.harness.spectral_solvers", no_solver)
     res = run_sweep(fred100, spec, (1e-9, 1e-3, 13))
     solver = spectral_solver(decompose(fred100), fred100, add_noise(fred100, spec).b)
     expected = [solver(lam).output_err / math.sqrt(100) for lam in res.lambdas]

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, no module
 imports scipy or a `_`-prefixed name of `problems` or calls `np.linalg.eigh`,
 only `spectral` reads the basis arrays `psi` and `a_psi`, no function or
-method is reached only from the tests, and starting the CLI loads no module
-that only some commands use."""
+method is reached only from the tests, starting the CLI loads no module
+that only some commands use, and a CLI call builds only the subparser of its
+command."""
 
 import ast
 import dataclasses
@@ -250,3 +251,34 @@ def test_cli_start_loads_only_what_every_command_runs():
     for module, names in RECORDS.items():
         mod = importlib.import_module(f"tikhreg.{module}")
         assert [name for name in names if dataclasses.is_dataclass(getattr(mod, name))] == []
+
+
+def _fresh_main(argv):
+    # main(argv) in a fresh interpreter that counts ArgumentParser.__init__
+    # calls; (exit code, prog of every parser built)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = (
+        "import argparse, json, sys\n"
+        "progs = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    progs.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from tikhreg.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, progs]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         env=env)
+    assert out.returncode == 0, out.stderr
+    return tuple(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_cli_call_builds_the_parser_and_one_subparser(tmp_path):
+    argv = ["table", "--ns", "60", "--deltas", "0.1", "--out", str(tmp_path / "t")]
+    assert _fresh_main(argv) == (0, ["tikhreg", "tikhreg table"])
+    # a call that names no command gets all eight
+    code, progs = _fresh_main(["--help"])
+    assert code == 0 and len(progs) == 9

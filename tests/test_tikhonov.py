@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,17 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tikhreg import (
+    AdaptiveConfig,
     DomainError,
     NoiseSpec,
     NonFiniteLambda,
     ProblemInstance,
     WeightSpec,
+    adaptive_select,
     add_noise,
     build_blur,
+    build_fredholm,
     decompose,
     error_report,
+    w_norm,
 )
-from tikhreg.tikhonov import spectral_solver
+from tikhreg.spectral import SpectralDecomposition, _KronBasis, _SineBasis
+from tikhreg.tikhonov import _filter_terms, spectral_solver
 
 from reference import solve_direct
 
@@ -185,3 +191,118 @@ def test_spectral_scalars_match_direct_route_on_kronecker_route():
         spectral, direct = solver(lam), solve_direct(inst, b, lam)
         for field in ("residual_b", "w_norm", "output_err"):
             assert getattr(spectral, field) == pytest.approx(getattr(direct, field), rel=1e-9)
+
+
+def _route_case(route, size):
+    # (instance, noisy b) on the sine route (Fredholm, size n), the Kronecker
+    # route (blur, size side) or the dense route (Fredholm with an explicit
+    # tridiagonal W, size n)
+    if route == "sine":
+        inst = build_fredholm(size)
+    elif route == "kron":
+        inst = build_blur(size, 2.0)
+    else:
+        w = 1.8 * np.eye(size) - 0.4 * (np.eye(size, k=1) + np.eye(size, k=-1))
+        inst = dataclasses.replace(build_fredholm(size), w=WeightSpec.explicit(w))
+    return inst, add_noise(inst, NoiseSpec(delta=0.01, seed=17)).b
+
+
+_ROUTES = [("sine", 2000), ("kron", 20), ("kron", 48), ("dense", 300)]
+
+
+@pytest.mark.parametrize("route, size", _ROUTES, ids=[f"{r}-{s}" for r, s in _ROUTES])
+def test_scalars_match_n_space(route, size):
+    # the m-term sums against ||A x - b||, ||x||_W and ||A x - y|| of the
+    # expanded x and A x; at blur side 48 dropping ||y_perp||^2 would put
+    # output_err about 4e-11 off
+    inst, b = _route_case(route, size)
+    dec = decompose(inst)
+    assert isinstance(dec.psi, np.ndarray) == (route == "dense")
+    d = dec.project(b)
+    solve = spectral_solver(dec, inst, b)
+    for lam in np.logspace(-10, 0, 21):
+        x, ax = dec.expand(d / (lam + dec.rho))
+        sol = solve.scalars(lam)
+        assert sol.x is None
+        for got, want in [(sol.residual_b, np.linalg.norm(ax - b)),
+                          (sol.w_norm, w_norm(x, inst.w)),
+                          (sol.output_err, np.linalg.norm(ax - inst.y))]:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        full = solve(lam)
+        assert full._replace(x=None) == sol
+        assert np.array_equal(full.x, x)
+
+
+@pytest.mark.parametrize("route, size", [("sine", 500), ("kron", 20), ("dense", 120)])
+def test_adaptive_run_expands_once(monkeypatch, route, size):
+    # every iterate is measured by the m-term sums; the run expands the
+    # coefficients of its final iterate and no other
+    inst, b = _route_case(route, size)
+    dec = decompose(inst)
+    solver = spectral_solver(dec, inst, b)
+    calls = {"expand": 0, "synthesis": 0}
+
+    def counted(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(self, c):
+            calls[key] += 1
+            return original(self, c)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SpectralDecomposition, "expand", "expand")
+    for cls in (_SineBasis, _KronBasis):
+        counted(cls, "_synthesis", "synthesis")
+    trace = adaptive_select(inst, AdaptiveConfig(alpha=2.0), solver)
+    assert trace.terminated == "converged" and trace.iters >= 3
+    assert calls == {"expand": 1, "synthesis": 0 if route == "dense" else 2}
+    assert trace.final.lam == trace.lambdas[-1]
+    monkeypatch.undo()
+    again = solver(trace.final.lam)
+    assert trace.final._replace(x=None) == again._replace(x=None)
+    assert np.array_equal(trace.final.x, again.x)
+
+
+def test_sine_route_takes_sigma_from_n_minus_1_sines(monkeypatch):
+    # sigma_k reads sin(k pi/(2n)) and sin((n - k) pi/(2n)), k = 1..n-1, and
+    # no table of the 4n sines that only _SineBasis.dense needs
+    evaluated = []
+    sin = np.sin
+
+    def counted_sin(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return sin(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counted_sin)
+    dec = decompose(build_fredholm(2000))
+    monkeypatch.undo()
+    assert not isinstance(dec.psi, np.ndarray)
+    assert evaluated == [1999]
+
+
+@pytest.mark.parametrize("route, size", [("sine", 500), ("kron", 20), ("dense", 120)])
+def test_criterion_4_term_by_term(route, size):
+    """Criterion 4 holds for every term, not only for the sums.
+
+    On 2000 log-spaced lambdas in [1e-12, 1], each c_k^2 = (d_k/(lam + rho_k))^2
+    is nonincreasing and each residual term (rho_k c_k - d_k)^2/rho_k,
+    summed in the float form (d_k g / sqrt(rho_k))^2 with
+    g = 1/(1 + rho_k/lam), is nondecreasing: each operation of both forms
+    rounds a monotone function of the one operand that moves with lambda,
+    and rounding is monotone. Floating-point addition is monotone in each
+    operand, so residual_b and w_norm are monotone too.
+    """
+    inst, b = _route_case(route, size)
+    dec = decompose(inst)
+    d, rho = dec.project(b), dec.rho
+    solve = spectral_solver(dec, inst, b)
+    lams = np.logspace(-12, 0, 2000)
+    terms = [_filter_terms(d, rho, np.sqrt(rho), lam) for lam in lams]
+    c_sq = np.array([c * c for c, _ in terms])
+    res_terms = np.array([r for _, r in terms])
+    assert np.all(np.diff(c_sq, axis=0) <= 0)
+    assert np.all(np.diff(res_terms, axis=0) >= 0)
+    sols = [solve.scalars(lam) for lam in lams]
+    assert np.all(np.diff([s.residual_b for s in sols]) >= 0)
+    assert np.all(np.diff([s.w_norm for s in sols]) <= 0)
