@@ -9,7 +9,7 @@ A flat key=value file can be supplied with --config; its keys are ordinary
 long option names. A key that is also present on the command line is a usage
 error, never a silent override. Identical invocations (same flags, same
 seeds) produce byte-identical output files; --threads only caps the Monte
-Carlo worker pool and never affects file contents, so it is also excluded
+Carlo worker threads and never affects file contents, so it is also excluded
 from the manifest.
 """
 

@@ -11,14 +11,16 @@ evaluation order can change any number.
 CSV cells are printed with repr-exact precision (%.17g) and manifests are
 JSON with sorted keys and no timestamps, so reruns are byte-identical.
 
-Start-up: the records are NamedTuples, and statistics and
-concurrent.futures are imported inside run_sample_study and run_montecarlo,
-so a command that runs neither driver does not load them.
+Start-up: the records are NamedTuples, statistics is imported inside
+run_sample_study, so a command that does not run it does not load it, and
+the Monte Carlo cells run on plain threads, so no command loads
+concurrent.futures (and, through it, logging).
 """
 
 import json
 import math
 import os
+import threading
 from typing import List, NamedTuple
 
 import numpy as np
@@ -208,6 +210,36 @@ def _instances(ns, deltas, master_seed, problem):
     return ((n, problem(n)) for n in ns)
 
 
+def _map_in_order(fn, items, threads):
+    # [fn(x) for x in items], on min(threads, len(items)) plain threads that
+    # each take the next index under a lock. After a failure no worker takes
+    # a new index, and every lower index was taken already, so the error
+    # raised is the earliest failing item's, as in the serial loop
+    results, errors = [None] * len(items), {}
+    lock, indices = threading.Lock(), iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                k = None if errors else next(indices, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(items[k])
+            except BaseException as exc:
+                with lock:
+                    errors[k] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(threads, len(items)))]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
                    alpha=4.0, threads=1, problem=build_fredholm):
     """Mean scaled errors per (n, delta) cell plus pooled log-log slope fits.
@@ -215,13 +247,14 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     One instance and one decomposition per n, shared across that n's cells;
     rep r of cell (n, delta) reads noise stream stream_seed(master_seed, n,
     delta, r), and repeated sizes or deltas that share a stream are
-    rejected. Cells run on a pool of `threads` workers and are reduced in
-    (ns x deltas) order, so `threads` affects wall time only. More than
-    1000000 reps raise SizeCap before any build; the sizes are built one at
-    a time and each size's lambdas are evaluated right after its build, so
-    one that is not finite and positive raises NonFiniteLambda before the
-    next build and before any decomposition; and a delta so large that a
-    scaled error overflows float64 raises DomainError.
+    rejected. Cells run on min(threads, cells) plain threads and are reduced
+    in (ns x deltas) order, so `threads` affects wall time only; of several
+    failing cells, the earliest in that order raises at any thread count.
+    More than 1000000 reps raise SizeCap before any build; the sizes are
+    built one at a time and each size's lambdas are evaluated right after
+    its build, so one that is not finite and positive raises NonFiniteLambda
+    before the next build and before any decomposition; and a delta so large
+    that a scaled error overflows float64 raises DomainError.
     """
     if reps < 2:
         raise DomainError(f"reps must be >= 2, got {reps}")
@@ -249,14 +282,10 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
             mean_scaled_output=float(np.mean(out)), mean_scaled_b=float(np.mean(berr)), reps=reps,
         )
 
-    # imported here, not at module level: no other command then loads it and logging
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        cells = list(pool.map(one_cell, grid))
-
+    cells = _map_in_order(one_cell, grid, threads)
     log_lam = np.log([c.lam for c in cells])
-    if np.unique(log_lam).size >= 2:
+    # not np.unique(log_lam).size >= 2: on numpy 2 that imports numpy.ma
+    if np.ptp(log_lam) > 0:
         slope_out, icept_out = np.polyfit(log_lam, np.log([c.mean_scaled_output for c in cells]), 1)
         slope_b, icept_b = np.polyfit(log_lam, np.log([c.mean_scaled_b for c in cells]), 1)
     else:

@@ -3,7 +3,8 @@
 Every route returns one SpectralDecomposition: rho and the bases psi and
 A psi, each an (n, m) array on the dense route or an implicit basis, held in
 O(n) numbers, on the sine and Kronecker routes. The methods that read the
-basis (project, coeffs, expand) are written once against B @ c and B.T @ v.
+basis (project, coeffs, expand, image) are written once against B @ c and
+B.T @ v.
 
 Dense route. The decomposition solves A^T A psi = rho W psi without forming
 A^T A, whose condition number is the square of A's: with W = L L^T and
@@ -174,8 +175,8 @@ class SpectralDecomposition(NamedTuple):
     rho is descending and strictly positive, psi holds the W-orthonormal
     eigenvectors as columns and a_psi = A @ psi, each an (n, m) array or an
     implicit basis (module docstring). Other modules reach the basis only
-    through project, coeffs and expand, so its layout stays this module's
-    business, and basis() returns (psi, A psi) as arrays for tests.
+    through project, coeffs, expand and image, so its layout stays this
+    module's business, and basis() returns (psi, A psi) as arrays for tests.
     """
 
     rho: np.ndarray        # (m,) descending, > 0
@@ -199,8 +200,12 @@ class SpectralDecomposition(NamedTuple):
         return self.psi.T @ u
 
     def expand(self, c):
-        """(psi c, A psi c) for the coefficients c of the retained modes."""
-        return self.psi @ c, self.a_psi @ c
+        """psi c, the vector with coefficients c on the retained modes."""
+        return self.psi @ c
+
+    def image(self, c):
+        """A psi c, the image under A of expand(c), formed without it."""
+        return self.a_psi @ c
 
     def basis(self):
         """(psi, A psi) as (n, m) arrays; an implicit basis is formed, for tests at small n."""

@@ -57,7 +57,7 @@ def _check_rhs(instance, b):
 
 def _perp_sq(decomp, v, d):
     # ||v_perp||^2 for the projections d = (v, A psi_k)
-    v_perp = v - decomp.expand(d / decomp.rho)[1]
+    v_perp = v - decomp.image(d / decomp.rho)
     return float(v_perp @ v_perp)
 
 
@@ -105,7 +105,7 @@ def spectral_solvers(decomp, instance):
 
         def solve(lam):
             sol, c = filtered(lam)
-            return sol._replace(x=decomp.expand(c)[0])
+            return sol._replace(x=decomp.expand(c))
 
         solve.scalars = lambda lam: filtered(lam)[0]
         return solve

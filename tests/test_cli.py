@@ -510,6 +510,8 @@ def test_psf_width_that_is_not_finite_exits_1(tmp_path, capsys, width):
     # delta * 1e6 overflows float64, so the noise stream key cannot be formed
     ["table", "--ns", "60", "--deltas", "1e303"],
     ["montecarlo", "--ns", "60", "--deltas", "1e303", "--reps", "4"],
+    # the overflow is raised on a worker thread
+    ["montecarlo", "--ns", "60,100", "--deltas", "1e300", "--reps", "4", "--threads", "2"],
     ["study", "--n", "60", "--delta", "1e303", "--lam", "1e-6", "--reps", "100"],
 ])
 def test_delta_whose_errors_overflow_exits_1_without_traceback(tmp_path, command):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import threading
 import tracemalloc
 import warnings
 from functools import partial
@@ -279,6 +281,34 @@ def test_drivers_reject_a_delta_whose_errors_overflow(fred100):
             run_sweep(fred100, NoiseSpec(delta=1e300, seed=0), (1e-8, 1e-4, 3))
         with pytest.raises(DomainError, match="delta = 1e"):
             run_table([60], [1e300], AdaptiveConfig(alpha=2.0))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_montecarlo_raises_the_earliest_failing_cell(threads):
+    # all four cells overflow; the first in grid order is (60, 1e300) at any
+    # thread count, where a first-to-fail-in-time rule would sometimes name 1e+299
+    for _ in range(3):
+        with pytest.raises(DomainError, match=re.escape("delta = 1e+300 ")):
+            run_montecarlo([60, 100], [1e300, 1e299], 4, threads=threads)
+
+
+def test_montecarlo_takes_no_cell_after_a_failure(monkeypatch):
+    # cell 0 fails only once cell 1 is failing: the error is cell 0's, and no
+    # worker starts cell 2 or later once cell 1 has failed
+    started, cell_1_failing = [], threading.Event()
+
+    def fail(instance, decomp, sigma, delta, lam, reps, master_seed):
+        started.append(delta)
+        if delta == 0.1:
+            assert cell_1_failing.wait(timeout=60)
+        else:
+            cell_1_failing.set()
+        raise DomainError(f"cell {delta!r}")
+
+    monkeypatch.setattr(harness, "_scaled_errors", fail)
+    with pytest.raises(DomainError, match="cell 0.1$"):
+        run_montecarlo([60, 100], [0.1, 0.01, 0.001], 4, threads=2)
+    assert sorted(started) == [0.01, 0.1]
 
 
 def test_montecarlo_cell_count_and_finiteness():

@@ -2,8 +2,8 @@
 imports scipy or a `_`-prefixed name of `problems` or calls `np.linalg.eigh`,
 only `spectral` reads the basis arrays `psi` and `a_psi`, no function or
 method is reached only from the tests, starting the CLI loads no module
-that only some commands use, and a CLI call builds only the subparser of its
-command."""
+that only some commands use, a Monte Carlo run loads no thread pool and no
+masked arrays, and a CLI call builds only the subparser of its command."""
 
 import ast
 import dataclasses
@@ -77,7 +77,7 @@ def _basis_reads(tree):
 @pytest.mark.parametrize("module", sorted(f for f in os.listdir(SRC)
                                           if f.endswith(".py") and f != "spectral.py"))
 def test_only_spectral_reads_the_basis(module):
-    # other modules go through SpectralDecomposition.project and .expand
+    # other modules go through SpectralDecomposition.project, .coeffs, .expand and .image
     with open(os.path.join(SRC, module)) as fh:
         tree = ast.parse(fh.read(), filename=module)
     assert _basis_reads(tree) == []
@@ -234,30 +234,47 @@ RECORDS = {
     "problems": ["NoisyData"],
 }
 
-# statistics and concurrent.futures serve one driver each, and logging,
-# decimal and fractions load only through those two
+# statistics serves one driver, which imports it, and decimal and fractions
+# load only through it; no command imports concurrent.futures, or logging
+# through it, at all (test_montecarlo_loads_no_pool_and_no_masked_arrays)
 DEFERRED = ["statistics", "concurrent.futures", "logging", "decimal", "fractions"]
 
 
-def test_cli_start_loads_only_what_every_command_runs():
-    # a fresh interpreter, so that nothing this test session imported counts
+def _fresh(probe, argv=()):
+    # the JSON that probe prints last, run in a fresh interpreter so that
+    # nothing this test session imported counts
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = "import json, sys, tikhreg.cli; print(json.dumps(sorted(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         env=env)
     assert out.returncode == 0, out.stderr
-    loaded = set(json.loads(out.stdout))
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_start_loads_only_what_every_command_runs():
+    loaded = set(_fresh("import json, sys, tikhreg.cli; print(json.dumps(sorted(sys.modules)))"))
     assert [m for m in DEFERRED if m in loaded] == []
     for module, names in RECORDS.items():
         mod = importlib.import_module(f"tikhreg.{module}")
         assert [name for name in names if dataclasses.is_dataclass(getattr(mod, name))] == []
 
 
+def test_montecarlo_loads_no_pool_and_no_masked_arrays(tmp_path):
+    # the cells run on plain threads, not a concurrent.futures pool (which
+    # loads logging), and the slope-fit guard is not np.unique, which imports
+    # numpy.ma on numpy 2
+    probe = ("import json, sys\nfrom tikhreg.cli import main\n"
+             "code = main(sys.argv[1:])\nprint(json.dumps([code, sorted(sys.modules)]))\n")
+    argv = ["montecarlo", "--ns", "60,100", "--deltas", "0.1,0.01", "--reps", "4",
+            "--threads", "2", "--out", str(tmp_path / "mc")]
+    code, loaded = _fresh(probe, argv)
+    assert code == 0
+    assert [m for m in ["numpy.ma", "concurrent.futures", "logging"] if m in loaded] == []
+
+
 def _fresh_main(argv):
     # main(argv) in a fresh interpreter that counts ArgumentParser.__init__
     # calls; (exit code, prog of every parser built)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = (
         "import argparse, json, sys\n"
         "progs = []\n"
@@ -270,10 +287,7 @@ def _fresh_main(argv):
         "code = main(sys.argv[1:])\n"
         "print(json.dumps([code, progs]))\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
-                         env=env)
-    assert out.returncode == 0, out.stderr
-    return tuple(json.loads(out.stdout.splitlines()[-1]))
+    return tuple(_fresh(probe, argv))
 
 
 def test_cli_call_builds_the_parser_and_one_subparser(tmp_path):

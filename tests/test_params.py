@@ -234,7 +234,7 @@ def test_adaptive_noise_free_decays_to_underflow(fred20):
         c = dec.rho * s / (lam + dec.rho)
         residual = math.sqrt(float(np.sum(dec.rho * shrink**2)))    # b = y: also ||A x - y||
         return RegularizedSolution(
-            lam=lam, x=dec.expand(c)[0], residual_b=residual,
+            lam=lam, x=dec.expand(c), residual_b=residual,
             w_norm=math.sqrt(float(np.sum(c**2))), output_err=residual,
         )
 

@@ -114,7 +114,7 @@ def test_project_and_expand_are_the_basis_products(fred20, rng):
         assert (dec.m, dec.n) == (dec.rho.shape[0], fred20.n) == (19, 20)
         psi, a_psi = dec.basis()
         c = rng.standard_normal(dec.m)
-        x, ax = dec.expand(c)
+        x, ax = dec.expand(c), dec.image(c)
         pairs = [(dec.project(v[:, 0]), a_psi.T @ v[:, 0]), (dec.project(v), a_psi.T @ v),
                  (dec.coeffs(v[:, 0]), psi.T @ v[:, 0]), (x, psi @ c), (ax, a_psi @ c)]
         for got, want in pairs:
@@ -140,7 +140,7 @@ def test_implicit_routes_match_their_basis(build, size, rng):
     v = rng.standard_normal(n)
     block = rng.standard_normal((n, 64))
     c = rng.standard_normal(m)
-    x, ax = dec.expand(c)
+    x, ax = dec.expand(c), dec.image(c)
     projected = dec.project(block)
     for got, want in [(dec.project(v), a_psi.T @ v), (projected, a_psi.T @ block),
                       (dec.coeffs(v), psi.T @ v), (x, psi @ c), (ax, a_psi @ c)]:

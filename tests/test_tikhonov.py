@@ -221,7 +221,8 @@ def test_scalars_match_n_space(route, size):
     d = dec.project(b)
     solve = spectral_solver(dec, inst, b)
     for lam in np.logspace(-10, 0, 21):
-        x, ax = dec.expand(d / (lam + dec.rho))
+        c = d / (lam + dec.rho)
+        x, ax = dec.expand(c), dec.image(c)
         sol = solve.scalars(lam)
         assert sol.x is None
         for got, want in [(sol.residual_b, np.linalg.norm(ax - b)),
@@ -235,12 +236,12 @@ def test_scalars_match_n_space(route, size):
 
 @pytest.mark.parametrize("route, size", [("sine", 500), ("kron", 20), ("dense", 120)])
 def test_adaptive_run_expands_once(monkeypatch, route, size):
-    # every iterate is measured by the m-term sums; the run expands the
-    # coefficients of its final iterate and no other
+    # building the solver synthesizes A psi (d/rho) for y_perp and b_perp and
+    # never psi (d/rho); every iterate is measured by the m-term sums, and the
+    # run synthesizes x for its final iterate and no other, and not A x
     inst, b = _route_case(route, size)
     dec = decompose(inst)
-    solver = spectral_solver(dec, inst, b)
-    calls = {"expand": 0, "synthesis": 0}
+    calls = {"expand": 0, "image": 0, "synthesis": 0}
 
     def counted(cls, name, key):
         original = getattr(cls, name)
@@ -252,11 +253,16 @@ def test_adaptive_run_expands_once(monkeypatch, route, size):
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(SpectralDecomposition, "expand", "expand")
+    counted(SpectralDecomposition, "image", "image")
     for cls in (_SineBasis, _KronBasis):
         counted(cls, "_synthesis", "synthesis")
+    implicit = route != "dense"
+    solver = spectral_solver(dec, inst, b)
+    assert calls == {"expand": 0, "image": 2, "synthesis": 2 if implicit else 0}
+    calls.update(dict.fromkeys(calls, 0))
     trace = adaptive_select(inst, AdaptiveConfig(alpha=2.0), solver)
     assert trace.terminated == "converged" and trace.iters >= 3
-    assert calls == {"expand": 1, "synthesis": 0 if route == "dense" else 2}
+    assert calls == {"expand": 1, "image": 0, "synthesis": 1 if implicit else 0}
     assert trace.final.lam == trace.lambdas[-1]
     monkeypatch.undo()
     again = solver(trace.final.lam)
