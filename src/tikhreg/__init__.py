@@ -49,7 +49,7 @@ from .spectral import (
     AlphaFit,
     SpectralDecomposition,
     decompose,
-    error_filter,
+    filter_errors,
     fit_alpha,
     spectrum_rows,
 )
@@ -57,7 +57,6 @@ from .tikhonov import (
     ErrorReport,
     RegularizedSolution,
     error_report,
-    spectral_solver,
     spectral_solvers,
 )
 from .params import (

@@ -40,7 +40,7 @@ from .problems import (
     NoiseSpec, add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
 )
 from .spectral import _check_lambda, decompose, fit_alpha
-from .tikhonov import error_report, spectral_solver
+from .tikhonov import error_report, spectral_solvers
 
 
 def _seed_type(text):
@@ -245,7 +245,7 @@ def _cmd_solve(args, parser, out_dir):
     data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
     # a bad lambda exits before the decomposition is paid for
     lam = _check_lambda(_chosen_lambda(args, instance, data.sigma))
-    sol = spectral_solver(decompose(instance), instance, data.b)(lam)
+    sol = spectral_solvers(decompose(instance), instance)(data.b)(lam)
     report = error_report(instance, sol, data.b)
     write_csv(
         os.path.join(out_dir, "solve.csv"),
@@ -279,7 +279,7 @@ def _cmd_adaptive(args, parser, out_dir):
     instance = _build_instance(args, parser)
     data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
     trace = adaptive_select(instance, _adaptive_config(args),
-                            spectral_solver(decompose(instance), instance, data.b))
+                            spectral_solvers(decompose(instance), instance)(data.b))
     report = error_report(instance, trace.final, data.b)
     outputs = save_trace(out_dir, trace)
     write_json(os.path.join(out_dir, "adaptive.json"), {

@@ -32,7 +32,7 @@ from .params import PriorRuleInput, adaptive_select, prior_rule_rho0, prior_rule
 from .problems import (
     NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
 )
-from .spectral import _check_lambda, decompose, error_filter, spectrum_rows
+from .spectral import _check_lambda, decompose, filter_errors, spectrum_rows
 from .tikhonov import error_report, spectral_solvers
 
 # reps are processed in batches, one noise block drawn in one call per
@@ -40,8 +40,8 @@ from .tikhonov import error_report, spectral_solvers
 # n <= 512, 16 at n = 2000, 1 at n = 40000): the block, its FFT and the
 # filter temporaries then stay a few MB per worker at any n. The width
 # depends on n alone, so the thread count cannot change any bit. The sine and
-# Kronecker routes project each row on its own and error_filter sums each rep
-# on its own, so on those routes the width moves no bit either
+# Kronecker routes project each row on its own and filter_errors sums each
+# rep on its own, so on those routes the width moves no bit either
 _REP_BATCH = 64
 _BATCH_BYTES = 1 << 18
 
@@ -130,13 +130,14 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
     """Scaled output error along a log-equispaced lambda grid for one noise draw.
 
     grid is (lo, hi, count) with finite 0 < lo < hi and 2 <= count <= 100000
-    (a larger count raises SizeCap), all checked before the noise draw. The
-    noisy b is projected once, and each grid point and the prediction read
-    n^{-1/2} ||A(x_lam - x*)|| from spectral.error_filter, as the Monte Carlo
-    and study drivers do, in O(m) per lambda; no solution vector is formed.
-    The predicted parameter comes from the chosen a-priori rule evaluated
-    with the true sigma and ||x*||_W (it need not lie on the grid); one that
-    is not finite raises NonFiniteLambda before the decomposition.
+    (a larger count raises SizeCap), all checked before the noise draw. b and
+    b - y are projected once, and each grid point and the prediction read
+    n^{-1/2} ||A(x_lam - x*)|| from spectral.filter_errors, as the Monte Carlo
+    and study drivers and the solver do, in O(m) per lambda; no solution
+    vector is formed. The predicted parameter comes from the chosen a-priori
+    rule evaluated with the true sigma and ||x*||_W (it need not lie on the
+    grid); one that is not finite raises NonFiniteLambda before the
+    decomposition.
     """
     lo, hi, count = grid
     if not (0 < lo < hi < math.inf):
@@ -148,14 +149,18 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
     lambdas = np.logspace(math.log10(lo), math.log10(hi), int(count))
     data = add_noise(instance, noise)
     lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
-    # sigma == 0 makes the rule return 0, which error_filter rejects; keep the
-    # grid results and leave the prediction column empty
+    # sigma == 0 makes the rule return 0, which filter_errors rejects; keep
+    # the grid results and leave the prediction column empty
     if lam_pred:
         _check_lambda(lam_pred)
     decomp = decompose(instance)
-    errors, d = error_filter(decomp, instance), decomp.project(data.b)
-    output_errors = np.sqrt([errors(d, lam)[1] for lam in lambdas]) / math.sqrt(instance.n)
-    err_at_pred = math.sqrt(errors(d, lam_pred)[1] if lam_pred else math.nan) / math.sqrt(instance.n)
+    d, d_noise = decomp.project(data.b), decomp.project(data.b - instance.y)
+
+    def out_sq(lam):
+        return filter_errors(decomp, d, d_noise, lam)[1]
+
+    output_errors = np.sqrt([out_sq(lam) for lam in lambdas]) / math.sqrt(instance.n)
+    err_at_pred = math.sqrt(out_sq(lam_pred) if lam_pred else math.nan) / math.sqrt(instance.n)
     k_min = int(np.argmin(output_errors))
     return SweepResult(
         lambdas=lambdas,
@@ -174,12 +179,11 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
 def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     # Per-rep n^{-1/2} ||A(x_r - x*)|| and n^{-1/2} ||B(x_r - x*)|| at one lambda,
     # x_r solving b = y + sigma xi_r: one noise block and one projection per
-    # batch of reps (see _BATCH_BYTES), measured by error_filter. A delta so
-    # large that an error overflows float64 raises DomainError instead of
-    # passing inf on.
+    # batch of reps (see _BATCH_BYTES), one row per rep, measured by
+    # filter_errors. A delta so large that an error overflows float64 raises
+    # DomainError instead of passing inf on.
     n = instance.n
     batch = max(1, min(_REP_BATCH, _BATCH_BYTES // (8 * n)))
-    errors = error_filter(decomp, instance)
     d_clean = decomp.project(instance.y)
     out_sq = np.empty(reps, dtype=np.float64)
     b_sq = np.empty(reps, dtype=np.float64)
@@ -187,8 +191,8 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
         hi = min(lo + batch, reps)
         xi = standard_normal(stream_seed(master_seed, n, delta, range(lo, hi)), n)
         with np.errstate(over="ignore", invalid="ignore"):
-            d = d_clean[:, None] + sigma * decomp.project(xi.T)
-            _, out_sq[lo:hi], b_sq[lo:hi] = errors(d, lam)
+            d_noise = sigma * decomp.project(xi.T).T
+            _, out_sq[lo:hi], b_sq[lo:hi] = filter_errors(decomp, d_clean + d_noise, d_noise, lam)
         if not (np.isfinite(out_sq[lo:hi]).all() and np.isfinite(b_sq[lo:hi]).all()):
             raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes the scaled errors "
                               f"overflow float64")

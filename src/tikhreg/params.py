@@ -114,12 +114,12 @@ def adaptive_select(instance, cfg, solver):
     """Run the adaptive fixed-point iteration and return its full trace.
 
     solver is any callable lam -> RegularizedSolution for one right-hand side
-    b of this instance, such as tikhonov.spectral_solver(decomp, instance, b),
+    b of this instance, such as tikhonov.spectral_solvers(decomp, instance)(b),
     which rejects a b that is not finite. A solver with a scalars attribute
-    (spectral_solver's), a callable lam -> RegularizedSolution with x None,
-    has every iterate measured by it, in O(m) on the spectral route, and is
-    itself called once, at the last solved lambda, for trace.final. Each
-    update is
+    (a callable lam -> RegularizedSolution with x None, as the spectral
+    solvers have) has every iterate measured by it, in O(m) on the spectral
+    route, and is itself called once, at the last solved lambda, for
+    trace.final. Each update is
 
         lambda_{k+1}^{(alpha+1)/(2 alpha)} =
             C * (n^{-1/2} ||A x_k - b||) * n^{-1/2} * (n^{-1/2} ||x_k||_W)^{-1}

@@ -3,8 +3,9 @@
 Every route returns one SpectralDecomposition: rho and the bases psi and
 A psi, each an (n, m) array on the dense route or an implicit basis, held in
 O(n) numbers, on the sine and Kronecker routes. The methods that read the
-basis (project, coeffs, expand, image) are written once against B @ c and
-B.T @ v.
+basis (project, expand, image) are written once against B @ c and B.T @ v.
+filter_errors is the one place that forms the Tikhonov filter
+c = d / (lambda + rho) and the errors it makes.
 
 Dense route. The decomposition solves A^T A psi = rho W psi without forming
 A^T A, whose condition number is the square of A's: with W = L L^T and
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, InsufficientSpectrum, NonFiniteLambda
+from .errors import ConvergenceFailure, InsufficientSpectrum, NonFiniteLambda
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1. No route loses
 # precision near that level, since none forms A^T A: the threshold is a fixed
@@ -128,15 +129,6 @@ class _SineBasis(_Basis):
             h[1:self.w.shape[0] + 1] *= self._phase(self.shift)
         return np.fft.irfft(h, 2 * self.n)[:self.n]
 
-    def dense(self):
-        """The (n, m) array from a table of sines; not cached, for tests at small n."""
-        n, m = self.shape
-        # sin(r pi/(2n)) for r = 0..4n-1: every sine argument of the basis is
-        # such an r reduced mod 4n, so no argument exceeds 2 pi
-        tab = np.sin(np.arange(4 * n) * (math.pi / (2 * n))) * math.sqrt(2.0 / n)
-        i, k = np.arange(n), np.arange(1, m + 1)
-        return tab[np.multiply.outer(2 * i + int(2 * self.shift), k) % (4 * n)] * self.w
-
 
 @dataclass
 class _KronBasis(_Basis):
@@ -163,11 +155,6 @@ class _KronBasis(_Basis):
         scattered[self.i, self.j] = c
         return (self.f @ scattered @ self.f.T).ravel()
 
-    def dense(self):
-        """The (n, m) array; not cached, for tests at small n."""
-        f = self.f
-        return (f[:, self.i][:, None, :] * f[:, self.j][None, :, :]).reshape(self.shape)
-
 
 class SpectralDecomposition(NamedTuple):
     """Retained generalized eigenpairs (rho_k, psi_k, A psi_k) of (A^T A, W).
@@ -175,8 +162,8 @@ class SpectralDecomposition(NamedTuple):
     rho is descending and strictly positive, psi holds the W-orthonormal
     eigenvectors as columns and a_psi = A @ psi, each an (n, m) array or an
     implicit basis (module docstring). Other modules reach the basis only
-    through project, coeffs, expand and image, so its layout stays this
-    module's business, and basis() returns (psi, A psi) as arrays for tests.
+    through project, expand and image, so its layout stays this module's
+    business.
     """
 
     rho: np.ndarray        # (m,) descending, > 0
@@ -195,10 +182,6 @@ class SpectralDecomposition(NamedTuple):
         """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
         return self.a_psi.T @ v
 
-    def coeffs(self, u):
-        """psi^T u: the coefficients (u, psi_k) of a vector u, with no W applied."""
-        return self.psi.T @ u
-
     def expand(self, c):
         """psi c, the vector with coefficients c on the retained modes."""
         return self.psi @ c
@@ -206,10 +189,6 @@ class SpectralDecomposition(NamedTuple):
     def image(self, c):
         """A psi c, the image under A of expand(c), formed without it."""
         return self.a_psi @ c
-
-    def basis(self):
-        """(psi, A psi) as (n, m) arrays; an implicit basis is formed, for tests at small n."""
-        return tuple(b if isinstance(b, np.ndarray) else b.dense() for b in (self.psi, self.a_psi))
 
 
 class AlphaFit(NamedTuple):
@@ -341,30 +320,30 @@ def _check_lambda(lam):
     return lam
 
 
-def error_filter(decomp, instance):
-    """Callable (d, lam) -> (c, ||A(x - x*)||^2, ||B(x - x*)||^2) on the retained modes.
+def filter_errors(decomp, d, d_noise, lam):
+    """(c, ||A(x - x*)||^2, ||B(x - x*)||^2) on the retained modes, per right-hand side.
 
-    d = (b, A psi_k) is a vector or has one column per right-hand side. The
-    filter is c = d / (lam + rho); with s = (x*, psi_k)_W, formed once, the
-    errors are the rho- and sqrt(rho)-weighted sums of (c - s)^2 per column.
-    Each column is summed as a contiguous row, in the pairwise order of a
-    vector d, so a column's errors have the same bits whatever the number of
-    columns or the layout of d. A lambda that is not finite and positive
-    raises NonFiniteLambda.
+    d = (b, A psi_k) and d_noise = (b - y, A psi_k) are one vector (m,) or
+    one row (r, m) per right-hand side. The filter is c = d / (lam + rho).
+    Since (y, A psi_k) = rho_k (x*, psi_k)_W, the error coefficient is
+    c - (x*, psi_k)_W = t / sqrt(rho) with t = (d_noise - lam c) / sqrt(rho),
+    so the errors are the sums of t^2 and t^2 / sqrt(rho): no x* is needed,
+    and the noise enters without the cancellation between d and
+    (y, A psi_k). Each row is summed as a contiguous row, in the pairwise
+    order of a vector, so a row's errors have the same bits whatever the
+    number of rows or the layout of d. A lambda that is not finite and
+    positive raises NonFiniteLambda.
     """
-    if decomp.n != instance.n:
-        raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
-    s = decomp.coeffs(instance.w.apply(instance.x_star))
+    lam = _check_lambda(lam)
     rho, sqrt_rho = decomp.rho, np.sqrt(decomp.rho)
-
-    def errors(d, lam):
-        lam = _check_lambda(lam)
-        # one C-contiguous row per right-hand side
-        c = np.divide(np.transpose(d), lam + rho, order="C")
-        diff_sq = (c - s) ** 2
-        return c.T, np.sum(rho * diff_sq, axis=-1), np.sum(sqrt_rho * diff_sq, axis=-1)
-
-    return errors
+    c = np.divide(d, lam + rho, order="C")
+    t = c * -lam
+    t += d_noise
+    t /= sqrt_rho
+    t *= t
+    out_sq = t.sum(axis=-1)
+    t /= sqrt_rho
+    return c, out_sq, t.sum(axis=-1)
 
 
 def spectrum_rows(decomp, fit):

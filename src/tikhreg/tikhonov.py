@@ -6,18 +6,22 @@ the retained generalized eigenpairs, the route of every driver and CLI
 command. On every route the psi_k are W-orthonormal and the A psi_k are
 orthogonal with ||A psi_k||^2 = rho_k, so the scalars of a solution are
 m-term sums (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM
-1998, 4.4). With d_y = (y, A psi_k):
+1998, 4.4). With the noise projections d_noise,k = (b - y, A psi_k):
 
-    ||A x - b||^2 = ||b_perp||^2 + sum_k (rho_k c_k - d_k)^2 / rho_k,
-    ||A x - y||^2 = ||y_perp||^2 + sum_k (rho_k c_k - d_y,k)^2 / rho_k,
-    ||x||_W^2     = sum_k c_k^2,
+    ||A x - b||^2      = ||b_perp||^2 + sum_k (rho_k c_k - d_k)^2 / rho_k,
+    ||A x - y||^2      = ||y_perp||^2 + sum_k (d_noise,k - lambda c_k)^2 / rho_k,
+    ||B(x - x*)||^2    = sum_k (d_noise,k - lambda c_k)^2 / rho_k^{3/2},
+    ||x||_W^2          = sum_k c_k^2,
 
 where v_perp = v - sum_k ((v, A psi_k)/rho_k) A psi_k is the part of v
-outside the span of the A psi_k. b_perp and y_perp are formed once, in
-n-space, when the solver is built; after that every lambda costs O(m), and
-x is formed only when a solution is asked for. rho c - d_y is summed as
-(b - y, A psi_k) - lambda c_k, which keeps the noise projection free of the
-cancellation between d and d_y. The normal equations
+outside the span of the A psi_k, and the B-seminorm is taken on the
+retained modes. The noise form holds because (y, A psi_k) = rho_k
+(x*, psi_k)_W, so rho c - (y, A psi_k) = d_noise - lambda c; it keeps the
+noise projection free of the cancellation between d and (y, A psi_k).
+spectral.filter_errors computes c and both noise sums, for this solver and
+for every experiment driver. b_perp and y_perp are formed once, in n-space,
+when the solver is built; after that every lambda costs O(m), and x is
+formed only when a solution is asked for. The normal equations
 (A^T A + lambda W) x = A^T b are not shipped: the test suite holds this route
 against them (tests/reference.py, criterion 3).
 """
@@ -28,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .spectral import _check_lambda
+from .spectral import filter_errors
 
 
 class RegularizedSolution(NamedTuple):
@@ -61,20 +65,27 @@ def _perp_sq(decomp, v, d):
     return float(v_perp @ v_perp)
 
 
-def _filter_terms(d, rho, sqrt_rho, lam):
-    # c = d/(lam + rho) and the residual terms (rho c - d)^2/rho, the latter
-    # as (d g / sqrt(rho))^2 with g = 1/(1 + rho/lam) = lam/(lam + rho): each
-    # operation rounds a monotone function of its one varying operand, so
-    # every c_k^2 is nonincreasing and every term nondecreasing in lam
-    c = d / (lam + rho)
-    return c, (d * (1.0 / (1.0 + rho / lam)) / sqrt_rho) ** 2
+def _residual_terms(d, rho, sqrt_rho, lam):
+    # the residual terms (rho c - d)^2/rho as (d g / sqrt(rho))^2 with
+    # g = 1/(1 + rho/lam) = lam/(lam + rho): each operation rounds a monotone
+    # function of its one varying operand, so every term is nondecreasing in lam
+    return (d * (1.0 / (1.0 + rho / lam)) / sqrt_rho) ** 2
 
 
 def spectral_solvers(decomp, instance):
-    """Callable b -> spectral_solver(decomp, instance, b), for many b of one instance.
+    """Callable b -> solver for many b of one instance, solver(lam) -> RegularizedSolution.
 
-    The terms of y, (y, A psi_k) and ||y_perp||^2, are formed once, here,
-    and shared by every solver it returns.
+    One solve is spectral_solvers(decomp, instance)(b)(lam), the filter
+    c_k = (b, A psi_k) / (lambda + rho_k). The terms of y, (y, A psi_k) and
+    ||y_perp||^2, are formed once, here, and shared by every solver it
+    returns; the projections of b and ||b_perp||^2 once per b. residual_b,
+    w_norm and output_err at each lambda are the m-term sums of the module
+    docstring, c and the output error from spectral.filter_errors, and
+    x = psi c is formed by decomp.expand on each call. solver.scalars(lam)
+    returns the same solution with x None and forms no length-n vector, so a
+    run over many lambdas (adaptive_select) forms x once, at the lambda it
+    keeps. A b that is not finite raises DomainError, a lambda that is not
+    finite and positive NonFiniteLambda.
     """
     if decomp.n != instance.n:
         raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
@@ -90,16 +101,17 @@ def spectral_solvers(decomp, instance):
         d_noise = decomp.project(b - instance.y)
 
         def filtered(lam):
-            # (the solution with x None, its coefficients c), in O(m)
-            lam = _check_lambda(lam)
-            c, res_terms = _filter_terms(d, rho, sqrt_rho, lam)
-            out = (d_noise - lam * c) / sqrt_rho
+            # (the solution with x None, its coefficients c), in O(m); the
+            # kernel checks lam
+            c, out_sq, _ = filter_errors(decomp, d, d_noise, lam)
+            lam = float(lam)
+            res_terms = _residual_terms(d, rho, sqrt_rho, lam)
             sol = RegularizedSolution(
                 lam=lam,
                 x=None,
                 residual_b=math.sqrt(b_perp_sq + float(np.sum(res_terms))),
                 w_norm=math.sqrt(float(np.sum(c * c))),
-                output_err=math.sqrt(y_perp_sq + float(np.sum(out * out))),
+                output_err=math.sqrt(y_perp_sq + float(out_sq)),
             )
             return sol, c
 
@@ -111,20 +123,6 @@ def spectral_solvers(decomp, instance):
         return solve
 
     return for_rhs
-
-
-def spectral_solver(decomp, instance, b):
-    """Callable lam -> RegularizedSolution of the filter c_k = (b, A psi_k) / (lambda + rho_k).
-
-    The projections (b, A psi_k) and ||b_perp||^2 are formed once, here;
-    residual_b, w_norm and output_err at each lambda are the m-term sums of
-    the module docstring, and x = psi c is formed by decomp.expand on each
-    call. solver.scalars(lam) returns the same solution with x None and
-    forms no length-n vector, so a run over many lambdas (adaptive_select)
-    forms x once, at the lambda it keeps. A b that is not finite raises
-    DomainError, a lambda that is not finite and positive NonFiniteLambda.
-    """
-    return spectral_solvers(decomp, instance)(b)
 
 
 def error_report(instance, sol, b):

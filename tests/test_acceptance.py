@@ -28,7 +28,7 @@ from tikhreg import (
     run_sample_study,
     run_sweep,
     run_table,
-    spectral_solver,
+    spectral_solvers,
 )
 from tikhreg.cli import main as cli_main
 from tikhreg.harness import rule_lambda
@@ -84,7 +84,7 @@ def test_criterion_3_cross_solver():
         dec = decompose(inst)
         for lam in (1e-8, 1e-4, 1.0):
             xd = solve_direct(inst, b, lam).x
-            xs = spectral_solver(dec, inst, b)(lam).x
+            xs = spectral_solvers(dec, inst)(b)(lam).x
             worst = max(worst, float(np.linalg.norm(xd - xs) / np.linalg.norm(xd)))
     ok = worst <= 1e-8
     _line(3, ok, f"worst relative disagreement {worst:.3e} over 20 instances x 3 lambdas (<=1e-8)")
@@ -102,7 +102,7 @@ def test_criterion_4_monotonicity():
     @settings(max_examples=20, deadline=None)
     def check(delta, seed):
         b = add_noise(inst, NoiseSpec(delta=delta, seed=seed)).b
-        solve = spectral_solver(dec, inst, b)
+        solve = spectral_solvers(dec, inst)(b)
         sols = [solve(lam) for lam in grid]
         res = np.array([s.residual_b for s in sols])
         wn = np.array([s.w_norm for s in sols])

@@ -10,7 +10,7 @@ import pytest
 
 from tikhreg import (
     NoiseSpec, ProblemInstance, WeightSpec, add_noise, build_blur, build_fredholm, decompose,
-    error_report, rule_lambda, save_problem, spectral_solver,
+    error_report, rule_lambda, save_problem, spectral_solvers,
 )
 from tikhreg import cli
 from tikhreg.cli import main
@@ -99,7 +99,7 @@ def test_solve_csv_is_the_spectral_route(tmp_path, problem, build):
     inst = build()
     data = add_noise(inst, NoiseSpec(delta=0.01, seed=0))
     lam = rule_lambda("rho0", 4.0, inst, data.sigma, 1.0)
-    sol = spectral_solver(decompose(inst), inst, data.b)(lam)
+    sol = spectral_solvers(decompose(inst), inst)(data.b)(lam)
     rep = error_report(inst, sol, data.b)
     row = [float(v) for v in read(os.path.join(out, "solve.csv")).decode().splitlines()[1].split(",")]
     assert row == [lam, data.sigma, rep.rel_x, rep.rel_ax, rep.rel_res, rep.scaled_output]

@@ -21,8 +21,8 @@ from tikhreg import (
     build_blur,
     build_fredholm,
     decompose,
-    error_filter,
     error_report,
+    filter_errors,
     noise_sigma,
     run_montecarlo,
     run_sample_study,
@@ -45,9 +45,9 @@ from tikhreg.harness import (
     write_manifest,
 )
 from tikhreg.params import AdaptiveConfig
-from tikhreg.tikhonov import spectral_solver
+from tikhreg.tikhonov import spectral_solvers
 
-from reference import b_seminorm_sq, solve_direct
+from reference import b_seminorm_sq, error_moments, solve_direct
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_sweep_noise_free(fred100):
 
 
 def test_sweep_reads_the_spectral_route_output_error(monkeypatch, fred100):
-    # one formula: the sweep's error_filter values agree with the n-space
+    # one formula: the sweep's filter_errors values agree with the n-space
     # ||A x_lam - A x*|| of the spectral solver, which the sweep never calls
     spec = NoiseSpec(delta=0.05, seed=1)
 
@@ -98,7 +98,7 @@ def test_sweep_reads_the_spectral_route_output_error(monkeypatch, fred100):
 
     monkeypatch.setattr("tikhreg.harness.spectral_solvers", no_solver)
     res = run_sweep(fred100, spec, (1e-9, 1e-3, 13))
-    solver = spectral_solver(decompose(fred100), fred100, add_noise(fred100, spec).b)
+    solver = spectral_solvers(decompose(fred100), fred100)(add_noise(fred100, spec).b)
     expected = [solver(lam).output_err / math.sqrt(100) for lam in res.lambdas]
     assert res.output_errors == pytest.approx(expected, rel=1e-10)
     assert res.err_at_pred == pytest.approx(
@@ -172,7 +172,7 @@ def test_montecarlo_means_match_per_rep_solves():
     for rep in range(reps):
         seed = stream_seed(master, n, delta, rep)
         b = inst.y + sigma * standard_normal(seed, n)
-        sol = spectral_solver(dec, inst, b)(lam)
+        sol = spectral_solvers(dec, inst)(b)(lam)
         outs.append(np.linalg.norm(inst.dense_a() @ sol.x - inst.y) / math.sqrt(n))
         bs.append(math.sqrt(b_seminorm_sq(dec, sol.x - inst.x_star, inst.w) / n))
     assert cell.mean_scaled_output == pytest.approx(np.mean(outs), rel=1e-9)
@@ -182,16 +182,16 @@ def test_montecarlo_means_match_per_rep_solves():
 
 def _per_rep_scaled_errors(inst, delta, lam, reps, master):
     # batch-free reference for _scaled_errors: one one-seed draw, one vector
-    # projection and one vector errors call per rep
+    # projection and one vector filter_errors call per rep
     n = inst.n
     dec = decompose(inst)
     sigma = noise_sigma(inst, delta)
-    errors = error_filter(dec, inst)
     d_clean = dec.project(inst.y)
     out_sq, b_sq = [], []
     for rep in range(reps):
         xi = standard_normal(stream_seed(master, n, delta, rep), n)
-        _, o, b = errors(d_clean + sigma * dec.project(xi), lam)
+        d_noise = sigma * dec.project(xi)
+        _, o, b = filter_errors(dec, d_clean + d_noise, d_noise, lam)
         out_sq.append(o)
         b_sq.append(b)
     return np.sqrt(out_sq) / math.sqrt(n), np.sqrt(b_sq) / math.sqrt(n)
@@ -203,6 +203,27 @@ def _batch_rows(n):
 
 
 _build_blur = partial(build_blur, psf_width=2.0)
+
+
+@pytest.mark.parametrize("build, size", [(build_fredholm, 300), (_build_blur, 16)],
+                         ids=["fredholm", "blur"])
+@pytest.mark.parametrize("delta", [0.1, 0.001])
+def test_montecarlo_errors_match_exact_moments(build, size, delta):
+    # for Gaussian noise the squared errors of a rep are quadratic forms in
+    # iid N(0, 1) variables, whose exact mean and variance error_moments
+    # gives; the means over the documented streams stay within 4 standard
+    # errors of the exact means, and no two reps share a draw
+    inst = build(size)
+    dec = decompose(inst)
+    reps = 4000
+    sigma = noise_sigma(inst, delta)
+    lam = rule_lambda("rho0", 4.0, inst, sigma, 1.0)
+    out, berr = harness._scaled_errors(inst, dec, sigma, delta, lam, reps, 0)
+    moments = error_moments(dec, dec.project(inst.y), sigma, lam)
+    for scaled, (mean, var) in zip((out, berr), moments):
+        z = (float(np.mean(scaled**2 * inst.n)) - mean) / math.sqrt(var / reps)
+        assert abs(z) <= 4.0, (inst.label, delta, z)
+    assert np.unique(out).size == reps
 
 
 def test_batched_noise_draws_change_no_bit():
@@ -348,7 +369,7 @@ def test_study_samples_are_scaled_output_errors(fred100):
     sigma = 0.05 * np.linalg.norm(fred100.y) / math.sqrt(100)
     seed = stream_seed(5, 100, 0.05, 0)
     b = fred100.y + sigma * standard_normal(seed, 100)
-    sol = spectral_solver(dec, fred100, b)(1e-6)
+    sol = spectral_solvers(dec, fred100)(b)(1e-6)
     want = np.linalg.norm(fred100.dense_a() @ sol.x - fred100.y) / math.sqrt(100)
     assert s.samples[0] == pytest.approx(want, rel=1e-8)
 

@@ -77,7 +77,7 @@ def _basis_reads(tree):
 @pytest.mark.parametrize("module", sorted(f for f in os.listdir(SRC)
                                           if f.endswith(".py") and f != "spectral.py"))
 def test_only_spectral_reads_the_basis(module):
-    # other modules go through SpectralDecomposition.project, .coeffs, .expand and .image
+    # other modules go through SpectralDecomposition.project, .expand and .image
     with open(os.path.join(SRC, module)) as fh:
         tree = ast.parse(fh.read(), filename=module)
     assert _basis_reads(tree) == []
@@ -171,28 +171,18 @@ def _defs_and_refs(sources):
     return defs, refs
 
 
-def _test_only_defs(sources, entry=frozenset(), exempt=frozenset()):
+def _test_only_defs(sources, entry=frozenset()):
     # a def is reached when it is an entry point or its name is read outside
     # its own body and outside every def found unreached so far, to a fixed
-    # point; an exempt def counts as unreached but is not reported
+    # point
     defs, refs = _defs_and_refs(sources)
-    dead = set(exempt)
+    dead = set()
     while True:
         found = {key for key, name in defs.items() if key not in dead and key not in entry
                  and not any(where != key and where not in dead for where in refs[name])}
         if not found:
-            return sorted(dead - set(exempt))
+            return sorted(dead)
         dead |= found
-
-
-# The three defs that form an implicit basis as an (n, m) array for tests at
-# small n: they read the bases' private layout, which only `spectral` may
-# know, so they stay there.
-TEST_ONLY = frozenset({
-    "spectral.SpectralDecomposition.basis",
-    "spectral._SineBasis.dense",
-    "spectral._KronBasis.dense",
-})
 
 
 def test_no_def_is_reached_only_from_tests():
@@ -202,9 +192,7 @@ def test_no_def_is_reached_only_from_tests():
     for module in MODULES:
         with open(os.path.join(SRC, module)) as fh:
             sources[module[:-3]] = fh.read()
-    assert _test_only_defs(sources, entry={"cli.main"}, exempt=TEST_ONLY) == []
-    # and every exemption is still needed
-    assert _test_only_defs(sources, entry={"cli.main"}) == sorted(TEST_ONLY)
+    assert _test_only_defs(sources, entry={"cli.main"}) == []
 
 
 def test_check_flags_a_test_only_def():
@@ -223,7 +211,7 @@ def test_check_flags_a_test_only_def():
     }
     assert _test_only_defs(sources) == ["a.C.planted", "a.only_from_reference", "a.recurse",
                                         "a.reference", "b.main"]
-    assert _test_only_defs(sources, entry={"b.main"}, exempt={"a.C.planted"}) == ["a.recurse"]
+    assert _test_only_defs(sources, entry={"b.main"}) == ["a.C.planted", "a.recurse"]
 
 
 # the result records, which carry fields and validate nothing

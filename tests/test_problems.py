@@ -29,7 +29,7 @@ from tikhreg import (
 )
 from tikhreg.problems import _row_blocks
 from tikhreg.spectral import _dense_decompose
-from tikhreg.tikhonov import spectral_solver
+from tikhreg.tikhonov import spectral_solvers
 
 from reference import greens_kernel
 
@@ -662,7 +662,7 @@ def test_built_fredholm_instance_never_holds_its_dense_a():
     # fewer than 64 length-n vectors, where one n x n array is 4000 of them
     def run():
         inst = build_fredholm(4000)
-        spectral_solver(decompose(inst), inst, inst.y)(1e-6)
+        spectral_solvers(decompose(inst), inst)(inst.y)(1e-6)
 
     assert _traced_peak(run)[0] < 64 * 8 * 4000
 
@@ -672,7 +672,7 @@ def test_built_blur_instance_never_holds_its_dense_a():
     # array (104 MB at side 60)
     dense = 8 * (60 * 60) ** 2
     build_peak, inst = _traced_peak(lambda: build_blur(60, 2.0))
-    solve_peak, _ = _traced_peak(lambda: spectral_solver(decompose(inst), inst, inst.y)(1e-6))
+    solve_peak, _ = _traced_peak(lambda: spectral_solvers(decompose(inst), inst)(inst.y)(1e-6))
     assert build_peak < dense / 100
     assert solve_peak < dense / 10
 

@@ -16,16 +16,16 @@ from tikhreg import (
     build_blur,
     build_fredholm,
     decompose,
-    error_filter,
+    filter_errors,
     fit_alpha,
     load_problem,
     save_problem,
-    spectral_solver,
+    spectral_solvers,
     spectrum_rows,
 )
 from tikhreg.spectral import _dense_decompose
 
-from reference import b_seminorm_sq, solve_direct
+from reference import b_seminorm_sq, basis, solve_direct
 
 
 def _instance(a, w=None, label="t"):
@@ -112,11 +112,11 @@ def test_project_and_expand_are_the_basis_products(fred20, rng):
     v = rng.standard_normal((fred20.n, 3))
     for dec in (_dense_decompose(fred20), decompose(fred20)):
         assert (dec.m, dec.n) == (dec.rho.shape[0], fred20.n) == (19, 20)
-        psi, a_psi = dec.basis()
+        psi, a_psi = basis(dec)
         c = rng.standard_normal(dec.m)
         x, ax = dec.expand(c), dec.image(c)
         pairs = [(dec.project(v[:, 0]), a_psi.T @ v[:, 0]), (dec.project(v), a_psi.T @ v),
-                 (dec.coeffs(v[:, 0]), psi.T @ v[:, 0]), (x, psi @ c), (ax, a_psi @ c)]
+                 (dec.psi.T @ v[:, 0], psi.T @ v[:, 0]), (x, psi @ c), (ax, a_psi @ c)]
         for got, want in pairs:
             if isinstance(dec.psi, np.ndarray):
                 assert np.array_equal(got, want)
@@ -135,7 +135,7 @@ def test_implicit_routes_match_their_basis(build, size, rng):
     dec = decompose(inst)
     assert not isinstance(dec.psi, np.ndarray)
     n, m = inst.n, dec.m
-    psi, a_psi = dec.basis()
+    psi, a_psi = basis(dec)
     assert psi.shape == a_psi.shape == (n, m)
     v = rng.standard_normal(n)
     block = rng.standard_normal((n, 64))
@@ -143,7 +143,7 @@ def test_implicit_routes_match_their_basis(build, size, rng):
     x, ax = dec.expand(c), dec.image(c)
     projected = dec.project(block)
     for got, want in [(dec.project(v), a_psi.T @ v), (projected, a_psi.T @ block),
-                      (dec.coeffs(v), psi.T @ v), (x, psi @ c), (ax, a_psi @ c)]:
+                      (dec.psi.T @ v, psi.T @ v), (x, psi @ c), (ax, a_psi @ c)]:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     for j in range(block.shape[1]):
@@ -174,7 +174,7 @@ def test_every_route_returns_one_decomposition_type(make, from_prob, tmp_path):
     assert type(dec) is SpectralDecomposition
     # both .prob instances fit no closed form, so they take the dense route
     assert isinstance(dec.psi, np.ndarray) == isinstance(dec.a_psi, np.ndarray) == from_prob
-    psi, a_psi = dec.basis()
+    psi, a_psi = basis(dec)
     assert psi.shape == a_psi.shape == (inst.n, dec.m)
 
 
@@ -226,7 +226,7 @@ def test_spectrum_rows_schema(dec200):
 
 def test_b_seminorm_single_mode(fred20):
     dec = decompose(fred20)
-    val = b_seminorm_sq(dec, dec.basis()[0][:, 0], fred20.w)
+    val = b_seminorm_sq(dec, basis(dec)[0][:, 0], fred20.w)
     assert val == pytest.approx(np.sqrt(dec.rho[0]), rel=1e-10)
 
 
@@ -274,10 +274,10 @@ def test_error_filter_matches_direct_solve_errors(seed, lam):
     inst, b = _well_conditioned(seed)
     dec = decompose(inst)
     assert dec.m == inst.n
-    errors = error_filter(dec, inst)
     for j in range(b.shape[1]):
         err = solve_direct(inst, b[:, j], lam).x - inst.x_star
-        _, out_sq, b_sq = errors(dec.a_psi.T @ b[:, j], lam)
+        d, d_noise = dec.project(b[:, j]), dec.project(b[:, j] - inst.y)
+        _, out_sq, b_sq = filter_errors(dec, d, d_noise, lam)
         assert out_sq == pytest.approx(np.linalg.norm(inst.dense_a() @ err) ** 2, rel=1e-8)
         assert b_sq == pytest.approx(b_seminorm_sq(dec, err, inst.w), rel=1e-8)
 
@@ -294,28 +294,28 @@ def _route_instance(route, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_error_filter_batch_matches_single_columns(seed):
-    # on every route each column's errors have the bits of its own vector
-    # call, in either memory layout of d; on the implicit routes so does each
-    # column's projection, so no batch width can move a Monte Carlo bit
+    # on every route each row's filter and errors have the bits of its own
+    # vector call, in either memory layout of d and d_noise; on the implicit
+    # routes so does each column's projection, so no batch width can move a
+    # Monte Carlo bit
     for route in ("dense", "sine", "kronecker"):
         inst, b = _route_instance(route, seed)
         dec = decompose(inst)
-        errors = error_filter(dec, inst)
-        d = dec.project(b)
+        d, d_noise = dec.project(b).T, dec.project(b - inst.y[:, None]).T
         if route != "dense":
             for j in range(b.shape[1]):
-                assert np.array_equal(d[:, j], dec.project(b[:, j])), (route, j)
+                assert np.array_equal(d[j], dec.project(b[:, j])), (route, j)
         for lam in (1e-8, 1e-4, 1.0):
-            c, out_sq, b_sq = errors(d, lam)
+            c, out_sq, b_sq = filter_errors(dec, d, d_noise, lam)
             assert c.shape == d.shape
             assert out_sq.shape == b_sq.shape == (b.shape[1],)
             for layout in (np.ascontiguousarray, np.asfortranarray):
-                c_l, out_l, b_l = errors(layout(d), lam)
+                c_l, out_l, b_l = filter_errors(dec, layout(d), layout(d_noise), lam)
                 assert np.array_equal(c_l, c)
                 assert np.array_equal(out_l, out_sq) and np.array_equal(b_l, b_sq)
             for j in range(b.shape[1]):
-                c_j, out_j, b_j = errors(d[:, j], lam)
-                assert np.array_equal(c[:, j], c_j)
+                c_j, out_j, b_j = filter_errors(dec, d[j], d_noise[j], lam)
+                assert np.array_equal(c[j], c_j)
                 assert out_sq[j] == out_j and b_sq[j] == b_j, (route, lam, j)
 
 
@@ -330,7 +330,7 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
     assert kron.m == dense.m
     assert np.max(np.abs(kron.rho - dense.rho)) <= n * eps * dense.rho[0]
     assert np.max(np.abs(dense.rho / kron.rho - 1.0)) <= 1e-9
-    psi, a_psi = kron.basis()
+    psi, a_psi = basis(kron)
     assert np.max(np.abs(psi.T @ psi - np.eye(kron.m))) <= 1e-13
     assert np.max(np.abs(np.sum((a @ psi) ** 2, axis=0) / kron.rho - 1.0)) <= 1e-9
     gram = a.T @ a
@@ -339,8 +339,8 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
     assert np.max(np.abs(a_psi - a @ psi)) <= 1e-13
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-2, 1.0):
-        x = spectral_solver(kron, inst, b)(lam).x
-        x_dense = spectral_solver(dense, inst, b)(lam).x
+        x = spectral_solvers(kron, inst)(b)(lam).x
+        x_dense = spectral_solvers(dense, inst)(b)(lam).x
         assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         if psf_width == 0.7:      # full rank: every mode retained, so x is exact
             assert kron.m == n
@@ -379,14 +379,14 @@ def test_sine_route_matches_dense_route(n):
     assert sine.m == dense.m
     assert np.all(np.diff(sine.rho) < 0)
     assert np.max(np.abs(dense.rho / sine.rho - 1.0)) <= 1e-9
-    psi, a_psi = sine.basis()
+    psi, a_psi = basis(sine)
     assert np.max(np.abs(psi.T @ psi - np.eye(sine.m))) <= 1e-13
     sigma_1 = np.sqrt(sine.rho[0])
     assert np.linalg.norm(inst.dense_a() @ psi - a_psi) <= 1e-12 * sigma_1
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
     for lam in (1e-6, 1e-2, 1.0):
-        x = spectral_solver(sine, inst, b)(lam).x
-        x_dense = spectral_solver(dense, inst, b)(lam).x
+        x = spectral_solvers(sine, inst)(b)(lam).x
+        x_dense = spectral_solvers(dense, inst)(b)(lam).x
         assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         if lam >= 1e-2:   # the modes both routes drop no longer move x (n = 500)
             x_direct = solve_direct(inst, b, lam).x

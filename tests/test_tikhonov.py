@@ -19,12 +19,13 @@ from tikhreg import (
     build_fredholm,
     decompose,
     error_report,
+    filter_errors,
     w_norm,
 )
 from tikhreg.spectral import SpectralDecomposition, _KronBasis, _SineBasis
-from tikhreg.tikhonov import _filter_terms, spectral_solver
+from tikhreg.tikhonov import _residual_terms, spectral_solvers
 
-from reference import solve_direct
+from reference import basis, solve_direct
 
 
 def _instance(a, x_star=None, w=None, label="t"):
@@ -84,8 +85,8 @@ def test_reported_norms_match_definitions(rng):
 def test_single_mode_filter(fred20):
     dec = decompose(fred20)
     lam = 1e-4
-    psi, a_psi = dec.basis()
-    sol = spectral_solver(dec, fred20, a_psi[:, 0].copy())(lam)
+    psi, a_psi = basis(dec)
+    sol = spectral_solvers(dec, fred20)(a_psi[:, 0].copy())(lam)
     c1 = dec.rho[0] / (lam + dec.rho[0])
     assert np.allclose(sol.x, c1 * psi[:, 0], atol=1e-12)
 
@@ -111,7 +112,7 @@ def test_cross_solver_agreement(rng):
     dec = decompose(inst)
     for lam in (1e-8, 1e-4, 1.0):
         xd = solve_direct(inst, b, lam).x
-        xs = spectral_solver(dec, inst, b)(lam).x
+        xs = spectral_solvers(dec, inst)(b)(lam).x
         assert np.linalg.norm(xd - xs) <= 1e-8 * np.linalg.norm(xd)
 
 
@@ -119,7 +120,7 @@ def test_cross_solver_agreement(rng):
 def test_bad_lambda_rejected(fred20, lam):
     dec = decompose(fred20)
     with pytest.raises(NonFiniteLambda):
-        spectral_solver(dec, fred20, fred20.y)(lam)
+        spectral_solvers(dec, fred20)(fred20.y)(lam)
 
 
 def test_error_report_exact_recovery(fred100):
@@ -147,12 +148,16 @@ def test_error_report_zero_solution(fred100):
     assert rep.rel_res == pytest.approx(1.0)
 
 
-def test_solver_closures_match_free_functions(fred100):
+def test_one_solver_factory_serves_many_rhs(fred100):
+    # the terms of y, formed once per factory, give every b the bits of a
+    # factory of its own
     dec = decompose(fred100)
-    b = fred100.y + 1e-4
-    ss = spectral_solver(dec, fred100, b)
-    for lam in (1e-6, 1e-3):
-        assert np.array_equal(ss(lam).x, spectral_solver(dec, fred100, b)(lam).x)
+    for_rhs = spectral_solvers(dec, fred100)
+    for b in (fred100.y + 1e-4, fred100.y - 2e-4):
+        shared, own = for_rhs(b), spectral_solvers(dec, fred100)(b)
+        for lam in (1e-6, 1e-3):
+            assert shared.scalars(lam) == own.scalars(lam)
+            assert np.array_equal(shared(lam).x, own(lam).x)
 
 
 @given(st.floats(1e-9, 1e3), st.floats(1.5, 1e6))
@@ -176,9 +181,9 @@ def test_nonfinite_rhs_rejected(fred20, bad):
     b = fred20.y.copy()
     b[3] = bad
     with pytest.raises(DomainError):
-        spectral_solver(dec, fred20, b)(1e-6)
+        spectral_solvers(dec, fred20)(b)(1e-6)
     with pytest.raises(DomainError):
-        spectral_solver(dec, fred20, b)
+        spectral_solvers(dec, fred20)(b)
 
 
 def test_spectral_scalars_match_direct_route_on_kronecker_route():
@@ -186,7 +191,7 @@ def test_spectral_scalars_match_direct_route_on_kronecker_route():
     # residual, W-norm and output error hold to the normal equations
     inst = build_blur(20, 2.0)
     b = add_noise(inst, NoiseSpec(delta=0.01, seed=3)).b
-    solver = spectral_solver(decompose(inst), inst, b)
+    solver = spectral_solvers(decompose(inst), inst)(b)
     for lam in (1e-4, 1e-2, 1.0):
         spectral, direct = solver(lam), solve_direct(inst, b, lam)
         for field in ("residual_b", "w_norm", "output_err"):
@@ -219,7 +224,7 @@ def test_scalars_match_n_space(route, size):
     dec = decompose(inst)
     assert isinstance(dec.psi, np.ndarray) == (route == "dense")
     d = dec.project(b)
-    solve = spectral_solver(dec, inst, b)
+    solve = spectral_solvers(dec, inst)(b)
     for lam in np.logspace(-10, 0, 21):
         c = d / (lam + dec.rho)
         x, ax = dec.expand(c), dec.image(c)
@@ -257,7 +262,7 @@ def test_adaptive_run_expands_once(monkeypatch, route, size):
     for cls in (_SineBasis, _KronBasis):
         counted(cls, "_synthesis", "synthesis")
     implicit = route != "dense"
-    solver = spectral_solver(dec, inst, b)
+    solver = spectral_solvers(dec, inst)(b)
     assert calls == {"expand": 0, "image": 2, "synthesis": 2 if implicit else 0}
     calls.update(dict.fromkeys(calls, 0))
     trace = adaptive_select(inst, AdaptiveConfig(alpha=2.0), solver)
@@ -272,7 +277,7 @@ def test_adaptive_run_expands_once(monkeypatch, route, size):
 
 def test_sine_route_takes_sigma_from_n_minus_1_sines(monkeypatch):
     # sigma_k reads sin(k pi/(2n)) and sin((n - k) pi/(2n)), k = 1..n-1, and
-    # no table of the 4n sines that only _SineBasis.dense needs
+    # no table of 4n sines
     evaluated = []
     sin = np.sin
 
@@ -292,21 +297,21 @@ def test_criterion_4_term_by_term(route, size):
     """Criterion 4 holds for every term, not only for the sums.
 
     On 2000 log-spaced lambdas in [1e-12, 1], each c_k^2 = (d_k/(lam + rho_k))^2
-    is nonincreasing and each residual term (rho_k c_k - d_k)^2/rho_k,
-    summed in the float form (d_k g / sqrt(rho_k))^2 with
-    g = 1/(1 + rho_k/lam), is nondecreasing: each operation of both forms
-    rounds a monotone function of the one operand that moves with lambda,
-    and rounding is monotone. Floating-point addition is monotone in each
-    operand, so residual_b and w_norm are monotone too.
+    of spectral.filter_errors is nonincreasing and each residual term
+    (rho_k c_k - d_k)^2/rho_k, summed by the solver in the float form
+    (d_k g / sqrt(rho_k))^2 with g = 1/(1 + rho_k/lam), is nondecreasing:
+    each operation of both forms rounds a monotone function of the one
+    operand that moves with lambda, and rounding is monotone. Floating-point
+    addition is monotone in each operand, so residual_b and w_norm are
+    monotone too.
     """
     inst, b = _route_case(route, size)
     dec = decompose(inst)
-    d, rho = dec.project(b), dec.rho
-    solve = spectral_solver(dec, inst, b)
+    d, d_noise, rho = dec.project(b), dec.project(b - inst.y), dec.rho
+    solve = spectral_solvers(dec, inst)(b)
     lams = np.logspace(-12, 0, 2000)
-    terms = [_filter_terms(d, rho, np.sqrt(rho), lam) for lam in lams]
-    c_sq = np.array([c * c for c, _ in terms])
-    res_terms = np.array([r for _, r in terms])
+    c_sq = np.array([filter_errors(dec, d, d_noise, lam)[0] ** 2 for lam in lams])
+    res_terms = np.array([_residual_terms(d, rho, np.sqrt(rho), lam) for lam in lams])
     assert np.all(np.diff(c_sq, axis=0) <= 0)
     assert np.all(np.diff(res_terms, axis=0) >= 0)
     sols = [solve.scalars(lam) for lam in lams]
