@@ -2,8 +2,9 @@
 
 Library layout:
 
-- linalg: weight matrices, symmetrization, the weighted norm
-- problems: Fredholm and blur test problems, noise model, .prob round-trip
+- linalg: the check and Cholesky factor of an explicit weight W
+- problems: Fredholm and blur test problems, with W None (the identity) or
+  a checked array on the instance; noise model, .prob round-trip
 - spectral: generalized eigenpairs from one SVD, decay-exponent fit, the one filter
 - tikhonov: spectral solver, error functionals
 - params: a-priori parameter rules and the adaptive fixed-point iteration
@@ -26,11 +27,6 @@ from .errors import (
     SizeCap,
     TikhregError,
     ZeroSolutionNorm,
-)
-from .linalg import (
-    WeightSpec,
-    symmetrize,
-    w_norm,
 )
 from .problems import (
     NoiseSpec,

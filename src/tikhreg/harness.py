@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateSample, DomainError, SizeCap
-from .linalg import w_norm
 from .params import PriorRuleInput, adaptive_select, prior_rule_rho0, prior_rule_w
 from .problems import (
     NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
@@ -111,7 +110,10 @@ class TableRow(NamedTuple):
 
 def rule_lambda(rule, alpha, instance, sigma, constant_c):
     """Evaluate an a-priori rule on an instance's true solution norm."""
-    xbar = w_norm(instance.x_star, instance.w) / math.sqrt(instance.n)
+    x = instance.x_star
+    wx = x if instance.w is None else instance.w @ x
+    # ||x*||_W = sqrt(x*^T W x*), a tiny negative round-off read as 0
+    xbar = math.sqrt(max(float(x @ wx), 0.0)) / math.sqrt(instance.n)
     inp = PriorRuleInput(
         alpha=alpha, n=instance.n, sigma=sigma, x_norm_w_scaled=xbar, constant_c=constant_c
     )

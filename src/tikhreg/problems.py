@@ -67,13 +67,19 @@ the package only the dense decomposition calls it, and
 ``spectral.decompose`` takes a closed-form route exactly when a is None and
 W is the identity.
 
+``ProblemInstance.w`` is W the same way: None for the identity, or an
+explicit (n, n) array, checked when the instance is made (shape, finite
+entries, symmetry within 1e-12 relative, positive definite) and averaged
+into an exactly symmetric array; its lower Cholesky factor is kept in
+``w_chol`` for the dense decomposition (linalg.weight_factor).
+
 Serialization. ``save_problem`` writes a `.prob` container: an 8-byte
 little-endian header length, a UTF-8 JSON header
 {"format": "prob", "version": 1, "n": ..., "label": ..., "w_kind": ...},
 then raw little-endian float64 arrays: A (n*n, row-major), x* (n), y (n), and,
-only when w_kind == "explicit", W (n*n, row-major). ``save_problem`` raises
-SizeCap before it opens the file when the target directory has fewer bytes
-free than the file takes. A structured A is written one block of rows at a
+only when w_kind == "explicit" (w is not None), W (n*n, row-major).
+``save_problem`` raises SizeCap before it opens the file when the target
+directory has fewer bytes free than the file takes. A structured A is written one block of rows at a
 time and never assembled. A Kronecker factor goes into the header as an
 optional "kron_factor" key (a list of rows, repr-exact floats).
 ``load_problem``, where an outside A arrives, streams it through one reused
@@ -97,7 +103,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, SizeCap
-from .linalg import WeightSpec
+from .linalg import weight_factor
 
 _PROB_MAGIC = "prob"
 _PROB_VERSION = 1
@@ -117,16 +123,19 @@ class ProblemInstance:
     a is an explicit (n, n) A, or None when the instance's structure defines
     A: kron(T, T) with a Kronecker factor T, else the kernel fill of
     build_fredholm(n). Giving both a and a factor raises DomainError.
-    dense_a() returns A as an (n, n) array either way.
+    dense_a() returns A as an (n, n) array either way. w is None (the
+    identity) or an explicit W, checked and symmetrized here, with its lower
+    Cholesky factor in w_chol (linalg.weight_factor).
     """
 
     n: int
     a: Optional[np.ndarray] = field(repr=False)
     x_star: np.ndarray     # (n,) exact solution
     y: np.ndarray          # (n,) clean data, y = A x*
-    w: WeightSpec
+    w: Optional[np.ndarray] = field(repr=False)   # (n, n) W, or None for the identity
     label: str
     kron_factor: Optional[np.ndarray] = None   # (side, side) T with A = kron(T, T)
+    w_chol: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # W = L L^T
 
     def __post_init__(self):
         a, t = self.a, self.kron_factor
@@ -139,6 +148,8 @@ class ProblemInstance:
         if self.x_star.shape != (self.n,) or self.y.shape != (self.n,):
             raise DimensionMismatch("x_star and y must have length n")
         _check_factor_shape(t, self.n)
+        if self.w is not None:
+            self.w, self.w_chol = weight_factor(self.w, self.n)
 
     def dense_a(self):
         """A as an (n, n) array: the explicit a, or the structured A assembled afresh."""
@@ -247,7 +258,7 @@ def build_fredholm(n):
     below = np.concatenate(([0.0], np.cumsum(tm * x_star)[:-1]))   # sum_{i<j} s_i x*_i
     above = np.cumsum(((1.0 - tm) * x_star)[::-1])[::-1]           # sum_{i>=j} (1 - s_i) x*_i
     y = ((1.0 - t) * below + t * above) / n
-    return ProblemInstance(n=n, a=None, x_star=x_star, y=y, w=WeightSpec.identity(), label="fredholm")
+    return ProblemInstance(n=n, a=None, x_star=x_star, y=y, w=None, label="fredholm")
 
 
 # Fixed test image for the blur family: two axis-aligned rectangles and one
@@ -302,7 +313,7 @@ def build_blur(side, psf_width):
     # kron(T, T) vec(X) = vec(T X T^T) for the row-major image X
     y = (t @ x_star.reshape(side, side) @ t.T).reshape(-1)
     return ProblemInstance(
-        n=side * side, a=None, x_star=x_star, y=y, w=WeightSpec.identity(), label="blur",
+        n=side * side, a=None, x_star=x_star, y=y, w=None, label="blur",
         kron_factor=t,
     )
 
@@ -420,20 +431,21 @@ def save_problem(instance, path):
     Raises SizeCap, before the file is opened, when the directory of path has
     fewer bytes free than the file takes.
     """
+    w_kind = "identity" if instance.w is None else "explicit"
     header = {
         "format": _PROB_MAGIC,
         "version": _PROB_VERSION,
         "n": instance.n,
         "label": instance.label,
-        "w_kind": instance.w.kind,
+        "w_kind": w_kind,
     }
     if instance.kron_factor is not None:
         header["kron_factor"] = instance.kron_factor.tolist()
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     a_rows = ([instance.a] if instance.a is not None
               else (rows for _, _, rows in _row_blocks(instance.n, instance.kron_factor)))
-    w_rows = [instance.w.matrix] if instance.w.kind == "explicit" else []
-    size = _prob_bytes(len(blob), instance.n, instance.w.kind)
+    w_rows = [] if instance.w is None else [instance.w]
+    size = _prob_bytes(len(blob), instance.n, w_kind)
     free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
     if free < size:
         raise SizeCap(f"{path} would take {size} bytes, but only {free} are free")
@@ -506,8 +518,8 @@ def load_problem(path):
                 kron_ok = False
         x_star = _read_finite(fh, np.empty(n, dtype="<f8"), path)
         y = _read_finite(fh, np.empty(n, dtype="<f8"), path)
-        w = (WeightSpec.explicit(_read_finite(fh, np.empty((n, n), dtype="<f8"), path))
-             if w_kind == "explicit" else WeightSpec.identity())
+        w = (_read_finite(fh, np.empty((n, n), dtype="<f8"), path)
+             if w_kind == "explicit" else None)
     if not kron_ok:
         raise DomainError(f"A is not kron(T, T) of its Kronecker factor T: {path}")
     # an A that fits no structure is kept and takes the dense route

@@ -253,7 +253,7 @@ def decompose(instance):
     other instance takes the dense route, whose bases are arrays. See the
     module docstring.
     """
-    if instance.w.is_identity and instance.a is None:
+    if instance.w is None and instance.a is None:
         return (_sine_decompose if instance.kron_factor is None else _kron_decompose)(instance)
     return _dense_decompose(instance)
 
@@ -263,7 +263,7 @@ def _dense_decompose(instance):
     # rho = s^2, psi = L^{-T} U and A psi = V S; A is read once (assembled
     # here unless the instance holds an explicit one), and rebinding bt frees
     # an assembled A before the SVD when W is explicit
-    chol = instance.w.chol_lower
+    chol = instance.w_chol
     bt = instance.dense_a().T
     if chol is not None:
         bt = np.linalg.solve(chol, bt)

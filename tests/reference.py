@@ -12,7 +12,7 @@ input checks are tested against the package.
 
 import numpy as np
 
-from tikhreg import RegularizedSolution, w_norm
+from tikhreg import RegularizedSolution
 
 
 def solve_direct(instance, b, lam):
@@ -20,15 +20,16 @@ def solve_direct(instance, b, lam):
     lam = float(lam)
     a = instance.dense_a()
     m = a.T @ a
-    if instance.w.is_identity:
+    if instance.w is None:
         m[np.diag_indices_from(m)] += lam
     else:
-        m += lam * instance.w.matrix
+        m += lam * instance.w
     chol = np.linalg.cholesky(0.5 * (m + m.T))
     x = np.linalg.solve(chol.T, np.linalg.solve(chol, a.T @ b))
     ax = a @ x
+    wx = x if instance.w is None else instance.w @ x
     return RegularizedSolution(lam=lam, x=x, residual_b=float(np.linalg.norm(ax - b)),
-                               w_norm=w_norm(x, instance.w),
+                               w_norm=float(np.sqrt(max(x @ wx, 0.0))),
                                output_err=float(np.linalg.norm(ax - instance.y)))
 
 
@@ -49,9 +50,10 @@ def basis(decomp):
 
 def b_seminorm_sq(decomp, u, w):
     """Squared B-seminorm sum_k sqrt(rho_k) (u, psi_k)_W^2 on the retained modes, from the
-    (n, m) basis array."""
+    (n, m) basis array; w is an instance's W, None for the identity."""
     psi = basis(decomp)[0]
-    return float(np.sum(np.sqrt(decomp.rho) * (psi.T @ w.apply(u)) ** 2))
+    wu = u if w is None else w @ u
+    return float(np.sum(np.sqrt(decomp.rho) * (psi.T @ wu) ** 2))
 
 
 def error_moments(decomp, d_y, sigma, lam):

@@ -18,7 +18,6 @@ import pytest
 from tikhreg import (
     AdaptiveConfig,
     NoiseSpec,
-    WeightSpec,
     ProblemInstance,
     add_noise,
     build_fredholm,
@@ -77,7 +76,7 @@ def test_criterion_3_cross_solver():
         n = int(gen.integers(5, 101))
         a = gen.standard_normal((n, n))
         l = gen.standard_normal((n, n)) / np.sqrt(n)
-        w = WeightSpec.explicit(l @ l.T + 0.5 * np.eye(n))
+        w = l @ l.T + 0.5 * np.eye(n)
         x_true = gen.standard_normal(n)
         inst = ProblemInstance(n=n, a=a, x_star=x_true, y=a @ x_true, w=w, label="rand")
         b = inst.y + 0.01 * gen.standard_normal(n)
@@ -165,15 +164,17 @@ def test_criterion_8_concentration():
     study = run_sample_study(inst, 0.01, lam, 2000, master_seed=0)
     s = np.asarray(study.samples)
     mean, sd = float(s.mean()), float(s.std())
-    counts, edges = np.histogram(s, bins=10, range=(mean - 4 * sd, mean + 4 * sd))
+    counts, _ = np.histogram(s, bins=10, range=(mean - 4 * sd, mean + 4 * sd))
     peak = int(np.argmax(counts))
-    mean_bin = int(np.searchsorted(edges, mean)) - 1
+    # the range is symmetric about the mean, so the mean is edge 5, where
+    # bins 4 and 5 meet; which of the two holds it is a matter of rounding
     unimodal = (np.all(np.diff(counts[: peak + 1]) >= 0)
                 and np.all(np.diff(counts[peak:]) <= 0)
-                and abs(peak - mean_bin) <= 1)
+                and peak in (4, 5))
     ok = study.qq_correlation >= 0.99 and bool(unimodal)
     _line(8, ok, f"qq_correlation={study.qq_correlation:.5f} (>=0.99), "
-                 f"10-bin histogram unimodal={bool(unimodal)} peak_bin={peak} mean_bin={mean_bin}")
+                 f"10-bin histogram unimodal={bool(unimodal)} peak_bin={peak} (4 or 5, "
+                 f"the bins meeting at the mean)")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tikhreg import (
-    NoiseSpec, ProblemInstance, WeightSpec, add_noise, build_blur, build_fredholm, decompose,
+    NoiseSpec, ProblemInstance, add_noise, build_blur, build_fredholm, decompose,
     error_report, rule_lambda, save_problem, spectral_solvers,
 )
 from tikhreg import cli
@@ -111,7 +111,7 @@ def _blur_prob(path):
 
 def _explicit_w_prob(path):
     inst = build_fredholm(30)
-    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, 30)))
+    w = np.diag(np.linspace(1.0, 2.0, 30))
     save_problem(ProblemInstance(n=30, a=inst.dense_a(), x_star=inst.x_star, y=inst.y, w=w,
                                  label="w"), path)
 
@@ -152,7 +152,7 @@ def test_zero_x_star_prob_exits_1_without_traceback(tmp_path, capsys, argv):
     # the errors relative to ||x*|| = 0 are undefined
     prob = str(tmp_path / "zero.prob")
     save_problem(ProblemInstance(n=30, a=None, x_star=np.zeros(30), y=np.ones(30),
-                                 w=WeightSpec.identity(), label="zero"), prob)
+                                 w=None, label="zero"), prob)
     assert run(argv + ["--prob", prob, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "||x*|| = 0" in err

@@ -227,7 +227,7 @@ def test_adaptive_noise_free_decays_to_underflow(fred20):
     underflow guard trips.
     """
     dec = decompose(fred20)
-    s = dec.psi.T @ fred20.w.apply(fred20.x_star)
+    s = dec.psi.T @ fred20.x_star        # fred20.w is the identity
 
     def exact(lam):
         shrink = lam * s / (lam + dec.rho)

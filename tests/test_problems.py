@@ -14,9 +14,10 @@ from tikhreg import (
     DimensionMismatch,
     DomainError,
     NoiseSpec,
+    NotSPD,
+    NotSymmetric,
     ProblemInstance,
     SizeCap,
-    WeightSpec,
     add_noise,
     build_blur,
     build_fredholm,
@@ -82,7 +83,7 @@ def test_fredholm_consistency():
     assert inst.n == 64
     assert inst.a is None
     assert inst.dense_a().shape == (64, 64)
-    assert inst.w.kind == "identity"
+    assert inst.w is None
     assert inst.label == "fredholm"
     assert np.allclose(inst.y, inst.dense_a() @ inst.x_star, rtol=0, atol=1e-15)
 
@@ -102,9 +103,34 @@ def test_instance_validation():
     a = np.eye(3)
     x = np.zeros(3)
     with pytest.raises(DimensionMismatch):
-        ProblemInstance(n=3, a=np.eye(2), x_star=x, y=x, w=WeightSpec.identity(), label="t")
+        ProblemInstance(n=3, a=np.eye(2), x_star=x, y=x, w=None, label="t")
     with pytest.raises(DimensionMismatch):
-        ProblemInstance(n=3, a=a, x_star=np.zeros(2), y=x, w=WeightSpec.identity(), label="t")
+        ProblemInstance(n=3, a=a, x_star=np.zeros(2), y=x, w=None, label="t")
+
+
+def _spd(n):
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1) + 0.1 * np.eye(n)
+
+
+def _with_entry(w, index, value):
+    w = w.copy()
+    w[index] = value
+    return w
+
+
+@pytest.mark.parametrize("w, error", [
+    (_spd(4), DimensionMismatch),                            # an (n - 1) x (n - 1) W
+    (np.ones(5), DimensionMismatch),                         # not a matrix
+    (_with_entry(_spd(5), (2, 2), np.nan), DomainError),
+    (_with_entry(_spd(5), (0, 4), np.inf), DomainError),
+    (_with_entry(_spd(5), (3, 1), -np.inf), DomainError),
+    (_with_entry(_spd(5), (0, 1), 0.0), NotSymmetric),       # W[1, 0] stays -1
+    (_spd(5) - 3.0 * np.eye(5), NotSPD),                     # symmetric, indefinite
+], ids=["smaller", "vector", "nan", "inf", "minus-inf", "asymmetric", "indefinite"])
+def test_instance_w_checked_against_its_instance(w, error):
+    x = np.ones(5)
+    with pytest.raises(error):
+        ProblemInstance(n=5, a=np.eye(5), x_star=x, y=x, w=w, label="t")
 
 
 def test_blur_row_sums_and_exact_data():
@@ -322,7 +348,7 @@ def test_prob_roundtrip_identity_weight(tmp_path, fred20):
     back = load_problem(str(path))
     assert back.n == fred20.n
     assert back.label == fred20.label
-    assert back.w.kind == "identity"
+    assert back.w is None
     assert back.a is None          # the stored A is the kernel fill, so it is dropped
     assert np.array_equal(back.dense_a(), fred20.dense_a())
     assert np.array_equal(back.x_star, fred20.x_star)
@@ -332,15 +358,15 @@ def test_prob_roundtrip_identity_weight(tmp_path, fred20):
 def test_prob_roundtrip_explicit_weight(tmp_path, rng):
     n = 9
     l = rng.standard_normal((n, n)) / 3.0
-    w = WeightSpec.explicit(l @ l.T + np.eye(n))
+    w = l @ l.T + np.eye(n)
     a = rng.standard_normal((n, n))
     x = rng.standard_normal(n)
     inst = ProblemInstance(n=n, a=a, x_star=x, y=a @ x, w=w, label="custom")
     path = tmp_path / "c.prob"
     save_problem(inst, str(path))
     back = load_problem(str(path))
-    assert back.w.kind == "explicit"
-    assert np.array_equal(back.w.matrix, inst.w.matrix)
+    assert np.array_equal(back.w, inst.w)
+    assert np.array_equal(back.w_chol, inst.w_chol)
     assert np.array_equal(back.dense_a(), a)
 
 
@@ -362,7 +388,7 @@ def saved_blobs(tmp_path_factory):
     """Bytes of a small saved instance, with identity and with explicit weight."""
     inst = build_fredholm(6)
     weighted = ProblemInstance(n=inst.n, a=inst.dense_a(), x_star=inst.x_star, y=inst.y,
-                               w=WeightSpec.explicit(2.0 * np.eye(inst.n)), label="w")
+                               w=2.0 * np.eye(inst.n), label="w")
     blobs = []
     for each in (inst, weighted):
         path = tmp_path_factory.mktemp("prob") / "whole.prob"
@@ -409,15 +435,13 @@ def test_prob_with_trailing_bytes_rejected(tmp_path, fred20):
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_prob_with_nonfinite_entry_rejected(tmp_path, field, index, bad):
-    inst = build_fredholm(8)
-    w = WeightSpec.explicit(2.0 * np.eye(8))
-    # WeightSpec rejects a non-finite W, so the bad entry goes into its stored copy
-    arrays = {"a": inst.dense_a(), "x_star": inst.x_star.copy(), "y": inst.y.copy(),
-              "w": w.matrix}
-    arrays[field][index] = bad
+    fred = build_fredholm(8)
+    inst = ProblemInstance(n=8, a=fred.dense_a(), x_star=fred.x_star.copy(), y=fred.y.copy(),
+                           w=2.0 * np.eye(8), label="bad")
+    # the instance rejects a non-finite W, so the bad entry goes into its checked copy
+    getattr(inst, field)[index] = bad
     path = tmp_path / "bad.prob"
-    save_problem(ProblemInstance(n=8, a=arrays["a"], x_star=arrays["x_star"], y=arrays["y"],
-                                 w=w, label="bad"), str(path))
+    save_problem(inst, str(path))
     with pytest.raises(DomainError, match="non-finite"):
         load_problem(str(path))
 
@@ -459,8 +483,7 @@ def _free_bytes(monkeypatch, free):
 
 
 def _weighted_fredholm(n):
-    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, n)))
-    return dataclasses.replace(build_fredholm(n), w=w)
+    return dataclasses.replace(build_fredholm(n), w=np.diag(np.linspace(1.0, 2.0, n)))
 
 
 @pytest.mark.parametrize("make, size", [

@@ -11,7 +11,6 @@ from tikhreg import (
     NoiseSpec,
     ProblemInstance,
     SpectralDecomposition,
-    WeightSpec,
     add_noise,
     build_blur,
     build_fredholm,
@@ -33,7 +32,7 @@ def _instance(a, w=None, label="t"):
     x = np.zeros(n)
     return ProblemInstance(
         n=n, a=a, x_star=x, y=a @ x,
-        w=w if w is not None else WeightSpec.identity(), label=label,
+        w=w, label=label,
     )
 
 
@@ -42,9 +41,9 @@ def _random_instance(seed, n, explicit_w=True):
     a = gen.standard_normal((n, n))
     if explicit_w:
         l = gen.standard_normal((n, n)) / np.sqrt(n)
-        w = WeightSpec.explicit(l @ l.T + 0.5 * np.eye(n))
+        w = l @ l.T + 0.5 * np.eye(n)
     else:
-        w = WeightSpec.identity()
+        w = None
     return _instance(a, w)
 
 
@@ -70,7 +69,7 @@ def test_fredholm_polyharmonic_decay(fred200, dec200):
 def test_w_orthonormal_eigenvectors(seed, explicit_w):
     inst = _random_instance(seed, 14, explicit_w)
     dec = decompose(inst)
-    gram_w = dec.psi.T @ inst.w.apply(dec.psi)
+    gram_w = dec.psi.T @ (dec.psi if inst.w is None else inst.w @ dec.psi)
     assert np.allclose(gram_w, np.eye(dec.m), atol=1e-10)
     # the decomposition satisfies its own equation ||A psi_k||^2 = rho_k
     a_psi_sq = np.sum((inst.dense_a() @ dec.psi) ** 2, axis=0)
@@ -100,7 +99,7 @@ def test_parseval_identity(seed):
     dec = decompose(inst)
     gen = np.random.Generator(np.random.Philox(key=seed ^ 0xABCD))
     u = gen.standard_normal(9)
-    coeffs = dec.psi.T @ inst.w.apply(u)
+    coeffs = dec.psi.T @ (inst.w @ u)
     lhs = float(np.linalg.norm(inst.dense_a() @ u) ** 2)
     rhs = float(np.sum(dec.rho * coeffs**2))
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
@@ -156,7 +155,7 @@ def test_implicit_routes_match_their_basis(build, size, rng):
 
 def _explicit_w_fredholm(n):
     inst = build_fredholm(n)
-    return dataclasses.replace(inst, w=WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, n))))
+    return dataclasses.replace(inst, w=np.diag(np.linspace(1.0, 2.0, n)))
 
 
 @pytest.mark.parametrize("make, from_prob", [
@@ -241,7 +240,7 @@ def test_b_seminorm_matches_matrix_power_oracle(rng):
     a = rng.standard_normal((n, n))
     l = rng.standard_normal((n, n)) / np.sqrt(n)
     wmat = l @ l.T + np.eye(n)
-    inst = _instance(a, WeightSpec.explicit(wmat))
+    inst = _instance(a, wmat)
     dec = decompose(inst)
 
     wvals, wvecs = np.linalg.eigh(wmat)
@@ -264,7 +263,7 @@ def _well_conditioned(seed, n=12, columns=4):
     l = gen.standard_normal((n, n)) / np.sqrt(n)
     x = gen.standard_normal(n)
     inst = ProblemInstance(n=n, a=a, x_star=x, y=a @ x,
-                           w=WeightSpec.explicit(l @ l.T + 0.5 * np.eye(n)), label="t")
+                           w=l @ l.T + 0.5 * np.eye(n), label="t")
     return inst, inst.y[:, None] + 0.1 * gen.standard_normal((n, columns))
 
 
@@ -363,7 +362,7 @@ def test_kronecker_eigensolve_failure_is_a_convergence_failure(monkeypatch):
 
 def test_kronecker_route_not_taken_with_explicit_weight():
     inst = build_blur(6, 1.0)
-    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, inst.n)))
+    w = np.diag(np.linspace(1.0, 2.0, inst.n))
     weighted = dataclasses.replace(inst, w=w)
     dec = decompose(weighted)
     reference = decompose(dataclasses.replace(weighted, kron_factor=None, a=inst.dense_a()))
@@ -403,7 +402,7 @@ def test_sine_route_spectrum_matches_singular_values():
 
 def test_sine_route_not_taken_with_explicit_weight():
     inst = build_fredholm(30)
-    w = WeightSpec.explicit(np.diag(np.linspace(1.0, 2.0, inst.n)))
+    w = np.diag(np.linspace(1.0, 2.0, inst.n))
     weighted = dataclasses.replace(inst, w=w)
     dec = decompose(weighted)
     reference = _dense_decompose(weighted)

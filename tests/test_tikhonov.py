@@ -12,7 +12,6 @@ from tikhreg import (
     NoiseSpec,
     NonFiniteLambda,
     ProblemInstance,
-    WeightSpec,
     adaptive_select,
     add_noise,
     build_blur,
@@ -20,7 +19,6 @@ from tikhreg import (
     decompose,
     error_report,
     filter_errors,
-    w_norm,
 )
 from tikhreg.spectral import SpectralDecomposition, _KronBasis, _SineBasis
 from tikhreg.tikhonov import _residual_terms, spectral_solvers
@@ -33,7 +31,7 @@ def _instance(a, x_star=None, w=None, label="t"):
     x = np.zeros(n) if x_star is None else x_star
     return ProblemInstance(
         n=n, a=a, x_star=x, y=a @ x,
-        w=w if w is not None else WeightSpec.identity(), label=label,
+        w=w, label=label,
     )
 
 
@@ -63,12 +61,11 @@ def test_solution_satisfies_normal_equations(rng):
     n = 12
     a = rng.standard_normal((n, n))
     l = rng.standard_normal((n, n)) / np.sqrt(n)
-    w = WeightSpec.explicit(l @ l.T + np.eye(n))
-    inst = _instance(a, w=w)
+    inst = _instance(a, w=l @ l.T + np.eye(n))
     b = rng.standard_normal(n)
     lam = 0.37
     sol = solve_direct(inst, b, lam)
-    lhs = a.T @ (a @ sol.x) + lam * w.apply(sol.x)
+    lhs = a.T @ (a @ sol.x) + lam * (inst.w @ sol.x)
     assert np.allclose(lhs, a.T @ b, rtol=1e-10, atol=1e-10)
 
 
@@ -105,7 +102,7 @@ def test_cross_solver_agreement(rng):
     n = 20
     a = rng.standard_normal((n, n))
     l = rng.standard_normal((n, n)) / np.sqrt(n)
-    w = WeightSpec.explicit(l @ l.T + 0.5 * np.eye(n))
+    w = l @ l.T + 0.5 * np.eye(n)
     x_true = rng.standard_normal(n)
     inst = _instance(a, x_star=x_true, w=w)
     b = inst.y + 0.01 * rng.standard_normal(n)
@@ -208,7 +205,7 @@ def _route_case(route, size):
         inst = build_blur(size, 2.0)
     else:
         w = 1.8 * np.eye(size) - 0.4 * (np.eye(size, k=1) + np.eye(size, k=-1))
-        inst = dataclasses.replace(build_fredholm(size), w=WeightSpec.explicit(w))
+        inst = dataclasses.replace(build_fredholm(size), w=w)
     return inst, add_noise(inst, NoiseSpec(delta=0.01, seed=17)).b
 
 
@@ -231,7 +228,7 @@ def test_scalars_match_n_space(route, size):
         sol = solve.scalars(lam)
         assert sol.x is None
         for got, want in [(sol.residual_b, np.linalg.norm(ax - b)),
-                          (sol.w_norm, w_norm(x, inst.w)),
+                          (sol.w_norm, math.sqrt(x @ (x if inst.w is None else inst.w @ x))),
                           (sol.output_err, np.linalg.norm(ax - inst.y))]:
             assert got == pytest.approx(want, rel=1e-12, abs=0)
         full = solve(lam)
