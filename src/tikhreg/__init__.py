@@ -4,10 +4,12 @@ Library layout:
 
 - linalg: the check and Cholesky factor of an explicit weight W
 - problems: Fredholm and blur test problems, with W None (the identity) or
-  a checked array on the instance; noise model, .prob round-trip
+  a checked array on the instance; noise model (add_noise(instance, delta,
+  seed), with delta checked once, in noise_sigma), .prob round-trip
 - spectral: generalized eigenpairs from one SVD, decay-exponent fit, the one filter
 - tikhonov: spectral solver, error functionals
-- params: a-priori parameter rules and the adaptive fixed-point iteration
+- params: the a-priori parameter rules (rule_lambda) and the adaptive
+  fixed-point iteration
 - harness: sweep / Monte Carlo / concentration / table experiment drivers
 - cli: `tikhreg` command exposing every experiment with reproducible seeds
 """
@@ -29,7 +31,6 @@ from .errors import (
     ZeroSolutionNorm,
 )
 from .problems import (
-    NoiseSpec,
     NoisyData,
     ProblemInstance,
     add_noise,
@@ -58,11 +59,9 @@ from .tikhonov import (
 from .params import (
     AdaptiveConfig,
     AdaptiveTrace,
-    PriorRuleInput,
     adaptive_select,
     initial_lambda,
-    prior_rule_rho0,
-    prior_rule_w,
+    rule_lambda,
 )
 from .harness import (
     MonteCarloCell,
@@ -70,7 +69,6 @@ from .harness import (
     SampleStudy,
     SweepResult,
     TableRow,
-    rule_lambda,
     run_montecarlo,
     run_sample_study,
     run_sweep,

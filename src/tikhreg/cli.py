@@ -20,7 +20,6 @@ import sys
 from . import __version__
 from .errors import TikhregError
 from .harness import (
-    rule_lambda,
     run_montecarlo,
     run_sample_study,
     run_sweep,
@@ -35,9 +34,9 @@ from .harness import (
     write_json,
     write_manifest,
 )
-from .params import AdaptiveConfig, adaptive_select
+from .params import AdaptiveConfig, adaptive_select, rule_lambda
 from .problems import (
-    NoiseSpec, add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
+    add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
 )
 from .spectral import _check_lambda, decompose, fit_alpha
 from .tikhonov import error_report, spectral_solvers
@@ -66,32 +65,30 @@ def _list_of(convert, what):
     return parse
 
 
-def _add_problem_args(sub, with_prob=True):
+def _add_problem_args(sub, grid=False, with_prob=True):
+    # the sizes of one instance (and --prob), or of a grid of instances and deltas
     sub.add_argument("--problem", choices=("fredholm", "blur"), default="fredholm")
-    sub.add_argument("--n", type=int, help="grid size of the fredholm problem")
-    sub.add_argument("--side", type=int, help="image side length of the blur problem")
+    if not grid:
+        sub.add_argument("--n", type=int, help="grid size of the fredholm problem")
+        sub.add_argument("--side", type=int, help="image side length of the blur problem")
     sub.add_argument("--psf-width", type=float, default=2.0, help="blur width in pixels")
-    if with_prob:
+    if grid:
+        sub.add_argument("--ns", type=_list_of(int, "integer"), required=True,
+                         help="comma-separated sizes (blur: side lengths)")
+        sub.add_argument("--deltas", type=_list_of(float, "float"), required=True)
+    elif with_prob:
         sub.add_argument("--prob", help="load a .prob instance instead of building one")
 
 
-def _add_grid_args(sub):
-    sub.add_argument("--problem", choices=("fredholm", "blur"), default="fredholm")
-    sub.add_argument("--psf-width", type=float, default=2.0, help="blur width in pixels")
-    sub.add_argument("--ns", type=_list_of(int, "integer"), required=True,
-                     help="comma-separated sizes (blur: side lengths)")
-    sub.add_argument("--deltas", type=_list_of(float, "float"), required=True)
-
-
-def _add_rule_args(sub):
-    sub.add_argument("--rule", choices=("w", "rho0"), default="rho0")
+def _add_rule_args(sub, with_rule=True):
+    if with_rule:
+        sub.add_argument("--rule", choices=("w", "rho0"), default="rho0")
     sub.add_argument("--alpha", type=float, default=4.0, help="spectral decay exponent")
     sub.add_argument("--c", type=float, default=1.0, help="rule constant C")
 
 
 def _add_adaptive_args(sub):
-    sub.add_argument("--alpha", type=float, default=4.0)
-    sub.add_argument("--c", type=float, default=1.0)
+    _add_rule_args(sub, with_rule=False)
     sub.add_argument("--tol", type=float, default=1e-10)
     sub.add_argument("--stop", choices=("absolute", "relative"), default="absolute")
     sub.add_argument("--max-iters", type=int, default=100)
@@ -141,7 +138,7 @@ def _adaptive_args(p):
 def _montecarlo_args(p):
     _add_rule_args(p)
     _add_common(p)
-    _add_grid_args(p)
+    _add_problem_args(p, grid=True)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--threads", type=int, default=1,
                    help="worker cap; results are identical for any value")
@@ -159,7 +156,7 @@ def _study_args(p):
 
 def _table_args(p):
     _add_common(p)
-    _add_grid_args(p)
+    _add_problem_args(p, grid=True)
     _add_adaptive_args(p)
 
 
@@ -242,7 +239,7 @@ def _cmd_spectrum(args, parser, out_dir):
 
 def _cmd_solve(args, parser, out_dir):
     instance = _build_instance(args, parser)
-    data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
+    data = add_noise(instance, args.delta, args.seed)
     # a bad lambda exits before the decomposition is paid for
     lam = _check_lambda(_chosen_lambda(args, instance, data.sigma))
     sol = spectral_solvers(decompose(instance), instance)(data.b)(lam)
@@ -261,12 +258,8 @@ def _cmd_solve(args, parser, out_dir):
 def _cmd_sweep(args, parser, out_dir):
     instance = _build_instance(args, parser)
     result = run_sweep(
-        instance,
-        NoiseSpec(delta=args.delta, seed=args.seed),
-        (args.grid_lo, args.grid_hi, args.grid_count),
-        rule=args.rule,
-        alpha=args.alpha,
-        constant_c=args.c,
+        instance, args.delta, args.seed, (args.grid_lo, args.grid_hi, args.grid_count),
+        rule=args.rule, alpha=args.alpha, constant_c=args.c,
     )
     outputs = save_sweep(out_dir, result)
     return outputs, (
@@ -277,7 +270,7 @@ def _cmd_sweep(args, parser, out_dir):
 
 def _cmd_adaptive(args, parser, out_dir):
     instance = _build_instance(args, parser)
-    data = add_noise(instance, NoiseSpec(delta=args.delta, seed=args.seed))
+    data = add_noise(instance, args.delta, args.seed)
     trace = adaptive_select(instance, _adaptive_config(args),
                             spectral_solvers(decompose(instance), instance)(data.b))
     report = error_report(instance, trace.final, data.b)

@@ -27,10 +27,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateSample, DomainError, SizeCap
-from .params import PriorRuleInput, adaptive_select, prior_rule_rho0, prior_rule_w
-from .problems import (
-    NoiseSpec, add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed,
-)
+from .params import adaptive_select, rule_lambda
+from .problems import add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed
 from .spectral import _check_lambda, decompose, filter_errors, spectrum_rows
 from .tikhonov import error_report, spectral_solvers
 
@@ -105,32 +103,13 @@ class TableRow(NamedTuple):
 
 
 # ===========================================================================
-# parameter rule dispatch
-# ===========================================================================
-
-def rule_lambda(rule, alpha, instance, sigma, constant_c):
-    """Evaluate an a-priori rule on an instance's true solution norm."""
-    x = instance.x_star
-    wx = x if instance.w is None else instance.w @ x
-    # ||x*||_W = sqrt(x*^T W x*), a tiny negative round-off read as 0
-    xbar = math.sqrt(max(float(x @ wx), 0.0)) / math.sqrt(instance.n)
-    inp = PriorRuleInput(
-        alpha=alpha, n=instance.n, sigma=sigma, x_norm_w_scaled=xbar, constant_c=constant_c
-    )
-    if rule == "w":
-        return prior_rule_w(inp)
-    if rule == "rho0":
-        return prior_rule_rho0(inp)
-    raise DomainError(f"unknown rule {rule!r} (expected 'w' or 'rho0')")
-
-
-# ===========================================================================
 # near-optimality sweep
 # ===========================================================================
 
-def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
+def run_sweep(instance, delta, seed, grid, rule="rho0", alpha=4.0, constant_c=1.0):
     """Scaled output error along a log-equispaced lambda grid for one noise draw.
 
+    The draw is add_noise(instance, delta, seed), which checks delta and seed.
     grid is (lo, hi, count) with finite 0 < lo < hi and 2 <= count <= 100000
     (a larger count raises SizeCap), all checked before the noise draw. b and
     b - y are projected once, and each grid point and the prediction read
@@ -149,7 +128,7 @@ def run_sweep(instance, noise, grid, rule="rho0", alpha=4.0, constant_c=1.0):
     if count > _GRID_CAP:
         raise SizeCap(f"grid count {count} exceeds the {_GRID_CAP} cap")
     lambdas = np.logspace(math.log10(lo), math.log10(hi), int(count))
-    data = add_noise(instance, noise)
+    data = add_noise(instance, delta, seed)
     lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
     # sigma == 0 makes the rule return 0, which filter_errors rejects; keep
     # the grid results and leave the prediction column empty
@@ -315,9 +294,9 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
 
     Returns the raw samples, a histogram, and normal QQ pairs of the
     standardized sample against quantiles at (i - 1/2)/reps. A lambda that is
-    not finite and positive raises NonFiniteLambda, a delta that is negative
-    or not finite, has no noise stream of its own (stream_seed) or a bin
-    count outside 1..reps DomainError, and more than 1000000 reps SizeCap,
+    not finite and positive raises NonFiniteLambda, a delta that noise_sigma
+    rejects (negative or not finite) or that has no noise stream of its own
+    (stream_seed), or a bin count outside 1..reps DomainError, and more than 1000000 reps SizeCap,
     all before the decomposition. delta = 0 draws no noise, so every sample
     is the same and DegenerateSample follows; a delta so large that a sample
     overflows float64 raises DomainError.
@@ -326,14 +305,13 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
         raise DomainError(f"reps must be >= 100, got {reps}")
     if reps > _REPS_CAP:
         raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
-    if not 0 <= delta < math.inf:
-        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    sigma = noise_sigma(instance, delta)
     stream_seed(master_seed, instance.n, delta, 0)
     if not 1 <= bins <= reps:
         raise DomainError(f"bins must be between 1 and reps = {reps}, got {bins}")
     _check_lambda(lam)
-    samples, _ = _scaled_errors(instance, decompose(instance), noise_sigma(instance, delta),
-                                delta, lam, reps, master_seed)
+    samples, _ = _scaled_errors(instance, decompose(instance), sigma, delta, lam, reps,
+                                master_seed)
     sd = float(np.std(samples, ddof=1))
     # ptp catches the all-identical case where the subtracted mean is off by
     # an ulp and the naive sd comes out ~1e-21 instead of exactly zero
@@ -381,7 +359,7 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     for delta in deltas:
         for n in ns:
             inst = insts[n]
-            data = add_noise(inst, NoiseSpec(delta=delta, seed=stream_seed(master_seed, n, delta, 0)))
+            data = add_noise(inst, delta, stream_seed(master_seed, n, delta, 0))
             trace = adaptive_select(inst, cfg, solvers[n](data.b))
             report = error_report(inst, trace.final, data.b)
             rows.append(TableRow(

@@ -1,9 +1,10 @@
 """Regularization parameter selection: two a-priori rules and the adaptive
 fixed-point iteration.
 
-Both a-priori rules solve lambda^{(alpha+1)/(2 alpha)} = C sigma n^{-1/2} / q
-for lambda, where q is either the scaled solution norm n^{-1/2} ||x*||_W or
-that norm plus sigma n^{-1/2}. The adaptive iteration replaces the two
+rule_lambda evaluates both a-priori rules, which solve
+lambda^{(alpha+1)/(2 alpha)} = C sigma n^{-1/2} / q for lambda, where q is
+either the scaled solution norm n^{-1/2} ||x*||_W or that norm plus
+sigma n^{-1/2}. The adaptive iteration replaces the two
 unknowns by empirical quantities of the current iterate: sigma by the scaled
 residual n^{-1/2} ||A x_k - b|| and the solution norm by n^{-1/2} ||x_k||_W,
 starting from lambda_0^{(alpha+1)/(2 alpha)} = n^{-1/2}.
@@ -25,20 +26,6 @@ def _check_rule_constants(alpha, constant_c):
         raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if not 0 < constant_c < math.inf:
         raise DomainError(f"constant_c must be finite and positive, got {constant_c}")
-
-
-@dataclass(frozen=True)
-class PriorRuleInput:
-    alpha: float                 # spectral decay exponent, > 1
-    n: int
-    sigma: float                 # absolute noise strength, >= 0
-    x_norm_w_scaled: float       # n^{-1/2} ||x*||_W
-    constant_c: float = 1.0
-
-    def __post_init__(self):
-        _check_rule_constants(self.alpha, self.constant_c)
-        if self.sigma < 0 or not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -90,19 +77,29 @@ def _solve_rule(alpha, constant_c, n, s, q):
         return math.inf
 
 
-def prior_rule_w(inp):
-    """lambda = (C sigma n^{-1/2} / (n^{-1/2} ||x*||_W))^{2 alpha/(alpha+1)}."""
-    if inp.x_norm_w_scaled == 0.0:
-        raise ZeroSolutionNorm("x_norm_w_scaled is zero")
-    return _solve_rule(inp.alpha, inp.constant_c, inp.n, inp.sigma, inp.x_norm_w_scaled)
+def rule_lambda(rule, alpha, instance, sigma, constant_c=1.0):
+    """The a-priori parameter of rule "w" or "rho0" at noise strength sigma.
 
-
-def prior_rule_rho0(inp):
-    """Same rule with the norm replaced by rho_0 = n^{-1/2}||x*||_W + sigma n^{-1/2}."""
-    rho0 = inp.x_norm_w_scaled + inp.sigma / math.sqrt(inp.n)
-    if rho0 == 0.0:
-        raise ZeroSolutionNorm("x_norm_w_scaled + sigma * n^{-1/2} is zero")
-    return _solve_rule(inp.alpha, inp.constant_c, inp.n, inp.sigma, rho0)
+    Both rules solve lambda^{(alpha+1)/(2 alpha)} = C sigma n^{-1/2} / q with
+    the instance's true solution: q = n^{-1/2} ||x*||_W for "w", and
+    q = rho_0 = n^{-1/2} ||x*||_W + sigma n^{-1/2} for "rho0". alpha and C,
+    then sigma (finite and >= 0), then the rule name are checked, each
+    raising DomainError; q = 0 raises ZeroSolutionNorm.
+    """
+    _check_rule_constants(alpha, constant_c)
+    if sigma < 0 or not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
+    if rule not in ("w", "rho0"):
+        raise DomainError(f"unknown rule {rule!r} (expected 'w' or 'rho0')")
+    x = instance.x_star
+    wx = x if instance.w is None else instance.w @ x
+    # ||x*||_W = sqrt(x*^T W x*), a tiny negative round-off read as 0
+    q = math.sqrt(max(float(x @ wx), 0.0)) / math.sqrt(instance.n)
+    if rule == "rho0":
+        q += sigma / math.sqrt(instance.n)
+    if q == 0.0:
+        raise ZeroSolutionNorm(f"rule {rule!r} divides by q = 0: x* has zero W-norm")
+    return _solve_rule(alpha, constant_c, instance.n, sigma, q)
 
 
 def initial_lambda(alpha, n):

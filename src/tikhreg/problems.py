@@ -12,9 +12,11 @@ conditions acting on a fixed piecewise-smooth test image (two rectangles and
 one Gaussian bump); it exists to exercise spectral-decay estimation on an
 operator with a very different spectrum, not to model any particular camera.
 
-Noise model: b = y + sigma * xi with xi iid standard normal and
+Noise model: add_noise(instance, delta, seed) draws b = y + sigma * xi with
+xi iid standard normal from the generator of seed and
 sigma = noise_sigma(instance, delta) = delta * n^{-1/2} * ||y||, so delta is
 the relative noise level and sigma the per-component standard deviation.
+noise_sigma is the one check of delta (finite and >= 0).
 
 Reproducibility. All Gaussian variates come from a Philox4x64-10 counter
 generator keyed directly by the caller's 64-bit seed (counter starts at 0).
@@ -159,20 +161,6 @@ class ProblemInstance:
         for lo, hi, rows in _row_blocks(self.n, self.kron_factor):
             a[lo:hi] = rows
         return a
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Relative noise level and the seed of its generator."""
-
-    delta: float
-    seed: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta < 0:
-            raise DomainError(f"delta must be finite and >= 0, got {self.delta}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError("seed must fit in an unsigned 64-bit integer")
 
 
 class NoisyData(NamedTuple):
@@ -398,24 +386,35 @@ def stream_seed(master_seed, n, delta, rep):
 
 
 def noise_sigma(instance, delta):
-    """Absolute noise strength sigma = delta * n^{-1/2} * ||y|| of relative level delta."""
+    """Absolute noise strength sigma = delta * n^{-1/2} * ||y|| of relative level delta.
+
+    A delta that is negative or not finite raises DomainError. Every path
+    from delta to sigma (add_noise, the drivers, the CLI) runs through here,
+    so this is the one check of delta.
+    """
+    if not 0 <= delta < math.inf:
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
     return delta * float(np.linalg.norm(instance.y)) / math.sqrt(instance.n)
 
 
-def add_noise(instance, spec):
-    """Draw b = y + sigma * xi with sigma = noise_sigma(instance, spec.delta).
+def add_noise(instance, delta, seed):
+    """Draw b = y + sigma * xi with sigma = noise_sigma(instance, delta).
 
-    A delta so large that ||b||^2 overflows float64 raises DomainError.
+    xi is the standard_normal draw of the unsigned 64-bit seed, which is
+    checked even at delta = 0, where no draw runs. A delta so large that
+    ||b||^2 overflows float64 raises DomainError.
     """
-    sigma = noise_sigma(instance, spec.delta)
+    sigma = noise_sigma(instance, delta)
+    if not 0 <= int(seed) < 2**64:
+        raise DomainError("seed must fit in an unsigned 64-bit integer")
     if sigma == 0.0:
         b = instance.y.copy()
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            b = instance.y + sigma * standard_normal(spec.seed, instance.n)
+            b = instance.y + sigma * standard_normal(seed, instance.n)
             b_sq = float(b @ b)
         if not math.isfinite(b_sq):
-            raise DomainError(f"delta = {spec.delta!r} (sigma = {sigma!r}) makes ||b||^2 "
+            raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes ||b||^2 "
                               f"overflow float64")
     return NoisyData(b=b, sigma=sigma)
 

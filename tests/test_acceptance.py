@@ -17,12 +17,12 @@ import pytest
 
 from tikhreg import (
     AdaptiveConfig,
-    NoiseSpec,
     ProblemInstance,
     add_noise,
     build_fredholm,
     decompose,
     fit_alpha,
+    rule_lambda,
     run_montecarlo,
     run_sample_study,
     run_sweep,
@@ -30,7 +30,6 @@ from tikhreg import (
     spectral_solvers,
 )
 from tikhreg.cli import main as cli_main
-from tikhreg.harness import rule_lambda
 
 from reference import solve_direct
 
@@ -51,7 +50,7 @@ def test_criterion_1_sigma_deterministic():
     ok = True
     for n in (2000, 5000, 10000):
         inst = build_fredholm(n)
-        data = add_noise(inst, NoiseSpec(delta=0.1, seed=0))
+        data = add_noise(inst, 0.1, 0)
         sigmas[n] = data.sigma
         ok = ok and lo <= data.sigma <= hi
         del inst, data
@@ -100,7 +99,7 @@ def test_criterion_4_monotonicity():
     @given(st.floats(1e-4, 0.5), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def check(delta, seed):
-        b = add_noise(inst, NoiseSpec(delta=delta, seed=seed)).b
+        b = add_noise(inst, delta, seed).b
         solve = spectral_solvers(dec, inst)(b)
         sols = [solve(lam) for lam in grid]
         res = np.array([s.residual_b for s in sols])
@@ -131,7 +130,7 @@ def test_criterion_5_montecarlo_slopes():
 
 
 def test_criterion_6_near_optimality():
-    res = run_sweep(_fred(2000), NoiseSpec(delta=0.01, seed=0), (1e-10, 1e-4, 10),
+    res = run_sweep(_fred(2000), 0.01, 0, (1e-10, 1e-4, 10),
                     rule="rho0", alpha=4.0, constant_c=1.0)
     interior = res.lambdas[0] < res.argmin_lambda < res.lambdas[-1]
     ratio = res.err_at_pred / res.err_min

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tikhreg import (
-    NoiseSpec, ProblemInstance, add_noise, build_blur, build_fredholm, decompose,
+    ProblemInstance, add_noise, build_blur, build_fredholm, decompose,
     error_report, rule_lambda, save_problem, spectral_solvers,
 )
 from tikhreg import cli
@@ -97,7 +97,7 @@ def test_solve_csv_is_the_spectral_route(tmp_path, problem, build):
     out = str(tmp_path / "s")
     assert run(["solve"] + problem + ["--delta", "0.01", "--out", out]) == 0
     inst = build()
-    data = add_noise(inst, NoiseSpec(delta=0.01, seed=0))
+    data = add_noise(inst, 0.01, 0)
     lam = rule_lambda("rho0", 4.0, inst, data.sigma, 1.0)
     sol = spectral_solvers(decompose(inst), inst)(data.b)(lam)
     rep = error_report(inst, sol, data.b)
@@ -253,6 +253,18 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert run(["solve", "--problem", "fredholm", "--n", "50", "--delta", "-0.1",
                 "--lam", "1e-6", "--out", str(tmp_path / "b")]) == 1
     capsys.readouterr()
+    # every command that draws or rules on delta names delta, not the sigma
+    # that a negative delta would make
+    for k, argv in enumerate([
+        ["solve", "--n", "50", "--delta", "-1"],
+        ["sweep", "--n", "50", "--delta", "-1"],
+        ["adaptive", "--n", "50", "--delta", "-1"],
+        ["study", "--n", "50", "--delta", "-1", "--reps", "100"],
+        ["study", "--n", "50", "--delta", "-1", "--reps", "100", "--lam", "1e-6"],
+        ["table", "--ns", "50", "--deltas", "-1"],
+    ]):
+        assert run(argv + ["--out", str(tmp_path / f"d{k}")]) == 1, argv
+        assert "delta must be finite and >= 0" in capsys.readouterr().err, argv
 
 
 def test_config_file_expands_flags(tmp_path):

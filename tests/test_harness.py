@@ -13,7 +13,6 @@ import pytest
 from tikhreg import (
     DegenerateSample,
     DomainError,
-    NoiseSpec,
     NonFiniteLambda,
     SizeCap,
     add_noise,
@@ -55,17 +54,16 @@ from reference import b_seminorm_sq, error_moments, solve_direct
 # ---------------------------------------------------------------------------
 
 def test_sweep_grid_validation(fred100):
-    spec = NoiseSpec(delta=0.05, seed=1)
     with pytest.raises(DomainError):
-        run_sweep(fred100, spec, (1e-4, 1e-8, 10))
+        run_sweep(fred100, 0.05, 1, (1e-4, 1e-8, 10))
     with pytest.raises(DomainError):
-        run_sweep(fred100, spec, (0.0, 1e-4, 10))
+        run_sweep(fred100, 0.05, 1, (0.0, 1e-4, 10))
     with pytest.raises(DomainError):
-        run_sweep(fred100, spec, (1e-8, 1e-4, 1))
+        run_sweep(fred100, 0.05, 1, (1e-8, 1e-4, 1))
 
 
 def test_sweep_shape_and_prediction(fred100):
-    res = run_sweep(fred100, NoiseSpec(delta=0.05, seed=1), (1e-9, 1e-3, 13),
+    res = run_sweep(fred100, 0.05, 1, (1e-9, 1e-3, 13),
                     rule="rho0", alpha=4.0, constant_c=1.0)
     assert len(res.lambdas) == 13
     assert np.all(np.diff(res.lambdas) > 0)
@@ -81,7 +79,7 @@ def test_sweep_shape_and_prediction(fred100):
 
 
 def test_sweep_noise_free(fred100):
-    res = run_sweep(fred100, NoiseSpec(delta=0.0, seed=1), (1e-12, 1.0, 30))
+    res = run_sweep(fred100, 0.0, 1, (1e-12, 1.0, 30))
     assert np.all(np.diff(res.output_errors) >= 0)
     assert res.argmin_lambda == res.lambdas[0]
     assert res.lambda_pred == 0.0
@@ -91,14 +89,12 @@ def test_sweep_noise_free(fred100):
 def test_sweep_reads_the_spectral_route_output_error(monkeypatch, fred100):
     # one formula: the sweep's filter_errors values agree with the n-space
     # ||A x_lam - A x*|| of the spectral solver, which the sweep never calls
-    spec = NoiseSpec(delta=0.05, seed=1)
-
     def no_solver(*_):
         raise AssertionError("run_sweep builds no solver")
 
     monkeypatch.setattr("tikhreg.harness.spectral_solvers", no_solver)
-    res = run_sweep(fred100, spec, (1e-9, 1e-3, 13))
-    solver = spectral_solvers(decompose(fred100), fred100)(add_noise(fred100, spec).b)
+    res = run_sweep(fred100, 0.05, 1, (1e-9, 1e-3, 13))
+    solver = spectral_solvers(decompose(fred100), fred100)(add_noise(fred100, 0.05, 1).b)
     expected = [solver(lam).output_err / math.sqrt(100) for lam in res.lambdas]
     assert res.output_errors == pytest.approx(expected, rel=1e-10)
     assert res.err_at_pred == pytest.approx(
@@ -299,7 +295,7 @@ def test_drivers_reject_a_delta_whose_errors_overflow(fred100):
         with pytest.raises(DomainError, match="delta = 1e"):
             run_sample_study(fred100, 1e300, 1e-6, 100)
         with pytest.raises(DomainError, match="delta = 1e"):
-            run_sweep(fred100, NoiseSpec(delta=1e300, seed=0), (1e-8, 1e-4, 3))
+            run_sweep(fred100, 1e300, 0, (1e-8, 1e-4, 3))
         with pytest.raises(DomainError, match="delta = 1e"):
             run_table([60], [1e300], AdaptiveConfig(alpha=2.0))
 
@@ -440,7 +436,7 @@ def test_table_rows_match_the_direct_route(alpha):
     assert [(r.delta, r.n) for r in rows] == [(d, n) for d in deltas for n in ns]
     for row in rows:
         inst = build_fredholm(row.n)
-        data = add_noise(inst, NoiseSpec(delta=row.delta, seed=stream_seed(0, row.n, row.delta, 0)))
+        data = add_noise(inst, row.delta, stream_seed(0, row.n, row.delta, 0))
         trace = adaptive_select(inst, cfg, partial(solve_direct, inst, data.b))
         report = error_report(inst, trace.final, data.b)
         assert row.iters == trace.iters
@@ -536,7 +532,7 @@ def test_save_montecarlo_files(tmp_path):
 
 
 def test_save_sweep_noise_free_serializes_null(tmp_path, fred100):
-    res = run_sweep(fred100, NoiseSpec(delta=0.0, seed=1), (1e-10, 1e-4, 4))
+    res = run_sweep(fred100, 0.0, 1, (1e-10, 1e-4, 4))
     save_sweep(str(tmp_path), res)
     doc = json.loads(open(tmp_path / "sweep.json").read())
     assert doc["err_at_pred"] is None
@@ -566,7 +562,7 @@ def test_sweep_grid_count_above_cap_rejected_before_decomposing(monkeypatch, fre
 
     monkeypatch.setattr("tikhreg.harness.decompose", spy)
     with pytest.raises(SizeCap, match="grid count"):
-        run_sweep(fred20, NoiseSpec(delta=0.01, seed=0), (1e-10, 1e-4, _GRID_CAP + 1))
+        run_sweep(fred20, 0.01, 0, (1e-10, 1e-4, _GRID_CAP + 1))
 
 
 def _no_decompose(inst):
@@ -615,12 +611,12 @@ def test_sweep_rejects_a_bad_predicted_lambda_before_decomposing(monkeypatch, fr
     # --c 1e308 makes the rho0 rule's lambda overflow to inf
     monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
     with pytest.raises(NonFiniteLambda):
-        run_sweep(fred20, NoiseSpec(delta=0.01, seed=0), (1e-10, 1e-2, 10), constant_c=1e308)
+        run_sweep(fred20, 0.01, 0, (1e-10, 1e-2, 10), constant_c=1e308)
 
 
 @pytest.mark.parametrize("grid", [(1e-10, math.inf, 10), (1e-10, math.nan, 10), (math.nan, 1e-4, 10)])
 def test_sweep_rejects_a_bound_that_is_not_finite_before_drawing_noise(monkeypatch, fred20, grid):
-    def no_noise(inst, spec):
+    def no_noise(inst, delta, seed):
         raise AssertionError("drew noise before the grid was checked")
 
     monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
@@ -628,4 +624,4 @@ def test_sweep_rejects_a_bound_that_is_not_finite_before_drawing_noise(monkeypat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite 0 < lo < hi"):
-            run_sweep(fred20, NoiseSpec(delta=0.01, seed=0), grid)
+            run_sweep(fred20, 0.01, 0, grid)

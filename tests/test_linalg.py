@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tikhreg import NotSymmetric, PriorRuleInput, ProblemInstance, prior_rule_w, rule_lambda
+from tikhreg import NotSymmetric, ProblemInstance, rule_lambda
 from tikhreg.linalg import weight_factor
 
 
@@ -50,6 +50,6 @@ def test_w_norm_matches_inner(v):
     assert q >= 0.0
     assume(q > 1e-100)                # a zero norm has no rule; a subnormal q has few digits
     inst = ProblemInstance(n=6, a=np.eye(6), x_star=v, y=v, w=base, label="t")
-    want = prior_rule_w(PriorRuleInput(alpha=3.0, n=6, sigma=1.0,
-                                       x_norm_w_scaled=math.sqrt(q) / math.sqrt(6)))
+    # the closed form (C sigma n^{-1/2} / q)^{2 alpha/(alpha+1)} at alpha 3, C 1, sigma 1
+    want = (1.0 / math.sqrt(6) / (math.sqrt(q) / math.sqrt(6))) ** 1.5
     assert rule_lambda("w", 3.0, inst, 1.0, 1.0) == pytest.approx(want, rel=1e-12)

@@ -10,8 +10,7 @@ from tikhreg import (
     AdaptiveConfig,
     DegenerateSolution,
     DomainError,
-    NoiseSpec,
-    PriorRuleInput,
+    ProblemInstance,
     ZeroSolutionNorm,
     add_noise,
     adaptive_select,
@@ -20,8 +19,7 @@ from tikhreg import (
     decompose,
     fit_alpha,
     initial_lambda,
-    prior_rule_rho0,
-    prior_rule_w,
+    rule_lambda,
     run_sweep,
 )
 from tikhreg.tikhonov import RegularizedSolution, spectral_solvers
@@ -29,27 +27,37 @@ from tikhreg.tikhonov import RegularizedSolution, spectral_solvers
 from reference import solve_direct
 
 
-def _inp(**kw):
-    base = dict(alpha=4.0, n=10000, sigma=1e-2, x_norm_w_scaled=1.0, constant_c=1.0)
-    base.update(kw)
-    return PriorRuleInput(**base)
+def _inst(x_norm=1.0, n=4):
+    # x* = x_norm * ones(n) and W = I, so n^{-1/2} ||x*||_W = x_norm
+    x = np.full(n, x_norm)
+    return ProblemInstance(n=n, a=np.eye(n), x_star=x, y=x, w=None, label="rule")
+
+
+def _rule(rule="w", alpha=4.0, x_norm=1.0, sigma=2e-4, constant_c=1.0, n=4):
+    # sigma n^{-1/2} / x_norm = 1e-4 at the defaults
+    return rule_lambda(rule, alpha, _inst(x_norm, n), sigma, constant_c)
 
 
 def test_rule_input_validation():
     with pytest.raises(DomainError):
-        _inp(alpha=1.0)
+        _rule(alpha=1.0)
     with pytest.raises(DomainError):
-        _inp(sigma=-1.0)
+        _rule(sigma=-1.0)
     with pytest.raises(DomainError):
-        _inp(constant_c=0.0)
+        _rule(constant_c=0.0)
     with pytest.raises(DomainError):
-        _inp(sigma=math.inf)
+        _rule(sigma=math.inf)
+    # alpha and C are checked first, then sigma, then the rule name
+    with pytest.raises(DomainError, match="alpha"):
+        _rule(rule="lcurve", alpha=1.0, sigma=-1.0)
+    with pytest.raises(DomainError, match="sigma"):
+        _rule(rule="lcurve", sigma=-1.0)
 
 
 @pytest.mark.parametrize("make", [
-    lambda **kw: _inp(**kw),
+    lambda **kw: _rule(**kw),
     lambda **kw: AdaptiveConfig(**{"alpha": 4.0, **kw}),
-], ids=["PriorRuleInput", "AdaptiveConfig"])
+], ids=["rule_lambda", "AdaptiveConfig"])
 @pytest.mark.parametrize("name,value", [
     ("alpha", math.inf), ("alpha", math.nan), ("constant_c", math.inf), ("constant_c", math.nan),
 ])
@@ -59,39 +67,38 @@ def test_rule_constants_must_be_finite(make, name, value):
 
 
 def test_prior_rule_w_zero_sigma():
-    assert prior_rule_w(_inp(sigma=0.0)) == 0.0
+    assert _rule(sigma=0.0) == 0.0
 
 
 def test_prior_rule_w_direct_formula():
     # sigma * n^{-1/2} / x_norm = 1e-4 at alpha 4 gives 10^{-32/5}
-    lam = prior_rule_w(_inp())
+    lam = _rule()
     assert lam == pytest.approx(10.0 ** (-32.0 / 5.0), rel=1e-12)
     assert lam == pytest.approx(3.981e-7, rel=1e-3)
 
 
 def test_prior_rule_w_homogeneous_in_c():
-    lam1 = prior_rule_w(_inp(constant_c=1.0))
-    lam2 = prior_rule_w(_inp(constant_c=2.0))
+    lam1 = _rule(constant_c=1.0)
+    lam2 = _rule(constant_c=2.0)
     assert lam2 / lam1 == pytest.approx(2.0 ** (8.0 / 5.0), rel=1e-12)
 
 
 def test_prior_rule_w_zero_norm_rejected():
     with pytest.raises(ZeroSolutionNorm):
-        prior_rule_w(_inp(x_norm_w_scaled=0.0))
+        _rule(x_norm=0.0)
 
 
 def test_prior_rule_rho0_zero_norm_limit():
     # x_norm = 0 cancels: rho_0 = sigma n^{-1/2} and lambda = C^{2a/(a+1)}
     for c in (1.0, 3.0):
-        lam = prior_rule_rho0(_inp(x_norm_w_scaled=0.0, constant_c=c))
+        lam = _rule("rho0", x_norm=0.0, constant_c=c)
         assert lam == pytest.approx(c ** (8.0 / 5.0), rel=1e-12)
 
 
 def test_prior_rho0_first_order_agreement():
     eps = 1e-6  # sigma n^{-1/2} / x_norm
-    inp = _inp(n=4, sigma=2.0 * eps)
-    lw = prior_rule_w(inp)
-    lr = prior_rule_rho0(inp)
+    lw = _rule("w", sigma=2.0 * eps)
+    lr = _rule("rho0", sigma=2.0 * eps)
     rel = abs(lr - lw) / lw
     assert rel == pytest.approx((8.0 / 5.0) * eps, rel=1e-3)
 
@@ -103,18 +110,16 @@ def test_prior_rho0_first_order_agreement():
 )
 @settings(max_examples=60)
 def test_rules_monotone(alpha, sigma, x_norm):
-    base = PriorRuleInput(alpha=alpha, n=1000, sigma=sigma, x_norm_w_scaled=x_norm)
-    more_noise = PriorRuleInput(alpha=alpha, n=1000, sigma=sigma * 2.0, x_norm_w_scaled=x_norm)
-    bigger_x = PriorRuleInput(alpha=alpha, n=1000, sigma=sigma, x_norm_w_scaled=x_norm * 2.0)
-    for rule in (prior_rule_w, prior_rule_rho0):
-        assert rule(more_noise) > rule(base)
-        assert rule(bigger_x) < rule(base)
+    for rule in ("w", "rho0"):
+        base = _rule(rule, alpha, x_norm, sigma, n=1000)
+        assert _rule(rule, alpha, x_norm, sigma * 2.0, n=1000) > base
+        assert _rule(rule, alpha, x_norm * 2.0, sigma, n=1000) < base
 
 
 def test_rule_constant_that_overflows_gives_inf(fred200, dec200):
     # C s n^{-1/2} / q = 1e304 here, whose power 8/5 overflows float64
-    assert prior_rule_w(_inp(constant_c=1e308)) == math.inf
-    assert prior_rule_rho0(_inp(constant_c=1e308)) == math.inf
+    assert _rule("w", constant_c=1e308) == math.inf
+    assert _rule("rho0", constant_c=1e308) == math.inf
     b = _noisy(fred200, 0.1, 11)
     cfg = AdaptiveConfig(alpha=4.0, constant_c=1e308)
     tr = adaptive_select(fred200, cfg, spectral_solvers(dec200, fred200)(b))
@@ -141,7 +146,7 @@ def test_adaptive_config_validation():
 
 
 def _noisy(inst, delta, seed):
-    return add_noise(inst, NoiseSpec(delta=delta, seed=seed)).b
+    return add_noise(inst, delta, seed).b
 
 
 def test_adaptive_converges_and_traces(fred200):
@@ -250,7 +255,7 @@ def test_blur_rule_with_large_constant_near_sweep_minimum():
     """C = 6 on the blur family puts the rule within a decade of the argmin."""
     inst = build_blur(40, 2.0)
     alpha = fit_alpha(decompose(inst)).alpha_hat
-    res = run_sweep(inst, NoiseSpec(delta=1e-2, seed=3), (1e-12, 1e-2, 40),
+    res = run_sweep(inst, 1e-2, 3, (1e-12, 1e-2, 40),
                     rule="rho0", alpha=alpha, constant_c=6.0)
     gap = abs(math.log10(res.lambda_pred / res.argmin_lambda))
     assert gap <= 1.0

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from tikhreg import (
     DimensionMismatch,
     DomainError,
-    NoiseSpec,
     NotSPD,
     NotSymmetric,
     ProblemInstance,
@@ -311,35 +310,39 @@ def test_fredholm_size_cap_before_allocation():
 
 
 def test_add_noise_zero_delta(fred100):
-    data = add_noise(fred100, NoiseSpec(delta=0.0, seed=3))
+    data = add_noise(fred100, 0.0, 3)
     assert data.sigma == 0.0
     assert np.array_equal(data.b, fred100.y)
 
 
 def test_add_noise_sigma_formula(fred100):
-    data = add_noise(fred100, NoiseSpec(delta=0.1, seed=3))
+    data = add_noise(fred100, 0.1, 3)
     want = 0.1 * np.linalg.norm(fred100.y) / np.sqrt(fred100.n)
     assert data.sigma == pytest.approx(want, rel=1e-15)
 
 
 def test_add_noise_uses_declared_stream(fred100):
-    data = add_noise(fred100, NoiseSpec(delta=0.05, seed=17))
+    data = add_noise(fred100, 0.05, 17)
     z = standard_normal(17, fred100.n)
     assert np.allclose((data.b - fred100.y) / data.sigma, z, rtol=0, atol=1e-12)
 
 
 def test_add_noise_reproducible(fred100):
-    spec = NoiseSpec(delta=0.02, seed=8)
-    assert np.array_equal(add_noise(fred100, spec).b, add_noise(fred100, spec).b)
+    assert np.array_equal(add_noise(fred100, 0.02, 8).b, add_noise(fred100, 0.02, 8).b)
 
 
-def test_noise_spec_validation():
-    with pytest.raises(DomainError):
-        NoiseSpec(delta=-0.1, seed=0)
-    with pytest.raises(DomainError):
-        NoiseSpec(delta=0.1, seed=-1)
-    with pytest.raises(DomainError):
-        NoiseSpec(delta=0.1, seed=2**64)
+def test_noise_spec_validation(fred20):
+    # delta (through noise_sigma) and the seed range; at delta = 0 no draw
+    # runs, so only add_noise's own check can reject the seed there
+    for delta in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError, match="delta must be finite and >= 0"):
+            add_noise(fred20, delta, 0)
+        with pytest.raises(DomainError, match="delta must be finite and >= 0"):
+            noise_sigma(fred20, delta)
+    for delta in (0.0, 0.1):
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError, match="seed"):
+                add_noise(fred20, delta, seed)
 
 
 def test_prob_roundtrip_identity_weight(tmp_path, fred20):
@@ -379,7 +382,7 @@ def test_prob_rejects_garbage(tmp_path):
 
 
 def test_noise_sigma_is_add_noise_sigma(fred100):
-    data = add_noise(fred100, NoiseSpec(delta=0.1, seed=3))
+    data = add_noise(fred100, 0.1, 3)
     assert noise_sigma(fred100, 0.1) == data.sigma
 
 

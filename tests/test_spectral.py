@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tikhreg import (
     ConvergenceFailure,
     InsufficientSpectrum,
-    NoiseSpec,
     ProblemInstance,
     SpectralDecomposition,
     add_noise,
@@ -336,7 +335,7 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
     residuals = np.linalg.norm(gram @ psi - psi * kron.rho, axis=0)
     assert np.max(residuals) <= 1e-13 * kron.rho[0]
     assert np.max(np.abs(a_psi - a @ psi)) <= 1e-13
-    b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
+    b = add_noise(inst, 0.01, 5).b
     for lam in (1e-2, 1.0):
         x = spectral_solvers(kron, inst)(b)(lam).x
         x_dense = spectral_solvers(dense, inst)(b)(lam).x
@@ -382,7 +381,7 @@ def test_sine_route_matches_dense_route(n):
     assert np.max(np.abs(psi.T @ psi - np.eye(sine.m))) <= 1e-13
     sigma_1 = np.sqrt(sine.rho[0])
     assert np.linalg.norm(inst.dense_a() @ psi - a_psi) <= 1e-12 * sigma_1
-    b = add_noise(inst, NoiseSpec(delta=0.01, seed=5)).b
+    b = add_noise(inst, 0.01, 5).b
     for lam in (1e-6, 1e-2, 1.0):
         x = spectral_solvers(sine, inst)(b)(lam).x
         x_dense = spectral_solvers(dense, inst)(b)(lam).x

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tikhreg import (
     AdaptiveConfig,
     DomainError,
-    NoiseSpec,
     NonFiniteLambda,
     ProblemInstance,
     adaptive_select,
@@ -187,7 +186,7 @@ def test_spectral_scalars_match_direct_route_on_kronecker_route():
     # the blur instance takes the Kronecker decomposition; its n-space
     # residual, W-norm and output error hold to the normal equations
     inst = build_blur(20, 2.0)
-    b = add_noise(inst, NoiseSpec(delta=0.01, seed=3)).b
+    b = add_noise(inst, 0.01, 3).b
     solver = spectral_solvers(decompose(inst), inst)(b)
     for lam in (1e-4, 1e-2, 1.0):
         spectral, direct = solver(lam), solve_direct(inst, b, lam)
@@ -206,7 +205,7 @@ def _route_case(route, size):
     else:
         w = 1.8 * np.eye(size) - 0.4 * (np.eye(size, k=1) + np.eye(size, k=-1))
         inst = dataclasses.replace(build_fredholm(size), w=w)
-    return inst, add_noise(inst, NoiseSpec(delta=0.01, seed=17)).b
+    return inst, add_noise(inst, 0.01, 17).b
 
 
 _ROUTES = [("sine", 2000), ("kron", 20), ("kron", 48), ("dense", 300)]
