@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Every experiment is exposed as a subcommand that writes CSV/JSON files plus a
-manifest.json into one output directory and prints a one-line summary. Exit
-codes: 0 success, 1 runtime failure, 2 usage error. The output directory is
---out if given, else $TIKHREG_OUT, else ./tikhreg_out.
+manifest.json into one output directory and prints a one-line summary. Each
+command's body writes all of its files. Exit codes: 0 success, 1 runtime
+failure, 2 usage error. The output directory is --out if given, else
+$TIKHREG_OUT, else ./tikhreg_out.
+
+Every option is defined once, in _FLAGS, and each command lists the names it
+takes in _COMMANDS. Options must be spelled in full: an abbreviation such as
+--del for --delta is a usage error, since --config could not see it.
 
 A flat key=value file can be supplied with --config; its keys are ordinary
 long option names. A key that is also present on the command line is a usage
@@ -14,8 +19,11 @@ from the manifest.
 """
 
 import argparse
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .errors import TikhregError
@@ -24,12 +32,6 @@ from .harness import (
     run_sample_study,
     run_sweep,
     run_table,
-    save_montecarlo,
-    save_spectrum,
-    save_study,
-    save_sweep,
-    save_table,
-    save_trace,
     write_csv,
     write_json,
     write_manifest,
@@ -38,7 +40,7 @@ from .params import AdaptiveConfig, adaptive_select, rule_lambda
 from .problems import (
     add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
 )
-from .spectral import _check_lambda, decompose, fit_alpha
+from .spectral import _check_lambda, decompose, fit_alpha, spectrum_rows
 from .tikhonov import error_report, spectral_solvers
 
 
@@ -65,99 +67,37 @@ def _list_of(convert, what):
     return parse
 
 
-def _add_problem_args(sub, grid=False, with_prob=True):
-    # the sizes of one instance (and --prob), or of a grid of instances and deltas
-    sub.add_argument("--problem", choices=("fredholm", "blur"), default="fredholm")
-    if not grid:
-        sub.add_argument("--n", type=int, help="grid size of the fredholm problem")
-        sub.add_argument("--side", type=int, help="image side length of the blur problem")
-    sub.add_argument("--psf-width", type=float, default=2.0, help="blur width in pixels")
-    if grid:
-        sub.add_argument("--ns", type=_list_of(int, "integer"), required=True,
-                         help="comma-separated sizes (blur: side lengths)")
-        sub.add_argument("--deltas", type=_list_of(float, "float"), required=True)
-    elif with_prob:
-        sub.add_argument("--prob", help="load a .prob instance instead of building one")
-
-
-def _add_rule_args(sub, with_rule=True):
-    if with_rule:
-        sub.add_argument("--rule", choices=("w", "rho0"), default="rho0")
-    sub.add_argument("--alpha", type=float, default=4.0, help="spectral decay exponent")
-    sub.add_argument("--c", type=float, default=1.0, help="rule constant C")
-
-
-def _add_adaptive_args(sub):
-    _add_rule_args(sub, with_rule=False)
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--stop", choices=("absolute", "relative"), default="absolute")
-    sub.add_argument("--max-iters", type=int, default=100)
-
-
-def _add_common(sub):
-    sub.add_argument("--out", help="output directory (default $TIKHREG_OUT or ./tikhreg_out)")
-    sub.add_argument("--config", help="flat key=value file; conflicts with explicit flags error out")
-    sub.add_argument("--seed", type=_seed_type, default=0)
-
-
-def _generate_args(p):
-    _add_problem_args(p, with_prob=False)
-    _add_common(p)
-
-
-def _spectrum_args(p):
-    _add_problem_args(p)
-    _add_common(p)
-
-
-def _solve_args(p):
-    _add_problem_args(p)
-    _add_rule_args(p)
-    _add_common(p)
-    p.add_argument("--delta", type=float, required=True, help="relative noise level")
-    p.add_argument("--lam", type=float, help="fixed lambda (otherwise the rule chooses it)")
-
-
-def _sweep_args(p):
-    _add_problem_args(p)
-    _add_rule_args(p)
-    _add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--grid-lo", type=float, default=1e-10)
-    p.add_argument("--grid-hi", type=float, default=1e-4)
-    p.add_argument("--grid-count", type=int, default=10)
-
-
-def _adaptive_args(p):
-    _add_problem_args(p)
-    _add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    _add_adaptive_args(p)
-
-
-def _montecarlo_args(p):
-    _add_rule_args(p)
-    _add_common(p)
-    _add_problem_args(p, grid=True)
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results are identical for any value")
-
-
-def _study_args(p):
-    _add_problem_args(p)
-    _add_rule_args(p)
-    _add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--lam", type=float, help="fixed lambda (otherwise the rule chooses it)")
-    p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--bins", type=int, default=50)
-
-
-def _table_args(p):
-    _add_common(p)
-    _add_problem_args(p, grid=True)
-    _add_adaptive_args(p)
+# option name -> add_argument keywords: every option is defined once here,
+# and each command lists the names it takes
+_FLAGS = {
+    "--problem": dict(choices=("fredholm", "blur"), default="fredholm"),
+    "--n": dict(type=int, help="grid size of the fredholm problem"),
+    "--side": dict(type=int, help="image side length of the blur problem"),
+    "--psf-width": dict(type=float, default=2.0, help="blur width in pixels"),
+    "--prob": dict(help="load a .prob instance instead of building one"),
+    "--ns": dict(type=_list_of(int, "integer"), required=True,
+                 help="comma-separated sizes (blur: side lengths)"),
+    "--deltas": dict(type=_list_of(float, "float"), required=True),
+    "--rule": dict(choices=("w", "rho0"), default="rho0"),
+    "--alpha": dict(type=float, default=4.0, help="spectral decay exponent"),
+    "--c": dict(type=float, default=1.0, help="rule constant C"),
+    "--tol": dict(type=float, default=1e-10),
+    "--stop": dict(choices=("absolute", "relative"), default="absolute"),
+    "--max-iters": dict(type=int, default=100),
+    "--out": dict(help="output directory (default $TIKHREG_OUT or ./tikhreg_out)"),
+    "--config": dict(help="flat key=value file; conflicts with explicit flags error out"),
+    "--seed": dict(type=_seed_type, default=0),
+    "--delta": dict(type=float, required=True, help="relative noise level"),
+    "--lam": dict(type=float, help="fixed lambda (otherwise the rule chooses it)"),
+    "--grid-lo": dict(type=float, default=1e-10),
+    "--grid-hi": dict(type=float, default=1e-4),
+    "--grid-count": dict(type=int, default=10),
+    # the default is the command's own (set_defaults in _COMMANDS)
+    "--reps": dict(type=int),
+    "--bins": dict(type=int, default=50),
+    "--threads": dict(type=int, default=1,
+                      help="worker cap; results are identical for any value"),
+}
 
 
 def build_parser(command=None):
@@ -171,15 +111,17 @@ def build_parser(command=None):
     parser = argparse.ArgumentParser(
         prog="tikhreg",
         description="Weighted Tikhonov regularization experiments with reproducible seeds.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"tikhreg {__version__}")
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, add_args, body) in _COMMANDS.items():
+    for name, (help_text, flags, body, defaults) in _COMMANDS.items():
         if command in (None, name):
-            p = commands.add_parser(name, help=help_text)
-            add_args(p)
-            p.set_defaults(func=body)
+            p = commands.add_parser(name, help=help_text, allow_abbrev=False)
+            for flag in flags:
+                p.add_argument(flag, **_FLAGS[flag])
+            p.set_defaults(func=body, **defaults)
     return parser
 
 
@@ -230,8 +172,17 @@ def _cmd_spectrum(args, parser, out_dir):
     instance = _build_instance(args, parser)
     decomp = decompose(instance)
     fit = fit_alpha(decomp)
-    outputs = save_spectrum(out_dir, decomp, fit)
-    return outputs, (
+    write_csv(os.path.join(out_dir, "spectrum.csv"), ["k", "rho", "envelope"],
+              spectrum_rows(decomp, fit))
+    write_json(os.path.join(out_dir, "spectrum.json"), {
+        "alpha_hat": fit.alpha_hat,
+        "log_c": fit.log_c,
+        "c_upper": fit.c_upper,
+        "fit_range": list(fit.fit_range),
+        "residual_rms": fit.residual_rms,
+        "retained": decomp.m,
+    })
+    return ["spectrum.csv", "spectrum.json"], (
         f"spectrum: m={decomp.m} retained, alpha_hat={fit.alpha_hat:.4f}, "
         f"fit range k={fit.fit_range[0]}..{fit.fit_range[1]}"
     )
@@ -261,8 +212,15 @@ def _cmd_sweep(args, parser, out_dir):
         instance, args.delta, args.seed, (args.grid_lo, args.grid_hi, args.grid_count),
         rule=args.rule, alpha=args.alpha, constant_c=args.c,
     )
-    outputs = save_sweep(out_dir, result)
-    return outputs, (
+    write_csv(os.path.join(out_dir, "sweep.csv"), ["lambda", "error"],
+              zip(result.lambdas.tolist(), result.output_errors.tolist()))
+    write_json(os.path.join(out_dir, "sweep.json"), {
+        "lambda_pred": result.lambda_pred,
+        "err_at_pred": None if math.isnan(result.err_at_pred) else result.err_at_pred,
+        "err_min": result.err_min,
+        "argmin_lambda": result.argmin_lambda,
+    })
+    return ["sweep.csv", "sweep.json"], (
         f"sweep: err_at_pred={result.err_at_pred:.6e} at lambda_pred={result.lambda_pred:.6e}, "
         f"err_min={result.err_min:.6e} at lambda={result.argmin_lambda:.6e}"
     )
@@ -274,7 +232,12 @@ def _cmd_adaptive(args, parser, out_dir):
     trace = adaptive_select(instance, _adaptive_config(args),
                             spectral_solvers(decompose(instance), instance)(data.b))
     report = error_report(instance, trace.final, data.b)
-    outputs = save_trace(out_dir, trace)
+    rows = [
+        (k, lam, res, wn)
+        for k, (lam, res, wn) in enumerate(zip(trace.lambdas, trace.residuals, trace.w_norms))
+    ]
+    write_csv(os.path.join(out_dir, "trace.csv"),
+              ["k", "lambda", "scaled_residual", "scaled_wnorm"], rows)
     write_json(os.path.join(out_dir, "adaptive.json"), {
         "terminated": trace.terminated,
         "iters": trace.iters,
@@ -284,8 +247,7 @@ def _cmd_adaptive(args, parser, out_dir):
         "rel_Ax": report.rel_ax,
         "rel_res": report.rel_res,
     })
-    outputs.append("adaptive.json")
-    return outputs, (
+    return ["trace.csv", "adaptive.json"], (
         f"adaptive: {trace.terminated} after {trace.iters} iterations, "
         f"lambda={trace.final.lam:.6e}, rel_res={report.rel_res:.4e}"
     )
@@ -301,8 +263,22 @@ def _cmd_montecarlo(args, parser, out_dir):
         rule=args.rule, constant_c=args.c, master_seed=args.seed,
         alpha=args.alpha, threads=args.threads, problem=_problem_factory(args)[1],
     )
-    outputs = save_montecarlo(out_dir, summary)
-    return outputs, (
+    rows = [
+        (c.n, c.delta, c.lam, c.mean_scaled_output, c.mean_scaled_b, c.reps)
+        for c in summary.cells
+    ]
+    write_csv(os.path.join(out_dir, "mc_cells.csv"),
+              ["n", "delta", "lambda", "mean_out", "mean_b", "reps"], rows)
+    def _finite(v):
+        return v if math.isfinite(v) else None
+
+    write_json(os.path.join(out_dir, "mc_fit.json"), {
+        "slope_output": _finite(summary.slope_output),
+        "slope_b": _finite(summary.slope_b),
+        "intercept_output": _finite(summary.intercept_output),
+        "intercept_b": _finite(summary.intercept_b),
+    })
+    return ["mc_cells.csv", "mc_fit.json"], (
         f"montecarlo: {len(summary.cells)} cells x {args.reps} reps, "
         f"slope_output={summary.slope_output:.4f}, slope_b={summary.slope_b:.4f}"
     )
@@ -314,8 +290,20 @@ def _cmd_study(args, parser, out_dir):
     study = run_sample_study(
         instance, args.delta, lam, args.reps, master_seed=args.seed, bins=args.bins
     )
-    outputs = save_study(out_dir, study)
-    return outputs, (
+    hist_rows = [
+        (float(study.bin_edges[i]), float(study.bin_edges[i + 1]), int(study.bin_counts[i]))
+        for i in range(len(study.bin_counts))
+    ]
+    write_csv(os.path.join(out_dir, "study_hist.csv"), ["bin_lo", "bin_hi", "count"], hist_rows)
+    write_csv(os.path.join(out_dir, "study_qq.csv"), ["normal_q", "sample_q"],
+              zip(study.qq_theoretical.tolist(), study.qq_sample.tolist()))
+    write_json(os.path.join(out_dir, "study.json"), {
+        "qq_correlation": study.qq_correlation,
+        "mean": float(np.mean(study.samples)),
+        "std": float(np.std(study.samples, ddof=1)),
+        "reps": int(len(study.samples)),
+    })
+    return ["study_hist.csv", "study_qq.csv", "study.json"], (
         f"study: {args.reps} reps at lambda={lam:.6e}, qq_correlation={study.qq_correlation:.5f}"
     )
 
@@ -323,23 +311,45 @@ def _cmd_study(args, parser, out_dir):
 def _cmd_table(args, parser, out_dir):
     rows = run_table(args.ns, args.deltas, _adaptive_config(args), master_seed=args.seed,
                      problem=_problem_factory(args)[1])
-    outputs = save_table(out_dir, rows)
-    return outputs, f"table: wrote {len(rows)} rows to table1.csv"
+    csv_rows = [
+        (r.delta, r.n, r.sigma, r.lam, r.iters, r.rel_x, r.rel_ax, r.rel_res)
+        for r in rows
+    ]
+    write_csv(os.path.join(out_dir, "table1.csv"),
+              ["delta", "n", "sigma", "lambda", "iters", "rel_x", "rel_Ax", "rel_res"],
+              csv_rows)
+    return ["table1.csv"], f"table: wrote {len(rows)} rows to table1.csv"
 
 
-# name -> (help, argument adder, body) of every subcommand, in help order
+# option groups that several commands take, each in help order
+_INSTANCE = ("--problem", "--n", "--side", "--psf-width", "--prob")
+_GRID = ("--problem", "--psf-width", "--ns", "--deltas")
+_RULE = ("--rule", "--alpha", "--c")
+_ADAPTIVE = ("--alpha", "--c", "--tol", "--stop", "--max-iters")
+_COMMON = ("--out", "--config", "--seed")
+
+# name -> (help, option names in help order, body, set_defaults keywords) of
+# every subcommand, in help order
 _COMMANDS = {
-    "generate": ("build a problem instance and write instance.prob", _generate_args,
-                 _cmd_generate),
-    "spectrum": ("eigendecompose and fit the decay exponent", _spectrum_args, _cmd_spectrum),
-    "solve": ("one noisy draw, one regularized solve", _solve_args, _cmd_solve),
-    "sweep": ("error along a log-equispaced lambda grid", _sweep_args, _cmd_sweep),
-    "adaptive": ("adaptive parameter iteration with trace output", _adaptive_args,
-                 _cmd_adaptive),
-    "montecarlo": ("mean errors per (n, delta) cell and slope fits", _montecarlo_args,
-                   _cmd_montecarlo),
-    "study": ("histogram and normal QQ of the error distribution", _study_args, _cmd_study),
-    "table": ("adaptive summary rows over (delta, n) pairs", _table_args, _cmd_table),
+    "generate": ("build a problem instance and write instance.prob",
+                 ("--problem", "--n", "--side", "--psf-width", *_COMMON), _cmd_generate, {}),
+    "spectrum": ("eigendecompose and fit the decay exponent",
+                 (*_INSTANCE, *_COMMON), _cmd_spectrum, {}),
+    "solve": ("one noisy draw, one regularized solve",
+              (*_INSTANCE, *_RULE, *_COMMON, "--delta", "--lam"), _cmd_solve, {}),
+    "sweep": ("error along a log-equispaced lambda grid",
+              (*_INSTANCE, *_RULE, *_COMMON, "--delta", "--grid-lo", "--grid-hi", "--grid-count"),
+              _cmd_sweep, {}),
+    "adaptive": ("adaptive parameter iteration with trace output",
+                 (*_INSTANCE, *_COMMON, "--delta", *_ADAPTIVE), _cmd_adaptive, {}),
+    "montecarlo": ("mean errors per (n, delta) cell and slope fits",
+                   (*_RULE, *_COMMON, *_GRID, "--reps", "--threads"), _cmd_montecarlo,
+                   {"reps": 200}),
+    "study": ("histogram and normal QQ of the error distribution",
+              (*_INSTANCE, *_RULE, *_COMMON, "--delta", "--lam", "--reps", "--bins"), _cmd_study,
+              {"reps": 2000}),
+    "table": ("adaptive summary rows over (delta, n) pairs",
+              (*_COMMON, *_GRID, *_ADAPTIVE), _cmd_table, {}),
 }
 
 
@@ -399,10 +409,7 @@ def main(argv=None):
         return 2
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-    out_dir = args.out or os.environ.get("TIKHREG_OUT") or "tikhreg_out"
-    try:
+        out_dir = args.out or os.environ.get("TIKHREG_OUT") or "tikhreg_out"
         os.makedirs(out_dir, exist_ok=True)
         outputs, summary = args.func(args, parser, out_dir)
         params = {k: v for k, v in vars(args).items() if k not in _MANIFEST_SKIP}
@@ -410,7 +417,8 @@ def main(argv=None):
         print(summary)
         return 0
     except SystemExit as exc:
-        # parser.error() inside a subcommand body (precondition violations)
+        # --help, --version, a usage error, or parser.error() inside a
+        # subcommand body (precondition violations)
         return 0 if exc.code in (0, None) else int(exc.code)
     except (TikhregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Experiment drivers and their file outputs.
+"""Experiment drivers and the three file writers.
 
 Four drivers: a near-optimality sweep over a lambda grid, a Monte Carlo
 study of mean errors against the rule-chosen parameter, a concentration
@@ -6,10 +6,12 @@ study (histogram + normal QQ) of the error distribution at one parameter,
 and a summary table driven by the adaptive iteration. All of them are
 deterministic functions of their arguments; per-repetition noise streams are
 keyed by stream_seed(master_seed, n, delta, rep) so neither thread count nor
-evaluation order can change any number.
+evaluation order can change any number. The drivers return records and write
+nothing; each CLI command writes its own files.
 
-CSV cells are printed with repr-exact precision (%.17g) and manifests are
-JSON with sorted keys and no timestamps, so reruns are byte-identical.
+The writers are write_csv, write_json and write_manifest. CSV cells are
+printed with repr-exact precision (%.17g) and manifests are JSON with sorted
+keys and no timestamps, so reruns are byte-identical.
 
 Start-up: the records are NamedTuples, statistics is imported inside
 run_sample_study, so a command that does not run it does not load it, and
@@ -29,7 +31,7 @@ from . import __version__
 from .errors import DegenerateSample, DomainError, SizeCap
 from .params import adaptive_select, rule_lambda
 from .problems import add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed
-from .spectral import _check_lambda, decompose, filter_errors, spectrum_rows
+from .spectral import _check_lambda, decompose, filter_errors
 from .tikhonov import error_report, spectral_solvers
 
 # reps are processed in batches, one noise block drawn in one call per
@@ -372,7 +374,7 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
 
 
 # ===========================================================================
-# file output: CSV, JSON sidecars, manifest
+# file output: CSV, JSON, manifest
 # ===========================================================================
 
 def _fmt(v):
@@ -407,85 +409,3 @@ def write_manifest(out_dir, command, params, outputs):
     }
     write_json(os.path.join(out_dir, "manifest.json"), payload)
 
-
-def save_spectrum(out_dir, decomp, fit):
-    write_csv(os.path.join(out_dir, "spectrum.csv"), ["k", "rho", "envelope"],
-              spectrum_rows(decomp, fit))
-    write_json(os.path.join(out_dir, "spectrum.json"), {
-        "alpha_hat": fit.alpha_hat,
-        "log_c": fit.log_c,
-        "c_upper": fit.c_upper,
-        "fit_range": list(fit.fit_range),
-        "residual_rms": fit.residual_rms,
-        "retained": decomp.m,
-    })
-    return ["spectrum.csv", "spectrum.json"]
-
-
-def save_sweep(out_dir, result):
-    write_csv(os.path.join(out_dir, "sweep.csv"), ["lambda", "error"],
-              zip(result.lambdas.tolist(), result.output_errors.tolist()))
-    write_json(os.path.join(out_dir, "sweep.json"), {
-        "lambda_pred": result.lambda_pred,
-        "err_at_pred": None if math.isnan(result.err_at_pred) else result.err_at_pred,
-        "err_min": result.err_min,
-        "argmin_lambda": result.argmin_lambda,
-    })
-    return ["sweep.csv", "sweep.json"]
-
-
-def save_trace(out_dir, trace):
-    rows = [
-        (k, lam, res, wn)
-        for k, (lam, res, wn) in enumerate(zip(trace.lambdas, trace.residuals, trace.w_norms))
-    ]
-    write_csv(os.path.join(out_dir, "trace.csv"),
-              ["k", "lambda", "scaled_residual", "scaled_wnorm"], rows)
-    return ["trace.csv"]
-
-
-def save_montecarlo(out_dir, summary):
-    rows = [
-        (c.n, c.delta, c.lam, c.mean_scaled_output, c.mean_scaled_b, c.reps)
-        for c in summary.cells
-    ]
-    write_csv(os.path.join(out_dir, "mc_cells.csv"),
-              ["n", "delta", "lambda", "mean_out", "mean_b", "reps"], rows)
-    def _finite(v):
-        return v if math.isfinite(v) else None
-
-    write_json(os.path.join(out_dir, "mc_fit.json"), {
-        "slope_output": _finite(summary.slope_output),
-        "slope_b": _finite(summary.slope_b),
-        "intercept_output": _finite(summary.intercept_output),
-        "intercept_b": _finite(summary.intercept_b),
-    })
-    return ["mc_cells.csv", "mc_fit.json"]
-
-
-def save_study(out_dir, study):
-    hist_rows = [
-        (float(study.bin_edges[i]), float(study.bin_edges[i + 1]), int(study.bin_counts[i]))
-        for i in range(len(study.bin_counts))
-    ]
-    write_csv(os.path.join(out_dir, "study_hist.csv"), ["bin_lo", "bin_hi", "count"], hist_rows)
-    write_csv(os.path.join(out_dir, "study_qq.csv"), ["normal_q", "sample_q"],
-              zip(study.qq_theoretical.tolist(), study.qq_sample.tolist()))
-    write_json(os.path.join(out_dir, "study.json"), {
-        "qq_correlation": study.qq_correlation,
-        "mean": float(np.mean(study.samples)),
-        "std": float(np.std(study.samples, ddof=1)),
-        "reps": int(len(study.samples)),
-    })
-    return ["study_hist.csv", "study_qq.csv", "study.json"]
-
-
-def save_table(out_dir, rows):
-    csv_rows = [
-        (r.delta, r.n, r.sigma, r.lam, r.iters, r.rel_x, r.rel_ax, r.rel_res)
-        for r in rows
-    ]
-    write_csv(os.path.join(out_dir, "table1.csv"),
-              ["delta", "n", "sigma", "lambda", "iters", "rel_x", "rel_Ax", "rel_res"],
-              csv_rows)
-    return ["table1.csv"]

@@ -13,7 +13,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from tikhreg import (
     AdaptiveConfig,

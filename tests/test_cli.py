@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -193,6 +194,28 @@ def test_sweep_outputs(tmp_path):
     assert doc["lambda_pred"] > 0
 
 
+def test_sweep_noise_free_serializes_null(tmp_path):
+    out = tmp_path / "sw0"
+    assert run(["sweep", "--n", "100", "--delta", "0", "--grid-count", "4", "--seed", "1",
+                "--out", str(out)]) == 0
+    doc = json.loads(read(out / "sweep.json"))
+    assert doc["err_at_pred"] is None
+    assert doc["lambda_pred"] == 0.0
+
+
+def test_montecarlo_files(tmp_path):
+    out = tmp_path / "mc"
+    assert run(["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "2", "--seed", "1",
+                "--out", str(out)]) == 0
+    names = json.loads(read(out / "manifest.json"))["outputs"]
+    assert set(names) == {"mc_cells.csv", "mc_fit.json"}
+    lines = read(out / "mc_cells.csv").decode().splitlines()
+    assert lines[0] == "n,delta,lambda,mean_out,mean_b,reps"
+    assert len(lines) == 2
+    fit = json.loads(read(out / "mc_fit.json"))
+    assert set(fit) == {"slope_output", "slope_b", "intercept_output", "intercept_b"}
+
+
 def test_adaptive_outputs(tmp_path):
     out = str(tmp_path / "ad")
     code = run(["adaptive", "--problem", "fredholm", "--n", "200", "--delta", "0.1",
@@ -284,6 +307,21 @@ def test_config_conflict_rejected(tmp_path, capsys):
     code = run(["solve", "--problem", "fredholm", "--n", "50", "--delta", "0.1",
                 "--lam", "1e-6", "--config", str(cfg), "--out", str(tmp_path / "c")])
     assert code == 2
+    capsys.readouterr()
+
+
+def test_abbreviated_option_is_usage_error(tmp_path, capsys):
+    # --config matches only full spellings, so an abbreviation would either
+    # lose to a config key (--del) or leave the file unread (--conf)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=0.2\n")
+    for k, argv in enumerate([
+        ["solve", "--n", "50", "--del", "0.1", "--config", str(cfg)],
+        ["solve", "--n", "60", "--delta", "0.01", "--conf", str(cfg)],
+    ]):
+        out = tmp_path / f"a{k}"
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
     capsys.readouterr()
 
 
@@ -601,6 +639,20 @@ def test_one_command_parser_parses_as_the_full_parser(tmp_path):
         assert parsed[name].command == name
     # the --config keys reach the one-command parse
     assert (parsed["montecarlo"].ns, parsed["montecarlo"].deltas) == ([60, 120], [0.1, 0.01])
+
+
+def test_each_option_has_one_definition():
+    # an option that several commands take reads the same in each of them;
+    # only its default may differ (--reps)
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                spec = (action.help, action.type, action.choices, action.required)
+                assert seen.setdefault(flag, (name, spec))[1] == spec, (flag, name)
+    assert "--delta" in seen
 
 
 def _help_and_usage_invocations(tmp_path):

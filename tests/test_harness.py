@@ -37,8 +37,6 @@ from tikhreg.harness import (
     _REP_BATCH,
     _REPS_CAP,
     rule_lambda,
-    save_montecarlo,
-    save_sweep,
     write_csv,
     write_json,
     write_manifest,
@@ -518,25 +516,6 @@ def test_manifest_contents(tmp_path):
     assert doc["params"] == {"n": 100, "lam": 1e-6}
     assert "version" in doc
     assert not any("time" in k.lower() or "date" in k.lower() for k in doc)
-
-
-def test_save_montecarlo_files(tmp_path):
-    s = run_montecarlo([60], [0.1], 2, master_seed=1)
-    names = save_montecarlo(str(tmp_path), s)
-    assert set(names) == {"mc_cells.csv", "mc_fit.json"}
-    lines = open(tmp_path / "mc_cells.csv").read().splitlines()
-    assert lines[0] == "n,delta,lambda,mean_out,mean_b,reps"
-    assert len(lines) == 2
-    fit = json.loads(open(tmp_path / "mc_fit.json").read())
-    assert set(fit) == {"slope_output", "slope_b", "intercept_output", "intercept_b"}
-
-
-def test_save_sweep_noise_free_serializes_null(tmp_path, fred100):
-    res = run_sweep(fred100, 0.0, 1, (1e-10, 1e-4, 4))
-    save_sweep(str(tmp_path), res)
-    doc = json.loads(open(tmp_path / "sweep.json").read())
-    assert doc["err_at_pred"] is None
-    assert doc["lambda_pred"] == 0.0
 
 
 @pytest.mark.parametrize("threads", [0, -1])

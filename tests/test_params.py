@@ -15,7 +15,6 @@ from tikhreg import (
     add_noise,
     adaptive_select,
     build_blur,
-    build_fredholm,
     decompose,
     fit_alpha,
     initial_lambda,
