@@ -11,11 +11,11 @@ takes in _COMMANDS. Options must be spelled in full: an abbreviation such as
 --del for --delta is a usage error, since --config could not see it.
 
 A flat key=value file can be supplied with --config; its keys are ordinary
-long option names. A key that is also present on the command line is a usage
-error, never a silent override. Identical invocations (same flags, same
-seeds) produce byte-identical output files; --threads only caps the Monte
-Carlo worker threads and never affects file contents, so it is also excluded
-from the manifest.
+long option names. A key that is also present on the command line, or twice
+in the file, is a usage error, never a silent override. Identical
+invocations (same flags, same seeds) produce byte-identical output files;
+--threads only caps the Monte Carlo worker threads and never affects file
+contents, so it is also excluded from the manifest.
 """
 
 import argparse
@@ -296,7 +296,7 @@ def _cmd_study(args, parser, out_dir):
     ]
     write_csv(os.path.join(out_dir, "study_hist.csv"), ["bin_lo", "bin_hi", "count"], hist_rows)
     write_csv(os.path.join(out_dir, "study_qq.csv"), ["normal_q", "sample_q"],
-              zip(study.qq_theoretical.tolist(), study.qq_sample.tolist()))
+              zip(map(float, study.qq_theoretical), map(float, study.qq_sample)))
     write_json(os.path.join(out_dir, "study.json"), {
         "qq_correlation": study.qq_correlation,
         "mean": float(np.mean(study.samples)),
@@ -357,7 +357,7 @@ _COMMANDS = {
 # --config merging and entry point
 
 def _merge_config(argv):
-    """Expand --config key=value pairs into argv, rejecting conflicts."""
+    """Expand --config key=value pairs into argv, rejecting conflicts and repeated keys."""
     path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
@@ -368,7 +368,7 @@ def _merge_config(argv):
             break
     if path is None:
         return argv
-    extra = []
+    extra, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -382,6 +382,11 @@ def _merge_config(argv):
                 raise _UsageError(
                     f"{path}: {key.strip()!r} conflicts with an explicit {flag} flag"
                 )
+            if flag in seen:
+                raise _UsageError(
+                    f"{path}:{line_no}: {key.strip()!r} repeats an earlier {flag} key"
+                )
+            seen.add(flag)
             extra.extend([flag, value.strip()])
     return argv + extra
 

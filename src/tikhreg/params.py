@@ -38,8 +38,9 @@ class AdaptiveConfig:
 
     def __post_init__(self):
         _check_rule_constants(self.alpha, self.constant_c)
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        # tol = inf would pass the stop test after the first update
+        if not 0 < self.tol < math.inf:
+            raise DomainError(f"tol must be finite and positive, got {self.tol}")
         if self.stop_mode not in ("absolute", "relative"):
             raise DomainError(f"stop_mode must be absolute or relative, got {self.stop_mode!r}")
         if self.max_iters < 1:

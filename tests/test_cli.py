@@ -5,6 +5,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,7 +165,8 @@ def test_zero_x_star_prob_exits_1_without_traceback(tmp_path, capsys, argv):
     (["table", "--ns", "100", "--deltas", "0.1", "--c", "inf"], "constant_c"),
     (["solve", "--n", "60", "--delta", "0.05", "--alpha", "inf"], "alpha"),
     (["table", "--ns", "60", "--deltas", "0.1", "--alpha", "inf"], "alpha"),
-], ids=["table-c", "solve-alpha", "table-alpha"])
+    (["table", "--ns", "60", "--deltas", "0.1", "--tol", "inf"], "tol"),
+], ids=["table-c", "solve-alpha", "table-alpha", "table-tol"])
 def test_infinite_rule_constant_exits_1_naming_it(tmp_path, capsys, argv, name):
     assert run(argv + ["--out", str(tmp_path)]) == 1
     assert f"error: {name} must be finite" in capsys.readouterr().err
@@ -308,6 +310,16 @@ def test_config_conflict_rejected(tmp_path, capsys):
                 "--lam", "1e-6", "--config", str(cfg), "--out", str(tmp_path / "c")])
     assert code == 2
     capsys.readouterr()
+
+
+def test_config_repeated_key_rejected(tmp_path, capsys):
+    # the later n = 70 must not silently replace the earlier n = 60
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=60\ndelta=0.01\nn=70\n")
+    out = tmp_path / "c"
+    assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'n' repeats an earlier --n key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_abbreviated_option_is_usage_error(tmp_path, capsys):
@@ -691,3 +703,19 @@ def test_help_and_usage_errors_match_the_full_parser(tmp_path, capsys, monkeypat
     for argv, want in zip(invocations, seen):
         code = main(list(argv))
         assert (code, *capsys.readouterr()) == want, argv
+
+
+def test_study_holds_a_fixed_number_of_float64_per_rep(tmp_path, capsys):
+    # samples, standardized samples and quantiles, plus np.corrcoef's copies;
+    # a Python float per rep (24 B, plus 8 B in a list) would break the bound
+    reps = 200000
+    argv = ["study", "--n", "60", "--delta", "0.01", "--bins", "50"]
+    assert run(argv + ["--reps", "1000", "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--reps", str(reps), "--out", str(tmp_path / "s")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 64 * reps

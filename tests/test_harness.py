@@ -285,6 +285,19 @@ def test_montecarlo_at_the_size_cap_holds_a_bounded_noise_batch():
     assert peak < 8 << 20
 
 
+def test_montecarlo_cell_holds_two_float64_per_rep():
+    # the output and b errors, finished in place, and nothing else per rep
+    reps = 200000
+    run_montecarlo([60], [0.01], 100, threads=1)
+    tracemalloc.start()
+    try:
+        run_montecarlo([60], [0.01], reps, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * reps
+
+
 def test_drivers_reject_a_delta_whose_errors_overflow(fred100):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -355,6 +368,17 @@ def test_study_shapes_and_determinism(fred100):
     assert np.all(np.diff(s1.qq_sample) >= 0)
     assert np.all(np.diff(s1.qq_theoretical) > 0)
     assert -1.0 <= s1.qq_correlation <= 1.0
+
+
+@pytest.mark.parametrize("reps", [150, 151])
+def test_study_qq_quantiles_are_inv_cdf_of_the_plotting_positions(fred100, reps):
+    from statistics import NormalDist
+
+    probs = ((np.arange(1, reps + 1) - 0.5) / reps).tolist()
+    want = np.array([NormalDist().inv_cdf(p) for p in probs])
+    got = run_sample_study(fred100, 0.05, 1e-6, reps, master_seed=4).qq_theoretical
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_study_samples_are_scaled_output_errors(fred100):
