@@ -2,9 +2,11 @@
 
 Every experiment is exposed as a subcommand that writes CSV/JSON files plus a
 manifest.json into one output directory and prints a one-line summary. Each
-command's body writes all of its files. Exit codes: 0 success, 1 runtime
-failure, 2 usage error. The output directory is --out if given, else
-$TIKHREG_OUT, else ./tikhreg_out.
+command's body writes all of its files, and writes each record it gets from a
+driver as it stands, a CSV column or JSON key per field, so a record's field
+order is its file's layout. Exit codes: 0 success, 1 runtime failure, 2 usage
+error. The output directory is --out if given, else $TIKHREG_OUT, else
+./tikhreg_out.
 
 Every option is defined once, in _FLAGS, and each command lists the names it
 takes in _COMMANDS. Options must be spelled in full: an abbreviation such as
@@ -12,10 +14,11 @@ takes in _COMMANDS. Options must be spelled in full: an abbreviation such as
 
 A flat key=value file can be supplied with --config; its keys are ordinary
 long option names. A key that is also present on the command line, or twice
-in the file, is a usage error, never a silent override. Identical
-invocations (same flags, same seeds) produce byte-identical output files;
---threads only caps the Monte Carlo worker threads and never affects file
-contents, so it is also excluded from the manifest.
+in the file, is a usage error, never a silent override, and so is a second
+--config. Identical invocations (same flags, same seeds) produce
+byte-identical output files; --threads only caps the Monte Carlo worker
+threads and never affects file contents, so it is also excluded from the
+manifest.
 """
 
 import argparse
@@ -157,6 +160,12 @@ def _chosen_lambda(args, instance, sigma):
     return rule_lambda(args.rule, args.alpha, instance, sigma, args.c)
 
 
+def _finite(record):
+    """The record's float fields by name, a non-finite value as None (JSON null)."""
+    return {k: v if math.isfinite(v) else None
+            for k, v in record._asdict().items() if isinstance(v, float)}
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies: return (outputs, summary line)
 
@@ -174,14 +183,7 @@ def _cmd_spectrum(args, parser, out_dir):
     fit = fit_alpha(decomp)
     write_csv(os.path.join(out_dir, "spectrum.csv"), ["k", "rho", "envelope"],
               spectrum_rows(decomp, fit))
-    write_json(os.path.join(out_dir, "spectrum.json"), {
-        "alpha_hat": fit.alpha_hat,
-        "log_c": fit.log_c,
-        "c_upper": fit.c_upper,
-        "fit_range": list(fit.fit_range),
-        "residual_rms": fit.residual_rms,
-        "retained": decomp.m,
-    })
+    write_json(os.path.join(out_dir, "spectrum.json"), {**fit._asdict(), "retained": decomp.m})
     return ["spectrum.csv", "spectrum.json"], (
         f"spectrum: m={decomp.m} retained, alpha_hat={fit.alpha_hat:.4f}, "
         f"fit range k={fit.fit_range[0]}..{fit.fit_range[1]}"
@@ -195,12 +197,9 @@ def _cmd_solve(args, parser, out_dir):
     lam = _check_lambda(_chosen_lambda(args, instance, data.sigma))
     sol = spectral_solvers(decompose(instance), instance)(data.b)(lam)
     report = error_report(instance, sol, data.b)
-    write_csv(
-        os.path.join(out_dir, "solve.csv"),
-        ["lambda", "sigma", "rel_x", "rel_Ax", "rel_res", "scaled_output"],
-        [(sol.lam, data.sigma, report.rel_x, report.rel_ax, report.rel_res,
-          report.scaled_output)],
-    )
+    write_csv(os.path.join(out_dir, "solve.csv"),
+              ["lambda", "sigma", "rel_x", "rel_Ax", "rel_res", "scaled_output"],
+              [(sol.lam, data.sigma, *report)])
     return ["solve.csv"], (
         f"solve: lambda={sol.lam:.6e}, rel_x={report.rel_x:.4e}, rel_res={report.rel_res:.4e}"
     )
@@ -214,12 +213,7 @@ def _cmd_sweep(args, parser, out_dir):
     )
     write_csv(os.path.join(out_dir, "sweep.csv"), ["lambda", "error"],
               zip(result.lambdas.tolist(), result.output_errors.tolist()))
-    write_json(os.path.join(out_dir, "sweep.json"), {
-        "lambda_pred": result.lambda_pred,
-        "err_at_pred": None if math.isnan(result.err_at_pred) else result.err_at_pred,
-        "err_min": result.err_min,
-        "argmin_lambda": result.argmin_lambda,
-    })
+    write_json(os.path.join(out_dir, "sweep.json"), _finite(result))
     return ["sweep.csv", "sweep.json"], (
         f"sweep: err_at_pred={result.err_at_pred:.6e} at lambda_pred={result.lambda_pred:.6e}, "
         f"err_min={result.err_min:.6e} at lambda={result.argmin_lambda:.6e}"
@@ -232,12 +226,10 @@ def _cmd_adaptive(args, parser, out_dir):
     trace = adaptive_select(instance, _adaptive_config(args),
                             spectral_solvers(decompose(instance), instance)(data.b))
     report = error_report(instance, trace.final, data.b)
-    rows = [
-        (k, lam, res, wn)
-        for k, (lam, res, wn) in enumerate(zip(trace.lambdas, trace.residuals, trace.w_norms))
-    ]
     write_csv(os.path.join(out_dir, "trace.csv"),
-              ["k", "lambda", "scaled_residual", "scaled_wnorm"], rows)
+              ["k", "lambda", "scaled_residual", "scaled_wnorm"],
+              ((k, *row) for k, row in
+               enumerate(zip(trace.lambdas, trace.residuals, trace.w_norms))))
     write_json(os.path.join(out_dir, "adaptive.json"), {
         "terminated": trace.terminated,
         "iters": trace.iters,
@@ -263,21 +255,9 @@ def _cmd_montecarlo(args, parser, out_dir):
         rule=args.rule, constant_c=args.c, master_seed=args.seed,
         alpha=args.alpha, threads=args.threads, problem=_problem_factory(args)[1],
     )
-    rows = [
-        (c.n, c.delta, c.lam, c.mean_scaled_output, c.mean_scaled_b, c.reps)
-        for c in summary.cells
-    ]
     write_csv(os.path.join(out_dir, "mc_cells.csv"),
-              ["n", "delta", "lambda", "mean_out", "mean_b", "reps"], rows)
-    def _finite(v):
-        return v if math.isfinite(v) else None
-
-    write_json(os.path.join(out_dir, "mc_fit.json"), {
-        "slope_output": _finite(summary.slope_output),
-        "slope_b": _finite(summary.slope_b),
-        "intercept_output": _finite(summary.intercept_output),
-        "intercept_b": _finite(summary.intercept_b),
-    })
+              ["n", "delta", "lambda", "mean_out", "mean_b", "reps"], summary.cells)
+    write_json(os.path.join(out_dir, "mc_fit.json"), _finite(summary))
     return ["mc_cells.csv", "mc_fit.json"], (
         f"montecarlo: {len(summary.cells)} cells x {args.reps} reps, "
         f"slope_output={summary.slope_output:.4f}, slope_b={summary.slope_b:.4f}"
@@ -290,11 +270,9 @@ def _cmd_study(args, parser, out_dir):
     study = run_sample_study(
         instance, args.delta, lam, args.reps, master_seed=args.seed, bins=args.bins
     )
-    hist_rows = [
-        (float(study.bin_edges[i]), float(study.bin_edges[i + 1]), int(study.bin_counts[i]))
-        for i in range(len(study.bin_counts))
-    ]
-    write_csv(os.path.join(out_dir, "study_hist.csv"), ["bin_lo", "bin_hi", "count"], hist_rows)
+    edges = study.bin_edges.tolist()
+    write_csv(os.path.join(out_dir, "study_hist.csv"), ["bin_lo", "bin_hi", "count"],
+              zip(edges, edges[1:], study.bin_counts.tolist()))
     write_csv(os.path.join(out_dir, "study_qq.csv"), ["normal_q", "sample_q"],
               zip(map(float, study.qq_theoretical), map(float, study.qq_sample)))
     write_json(os.path.join(out_dir, "study.json"), {
@@ -311,13 +289,9 @@ def _cmd_study(args, parser, out_dir):
 def _cmd_table(args, parser, out_dir):
     rows = run_table(args.ns, args.deltas, _adaptive_config(args), master_seed=args.seed,
                      problem=_problem_factory(args)[1])
-    csv_rows = [
-        (r.delta, r.n, r.sigma, r.lam, r.iters, r.rel_x, r.rel_ax, r.rel_res)
-        for r in rows
-    ]
     write_csv(os.path.join(out_dir, "table1.csv"),
               ["delta", "n", "sigma", "lambda", "iters", "rel_x", "rel_Ax", "rel_res"],
-              csv_rows)
+              (r[:-1] for r in rows))
     return ["table1.csv"], f"table: wrote {len(rows)} rows to table1.csv"
 
 
@@ -357,17 +331,15 @@ _COMMANDS = {
 # --config merging and entry point
 
 def _merge_config(argv):
-    """Expand --config key=value pairs into argv, rejecting conflicts and repeated keys."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            break
-    if path is None:
+    """Expand --config key=value pairs into argv, rejecting conflicts, repeated keys
+    and a repeated --config."""
+    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1]) if tok == "--config"]
+    paths += [tok.split("=", 1)[1] for tok in argv if tok.startswith("--config=")]
+    if len(paths) > 1:
+        raise _UsageError(f"--config is given {len(paths)} times; give one file")
+    if not paths:
         return argv
+    path, = paths
     extra, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
