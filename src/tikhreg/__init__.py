@@ -54,7 +54,7 @@ from .tikhonov import (
     ErrorReport,
     RegularizedSolution,
     error_report,
-    spectral_solvers,
+    spectral_solver,
 )
 from .params import (
     AdaptiveConfig,

@@ -44,7 +44,7 @@ from .problems import (
     add_noise, build_blur, build_fredholm, load_problem, noise_sigma, save_problem,
 )
 from .spectral import _check_lambda, decompose, fit_alpha, spectrum_rows
-from .tikhonov import error_report, spectral_solvers
+from .tikhonov import error_report, spectral_solver
 
 
 def _seed_type(text):
@@ -195,7 +195,7 @@ def _cmd_solve(args, parser, out_dir):
     data = add_noise(instance, args.delta, args.seed)
     # a bad lambda exits before the decomposition is paid for
     lam = _check_lambda(_chosen_lambda(args, instance, data.sigma))
-    sol = spectral_solvers(decompose(instance), instance)(data.b)(lam)
+    sol = spectral_solver(decompose(instance), instance, data.b)(lam)
     report = error_report(instance, sol, data.b)
     write_csv(os.path.join(out_dir, "solve.csv"),
               ["lambda", "sigma", "rel_x", "rel_Ax", "rel_res", "scaled_output"],
@@ -224,7 +224,7 @@ def _cmd_adaptive(args, parser, out_dir):
     instance = _build_instance(args, parser)
     data = add_noise(instance, args.delta, args.seed)
     trace = adaptive_select(instance, _adaptive_config(args),
-                            spectral_solvers(decompose(instance), instance)(data.b))
+                            spectral_solver(decompose(instance), instance, data.b))
     report = error_report(instance, trace.final, data.b)
     write_csv(os.path.join(out_dir, "trace.csv"),
               ["k", "lambda", "scaled_residual", "scaled_wnorm"],
@@ -290,8 +290,8 @@ def _cmd_table(args, parser, out_dir):
     rows = run_table(args.ns, args.deltas, _adaptive_config(args), master_seed=args.seed,
                      problem=_problem_factory(args)[1])
     write_csv(os.path.join(out_dir, "table1.csv"),
-              ["delta", "n", "sigma", "lambda", "iters", "rel_x", "rel_Ax", "rel_res"],
-              (r[:-1] for r in rows))
+              ["delta", "n", "sigma", "lambda", "iters", "rel_x", "rel_Ax", "rel_res",
+               "terminated"], rows)
     return ["table1.csv"], f"table: wrote {len(rows)} rows to table1.csv"
 
 

@@ -14,7 +14,7 @@ layout.
 The drivers measure the output error n^{-1/2} ||A(x_lam - x*)|| on the
 retained modes only, through spectral.filter_errors: they leave out
 ||y_perp||^2, the part of y outside the span of the retained A psi_k, which
-tikhonov.spectral_solvers (solve, adaptive, table) adds. Measured y_perp^2 /
+tikhonov.spectral_solver (solve, adaptive, table) adds. Measured y_perp^2 /
 out^2 at seed 1 and the rule's lambda: 4.5e-21, 1.9e-19 and 2.9e-16 on
 Fredholm n = 500 at delta = 0.1, 0.01 and 1e-4; 6.9e-13, 4.8e-11 and 3.0e-7
 on blur side 48 at the same deltas. Keeping more modes shrinks y_perp.
@@ -42,7 +42,7 @@ from .errors import DegenerateSample, DomainError, SizeCap
 from .params import adaptive_select, rule_lambda
 from .problems import add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed
 from .spectral import _check_lambda, decompose, filter_errors
-from .tikhonov import error_report, spectral_solvers
+from .tikhonov import error_report, spectral_solver
 
 # reps are processed in batches, one noise block drawn in one call per
 # batch, of at most _REP_BATCH rows and _BATCH_BYTES of noise (64 rows at
@@ -373,22 +373,22 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
 def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     """One adaptive run per (delta, n): noise draw, iteration, error report.
 
-    One instance, one decomposition and one spectral_solvers per n, shared
-    across that n's rows, so the terms of y are formed once per size; the
-    iteration runs on the spectral route, O(m) per lambda, and forms x once
-    per row, at its final lambda. Rows come out grouped by delta
-    (outer) then n (inner). The noise stream of a row is
+    One instance and one decomposition per n, shared across that n's rows,
+    and one spectral_solver per row; the iteration runs on the spectral
+    route, O(m) per lambda, and forms x once per row, at its final lambda.
+    Rows come out grouped by delta (outer) then n (inner), and each carries
+    the iteration's terminated. The noise stream of a row is
     stream_seed(master_seed, n, delta, 0), so repeated sizes and deltas that
     share a stream are rejected.
     """
     insts = dict(_instances(ns, deltas, master_seed, problem))
-    solvers = {n: spectral_solvers(decompose(inst), inst) for n, inst in insts.items()}
+    decomps = {n: decompose(inst) for n, inst in insts.items()}
     rows = []
     for delta in deltas:
         for n in ns:
             inst = insts[n]
             data = add_noise(inst, delta, stream_seed(master_seed, n, delta, 0))
-            trace = adaptive_select(inst, cfg, solvers[n](data.b))
+            trace = adaptive_select(inst, cfg, spectral_solver(decomps[n], inst, data.b))
             report = error_report(inst, trace.final, data.b)
             rows.append(TableRow(
                 delta=delta, n=n, sigma=data.sigma,

@@ -112,10 +112,10 @@ def adaptive_select(instance, cfg, solver):
     """Run the adaptive fixed-point iteration and return its full trace.
 
     solver is any callable lam -> RegularizedSolution for one right-hand side
-    b of this instance, such as tikhonov.spectral_solvers(decomp, instance)(b),
+    b of this instance, such as tikhonov.spectral_solver(decomp, instance, b),
     which rejects a b that is not finite. A solver with a scalars attribute
     (a callable lam -> RegularizedSolution with x None, as the spectral
-    solvers have) has every iterate measured by it, in O(m) on the spectral
+    solver has) has every iterate measured by it, in O(m) on the spectral
     route, and is itself called once, at the last solved lambda, for
     trace.final. Each update is
 

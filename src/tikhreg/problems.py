@@ -16,7 +16,8 @@ Noise model: add_noise(instance, delta, seed) draws b = y + sigma * xi with
 xi iid standard normal from the generator of seed and
 sigma = noise_sigma(instance, delta) = delta * n^{-1/2} * ||y||, so delta is
 the relative noise level and sigma the per-component standard deviation.
-noise_sigma is the one check of delta (finite and >= 0).
+noise_sigma is the one check of delta (finite and >= 0), and standard_normal
+the one check of a seed (an unsigned 64-bit integer).
 
 Reproducibility. All Gaussian variates come from a Philox4x64-10 counter
 generator keyed directly by the caller's 64-bit seed (counter starts at 0).
@@ -36,13 +37,13 @@ of SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}").
 
 Batched draws. ``standard_normal`` also takes a sequence of seeds and returns
 one row per seed, row i equal bit for bit to the one-seed draw. It works in
-two passes. The fill builds one Philox generator per call and re-keys it per
-row through its state (key [seed, 0], counter 0, empty buffer: where
-Philox(key=seed) starts), writing each row's uniforms straight into the
-output block, so a Monte Carlo batch (up to 64 reps, bounded in bytes by
-the harness) pays for one construction instead of one per rep. The
-transform then runs Box-Muller once over every pair of the block, in place,
-a slab of 8192 pairs at a time: the even column
+two passes. The fill builds one Philox generator per call, reads its start
+state once, and re-keys it per row by setting that state's key to
+[seed, 0], where Philox(key=seed) starts. It writes each row's uniforms
+straight into the output block, so a Monte Carlo batch (up to 64 reps,
+bounded in bytes by the harness) pays for one construction instead of one
+per rep. The transform then runs Box-Muller once over every pair of the
+block, in place, a slab of 8192 pairs at a time: the even column
 becomes r, the odd column theta, and cos(theta) goes to a 64 KB scratch
 that does not grow with the block. Each variate takes the same float64
 operations as a row-by-row draw, so the bits do not depend on the batch; a
@@ -323,19 +324,15 @@ def standard_normal(seed, count):
     z = np.empty((len(seeds), 2 * pairs), dtype=np.float64)
     if z.size:
         # one generator, re-keyed per row to where Philox(key=seed) starts:
-        # key [seed, 0], counter 0, empty buffer
-        key = np.zeros(2, dtype=np.uint64)
-        start = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
+        # its start state with key [seed, 0]
         bitgen = np.random.Philox(key=0)
         gen = np.random.Generator(bitgen)
+        start = bitgen.state
         for row, s in zip(z, seeds):
             s = int(s)
             if not 0 <= s < 2**64:
                 raise DomainError(f"seed {s} does not fit in an unsigned 64-bit integer")
-            key[0] = s
+            start["state"]["key"][0] = s
             bitgen.state = start
             gen.random(out=row)
         # Box-Muller on every (u1, u2) pair of the block in place, one slab of
@@ -400,22 +397,18 @@ def noise_sigma(instance, delta):
 def add_noise(instance, delta, seed):
     """Draw b = y + sigma * xi with sigma = noise_sigma(instance, delta).
 
-    xi is the standard_normal draw of the unsigned 64-bit seed, which is
-    checked even at delta = 0, where no draw runs. A delta so large that
-    ||b||^2 overflows float64 raises DomainError.
+    xi is the standard_normal draw of the unsigned 64-bit seed, drawn (and
+    the seed checked) at every delta, 0 included, where b equals y (a -0.0
+    in y can come out +0.0). A delta so large that ||b||^2 overflows float64
+    raises DomainError.
     """
     sigma = noise_sigma(instance, delta)
-    if not 0 <= int(seed) < 2**64:
-        raise DomainError("seed must fit in an unsigned 64-bit integer")
-    if sigma == 0.0:
-        b = instance.y.copy()
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = instance.y + sigma * standard_normal(seed, instance.n)
-            b_sq = float(b @ b)
-        if not math.isfinite(b_sq):
-            raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes ||b||^2 "
-                              f"overflow float64")
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = instance.y + sigma * standard_normal(seed, instance.n)
+        b_sq = float(b @ b)
+    if not math.isfinite(b_sq):
+        raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes ||b||^2 "
+                          f"overflow float64")
     return NoisyData(b=b, sigma=sigma)
 
 

@@ -20,8 +20,8 @@ retained modes. The noise form holds because (y, A psi_k) = rho_k
 noise projection free of the cancellation between d and (y, A psi_k).
 spectral.filter_errors computes c and both noise sums, for this solver and
 for every experiment driver. b_perp and y_perp are formed once, in n-space,
-when the solver is built; after that every lambda costs O(m), and x is
-formed only when a solution is asked for. The normal equations
+when the solver of one b is built; after that every lambda costs O(m), and
+x is formed only when a solution is asked for. The normal equations
 (A^T A + lambda W) x = A^T b are not shipped: the test suite holds this route
 against them (tests/reference.py, criterion 3).
 """
@@ -72,13 +72,12 @@ def _residual_terms(d, rho, sqrt_rho, lam):
     return (d * (1.0 / (1.0 + rho / lam)) / sqrt_rho) ** 2
 
 
-def spectral_solvers(decomp, instance):
-    """Callable b -> solver for many b of one instance, solver(lam) -> RegularizedSolution.
+def spectral_solver(decomp, instance, b):
+    """Callable solver(lam) -> RegularizedSolution for one right-hand side b.
 
-    One solve is spectral_solvers(decomp, instance)(b)(lam), the filter
-    c_k = (b, A psi_k) / (lambda + rho_k). The terms of y, (y, A psi_k) and
-    ||y_perp||^2, are formed once, here, and shared by every solver it
-    returns; the projections of b and ||b_perp||^2 once per b. residual_b,
+    One solve is spectral_solver(decomp, instance, b)(lam), the filter
+    c_k = (b, A psi_k) / (lambda + rho_k). The projections of b and b - y,
+    ||b_perp||^2 and ||y_perp||^2 are formed here, once per b. residual_b,
     w_norm and output_err at each lambda are the m-term sums of the module
     docstring, c and the output error from spectral.filter_errors, and
     x = psi c is formed by decomp.expand on each call. solver.scalars(lam)
@@ -89,40 +88,35 @@ def spectral_solvers(decomp, instance):
     """
     if decomp.n != instance.n:
         raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
+    b = _check_rhs(instance, b)
     rho = decomp.rho
     sqrt_rho = np.sqrt(rho)
-    d_y = decomp.project(instance.y)
-    y_perp_sq = _perp_sq(decomp, instance.y, d_y)
+    d = decomp.project(b)
+    d_noise = decomp.project(b - instance.y)
+    b_perp_sq = _perp_sq(decomp, b, d)
+    y_perp_sq = _perp_sq(decomp, instance.y, decomp.project(instance.y))
 
-    def for_rhs(b):
-        b = _check_rhs(instance, b)
-        d = decomp.project(b)
-        b_perp_sq = _perp_sq(decomp, b, d)
-        d_noise = decomp.project(b - instance.y)
+    def filtered(lam):
+        # (the solution with x None, its coefficients c), in O(m); the
+        # kernel checks lam
+        c, out_sq, _ = filter_errors(decomp, d, d_noise, lam)
+        lam = float(lam)
+        res_terms = _residual_terms(d, rho, sqrt_rho, lam)
+        sol = RegularizedSolution(
+            lam=lam,
+            x=None,
+            residual_b=math.sqrt(b_perp_sq + float(np.sum(res_terms))),
+            w_norm=math.sqrt(float(np.sum(c * c))),
+            output_err=math.sqrt(y_perp_sq + float(out_sq)),
+        )
+        return sol, c
 
-        def filtered(lam):
-            # (the solution with x None, its coefficients c), in O(m); the
-            # kernel checks lam
-            c, out_sq, _ = filter_errors(decomp, d, d_noise, lam)
-            lam = float(lam)
-            res_terms = _residual_terms(d, rho, sqrt_rho, lam)
-            sol = RegularizedSolution(
-                lam=lam,
-                x=None,
-                residual_b=math.sqrt(b_perp_sq + float(np.sum(res_terms))),
-                w_norm=math.sqrt(float(np.sum(c * c))),
-                output_err=math.sqrt(y_perp_sq + float(out_sq)),
-            )
-            return sol, c
+    def solve(lam):
+        sol, c = filtered(lam)
+        return sol._replace(x=decomp.expand(c))
 
-        def solve(lam):
-            sol, c = filtered(lam)
-            return sol._replace(x=decomp.expand(c))
-
-        solve.scalars = lambda lam: filtered(lam)[0]
-        return solve
-
-    return for_rhs
+    solve.scalars = lambda lam: filtered(lam)[0]
+    return solve
 
 
 def error_report(instance, sol, b):

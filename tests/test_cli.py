@@ -13,7 +13,7 @@ import pytest
 
 from tikhreg import (
     ProblemInstance, add_noise, build_blur, build_fredholm, decompose,
-    error_report, rule_lambda, save_problem, spectral_solvers,
+    error_report, rule_lambda, save_problem, spectral_solver,
 )
 from tikhreg import cli
 from tikhreg.cli import main
@@ -117,7 +117,7 @@ def test_solve_csv_is_the_spectral_route(tmp_path, problem, build):
     inst = build()
     data = add_noise(inst, 0.01, 0)
     lam = rule_lambda("rho0", 4.0, inst, data.sigma, 1.0)
-    sol = spectral_solvers(decompose(inst), inst)(data.b)(lam)
+    sol = spectral_solver(decompose(inst), inst, data.b)(lam)
     rep = error_report(inst, sol, data.b)
     row = [float(v) for v in read(os.path.join(out, "solve.csv")).decode().splitlines()[1].split(",")]
     assert row == [lam, data.sigma, rep.rel_x, rep.rel_ax, rep.rel_res, rep.scaled_output]
@@ -254,7 +254,7 @@ def test_record_field_order_is_the_artifact_layout(tmp_path):
     assert fields_of(mc("mc_cells.csv")) == MonteCarloCell._fields
     assert set(json.loads(mc("mc_fit.json"))) == set(MonteCarloSummary._fields) - {"cells"}
     table = written("table", ["table", "--ns", "60", "--deltas", "0.1"])
-    assert fields_of(table("table1.csv")) == TableRow._fields[:-1]
+    assert fields_of(table("table1.csv")) == TableRow._fields
     solve = written("solve", ["solve", "--n", "60", "--delta", "0.1"])
     assert fields_of(solve("solve.csv")) == ("lam", "sigma", *ErrorReport._fields)
     sweep = written("sweep", ["sweep", "--n", "60", "--delta", "0.1"])
@@ -296,7 +296,7 @@ def test_table_outputs(tmp_path):
                 "--seed", "0", "--out", out])
     assert code == 0
     lines = read(os.path.join(out, "table1.csv")).decode().splitlines()
-    assert lines[0] == "delta,n,sigma,lambda,iters,rel_x,rel_Ax,rel_res"
+    assert lines[0] == "delta,n,sigma,lambda,iters,rel_x,rel_Ax,rel_res,terminated"
     assert len(lines) == 2
 
 
@@ -660,6 +660,15 @@ def test_rule_constant_that_overflows_ends_without_traceback(tmp_path, capfd, co
         assert "lambda must be finite and positive, got inf" in err
     elif command[0] == "adaptive":
         assert json.loads(read(tmp_path / "adaptive.json"))["terminated"] == "nonfinite"
+
+
+def test_table_row_says_how_its_iteration_stopped(tmp_path):
+    # a row whose update overflows at once keeps the starting lambda and
+    # iters 0, and only its terminated column tells it from a converged one
+    assert run(["table", "--ns", "60", "--deltas", "0.1", "--c", "1e308",
+                "--out", str(tmp_path)]) == 0
+    header, row = read(tmp_path / "table1.csv").decode().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["terminated"] == "nonfinite"
 
 
 def _one_argv_per_command(tmp_path):

@@ -42,7 +42,7 @@ from tikhreg.harness import (
     write_manifest,
 )
 from tikhreg.params import AdaptiveConfig
-from tikhreg.tikhonov import spectral_solvers
+from tikhreg.tikhonov import spectral_solver
 
 from reference import b_seminorm_sq, error_moments, solve_direct
 
@@ -90,9 +90,9 @@ def test_sweep_reads_the_spectral_route_output_error(monkeypatch, fred100):
     def no_solver(*_):
         raise AssertionError("run_sweep builds no solver")
 
-    monkeypatch.setattr("tikhreg.harness.spectral_solvers", no_solver)
+    monkeypatch.setattr("tikhreg.harness.spectral_solver", no_solver)
     res = run_sweep(fred100, 0.05, 1, (1e-9, 1e-3, 13))
-    solver = spectral_solvers(decompose(fred100), fred100)(add_noise(fred100, 0.05, 1).b)
+    solver = spectral_solver(decompose(fred100), fred100, add_noise(fred100, 0.05, 1).b)
     expected = [solver(lam).output_err / math.sqrt(100) for lam in res.lambdas]
     assert res.output_errors == pytest.approx(expected, rel=1e-10)
     assert res.err_at_pred == pytest.approx(
@@ -108,7 +108,7 @@ def test_sweep_and_solver_agree_at_the_predicted_lambda(seed):
     fred, blur = build_fredholm(500), build_blur(16, 2.0)
     for inst, delta, rel in [(fred, 0.1, 0.0), (fred, 0.01, 0.0), (blur, 1e-4, 1e-6)]:
         res = run_sweep(inst, delta, seed, (1e-10, 1e-4, 2))
-        solver = spectral_solvers(decompose(inst), inst)(add_noise(inst, delta, seed).b)
+        solver = spectral_solver(decompose(inst), inst, add_noise(inst, delta, seed).b)
         want = solver.scalars(res.lambda_pred).output_err / math.sqrt(inst.n)
         assert res.err_at_pred <= want
         assert want - res.err_at_pred <= rel * want
@@ -181,7 +181,7 @@ def test_montecarlo_means_match_per_rep_solves():
     for rep in range(reps):
         seed = stream_seed(master, n, delta, rep)
         b = inst.y + sigma * standard_normal(seed, n)
-        sol = spectral_solvers(dec, inst)(b)(lam)
+        sol = spectral_solver(dec, inst, b)(lam)
         outs.append(np.linalg.norm(inst.dense_a() @ sol.x - inst.y) / math.sqrt(n))
         bs.append(math.sqrt(b_seminorm_sq(dec, sol.x - inst.x_star, inst.w) / n))
     assert cell.mean_scaled_output == pytest.approx(np.mean(outs), rel=1e-9)
@@ -405,7 +405,7 @@ def test_study_samples_are_scaled_output_errors(fred100):
     sigma = 0.05 * np.linalg.norm(fred100.y) / math.sqrt(100)
     seed = stream_seed(5, 100, 0.05, 0)
     b = fred100.y + sigma * standard_normal(seed, 100)
-    sol = spectral_solvers(dec, fred100)(b)(1e-6)
+    sol = spectral_solver(dec, fred100, b)(1e-6)
     want = np.linalg.norm(fred100.dense_a() @ sol.x - fred100.y) / math.sqrt(100)
     assert s.samples[0] == pytest.approx(want, rel=1e-8)
 

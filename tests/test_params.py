@@ -21,7 +21,7 @@ from tikhreg import (
     rule_lambda,
     run_sweep,
 )
-from tikhreg.tikhonov import RegularizedSolution, spectral_solvers
+from tikhreg.tikhonov import RegularizedSolution, spectral_solver
 
 from reference import solve_direct
 
@@ -121,7 +121,7 @@ def test_rule_constant_that_overflows_gives_inf(fred200, dec200):
     assert _rule("rho0", constant_c=1e308) == math.inf
     b = _noisy(fred200, 0.1, 11)
     cfg = AdaptiveConfig(alpha=4.0, constant_c=1e308)
-    tr = adaptive_select(fred200, cfg, spectral_solvers(dec200, fred200)(b))
+    tr = adaptive_select(fred200, cfg, spectral_solver(dec200, fred200, b))
     assert tr.terminated == "nonfinite"
     assert tr.iters == 0
 
@@ -210,7 +210,7 @@ def test_adaptive_rejects_nonfinite_b(fred200, dec200):
     cfg = AdaptiveConfig(alpha=2.0)
     # the solver owns b and rejects it before the first iterate
     with pytest.raises(DomainError):
-        adaptive_select(fred200, cfg, spectral_solvers(dec200, fred200)(b))
+        adaptive_select(fred200, cfg, spectral_solver(dec200, fred200, b))
 
 
 def test_adaptive_degenerate_solution(fred200):
@@ -266,6 +266,6 @@ def test_adaptive_spectral_and_direct_routes_agree(fred200):
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-10, stop_mode="absolute")
     dec = decompose(fred200)
     td = adaptive_select(fred200, cfg, partial(solve_direct, fred200, b))
-    ts = adaptive_select(fred200, cfg, spectral_solvers(dec, fred200)(b))
+    ts = adaptive_select(fred200, cfg, spectral_solver(dec, fred200, b))
     assert td.terminated == ts.terminated == "converged"
     assert td.final.lam == pytest.approx(ts.final.lam, rel=1e-6)

@@ -29,7 +29,7 @@ from tikhreg import (
 )
 from tikhreg.problems import _row_blocks
 from tikhreg.spectral import _dense_decompose
-from tikhreg.tikhonov import spectral_solvers
+from tikhreg.tikhonov import spectral_solver
 
 from reference import greens_kernel
 
@@ -310,9 +310,14 @@ def test_fredholm_size_cap_before_allocation():
 
 
 def test_add_noise_zero_delta(fred100):
+    # bytes, not np.array_equal, which holds -0.0 equal to 0.0
     data = add_noise(fred100, 0.0, 3)
     assert data.sigma == 0.0
-    assert np.array_equal(data.b, fred100.y)
+    assert data.b.tobytes() == fred100.y.tobytes()
+    # the draw runs at delta = 0 too, so standard_normal checks the seed
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError, match="64-bit"):
+            add_noise(fred100, 0.0, seed)
 
 
 def test_add_noise_sigma_formula(fred100):
@@ -688,7 +693,7 @@ def test_built_fredholm_instance_never_holds_its_dense_a():
     # fewer than 64 length-n vectors, where one n x n array is 4000 of them
     def run():
         inst = build_fredholm(4000)
-        spectral_solvers(decompose(inst), inst)(inst.y)(1e-6)
+        spectral_solver(decompose(inst), inst, inst.y)(1e-6)
 
     assert _traced_peak(run)[0] < 64 * 8 * 4000
 
@@ -698,7 +703,7 @@ def test_built_blur_instance_never_holds_its_dense_a():
     # array (104 MB at side 60)
     dense = 8 * (60 * 60) ** 2
     build_peak, inst = _traced_peak(lambda: build_blur(60, 2.0))
-    solve_peak, _ = _traced_peak(lambda: spectral_solvers(decompose(inst), inst)(inst.y)(1e-6))
+    solve_peak, _ = _traced_peak(lambda: spectral_solver(decompose(inst), inst, inst.y)(1e-6))
     assert build_peak < dense / 100
     assert solve_peak < dense / 10
 

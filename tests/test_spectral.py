@@ -18,7 +18,7 @@ from tikhreg import (
     fit_alpha,
     load_problem,
     save_problem,
-    spectral_solvers,
+    spectral_solver,
     spectrum_rows,
 )
 from tikhreg.spectral import _dense_decompose
@@ -337,8 +337,8 @@ def test_kronecker_route_matches_dense_route(side, psf_width):
     assert np.max(np.abs(a_psi - a @ psi)) <= 1e-13
     b = add_noise(inst, 0.01, 5).b
     for lam in (1e-2, 1.0):
-        x = spectral_solvers(kron, inst)(b)(lam).x
-        x_dense = spectral_solvers(dense, inst)(b)(lam).x
+        x = spectral_solver(kron, inst, b)(lam).x
+        x_dense = spectral_solver(dense, inst, b)(lam).x
         assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         if psf_width == 0.7:      # full rank: every mode retained, so x is exact
             assert kron.m == n
@@ -383,8 +383,8 @@ def test_sine_route_matches_dense_route(n):
     assert np.linalg.norm(inst.dense_a() @ psi - a_psi) <= 1e-12 * sigma_1
     b = add_noise(inst, 0.01, 5).b
     for lam in (1e-6, 1e-2, 1.0):
-        x = spectral_solvers(sine, inst)(b)(lam).x
-        x_dense = spectral_solvers(dense, inst)(b)(lam).x
+        x = spectral_solver(sine, inst, b)(lam).x
+        x_dense = spectral_solver(dense, inst, b)(lam).x
         assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
         if lam >= 1e-2:   # the modes both routes drop no longer move x (n = 500)
             x_direct = solve_direct(inst, b, lam).x
