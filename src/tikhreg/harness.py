@@ -45,13 +45,12 @@ from .spectral import _check_lambda, decompose, filter_errors
 from .tikhonov import error_report, spectral_solver
 
 # reps are processed in batches, one noise block drawn in one call per
-# batch, of at most _REP_BATCH rows and _BATCH_BYTES of noise (64 rows at
-# n <= 512, 16 at n = 2000, 1 at n = 40000): the block, its FFT and the
+# batch, of at most _BATCH_BYTES of noise and at least one row (65 rows at
+# n = 500, 16 at n = 2000, 1 at n = 40000): the block, its FFT and the
 # filter temporaries then stay a few MB per worker at any n. The width
 # depends on n alone, so the thread count cannot change any bit. The sine and
 # Kronecker routes project each row on its own and filter_errors sums each
 # rep on its own, so on those routes the width moves no bit either
-_REP_BATCH = 64
 _BATCH_BYTES = 1 << 18
 
 # most lambda grid points a sweep takes: each one is a spectral solve and a
@@ -133,8 +132,10 @@ def run_sweep(instance, delta, seed, grid, rule="rho0", alpha=4.0, constant_c=1.
     and study drivers and the solver do, in O(m) per lambda; no solution
     vector is formed. The predicted parameter comes from the chosen a-priori
     rule evaluated with the true sigma and ||x*||_W (it need not lie on the
-    grid); one that is not finite raises NonFiniteLambda before the
-    decomposition. The errors leave out ||y_perp||^2 (module docstring).
+    grid). At sigma > 0 one that is not finite and positive, a rule lambda
+    that underflows to 0 included, raises NonFiniteLambda before the
+    decomposition; at sigma = 0 the rule gives 0, and the prediction is 0
+    with a NaN error. The errors leave out ||y_perp||^2 (module docstring).
     """
     lo, hi, count = grid
     if not (0 < lo < hi < math.inf):
@@ -147,8 +148,9 @@ def run_sweep(instance, delta, seed, grid, rule="rho0", alpha=4.0, constant_c=1.
     data = add_noise(instance, delta, seed)
     lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
     # sigma == 0 makes the rule return 0, which filter_errors rejects; keep
-    # the grid results and leave the prediction column empty
-    if lam_pred:
+    # the grid results and leave the prediction column empty. At sigma > 0 a
+    # rule lambda that underflowed to 0 is rejected like any other
+    if data.sigma > 0:
         _check_lambda(lam_pred)
     decomp = decompose(instance)
     d, d_noise = decomp.project(data.b), decomp.project(data.b - instance.y)
@@ -180,7 +182,7 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     # filter_errors. A delta so large that an error overflows float64 raises
     # DomainError instead of passing inf on.
     n = instance.n
-    batch = max(1, min(_REP_BATCH, _BATCH_BYTES // (8 * n)))
+    batch = max(1, _BATCH_BYTES // (8 * n))
     d_clean = decomp.project(instance.y)
     out_sq = np.empty(reps, dtype=np.float64)
     b_sq = np.empty(reps, dtype=np.float64)

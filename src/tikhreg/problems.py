@@ -40,14 +40,14 @@ one row per seed, row i equal bit for bit to the one-seed draw. It works in
 two passes. The fill builds one Philox generator per call, reads its start
 state once, and re-keys it per row by setting that state's key to
 [seed, 0], where Philox(key=seed) starts. It writes each row's uniforms
-straight into the output block, so a Monte Carlo batch (up to 64 reps,
-bounded in bytes by the harness) pays for one construction instead of one
-per rep. The transform then runs Box-Muller once over every pair of the
-block, in place, a slab of 8192 pairs at a time: the even column
-becomes r, the odd column theta, and cos(theta) goes to a 64 KB scratch
-that does not grow with the block. Each variate takes the same float64
-operations as a row-by-row draw, so the bits do not depend on the batch; a
-one-seed call is the one-row case of the same code.
+straight into the output block, so a Monte Carlo batch (256 KB of noise,
+bounded by the harness) pays for one construction instead of one per rep.
+The transform then makes each of its nine ufunc calls once over every pair
+of the block, in place: the even columns become r, the odd columns theta,
+and cos(theta) is the one temporary, half the block (160 KB for the largest
+block any caller draws, one 40000-variate row). Each variate takes the same
+float64 operations as a row-by-row draw, so the bits do not depend on the
+batch; a one-seed call is the one-row case of the same code.
 
 Structure. Neither family stores an n x n A or forms one to compute
 y = A x*. Row j of the Fredholm A (0-based, node t_j = j/n) holds
@@ -114,9 +114,6 @@ _PROB_VERSION = 1
 # entries per block of the kernel fill (1 MB of float64), so that the
 # block and its scratch stay small and in cache
 _BLOCK_ENTRIES = 1 << 17
-
-# (u1, u2) pairs per Box-Muller slab: 64 KB of cos scratch
-_BOX_MULLER_SLAB = 8192
 
 
 @dataclass
@@ -335,23 +332,18 @@ def standard_normal(seed, count):
             start["state"]["key"][0] = s
             bitgen.state = start
             gen.random(out=row)
-        # Box-Muller on every (u1, u2) pair of the block in place, one slab of
-        # pairs at a time so that the cos scratch stays 64 KB at any size
-        uv = z.reshape(-1, 2)
-        cos = np.empty(min(len(uv), _BOX_MULLER_SLAB))
-        for lo in range(0, len(uv), _BOX_MULLER_SLAB):
-            slab = uv[lo:lo + _BOX_MULLER_SLAB]
-            r, theta = slab[:, 0], slab[:, 1]
-            c = cos[:len(slab)]
-            np.negative(r, out=r)
-            np.log1p(r, out=r)                    # log(1 - u1), safe at u1 = 0
-            np.multiply(r, -2.0, out=r)
-            np.sqrt(r, out=r)
-            np.multiply(theta, 2.0 * np.pi, out=theta)
-            np.cos(theta, out=c)
-            np.sin(theta, out=theta)
-            np.multiply(r, theta, out=theta)      # z[2k+1] = r sin
-            np.multiply(r, c, out=r)              # z[2k] = r cos
+        # Box-Muller on every (u1, u2) pair of the block in place; cos(theta)
+        # is the one temporary, half the block, which the callers bound
+        r, theta = z[:, 0::2], z[:, 1::2]
+        np.negative(r, out=r)
+        np.log1p(r, out=r)                        # log(1 - u1), safe at u1 = 0
+        np.multiply(r, -2.0, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(theta, 2.0 * np.pi, out=theta)
+        c = np.cos(theta)
+        np.sin(theta, out=theta)
+        np.multiply(r, theta, out=theta)          # z[2k+1] = r sin
+        np.multiply(r, c, out=r)                  # z[2k] = r cos
     return z[0, :count] if single else z[:, :count]
 
 

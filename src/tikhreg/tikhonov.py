@@ -68,8 +68,11 @@ def _perp_sq(decomp, v, d):
 def _residual_terms(d, rho, sqrt_rho, lam):
     # the residual terms (rho c - d)^2/rho as (d g / sqrt(rho))^2 with
     # g = 1/(1 + rho/lam) = lam/(lam + rho): each operation rounds a monotone
-    # function of its one varying operand, so every term is nondecreasing in lam
-    return (d * (1.0 / (1.0 + rho / lam)) / sqrt_rho) ** 2
+    # function of its one varying operand, so every term is nondecreasing in lam.
+    # A subnormal lam can overflow rho/lam to inf, where g = 0 is the limit
+    with np.errstate(over="ignore"):
+        g = 1.0 / (1.0 + rho / lam)
+    return (d * g / sqrt_rho) ** 2
 
 
 def spectral_solver(decomp, instance, b):

@@ -212,6 +212,20 @@ def test_sweep_outputs(tmp_path):
     assert doc["lambda_pred"] > 0
 
 
+def test_sweep_whose_rule_lambda_underflows_exits_1(tmp_path, capfd):
+    code, err = run_reporting(["sweep", "--n", "60", "--delta", "1e-290",
+                               "--out", str(tmp_path / "sw")], capfd)
+    assert code == 1
+    assert "lambda must be finite and positive, got 0.0" in err
+    assert not os.path.exists(tmp_path / "sw" / "sweep.json")
+
+
+def test_solve_at_a_subnormal_lambda_writes_no_warning(tmp_path, capfd):
+    code, err = run_reporting(["solve", "--n", "60", "--delta", "0.01", "--lam", "1e-320",
+                               "--out", str(tmp_path / "s")], capfd)
+    assert (code, err) == (0, "")
+
+
 def test_sweep_noise_free_serializes_null(tmp_path):
     out = tmp_path / "sw0"
     assert run(["sweep", "--n", "100", "--delta", "0", "--grid-count", "4", "--seed", "1",

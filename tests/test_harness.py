@@ -34,7 +34,6 @@ from tikhreg import harness
 from tikhreg.harness import (
     _BATCH_BYTES,
     _GRID_CAP,
-    _REP_BATCH,
     _REPS_CAP,
     rule_lambda,
     write_csv,
@@ -208,7 +207,7 @@ def _per_rep_scaled_errors(inst, delta, lam, reps, master):
 
 def _batch_rows(n):
     # the batch width of _scaled_errors
-    return max(1, min(_REP_BATCH, _BATCH_BYTES // (8 * n)))
+    return max(1, _BATCH_BYTES // (8 * n))
 
 
 _build_blur = partial(build_blur, psf_width=2.0)
@@ -256,11 +255,14 @@ def test_batched_noise_draws_change_no_bit():
 
 
 @pytest.mark.parametrize("problem, size, rows", [
-    (build_fredholm, 500, 64),        # the noise_study size
+    (build_fredholm, 500, 65),        # the noise_study size
     (build_fredholm, 2000, 16),
     (_build_blur, 48, 14),
-], ids=["fredholm-500", "fredholm-2000", "blur-48"])
+    (build_fredholm, 60, 546),
+    (build_fredholm, 2, 16384),
+], ids=["fredholm-500", "fredholm-2000", "blur-48", "fredholm-60", "fredholm-2"])
 def test_noise_batch_rows_follow_the_byte_bound(monkeypatch, problem, size, rows):
+    # max(1, _BATCH_BYTES // (8 n)) rows: the byte bound is the only cap
     widths = []
 
     def spy(seeds, count):
@@ -294,6 +296,21 @@ def test_montecarlo_at_the_size_cap_holds_a_bounded_noise_batch():
     tracemalloc.start()
     try:
         run_montecarlo([40000], [0.01], 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("n", [2, 60])
+def test_montecarlo_cell_at_small_n_holds_a_bounded_noise_batch(n):
+    # the byte bound widens the batch as n falls (16384 rows at n = 2, 546
+    # at n = 60); a full batch and a tail stay under the size-cap bound
+    reps = _batch_rows(n) + 3
+    standard_normal(0, 2)                  # numpy.random's lazy import is not the cell's
+    tracemalloc.start()
+    try:
+        run_montecarlo([n], [0.01], reps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -633,6 +650,16 @@ def test_sweep_rejects_a_bad_predicted_lambda_before_decomposing(monkeypatch, fr
     monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
     with pytest.raises(NonFiniteLambda):
         run_sweep(fred20, 0.01, 0, (1e-10, 1e-2, 10), constant_c=1e308)
+
+
+def test_sweep_rejects_a_rule_lambda_that_underflows_to_zero(monkeypatch):
+    # sigma > 0 at delta = 1e-290, but the rho0 rule's lambda underflows to
+    # 0.0; only sigma = 0 (test_sweep_noise_free) leaves the prediction empty
+    inst = build_fredholm(60)
+    assert noise_sigma(inst, 1e-290) > 0
+    monkeypatch.setattr("tikhreg.harness.decompose", _no_decompose)
+    with pytest.raises(NonFiniteLambda, match="got 0.0"):
+        run_sweep(inst, 1e-290, 0, (1e-10, 1e-2, 10))
 
 
 @pytest.mark.parametrize("grid", [(1e-10, math.inf, 10), (1e-10, math.nan, 10), (math.nan, 1e-4, 10)])

@@ -27,6 +27,7 @@ from tikhreg import (
     standard_normal,
     stream_seed,
 )
+from tikhreg.harness import _BATCH_BYTES
 from tikhreg.problems import _row_blocks
 from tikhreg.spectral import _dense_decompose
 from tikhreg.tikhonov import spectral_solver
@@ -240,7 +241,7 @@ def _per_row_normals(seed, count):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 500, 501, 2000])
 def test_batched_block_equals_the_per_row_reference(count):
-    # 64 rows: at count 2000 the block holds 64000 pairs, several transform slabs
+    # 64 rows: at count 2000 the block holds 64000 pairs in one transform
     seeds = [0, 2**64 - 1] + stream_seed(3, 500, 0.01, range(62))
     block = standard_normal(seeds, count)
     assert np.array_equal(block, [_per_row_normals(s, count) for s in seeds])
@@ -248,11 +249,15 @@ def test_batched_block_equals_the_per_row_reference(count):
 
 
 def test_batched_draw_holds_only_its_block_and_a_bounded_scratch():
-    # the transform's scratch is one slab, not a temporary the size of the block
-    seeds = stream_seed(7, 2000, 0.01, range(64))
-    standard_normal(seeds[:1], 2)          # numpy.random's lazy import is not the draw's
-    peak, z = _traced_peak(lambda: standard_normal(seeds, 2000))
-    assert peak <= z.nbytes + 128 * 1024
+    # the blocks callers draw: a full Monte Carlo batch at n = 500 and at
+    # n = 2000, and one row at the n = 40000 size cap (add_noise, or a batch
+    # there). The transform's one temporary is cos(theta), one float64 per
+    # pair; the generator and its state dict take about 3 KB more
+    standard_normal(0, 2)                  # numpy.random's lazy import is not the draw's
+    for n in (500, 2000, 40000):
+        seeds = stream_seed(7, n, 0.01, range(max(1, _BATCH_BYTES // (8 * n))))
+        peak, z = _traced_peak(lambda: standard_normal(seeds, n))
+        assert peak <= z.nbytes + 8 * ((n + 1) // 2) * len(seeds) + 8192, (n, peak, z.nbytes)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -299,3 +299,18 @@ def test_criterion_4_term_by_term(route, size):
     sols = [solve.scalars(lam) for lam in lams]
     assert np.all(np.diff([s.residual_b for s in sols]) >= 0)
     assert np.all(np.diff([s.w_norm for s in sols]) <= 0)
+
+
+@pytest.mark.parametrize("route, size", [("sine", 60), ("kron", 16)])
+def test_a_subnormal_lambda_solves_without_a_warning(route, size):
+    # rho/lam overflows to inf below about 1e-310 (Fredholm n = 60) or
+    # 5.6e-309 (blur side 16); g = 1/(1 + inf) = 0 is the limit, taken with
+    # no RuntimeWarning, and the residual still rises with lambda
+    inst, b = _route_case(route, size)
+    solve = spectral_solver(decompose(inst), inst, b)
+    lams = np.logspace(-323.5, 0, 400)
+    assert lams[0] > 0
+    residuals = [solve.scalars(lam).residual_b for lam in lams]
+    assert np.all(np.diff(residuals) >= 0)
+    sol = solve(1e-320)
+    assert math.isfinite(sol.residual_b) and np.all(np.isfinite(sol.x))
