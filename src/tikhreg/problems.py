@@ -20,7 +20,9 @@ noise_sigma is the one check of delta (finite and >= 0), and standard_normal
 the one check of a seed (an unsigned 64-bit integer).
 
 Reproducibility. All Gaussian variates come from a Philox4x64-10 counter
-generator keyed directly by the caller's 64-bit seed (counter starts at 0).
+generator keyed directly by the caller's 64-bit seed (counter starts at 0):
+the stream of numpy's Philox(key=seed), whose key is [seed, 0] and whose
+counter is incremented before each block of four 64-bit outputs.
 Uniforms use the usual 53-bit convention u = (x >> 11) * 2^-53 on successive
 64-bit outputs, and normals are produced by explicit Box-Muller with strictly
 sequential pair consumption:
@@ -35,19 +37,36 @@ bit on some inputs (math.log1p(-u) on about 7 % of uniforms). Derived streams
 (one per Monte Carlo repetition) are keyed by the low 8 bytes, little-endian,
 of SHA-256("tikhreg:{master}:{n}:{round(delta*1e6)}:{rep}").
 
-Batched draws. ``standard_normal`` also takes a sequence of seeds and returns
-one row per seed, row i equal bit for bit to the one-seed draw. It works in
-two passes. The fill builds one Philox generator per call, reads its start
-state once, and re-keys it per row by setting that state's key to
+One seed, two fills. ``standard_normal`` takes one seed or a sequence of
+seeds, and the form of the call picks how the uniforms are made; the bits
+are the same either way. A one-seed call, the form add_noise makes and so
+the only draw of solve, adaptive, sweep and table, computes Philox4x64-10
+in numpy uint64 arithmetic: the Random123 multipliers and Weyl key
+increments, each 64 x 64 -> 128-bit product from its 32-bit halves, in
+equal passes of at most 4096 blocks (16384 uniforms), so its scratch stays
+under 480 KB at any count. It never loads numpy.random, whose import alone
+costs 6-10 ms and 1.8 MB of resident memory, more than the whole draw at
+every count the size cap allows: a process's first one-seed draw takes
+0.5 ms at 2000 variates and 3.2 ms at 40000 (2-core Xeon, numpy 2.4),
+against 5.7 and 6.9 ms for importing numpy.random and its C fill. Each later
+draw in the same process costs more than a C fill would, though (2.8 ms
+against 1.2 ms at 40000): the numpy-only fill takes 45-65 ns per uniform
+in bulk against 5-9 ns, so above about 200000 variates one seed would be
+cheaper through numpy.random.
+
+Batched draws. A sequence of seeds (the Monte Carlo and study batches)
+returns one row per seed, row i equal bit for bit to the one-seed draw, and
+takes numpy.random's C fill. It builds one Philox generator per call, reads
+its start state once, and re-keys it per row by setting that state's key to
 [seed, 0], where Philox(key=seed) starts. It writes each row's uniforms
 straight into the output block, so a Monte Carlo batch (256 KB of noise,
 bounded by the harness) pays for one construction instead of one per rep.
-The transform then makes each of its nine ufunc calls once over every pair
-of the block, in place: the even columns become r, the odd columns theta,
-and cos(theta) is the one temporary, half the block (160 KB for the largest
-block any caller draws, one 40000-variate row). Each variate takes the same
-float64 operations as a row-by-row draw, so the bits do not depend on the
-batch; a one-seed call is the one-row case of the same code.
+Either fill is followed by the same transform, which makes each of its nine
+ufunc calls once over every pair of the block, in place: the even columns
+become r, the odd columns theta, and cos(theta) is the one temporary, half
+the block (160 KB for the largest block any caller draws, one
+40000-variate row). Each variate takes the same float64 operations as a
+row-by-row draw, so the bits do not depend on the batch.
 
 Structure. Neither family stores an n x n A or forms one to compute
 y = A x*. Row j of the Fredholm A (0-based, node t_j = j/n) holds
@@ -110,6 +129,17 @@ from .linalg import weight_factor
 
 _PROB_MAGIC = "prob"
 _PROB_VERSION = 1
+
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC'11; the Random123
+# constants): each round multiplies lanes 0 and 2 by _PHILOX_M, 64 x 64 ->
+# 128 bits, and the key grows by _PHILOX_W between rounds
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+# Philox blocks (four uniforms each) per pass of the one-seed fill at most:
+# its scratch, 12 uint64 per block and numpy's ufunc buffers, traces under 15
+# uint64 per block of a pass (480 KB) whatever the count. Each pass costs
+# about 170 ufunc calls, so fewer, longer passes are faster
+_PHILOX_CHUNK = 4096
 
 # entries per block of the kernel fill (1 MB of float64), so that the
 # block and its scratch stay small and in cache
@@ -304,6 +334,64 @@ def build_blur(side, psf_width):
     )
 
 
+def _checked_seed(s):
+    s = int(s)
+    if not 0 <= s < 2**64:
+        raise DomainError(f"seed {s} does not fit in an unsigned 64-bit integer")
+    return s
+
+
+def _philox_uniforms(seed, out):
+    # out[i] = (x_i >> 11) 2^-53 for the 64-bit outputs x_0, x_1, ... of
+    # numpy's Philox(key=seed), computed with numpy alone: the key is
+    # [seed, 0], and numpy increments the counter before each block, so block
+    # j holds Philox4x64-10 of the counter [j + 1, 0, 0, 0]. The rounds run
+    # on a (4, b) array of b blocks, in equal passes of b <= _PHILOX_CHUNK.
+    # Every product and key sum is a uint64 array operation, which wraps
+    # modulo 2^64 without a warning on every numpy this package supports
+    mask, s11, s32 = np.uint64(0xFFFFFFFF), np.uint64(11), np.uint64(32)
+    m_lo, m_hi = _PHILOX_M & mask, _PHILOX_M >> s32
+    keys = np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W   # round r: key + r W
+    keys[:, 0] += np.uint64(seed)
+    blocks = -(-out.size // 4)
+    passes = -(-blocks // _PHILOX_CHUNK)
+    b = -(-blocks // passes)
+    x = np.empty((4, b), dtype=np.uint64)
+    lo, hi, t, p = (np.empty((2, b), dtype=np.uint64) for _ in range(4))
+    for first in range(0, blocks, b):
+        # the last pass may run past the count by up to passes - 1 blocks,
+        # which it does not keep
+        x[0] = np.arange(first + 1, first + 1 + b, dtype=np.uint64)
+        x[1:] = 0
+        for key in keys:
+            a = x[0::2]                                  # lanes 0 and 2, times M0 and M1
+            # hi = the high word of a M from 32-bit halves, none of whose
+            # products or sums exceeds 2^64 - 1 (Warren, Hacker's Delight, 8-2)
+            np.bitwise_and(a, mask, out=lo)
+            np.right_shift(a, s32, out=hi)
+            np.multiply(lo, m_lo, out=t)
+            t >>= s32
+            np.multiply(lo, m_hi, out=p)
+            t += p
+            np.multiply(hi, m_lo, out=p)
+            hi *= m_hi
+            np.bitwise_and(t, mask, out=lo)
+            p += lo
+            t >>= s32
+            p >>= s32
+            hi += t
+            hi += p
+            np.multiply(a, _PHILOX_M, out=lo)            # the low word
+            # [x0, x1, x2, x3] <- [hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0]
+            np.bitwise_xor(hi[::-1], x[1::2], out=a)
+            a ^= key
+            x[1::2] = lo[::-1]
+        x >>= s11
+        u = out[4 * first:4 * (first + b)]
+        for lane in range(4):                            # u[4 j + lane] is lane of block j
+            np.multiply(x[lane, :(u.size - lane + 3) // 4], 2.0 ** -53, out=u[lane::4])
+
+
 def standard_normal(seed, count):
     """Standard normal variates from the documented Philox stream of each seed.
 
@@ -311,7 +399,10 @@ def standard_normal(seed, count):
     exact conventions. One 64-bit seed gives ``count`` variates; a sequence
     of seeds gives a (len(seeds), count) block whose row i equals
     standard_normal(seeds[i], count) bit for bit. Same seed, same count
-    prefix: bit-identical output.
+    prefix: bit-identical output. One seed's uniforms are computed in numpy
+    arithmetic, without loading numpy.random; a sequence's come from one
+    numpy.random Philox generator re-keyed per row, whose C fill is several
+    times faster per uniform.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
@@ -320,18 +411,18 @@ def standard_normal(seed, count):
     pairs = (count + 1) // 2
     z = np.empty((len(seeds), 2 * pairs), dtype=np.float64)
     if z.size:
-        # one generator, re-keyed per row to where Philox(key=seed) starts:
-        # its start state with key [seed, 0]
-        bitgen = np.random.Philox(key=0)
-        gen = np.random.Generator(bitgen)
-        start = bitgen.state
-        for row, s in zip(z, seeds):
-            s = int(s)
-            if not 0 <= s < 2**64:
-                raise DomainError(f"seed {s} does not fit in an unsigned 64-bit integer")
-            start["state"]["key"][0] = s
-            bitgen.state = start
-            gen.random(out=row)
+        if single:
+            _philox_uniforms(_checked_seed(seed), z[0])
+        else:
+            # one generator, re-keyed per row to where Philox(key=seed)
+            # starts: its start state with key [seed, 0]
+            bitgen = np.random.Philox(key=0)
+            gen = np.random.Generator(bitgen)
+            start = bitgen.state
+            for row, s in zip(z, seeds):
+                start["state"]["key"][0] = _checked_seed(s)
+                bitgen.state = start
+                gen.random(out=row)
         # Box-Muller on every (u1, u2) pair of the block in place; cos(theta)
         # is the one temporary, half the block, which the callers bound
         r, theta = z[:, 0::2], z[:, 1::2]
@@ -450,7 +541,7 @@ def load_problem(path):
     becomes the instance's Kronecker factor; its shape is checked
     (DimensionMismatch) before A is read, and A must then equal kron(T, T)
     bit for bit (DomainError if any bit differs). Without the key an A equal
-    to the Fredholm kernel fill is dropped and any other A is kept.
+    to the Fredholm kernel fill bit for bit is dropped and any other A is kept.
 
     A is streamed through one buffer of a row block at a time, each block
     compared with the same rows of the structure, so a structured file loads
@@ -492,7 +583,9 @@ def load_problem(path):
             if buf is None:
                 buf = np.empty((hi - lo, n), dtype="<f8")   # the first block is the largest
             block = _read_finite(fh, buf[:hi - lo], path)
-            if kron_ok and not np.array_equal(block, rows):
+            # bit patterns, not values: -0.0 == +0.0, yet a file holding
+            # one where the structure has the other is not that structure
+            if kron_ok and not np.array_equal(block.view(np.uint64), rows.view(np.uint64)):
                 if kron_factor is None:
                     fh.seek(8 + hlen)
                     a = _read_finite(fh, np.empty((n, n), dtype="<f8"), path)

@@ -307,7 +307,7 @@ def test_montecarlo_cell_at_small_n_holds_a_bounded_noise_batch(n):
     # the byte bound widens the batch as n falls (16384 rows at n = 2, 546
     # at n = 60); a full batch and a tail stay under the size-cap bound
     reps = _batch_rows(n) + 3
-    standard_normal(0, 2)                  # numpy.random's lazy import is not the cell's
+    standard_normal([0], 2)                # numpy.random's lazy import is not the cell's
     tracemalloc.start()
     try:
         run_montecarlo([n], [0.01], reps)

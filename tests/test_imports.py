@@ -3,7 +3,8 @@ imports scipy or a `_`-prefixed name of `problems` or calls `np.linalg.eigh`,
 only `spectral` reads the basis arrays `psi` and `a_psi`, no function or
 method is reached only from the tests, starting the CLI loads no module
 that only some commands use, a Monte Carlo run loads no thread pool and no
-masked arrays, and a CLI call builds only the subparser of its command."""
+masked arrays, only the commands that draw noise batches load
+numpy.random, and a CLI call builds only the subparser of its command."""
 
 import ast
 import dataclasses
@@ -247,17 +248,40 @@ def test_cli_start_loads_only_what_every_command_runs():
         assert [name for name in names if dataclasses.is_dataclass(getattr(mod, name))] == []
 
 
+# main(argv) in a fresh interpreter: [exit code, every module then loaded]
+_MAIN_PROBE = ("import json, sys\nfrom tikhreg.cli import main\n"
+               "code = main(sys.argv[1:])\nprint(json.dumps([code, sorted(sys.modules)]))\n")
+
+
 def test_montecarlo_loads_no_pool_and_no_masked_arrays(tmp_path):
     # the cells run on plain threads, not a concurrent.futures pool (which
     # loads logging), and the slope-fit guard is not np.unique, which imports
     # numpy.ma on numpy 2
-    probe = ("import json, sys\nfrom tikhreg.cli import main\n"
-             "code = main(sys.argv[1:])\nprint(json.dumps([code, sorted(sys.modules)]))\n")
     argv = ["montecarlo", "--ns", "60,100", "--deltas", "0.1,0.01", "--reps", "4",
             "--threads", "2", "--out", str(tmp_path / "mc")]
-    code, loaded = _fresh(probe, argv)
+    code, loaded = _fresh(_MAIN_PROBE, argv)
     assert code == 0
     assert [m for m in ["numpy.ma", "concurrent.futures", "logging"] if m in loaded] == []
+
+
+def test_only_batched_draws_load_numpy_random(tmp_path):
+    # a one-seed draw (add_noise: solve, adaptive, sweep, table) computes its
+    # Philox uniforms in numpy arithmetic; the Monte Carlo and study batches
+    # take numpy.random's C fill. A numpy that imports numpy.random with
+    # itself (numpy 1.x) loads it for every command
+    eager = "numpy.random" in _fresh("import json, sys, numpy; print(json.dumps(sorted(sys.modules)))")
+    commands = [
+        (["solve", "--n", "60", "--delta", "0.01"], False),
+        (["adaptive", "--n", "60", "--delta", "0.01"], False),
+        (["sweep", "--n", "60", "--delta", "0.01", "--grid-count", "5"], False),
+        (["table", "--ns", "60", "--deltas", "0.1"], False),
+        (["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "4"], True),
+        (["study", "--n", "60", "--delta", "0.01", "--reps", "100"], True),
+    ]
+    for argv, batched in commands:
+        code, loaded = _fresh(_MAIN_PROBE, argv + ["--out", str(tmp_path / argv[0])])
+        assert code == 0
+        assert ("numpy.random" in loaded) == (batched or eager), argv[0]
 
 
 def _fresh_main(argv):

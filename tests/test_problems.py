@@ -28,7 +28,7 @@ from tikhreg import (
     stream_seed,
 )
 from tikhreg.harness import _BATCH_BYTES
-from tikhreg.problems import _row_blocks
+from tikhreg.problems import _PHILOX_CHUNK, _row_blocks
 from tikhreg.spectral import _dense_decompose
 from tikhreg.tikhonov import spectral_solver
 
@@ -217,11 +217,19 @@ def test_standard_normal_pinned_values():
 
 
 def test_batched_rows_equal_one_seed_draws():
+    # a sequence of seeds takes numpy.random's C fill, one seed the numpy-only
+    # Philox, which splits its blocks of four uniforms into equal passes of
+    # at most _PHILOX_CHUNK: the long counts take one full pass, two and
+    # three passes that end on a half-used block, and the size cap, whose
+    # last pass computes two blocks it does not keep
     seeds = [0, 2**64 - 1, 1, 2**63] + [stream_seed(9, 500, 0.01, rep) for rep in range(70)]
-    for count in (0, 1, 2, 7, 63, 64, 65, 500, 501):
-        block = standard_normal(seeds, count)
-        assert block.shape == (len(seeds), count)
-        for row, seed in zip(block, seeds):
+    chunk = 4 * _PHILOX_CHUNK
+    for count in (0, 1, 2, 7, 63, 64, 65, 500, 501, chunk - 1, chunk, chunk + 1, 2 * chunk + 1,
+                  40000):
+        some = seeds if count <= 501 else seeds[:6]
+        block = standard_normal(some, count)
+        assert block.shape == (len(some), count)
+        for row, seed in zip(block, some):
             assert np.array_equal(row, standard_normal(seed, count))
     assert standard_normal([], 5).shape == (0, 5)
 
@@ -250,14 +258,18 @@ def test_batched_block_equals_the_per_row_reference(count):
 
 def test_batched_draw_holds_only_its_block_and_a_bounded_scratch():
     # the blocks callers draw: a full Monte Carlo batch at n = 500 and at
-    # n = 2000, and one row at the n = 40000 size cap (add_noise, or a batch
-    # there). The transform's one temporary is cos(theta), one float64 per
-    # pair; the generator and its state dict take about 3 KB more
-    standard_normal(0, 2)                  # numpy.random's lazy import is not the draw's
+    # n = 2000, one row at the n = 40000 size cap (a batch there), and
+    # add_noise's one-seed draw at each n. The transform's one temporary is
+    # cos(theta), one float64 per pair; the generator and its state dict take
+    # about 3 KB more, and the one-seed fill's scratch at most 15 uint64 per
+    # Philox block of a pass
+    standard_normal([0], 2)                # numpy.random's lazy import is not the draw's
     for n in (500, 2000, 40000):
         seeds = stream_seed(7, n, 0.01, range(max(1, _BATCH_BYTES // (8 * n))))
-        peak, z = _traced_peak(lambda: standard_normal(seeds, n))
-        assert peak <= z.nbytes + 8 * ((n + 1) // 2) * len(seeds) + 8192, (n, peak, z.nbytes)
+        for draw, rows, scratch in ((seeds, len(seeds), 0), (seeds[0], 1, 15 * 8 * _PHILOX_CHUNK)):
+            peak, z = _traced_peak(lambda: standard_normal(draw, n))
+            bound = z.nbytes + 8 * ((n + 1) // 2) * rows + 8192 + scratch
+            assert peak <= bound, (n, rows, peak, z.nbytes)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -567,6 +579,23 @@ def test_prob_a_one_ulp_off_its_kronecker_factor_rejected(tmp_path):
         load_problem(str(path))
 
 
+def _negative_zero(entry):
+    assert entry == 0.0 and not np.signbit(entry)
+    return -0.0
+
+
+def test_prob_a_with_a_zero_of_the_wrong_sign_off_its_kronecker_factor_rejected(tmp_path):
+    # -0.0 == +0.0, so only a comparison of bit patterns sees this flip; T
+    # holds hundreds of zeros at this width
+    inst = build_blur(32, 0.3)
+    row, col = np.argwhere(inst.dense_a() == 0.0)[0]
+    path = tmp_path / "signed.prob"
+    save_problem(inst, str(path))
+    _edit_a(path, inst.n, {(row, col): _negative_zero})
+    with pytest.raises(DomainError, match="kron"):
+        load_problem(str(path))
+
+
 def test_instance_a_not_kronecker_of_its_factor_rejected():
     # an instance holds an explicit A or a factor, never both, even when the
     # A is kron(T, T) itself; a file's A is checked against its factor by
@@ -612,6 +641,17 @@ def test_prob_a_one_ulp_off_the_kernel_fill_takes_dense_route(tmp_path):
     dec, reference = decompose(back), _dense_decompose(back)
     for field in ("rho", "psi", "a_psi"):
         assert np.array_equal(getattr(dec, field), getattr(reference, field))
+
+
+def test_prob_a_with_a_zero_of_the_wrong_sign_off_the_kernel_fill_takes_dense_route(tmp_path):
+    # row 0 of the kernel fill (the node t = 0) is all +0.0
+    n = 40
+    path = tmp_path / "signed.prob"
+    save_problem(build_fredholm(n), str(path))
+    _edit_a(path, n, {(0, n // 3): _negative_zero})
+    back = load_problem(str(path))
+    assert back.a is not None           # the dense route
+    assert np.signbit(back.a[0, n // 3]) and np.array_equal(back.a, build_fredholm(n).dense_a())
 
 
 @pytest.mark.parametrize("where", ["first-block", "middle-block", "last-row"])
