@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import TikhregError
+from .errors import _U64, DomainError, TikhregError, _integer
 from .harness import (
     run_montecarlo,
     run_sample_study,
@@ -48,13 +48,11 @@ from .tikhonov import error_report, spectral_solver
 
 
 def _seed_type(text):
+    # a decimal, 0x, 0o or 0b literal, checked as standard_normal checks a seed
     try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+        return _integer(int(text, 0), "seed", *_U64)
+    except (ValueError, DomainError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _list_of(convert, what):

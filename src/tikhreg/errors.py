@@ -1,4 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of each kind of number.
+
+Every number a public callable takes goes through _integer or _real, which
+decide by the argument's kind, not by whether int() or float() would take
+it:
+
+- a bool (Python or numpy) is neither an integer nor a real;
+- a float or a string is not an integer;
+- a string, a NaN, an infinity and an array (of any shape, 0-d included) are
+  not reals;
+- Python and numpy integer and float scalars pass.
+
+The kinds are numbers.Integral and numbers.Real less bool: numpy registers
+its integer and float scalars there, and neither its bool nor its arrays. So
+the rule is the same on every numpy, whichever arrays float() converts. A
+value of the wrong kind or outside its bounds raises DomainError (or the
+class the caller names), never TypeError, and is never truncated.
+"""
+
+import math
+import numbers
+import operator
+
+# the bounds and the name of an unsigned 64-bit integer, the kind of a seed
+_U64 = (0, 2**64, "an unsigned 64-bit integer")
 
 
 class TikhregError(Exception):
@@ -47,3 +71,27 @@ class DegenerateSolution(TikhregError):
 
 class DegenerateSample(TikhregError):
     """A sample is constant, so standardization is undefined."""
+
+
+def _integer(v, what, lo=-math.inf, hi=math.inf, span=None):
+    """v as a Python int with lo <= v < hi, else DomainError naming span or [lo, hi)."""
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+        raise DomainError(f"{what} must be an integer, got {v!r}")
+    v = operator.index(v)
+    if not lo <= v < hi:
+        raise DomainError(f"{what} must be {span or f'an integer in [{lo}, {hi})'}, got {v}")
+    return v
+
+
+def _real(v, what, lo, strict=True, error=DomainError):
+    """v as a finite float above lo (at or above it if not strict), else error."""
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        raise error(f"{what} must be a real number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:                   # an integer beyond the largest float64
+        v = math.inf
+    if v < math.inf and (lo < v if strict else lo <= v):
+        return v
+    bound = "positive" if strict and lo == 0 else f"{'>' if strict else '>='} {lo}"
+    raise error(f"{what} must be finite and {bound}, got {v!r}")

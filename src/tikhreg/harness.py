@@ -42,7 +42,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateSample, DomainError, SizeCap
+from .errors import DegenerateSample, DomainError, SizeCap, _integer, _real
 from .params import adaptive_select, rule_lambda
 from .problems import add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed
 from .spectral import _check_lambda, decompose, filter_errors
@@ -142,13 +142,12 @@ def run_sweep(instance, delta, seed, grid, rule="rho0", alpha=4.0, constant_c=1.
     with a NaN error. The errors leave out ||y_perp||^2 (module docstring).
     """
     lo, hi, count = grid
-    if not (0 < lo < hi < math.inf):
-        raise DomainError(f"grid needs finite 0 < lo < hi, got ({lo}, {hi})")
-    if count < 2:
-        raise DomainError(f"grid needs count >= 2, got {count}")
+    lo = _real(lo, "grid needs finite 0 < lo < hi; lo", 0)
+    hi = _real(hi, "grid needs finite 0 < lo < hi; hi", lo)
+    count = _integer(count, "grid count", 2)
     if count > _GRID_CAP:
         raise SizeCap(f"grid count {count} exceeds the {_GRID_CAP} cap")
-    lambdas = np.logspace(math.log10(lo), math.log10(hi), int(count))
+    lambdas = np.logspace(math.log10(lo), math.log10(hi), count)
     data = add_noise(instance, delta, seed)
     lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
     # sigma == 0 makes the rule return 0, which filter_errors rejects; keep
@@ -214,6 +213,7 @@ def _instances(ns, deltas, master_seed, problem):
     # give no cell at all
     if not (len(ns) and len(deltas)):
         raise DomainError(f"sizes {list(ns)} and deltas {list(deltas)} must both be nonempty")
+    ns = [_integer(n, "size") for n in ns]
     if len(set(ns)) < len(ns):
         raise DomainError(f"sizes {list(ns)} repeat a size")
     if len({stream_seed(master_seed, 0, d, 0) for d in deltas}) < len(deltas):
@@ -268,15 +268,10 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     that a scaled error overflows float64 raises DomainError. The errors
     leave out ||y_perp||^2 (module docstring).
     """
-    if reps < 2:
-        raise DomainError(f"reps must be >= 2, got {reps}")
+    reps, threads = _integer(reps, "reps", 2), _integer(threads, "threads", 1)
     if reps > _REPS_CAP:
         raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    for d in deltas:
-        if not d > 0:
-            raise DomainError(f"deltas must be positive, got {d}")
+    deltas = [_real(d, "deltas", 0) for d in deltas]
     insts, grid = {}, []
     for n, inst in _instances(ns, deltas, master_seed, problem):
         insts[n] = inst
@@ -329,15 +324,13 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     overflows float64 raises DomainError. The samples leave out ||y_perp||^2
     (module docstring).
     """
-    if reps < 100:
-        raise DomainError(f"reps must be >= 100, got {reps}")
+    reps = _integer(reps, "reps", 100)
     if reps > _REPS_CAP:
         raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
     sigma = noise_sigma(instance, delta)
     stream_seed(master_seed, instance.n, delta, 0)
-    if not 1 <= bins <= reps:
-        raise DomainError(f"bins must be between 1 and reps = {reps}, got {bins}")
-    _check_lambda(lam)
+    bins = _integer(bins, "bins", 1, reps + 1, f"between 1 and reps = {reps}")
+    lam = _check_lambda(lam)
     # the b-errors are dropped at once; from here on every per-rep value is
     # held in one of three float64 arrays, with no Python float per rep
     samples = _scaled_errors(instance, decompose(instance), sigma, delta, lam, reps,

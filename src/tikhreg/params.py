@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple
 
-from .errors import DegenerateSolution, DomainError, ZeroSolutionNorm
+from .errors import DegenerateSolution, DomainError, ZeroSolutionNorm, _integer, _real
 from .tikhonov import RegularizedSolution
 
 # Updates below this are treated as vanished; solving there is pointless.
@@ -24,10 +24,7 @@ _LAMBDA_FLOOR = 1e-300
 
 
 def _check_rule_constants(alpha, constant_c):
-    if not 1 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
-    if not 0 < constant_c < math.inf:
-        raise DomainError(f"constant_c must be finite and positive, got {constant_c}")
+    return _real(alpha, "alpha", 1), _real(constant_c, "constant_c", 0)
 
 
 @dataclass(frozen=True)
@@ -39,14 +36,13 @@ class AdaptiveConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        _check_rule_constants(self.alpha, self.constant_c)
-        # tol = inf would pass the stop test after the first update
-        if not 0 < self.tol < math.inf:
-            raise DomainError(f"tol must be finite and positive, got {self.tol}")
+        # the checked Python numbers replace the fields, written past the frozen
+        # __setattr__; tol = inf would pass the stop test after the first update
+        alpha, constant_c = _check_rule_constants(self.alpha, self.constant_c)
+        self.__dict__.update(alpha=alpha, constant_c=constant_c, tol=_real(self.tol, "tol", 0),
+                             max_iters=_integer(self.max_iters, "max_iters", 1))
         if self.stop_mode not in ("absolute", "relative"):
             raise DomainError(f"stop_mode must be absolute or relative, got {self.stop_mode!r}")
-        if self.max_iters < 1:
-            raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 class AdaptiveTrace(NamedTuple):
@@ -88,9 +84,8 @@ def rule_lambda(rule, alpha, instance, sigma, constant_c=1.0):
     then sigma (finite and >= 0), then the rule name are checked, each
     raising DomainError; q = 0 raises ZeroSolutionNorm.
     """
-    _check_rule_constants(alpha, constant_c)
-    if sigma < 0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
+    alpha, constant_c = _check_rule_constants(alpha, constant_c)
+    sigma = _real(sigma, "sigma", 0, strict=False)
     if rule not in ("w", "rho0"):
         raise DomainError(f"unknown rule {rule!r} (expected 'w' or 'rho0')")
     x = instance.x_star
@@ -105,8 +100,11 @@ def rule_lambda(rule, alpha, instance, sigma, constant_c=1.0):
 
 
 def initial_lambda(alpha, n):
-    """Starting parameter: lambda_0 = n^{-alpha/(alpha+1)}."""
-    return float(n) ** (-alpha / (alpha + 1.0))
+    """Starting parameter: lambda_0 = n^{-alpha/(alpha+1)}, for finite alpha > 1 and an
+    integer n >= 2 (DomainError otherwise)."""
+    alpha = _real(alpha, "alpha", 1)
+    # float(n), refusing an n beyond the largest float64
+    return _real(_integer(n, "n", 2), "n", 2, strict=False) ** (-alpha / (alpha + 1.0))
 
 
 def adaptive_select(instance, cfg, solver):

@@ -17,9 +17,10 @@ xi iid standard normal from the generator of seed and
 sigma = noise_sigma(instance, delta) = delta * n^{-1/2} * ||y||, so delta is
 the relative noise level and sigma the per-component standard deviation.
 noise_sigma is the one check of delta (finite and >= 0), and standard_normal
-the one check of a seed (an unsigned 64-bit integer). Seeds, stream keys and
-sizes are taken through operator.index, so a Python or numpy integer passes
-and a float or a string raises DomainError instead of being truncated.
+the one check of a seed (an unsigned 64-bit integer). Seeds, stream keys,
+sizes and delta are checked by kind in errors (_integer and _real), so a
+Python or numpy integer passes and a bool, a float where an integer is due or
+a string raises DomainError instead of being truncated or parsed.
 
 Reproducibility. All Gaussian variates come from a Philox4x64-10 counter
 generator keyed directly by the caller's 64-bit seed (counter starts at 0):
@@ -119,7 +120,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -127,7 +127,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SizeCap
+from .errors import _U64, DimensionMismatch, DomainError, SizeCap, _integer, _real
 from .linalg import weight_factor
 
 _PROB_MAGIC = "prob"
@@ -155,7 +155,8 @@ class ProblemInstance:
 
     a is an explicit (n, n) A, or None when the instance's structure defines
     A: kron(T, T) with a Kronecker factor T, else the kernel fill of
-    build_fredholm(n). Giving both a and a factor raises DomainError.
+    build_fredholm(n). Giving both a and a factor raises DomainError, as does
+    an n that is not an integer >= 2.
     dense_a() returns A as an (n, n) array either way. w is None (the
     identity) or an explicit W, checked and symmetrized here, with its lower
     Cholesky factor in w_chol (linalg.weight_factor).
@@ -172,8 +173,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         a, t = self.a, self.kron_factor
-        if self.n < 2:
-            raise DomainError(f"instance needs n >= 2, got {self.n}")
+        self.n = _integer(self.n, "n", 2)
         if a is not None and t is not None:
             raise DomainError("an instance holds an explicit A or a Kronecker factor, not both")
         if a is not None and a.shape != (self.n, self.n):
@@ -206,14 +206,6 @@ def _check_factor_shape(t, n):
     if t is not None and [d * d for d in np.shape(t)] != [n, n]:
         raise DimensionMismatch(
             f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {n}")
-
-
-def _integer(v, what):
-    # v as a Python int; a float, a string or any other non-integer is refused
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {v!r}") from None
 
 
 def _check_size_cap(n, what):
@@ -276,9 +268,7 @@ def build_fredholm(n):
     x(t) = -6 t^2 (1-t) (2 - 8t + 7t^2) sampled at the midpoints. No n x n
     array is formed: y = A x* is two prefix sums (module docstring).
     """
-    n = _integer(n, "n")
-    if n < 2:
-        raise DomainError(f"build_fredholm needs n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     _check_size_cap(n, f"n = {n}")
     tm = _midpoints(n)  # x* lives on the midpoint grid
     x_star = -6.0 * tm**2 * (1.0 - tm) * (2.0 - 8.0 * tm + 7.0 * tm**2)
@@ -319,15 +309,13 @@ def build_blur(side, psf_width):
     psf_width is in pixels; one whose 2 psf_width^2 is not a finite positive
     float raises DomainError before anything is allocated.
     """
-    side = _integer(side, "side")
-    if side < 4:
-        raise DomainError(f"build_blur needs side >= 4, got {side}")
+    side = _integer(side, "side", 4)
     _check_size_cap(side * side, f"side^2 = {side * side}")
     try:
-        two_w_sq = 2.0 * psf_width**2
+        two_w_sq = 2.0 * _real(psf_width, "psf_width", 0) ** 2
     except OverflowError:
         two_w_sq = math.inf
-    if not (psf_width > 0 and 0.0 < two_w_sq < math.inf):
+    if not 0.0 < two_w_sq < math.inf:
         raise DomainError(f"psf_width must be positive with 2 psf_width^2 a finite positive "
                           f"float, got {psf_width}")
     d = np.arange(side, dtype=np.float64)
@@ -345,13 +333,6 @@ def build_blur(side, psf_width):
         n=side * side, a=None, x_star=x_star, y=y, w=None, label="blur",
         kron_factor=t,
     )
-
-
-def _checked_seed(s):
-    s = _integer(s, "seed")
-    if not 0 <= s < 2**64:
-        raise DomainError(f"seed {s} does not fit in an unsigned 64-bit integer")
-    return s
 
 
 def _philox_uniforms(seed, out):
@@ -415,17 +396,20 @@ def standard_normal(seed, count):
     prefix: bit-identical output. One seed's uniforms are computed in numpy
     arithmetic, without loading numpy.random; a sequence's come from one
     numpy.random Philox generator re-keyed per row, whose C fill is several
-    times faster per uniform.
+    times faster per uniform. Every seed is checked, whatever the count, and
+    a block too large to allocate raises SizeCap.
     """
-    if count < 0:
-        raise DomainError("count must be nonnegative")
-    single = np.isscalar(seed)
-    seeds = [seed] if single else seed
-    pairs = (count + 1) // 2
-    z = np.empty((len(seeds), 2 * pairs), dtype=np.float64)
+    count = _integer(count, "count", 0)
+    # anything not iterable (a 0-d array included) is one seed, refused below
+    single = np.isscalar(seed) or not np.iterable(seed)
+    seeds = [_integer(s, "seed", *_U64) for s in ([seed] if single else seed)]
+    try:
+        z = np.empty((len(seeds), count + count % 2), dtype=np.float64)
+    except (ValueError, MemoryError) as exc:
+        raise SizeCap(f"{len(seeds)} x {count} variates: {exc}") from None
     if z.size:
         if single:
-            _philox_uniforms(_checked_seed(seed), z[0])
+            _philox_uniforms(seeds[0], z[0])
         else:
             # one generator, re-keyed per row to where Philox(key=seed)
             # starts: its start state with key [seed, 0]
@@ -433,7 +417,7 @@ def standard_normal(seed, count):
             gen = np.random.Generator(bitgen)
             start = bitgen.state
             for row, s in zip(z, seeds):
-                start["state"]["key"][0] = _checked_seed(s)
+                start["state"]["key"][0] = s
                 bitgen.state = start
                 gen.random(out=row)
         # Box-Muller on every (u1, u2) pair of the block in place; cos(theta)
@@ -462,9 +446,10 @@ def stream_seed(master_seed, n, delta, rep):
     delta, or one above about 1.8e302). master_seed, n and each rep must be
     integers, or DomainError is raised: a truncated 1.5 would repeat rep 1's
     stream. A sequence of reps gives the list of their seeds, each equal to
-    the one-rep call; the shared tag prefix is hashed once.
+    the one-rep call; the shared tag prefix is hashed once. delta must be
+    finite and >= 0, as noise_sigma checks it.
     """
-    scaled = delta * 1e6
+    scaled = _real(delta, "delta", 0, strict=False) * 1e6
     if not math.isfinite(scaled) or (delta != 0 and round(scaled) == 0):
         raise DomainError(f"delta = {delta!r} has no noise stream of its own; "
                           f"use 0 or > 5e-7 with delta*1e6 finite")
@@ -476,7 +461,7 @@ def stream_seed(master_seed, n, delta, rep):
         h.update(str(_integer(r, "rep")).encode("ascii"))
         return int.from_bytes(h.digest()[:8], "little")
 
-    return seed(rep) if np.isscalar(rep) else [seed(r) for r in rep]
+    return seed(rep) if np.isscalar(rep) or not np.iterable(rep) else [seed(r) for r in rep]
 
 
 def noise_sigma(instance, delta):
@@ -486,8 +471,7 @@ def noise_sigma(instance, delta):
     from delta to sigma (add_noise, the drivers, the CLI) runs through here,
     so this is the one check of delta.
     """
-    if not 0 <= delta < math.inf:
-        raise DomainError(f"delta must be finite and >= 0, got {delta}")
+    delta = _real(delta, "delta", 0, strict=False)
     return delta * float(np.linalg.norm(instance.y)) / math.sqrt(instance.n)
 
 
@@ -501,7 +485,8 @@ def add_noise(instance, delta, seed):
     """
     sigma = noise_sigma(instance, delta)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = instance.y + sigma * standard_normal(seed, instance.n)
+        # one seed: _integer refuses a sequence, which standard_normal would batch
+        b = instance.y + sigma * standard_normal(_integer(seed, "seed"), instance.n)
         b_sq = float(b @ b)
     if not math.isfinite(b_sq):
         raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes ||b||^2 "

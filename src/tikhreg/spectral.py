@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InsufficientSpectrum, NonFiniteLambda
+from .errors import ConvergenceFailure, InsufficientSpectrum, NonFiniteLambda, _real
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1. No route loses
 # precision near that level, since none forms A^T A: the threshold is a fixed
@@ -314,10 +314,7 @@ def fit_alpha(decomp):
 
 
 def _check_lambda(lam):
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise NonFiniteLambda(f"lambda must be finite and positive, got {lam!r}")
-    return lam
+    return _real(lam, "lambda", 0, error=NonFiniteLambda)
 
 
 def filter_errors(decomp, d, d_noise, lam):

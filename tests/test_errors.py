@@ -1,0 +1,299 @@
+"""The one check of each kind of number (errors._integer and errors._real).
+
+Every scalar argument of a public callable goes through one of the two, so a
+bool, a string, a float where an integer is due, a NaN, an infinity or an
+array raises a TikhregError, never TypeError and never a truncated or parsed
+value. The property tests draw every scalar argument of each public callable
+from such wrong kinds (and from valid values, numpy scalars among them): the
+call either succeeds, and then no argument was of a refused kind, or raises
+a TikhregError, with no other exception and no warning.
+"""
+
+import ast
+import math
+import os
+import warnings
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tikhreg
+from tikhreg import (
+    AdaptiveConfig,
+    DomainError,
+    NonFiniteLambda,
+    ProblemInstance,
+    SizeCap,
+    TikhregError,
+    add_noise,
+    build_blur,
+    build_fredholm,
+    decompose,
+    filter_errors,
+    initial_lambda,
+    noise_sigma,
+    rule_lambda,
+    run_montecarlo,
+    run_sample_study,
+    run_sweep,
+    run_table,
+    save_problem,
+    spectral_solver,
+    standard_normal,
+    stream_seed,
+)
+from tikhreg.errors import _integer, _real
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "tikhreg")
+
+_FRED = build_fredholm(20)
+_DECOMP = decompose(_FRED)
+_B = add_noise(_FRED, 0.05, 1).b
+_D, _D_NOISE = _DECOMP.project(_B), _DECOMP.project(_B - _FRED.y)
+
+
+# ---------------------------------------------------------------------------
+# the rule itself
+
+@pytest.mark.parametrize("v", [3, -7, 2**70, np.int64(3), np.uint64(2**64 - 1), np.int8(-2)])
+def test_python_and_numpy_integers_are_integers(v):
+    got = _integer(v, "k")
+    assert type(got) is int and got == int(v)
+
+
+@pytest.mark.parametrize("v", [True, False, np.True_, 3.0, np.float64(3.0), "3", None,
+                               np.array(3), np.array([3]), math.nan, math.inf])
+def test_bools_floats_strings_and_arrays_are_not_integers(v):
+    with pytest.raises(DomainError, match="k must be an integer, got"):
+        _integer(v, "k")
+
+
+@pytest.mark.parametrize("v", [0.5, 3, np.float64(0.5), np.float32(0.5), np.int64(3), np.uint8(3)])
+def test_python_and_numpy_numbers_are_reals(v):
+    got = _real(v, "x", 0)
+    assert type(got) is float and got == float(v)
+
+
+@pytest.mark.parametrize("v", [True, np.False_, "0.5", None, np.array(0.5), np.array([0.5]),
+                               1 + 0j])
+def test_bools_strings_and_arrays_are_not_reals(v):
+    with pytest.raises(NonFiniteLambda, match="x must be a real number, got"):
+        _real(v, "x", 0, error=NonFiniteLambda)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, np.float64(math.nan), 2**1100,
+                               -(2**1100)])
+def test_non_finite_values_are_refused_as_reals(v):
+    with pytest.raises(DomainError, match="x must be finite and >= 0, got"):
+        _real(v, "x", 0, strict=False)
+
+
+def test_bounds_and_their_messages():
+    assert _real(0, "x", 0, strict=False) == 0.0 and _integer(0, "k", 0) == 0
+    with pytest.raises(DomainError, match=r"x must be finite and positive, got 0\.0"):
+        _real(0, "x", 0)
+    with pytest.raises(DomainError, match=r"x must be finite and > 1, got 1\.0"):
+        _real(np.float64(1.0), "x", 1)
+    with pytest.raises(DomainError, match=r"k must be an integer in \[2, 5\), got 5"):
+        _integer(np.int64(5), "k", 2, 5)
+    with pytest.raises(DomainError, match="k must be odd, got 4"):
+        _integer(4, "k", 5, span="odd")
+
+
+def test_the_decision_lives_in_errors_alone():
+    # operator.index is called nowhere else, and no other module defines a
+    # check of its own under these names
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "errors.py"):
+        with open(os.path.join(SRC, module)) as fh:
+            text = fh.read()
+        defined = {node.name for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.FunctionDef)}
+        assert "operator.index" not in text, module
+        assert not defined & {"_integer", "_real", "_checked_seed"}, module
+
+
+# ---------------------------------------------------------------------------
+# the calls that raised TypeError, truncated, parsed or accepted a wrong kind
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: stream_seed(0, 10, "0.1", 0), DomainError),
+    (lambda: noise_sigma(_FRED, "0.1"), DomainError),
+    (lambda: rule_lambda("w", "4", _FRED, 0.1), DomainError),
+    (lambda: AdaptiveConfig(alpha=4.0, tol="1"), DomainError),
+    (lambda: run_sweep(_FRED, 0.01, 0, (1e-8, 1e-4, 10.7)), DomainError),
+    (lambda: AdaptiveConfig(alpha=4.0, tol=True), DomainError),
+    (lambda: AdaptiveConfig(alpha=4.0, max_iters=2.5), DomainError),
+    (lambda: filter_errors(_DECOMP, _D, _D_NOISE, True), NonFiniteLambda),
+    (lambda: run_sample_study(_FRED, 0.1, "1e-6", 100), NonFiniteLambda),
+    (lambda: run_montecarlo([20], [0.1], 4, threads=1.5), DomainError),
+    (lambda: standard_normal(True, 3), DomainError),
+    (lambda: initial_lambda("4", 60), DomainError),
+    (lambda: initial_lambda(4.0, 60.0), DomainError),
+    (lambda: add_noise(_FRED, 0.1, [3]), DomainError),
+    (lambda: run_table([np.array([20])], [0.1], AdaptiveConfig(alpha=4.0)), DomainError),
+], ids=["stream_seed-delta-str", "noise_sigma-str", "rule_lambda-alpha-str", "tol-str",
+        "sweep-count-float", "tol-bool", "max_iters-float", "filter_errors-lam-bool",
+        "study-lam-str", "montecarlo-threads-float", "standard_normal-seed-bool",
+        "initial_lambda-alpha-str", "initial_lambda-n-float", "add_noise-seed-list",
+        "table-size-array"])
+def test_a_wrong_kind_raises_a_typed_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("seed", [5.7, [1.5, "x"], -1, [3, 2**64], True])
+def test_a_count_of_zero_still_checks_every_seed(seed):
+    with pytest.raises(DomainError, match="seed"):
+        standard_normal(seed, 0)
+
+
+def test_a_count_of_zero_returns_an_empty_draw():
+    assert standard_normal(3, 0).shape == (0,)
+    assert standard_normal([3, 4], 0).shape == (2, 0)
+
+
+def test_a_draw_too_large_to_allocate_raises_size_cap():
+    # 8 PB, and more elements than an array can hold: numpy refuses both
+    # before touching any memory
+    for count in (10**15, 2**64):
+        with pytest.raises(SizeCap, match="variates"):
+            standard_normal(3, count)
+
+
+def test_an_instance_size_must_be_an_integer(tmp_path):
+    # (60.0, 60.0) == (60, 60), so the shapes accepted a float n, and
+    # save_problem then failed after opening its file
+    path = tmp_path / "f.prob"
+    f = build_fredholm(60)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        save_problem(ProblemInstance(n=60.0, a=None, x_star=f.x_star, y=f.y, w=None,
+                                     label="f"), str(path))
+    assert not path.exists()
+    inst = ProblemInstance(n=np.int64(60), a=None, x_star=f.x_star, y=f.y, w=None, label="f")
+    assert type(inst.n) is int
+
+
+def test_initial_lambda_keeps_its_value():
+    assert initial_lambda(4.0, 60) == 60.0 ** (-0.8)
+    assert initial_lambda(np.float64(4.0), np.int64(60)) == 60.0 ** (-0.8)
+
+
+def test_adaptive_config_holds_python_numbers():
+    cfg = AdaptiveConfig(alpha=np.float64(4.0), constant_c=np.int64(2), tol=np.float32(0.5),
+                         max_iters=np.uint8(7))
+    assert [type(v) for v in (cfg.alpha, cfg.constant_c, cfg.tol, cfg.max_iters)] == [
+        float, float, float, int]
+    assert cfg == AdaptiveConfig(alpha=4.0, constant_c=2.0, tol=0.5, max_iters=7)
+
+
+# ---------------------------------------------------------------------------
+# property tests: every scalar argument of every public callable
+
+# values of a wrong kind, or of the right kind and out of range or huge
+_WRONG = [
+    "1", "0.1", "", None,
+    True, False, np.True_, np.False_,
+    1.5, 60.0, -0.5,
+    math.nan, math.inf, -math.inf,
+    -1, 0,
+    2**64, 10**30, 2**1100, 10**15, 1e300, -1e300,
+    np.array([3]), np.array([0.5]),
+]
+
+
+def _drawn(valid):
+    # the valid value or a numpy scalar of it, as often as a wrong one (its
+    # 0-d array among them), so that every argument but one is often valid
+    scalars = (np.int64, np.uint32) if isinstance(valid, int) else (np.float64, np.float32)
+    return st.one_of(st.sampled_from([valid, *(f(valid) for f in scalars)]),
+                     st.sampled_from([np.array(valid), *_WRONG]))
+
+
+def _refused(kind, v):
+    # does the rule refuse v outright, whatever the argument's bounds? kind
+    # "int" or "real" is the argument's own kind; "seeds" is an integer that
+    # may also be a sequence of them
+    if isinstance(v, np.ndarray):
+        return not (kind == "seeds" and v.ndim == 1) or _refused("int", v[0])
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return True
+    if kind in ("int", "seeds"):
+        return not isinstance(v, (int, np.integer))
+    try:
+        return not math.isfinite(v)
+    except OverflowError:             # an integer beyond the largest float64
+        return True
+
+
+# public callable -> (call, {argument: (kind, valid value)})
+_SCALAR_CALLS = {
+    "build_fredholm": (build_fredholm, {"n": ("int", 20)}),
+    "build_blur": (build_blur, {"side": ("int", 8), "psf_width": ("real", 2.0)}),
+    "ProblemInstance": (partial(ProblemInstance, a=None, x_star=_FRED.x_star, y=_FRED.y, w=None,
+                                label="f"), {"n": ("int", 20)}),
+    "standard_normal": (standard_normal, {"seed": ("seeds", 3), "count": ("int", 6)}),
+    "stream_seed": (stream_seed, {"master_seed": ("int", 0), "n": ("int", 20),
+                                  "delta": ("real", 0.1), "rep": ("seeds", 1)}),
+    "noise_sigma": (partial(noise_sigma, _FRED), {"delta": ("real", 0.1)}),
+    "add_noise": (partial(add_noise, _FRED), {"delta": ("real", 0.1), "seed": ("int", 3)}),
+    "filter_errors": (partial(filter_errors, _DECOMP, _D, _D_NOISE), {"lam": ("real", 1e-6)}),
+    "spectral_solver": (spectral_solver(_DECOMP, _FRED, _B), {"lam": ("real", 1e-6)}),
+    "rule_lambda": (
+        lambda alpha, sigma, constant_c: rule_lambda("rho0", alpha, _FRED, sigma, constant_c),
+        {"alpha": ("real", 4.0), "sigma": ("real", 1e-3), "constant_c": ("real", 1.0)}),
+    "initial_lambda": (initial_lambda, {"alpha": ("real", 4.0), "n": ("int", 20)}),
+    "AdaptiveConfig": (AdaptiveConfig, {"alpha": ("real", 4.0), "constant_c": ("real", 1.0),
+                                        "tol": ("real", 1e-10), "max_iters": ("int", 5)}),
+    "run_sweep": (
+        lambda delta, seed, lo, hi, count, alpha, constant_c: run_sweep(
+            _FRED, delta, seed, (lo, hi, count), alpha=alpha, constant_c=constant_c),
+        {"delta": ("real", 0.01), "seed": ("int", 0), "lo": ("real", 1e-10),
+         "hi": ("real", 1e-4), "count": ("int", 5), "alpha": ("real", 4.0),
+         "constant_c": ("real", 1.0)}),
+    "run_montecarlo": (
+        lambda delta, reps, **kw: run_montecarlo([20], [delta], reps, **kw),
+        {"delta": ("real", 0.1), "reps": ("int", 4), "constant_c": ("real", 1.0),
+         "master_seed": ("int", 0), "alpha": ("real", 4.0), "threads": ("int", 1)}),
+    "run_sample_study": (
+        partial(run_sample_study, _FRED),
+        {"delta": ("real", 0.1), "lam": ("real", 1e-6), "reps": ("int", 100),
+         "master_seed": ("int", 0), "bins": ("int", 10)}),
+    "run_table": (
+        lambda delta, master_seed: run_table([20], [delta], AdaptiveConfig(alpha=4.0, max_iters=5),
+                                             master_seed),
+        {"delta": ("real", 0.1), "master_seed": ("int", 0)}),
+}
+
+# public callables whose arguments are instances, arrays, records, paths or
+# names, not numbers; the records are plain NamedTuples that check nothing
+_NO_NUMBER = {
+    "AdaptiveTrace", "AlphaFit", "ErrorReport", "MonteCarloCell", "MonteCarloSummary",
+    "NoisyData", "RegularizedSolution", "SampleStudy", "SpectralDecomposition", "SweepResult",
+    "TableRow", "adaptive_select", "decompose", "error_report", "fit_alpha", "load_problem",
+    "save_problem", "spectrum_rows",
+}
+
+
+def test_every_public_callable_is_classified():
+    public = {name for name in tikhreg.__all__ if callable(getattr(tikhreg, name))
+              and not (isinstance(getattr(tikhreg, name), type)
+                       and issubclass(getattr(tikhreg, name), Exception))}
+    assert public == set(_SCALAR_CALLS) | _NO_NUMBER
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_CALLS))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_scalar_argument_is_checked_by_kind(name, data):
+    call, args = _SCALAR_CALLS[name]
+    kwargs = {arg: data.draw(_drawn(valid), label=arg) for arg, (_, valid) in args.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(**kwargs)
+        except TikhregError:
+            return
+    assert not [arg for arg, (kind, _) in args.items() if _refused(kind, kwargs[arg])]
