@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check of each kind of number.
+"""Exception types shared across the package, and the one check of each kind of argument.
 
 Every number a public callable takes goes through _integer or _real, which
 decide by the argument's kind, not by whether int() or float() would take
@@ -15,6 +15,12 @@ its integer and float scalars there, and neither its bool nor its arrays. So
 the rule is the same on every numpy, whichever arrays float() converts. A
 value of the wrong kind or outside its bounds raises DomainError (or the
 class the caller names), never TypeError, and is never truncated.
+
+Every name (a rule, a stop mode, a label) goes through _name, by the same
+rule: a str passes, a subclass of it such as numpy's str_ included, and
+comes back as a Python str; bytes, an array of strings (whose == and `in`
+compare element by element) and anything else raise DomainError, as does a
+str outside the name's choices.
 """
 
 import math
@@ -95,3 +101,11 @@ def _real(v, what, lo, strict=True, error=DomainError):
         return v
     bound = "positive" if strict and lo == 0 else f"{'>' if strict else '>='} {lo}"
     raise error(f"{what} must be finite and {bound}, got {v!r}")
+
+
+def _name(v, what, choices=None):
+    """v as a Python str, one of choices if given, else DomainError."""
+    if isinstance(v, str) and (choices is None or v in choices):
+        return str(v)
+    expected = "a string" if choices is None else " or ".join(map(repr, choices))
+    raise DomainError(f"{what} must be {expected}, got {v!r}")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple
 
-from .errors import DegenerateSolution, DomainError, ZeroSolutionNorm, _integer, _real
+from .errors import DegenerateSolution, ZeroSolutionNorm, _integer, _name, _real
 from .tikhonov import RegularizedSolution
 
 # Updates below this are treated as vanished; solving there is pointless.
@@ -36,13 +36,13 @@ class AdaptiveConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        # the checked Python numbers replace the fields, written past the frozen
-        # __setattr__; tol = inf would pass the stop test after the first update
+        # the checked Python numbers and name replace the fields, written past
+        # the frozen __setattr__; tol = inf would pass the stop test after the
+        # first update
         alpha, constant_c = _check_rule_constants(self.alpha, self.constant_c)
         self.__dict__.update(alpha=alpha, constant_c=constant_c, tol=_real(self.tol, "tol", 0),
-                             max_iters=_integer(self.max_iters, "max_iters", 1))
-        if self.stop_mode not in ("absolute", "relative"):
-            raise DomainError(f"stop_mode must be absolute or relative, got {self.stop_mode!r}")
+                             max_iters=_integer(self.max_iters, "max_iters", 1),
+                             stop_mode=_name(self.stop_mode, "stop_mode", ("absolute", "relative")))
 
 
 class AdaptiveTrace(NamedTuple):
@@ -86,8 +86,7 @@ def rule_lambda(rule, alpha, instance, sigma, constant_c=1.0):
     """
     alpha, constant_c = _check_rule_constants(alpha, constant_c)
     sigma = _real(sigma, "sigma", 0, strict=False)
-    if rule not in ("w", "rho0"):
-        raise DomainError(f"unknown rule {rule!r} (expected 'w' or 'rho0')")
+    rule = _name(rule, "rule", ("w", "rho0"))
     x = instance.x_star
     wx = x if instance.w is None else instance.w @ x
     # ||x*||_W = sqrt(x*^T W x*), a tiny negative round-off read as 0

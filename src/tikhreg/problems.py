@@ -20,7 +20,8 @@ noise_sigma is the one check of delta (finite and >= 0), and standard_normal
 the one check of a seed (an unsigned 64-bit integer). Seeds, stream keys,
 sizes and delta are checked by kind in errors (_integer and _real), so a
 Python or numpy integer passes and a bool, a float where an integer is due or
-a string raises DomainError instead of being truncated or parsed.
+a string raises DomainError instead of being truncated or parsed; an
+instance's label goes through errors._name, so it is a Python str.
 
 Reproducibility. All Gaussian variates come from a Philox4x64-10 counter
 generator keyed directly by the caller's 64-bit seed (counter starts at 0):
@@ -104,9 +105,14 @@ little-endian header length, a UTF-8 JSON header
 then raw little-endian float64 arrays: A (n*n, row-major), x* (n), y (n), and,
 only when w_kind == "explicit" (w is not None), W (n*n, row-major).
 ``save_problem`` raises SizeCap before it opens the file when the target
-directory has fewer bytes free than the file takes. A structured A is written one block of rows at a
-time and never assembled. A Kronecker factor goes into the header as an
-optional "kron_factor" key (a list of rows, repr-exact floats).
+directory has fewer bytes free than the file takes. A structured A is
+written one block of rows at a time and never assembled. Every n^2 pass
+(save_problem, load_problem's comparison, dense_a) takes its rows from one
+generator, in blocks of _BLOCK_ENTRIES // n rows (about 1 MB of float64)
+for either structure, so its buffers do not grow with the side of a blur
+instance. A Kronecker factor goes into the header as an optional
+"kron_factor" key (a list of rows, repr-exact floats), each of whose entries
+must be a real by kind, as errors._real decides.
 ``load_problem``, where an outside A arrives, streams it through one reused
 buffer a block of rows at a time and compares each block with the
 structure's rows as it is read: with a "kron_factor" key A must equal
@@ -127,7 +133,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import _U64, DimensionMismatch, DomainError, SizeCap, _integer, _real
+from .errors import _U64, DimensionMismatch, DomainError, SizeCap, _integer, _name, _real
 from .linalg import weight_factor
 
 _PROB_MAGIC = "prob"
@@ -144,8 +150,8 @@ _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint
 # about 170 ufunc calls, so fewer, longer passes are faster
 _PHILOX_CHUNK = 4096
 
-# entries per block of the kernel fill (1 MB of float64), so that the
-# block and its scratch stay small and in cache
+# entries per row block of a structured A, kernel fill or kron(T, T) (1 MB
+# of float64), so that the block and its scratch stay small and in cache
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -156,7 +162,7 @@ class ProblemInstance:
     a is an explicit (n, n) A, or None when the instance's structure defines
     A: kron(T, T) with a Kronecker factor T, else the kernel fill of
     build_fredholm(n). Giving both a and a factor raises DomainError, as does
-    an n that is not an integer >= 2.
+    an n that is not an integer >= 2 or a label that is not a string.
     dense_a() returns A as an (n, n) array either way. w is None (the
     identity) or an explicit W, checked and symmetrized here, with its lower
     Cholesky factor in w_chol (linalg.weight_factor).
@@ -173,7 +179,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         a, t = self.a, self.kron_factor
-        self.n = _integer(self.n, "n", 2)
+        self.n, self.label = _integer(self.n, "n", 2), _name(self.label, "label")
         if a is not None and t is not None:
             raise DomainError("an instance holds an explicit A or a Kronecker factor, not both")
         if a is not None and a.shape != (self.n, self.n):
@@ -232,30 +238,26 @@ def _midpoints(n):
 
 
 def _row_blocks(n, t=None):
-    # (lo, hi, rows lo..hi-1 of A), never the whole n x n A. Every block is
+    # (lo, hi, rows lo..hi-1 of A), never the whole n x n A, in blocks of
+    # about _BLOCK_ENTRIES entries whatever the structure. Every block is
     # written into one buffer reused across blocks, so a caller copies, writes
-    # or compares it before asking for the next. With a Kronecker factor T,
-    # block i holds rows i s..(i+1) s - 1 of kron(T, T), row k being
-    # kron(T[i], T[k]). Without one, the Fredholm kernel fill comes about
-    # _BLOCK_ENTRIES entries at a time
-    if t is not None:
-        s = t.shape[0]
-        buf = np.empty((s, s, s))
-        for i in range(s):
-            # entry a s + b of row k is T[k, b] T[i, a], the one product np.kron
-            # forms, without its reshapes and copies
-            np.multiply(t[:, None, :], t[i][None, :, None], out=buf)
-            yield i * s, (i + 1) * s, buf.reshape(s, s * s)
-        return
-    s_nodes = _midpoints(n)
+    # or compares it before asking for the next. With a Kronecker factor T of
+    # side s, row j = i s + k of kron(T, T) holds T[k, b] T[i, a] at entry
+    # a s + b, the one product np.kron forms, without its reshapes and copies.
+    # Without one, row j is the Fredholm kernel fill at the node j/n
     step = max(1, _BLOCK_ENTRIES // n)
-    buf, scratch = np.empty((step, n)), np.empty((step, n))
+    buf = np.empty((step, n))
+    if t is None:
+        s_nodes, scratch = _midpoints(n), np.empty((step, n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        # row j of A lies at the node j/n
-        rows = _kernel(np.arange(lo, hi, dtype=np.float64)[:, None] / n, s_nodes,
-                       buf[:hi - lo], scratch[:hi - lo])
-        rows /= n
+        rows, j = buf[:hi - lo], np.arange(lo, hi)
+        if t is None:
+            _kernel(j[:, None] / n, s_nodes, rows, scratch[:hi - lo])
+            rows /= n
+        else:
+            i, k = np.divmod(j, t.shape[0])
+            np.multiply(t[k][:, None, :], t[i][:, :, None], out=rows.reshape(hi - lo, *t.shape))
         yield lo, hi, rows
 
 
@@ -537,10 +539,12 @@ def load_problem(path):
     The header and the file size are checked before any array is read, so a
     truncated, padded or garbage file raises DomainError, as does a NaN or
     infinite entry in A, x*, y or W. An optional "kron_factor" header key
-    becomes the instance's Kronecker factor; its shape is checked
-    (DimensionMismatch) before A is read, and A must then equal kron(T, T)
-    bit for bit (DomainError if any bit differs). Without the key an A equal
-    to the Fredholm kernel fill bit for bit is dropped and any other A is kept.
+    becomes the instance's Kronecker factor; each entry must be a real by
+    kind (errors._real: not a string, a bool, a null or a list, DomainError),
+    its shape is checked (DimensionMismatch) before A is read, and A must
+    then equal kron(T, T) bit for bit (DomainError if any bit differs).
+    Without the key an A equal to the Fredholm kernel fill bit for bit is
+    dropped and any other A is kept.
 
     A is streamed through one buffer of a row block at a time, each block
     compared with the same rows of the structure, so a structured file loads
@@ -571,10 +575,13 @@ def load_problem(path):
             raise DomainError(f".prob file has {size} bytes, expected {expected} for n = {n}: {path}")
         kron_factor = header.get("kron_factor")
         if kron_factor is not None:
-            try:
-                kron_factor = np.array(kron_factor, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"bad .prob header (kron_factor is not a matrix): {path}") from exc
+            # each entry a real by kind (errors._real), so a string is not parsed and a
+            # bool or a null is not a number; a ragged list, or one nested deeper than
+            # numpy's 64 dimensions, leaves lists among the entries (ravel: .flat
+            # refuses more than 32 dimensions)
+            entries = np.array(kron_factor, dtype=object)
+            kron_factor = np.array([_real(v, f"a kron_factor entry of {path}", -math.inf)
+                                    for v in entries.ravel()]).reshape(entries.shape)
         # before any byte of A is read: _row_blocks slices T by its shape
         _check_factor_shape(kron_factor, n)
         a, kron_ok, buf = None, True, None

@@ -1,12 +1,14 @@
-"""The one check of each kind of number (errors._integer and errors._real).
+"""The one check of each kind of argument (errors._integer, _real and _name).
 
-Every scalar argument of a public callable goes through one of the two, so a
-bool, a string, a float where an integer is due, a NaN, an infinity or an
-array raises a TikhregError, never TypeError and never a truncated or parsed
-value. The property tests draw every scalar argument of each public callable
-from such wrong kinds (and from valid values, numpy scalars among them): the
-call either succeeds, and then no argument was of a refused kind, or raises
-a TikhregError, with no other exception and no warning.
+Every scalar argument of a public callable goes through one of the three,
+so a bool, a string, a float where an integer is due, a NaN, an infinity or
+an array raises a TikhregError, never TypeError and never a truncated or
+parsed value, and a name (a rule, a stop mode, a label) is a str, never
+bytes or an array of strings. The property tests draw every scalar and name
+argument of each public callable from such wrong kinds (and from valid
+values, numpy scalars among them): the call either succeeds, and then no
+argument was of a refused kind, or raises a TikhregError, with no other
+exception and no warning.
 """
 
 import ast
@@ -34,6 +36,7 @@ from tikhreg import (
     decompose,
     filter_errors,
     initial_lambda,
+    load_problem,
     noise_sigma,
     rule_lambda,
     run_montecarlo,
@@ -45,7 +48,7 @@ from tikhreg import (
     standard_normal,
     stream_seed,
 )
-from tikhreg.errors import _integer, _real
+from tikhreg.errors import _integer, _name, _real
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "tikhreg")
 
@@ -103,6 +106,26 @@ def test_bounds_and_their_messages():
         _integer(4, "k", 5, span="odd")
 
 
+@pytest.mark.parametrize("v", ["w", np.str_("w")])
+def test_strings_are_names(v):
+    got = _name(v, "rule", ("w", "rho0"))
+    assert type(got) is str and got == "w"
+    assert type(_name(v, "label")) is str
+
+
+@pytest.mark.parametrize("v", [np.array(["w"]), np.array("w"), np.array(["w", "rho0"]), b"w",
+                               None, 3, ["w"], "x"])
+def test_bytes_arrays_and_other_kinds_are_not_names(v):
+    with pytest.raises(DomainError, match="rule must be 'w' or 'rho0', got"):
+        _name(v, "rule", ("w", "rho0"))
+
+
+@pytest.mark.parametrize("v", [b"f", np.array("f"), None, 5])
+def test_a_name_without_choices_must_be_a_string(v):
+    with pytest.raises(DomainError, match="label must be a string, got"):
+        _name(v, "label")
+
+
 def test_the_decision_lives_in_errors_alone():
     # operator.index is called nowhere else, and no other module defines a
     # check of its own under these names
@@ -112,7 +135,7 @@ def test_the_decision_lives_in_errors_alone():
         defined = {node.name for node in ast.walk(ast.parse(text))
                    if isinstance(node, ast.FunctionDef)}
         assert "operator.index" not in text, module
-        assert not defined & {"_integer", "_real", "_checked_seed"}, module
+        assert not defined & {"_integer", "_real", "_name", "_checked_seed"}, module
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +157,16 @@ def test_the_decision_lives_in_errors_alone():
     (lambda: initial_lambda(4.0, 60.0), DomainError),
     (lambda: add_noise(_FRED, 0.1, [3]), DomainError),
     (lambda: run_table([np.array([20])], [0.1], AdaptiveConfig(alpha=4.0)), DomainError),
+    (lambda: rule_lambda(np.array(["w"]), 4.0, _FRED, 0.1), DomainError),
+    (lambda: rule_lambda(np.array(["w", "rho0"]), 4.0, _FRED, 0.1), DomainError),
+    (lambda: AdaptiveConfig(alpha=4.0, stop_mode=np.array(["a", "b"])), DomainError),
+    (lambda: AdaptiveConfig(alpha=4.0, stop_mode=np.array(["relative"])), DomainError),
 ], ids=["stream_seed-delta-str", "noise_sigma-str", "rule_lambda-alpha-str", "tol-str",
         "sweep-count-float", "tol-bool", "max_iters-float", "filter_errors-lam-bool",
         "study-lam-str", "montecarlo-threads-float", "standard_normal-seed-bool",
         "initial_lambda-alpha-str", "initial_lambda-n-float", "add_noise-seed-list",
-        "table-size-array"])
+        "table-size-array", "rule_lambda-rule-array1", "rule_lambda-rule-array2",
+        "stop_mode-array2", "stop_mode-array1"])
 def test_a_wrong_kind_raises_a_typed_error(call, error):
     with pytest.raises(error):
         call()
@@ -176,6 +204,27 @@ def test_an_instance_size_must_be_an_integer(tmp_path):
     assert type(inst.n) is int
 
 
+def test_an_instance_label_must_be_a_string(tmp_path):
+    # a label of another kind was saved, and load_problem then refused the
+    # instance's own file
+    path = tmp_path / "f.prob"
+    with pytest.raises(DomainError, match="label must be a string, got 5"):
+        save_problem(ProblemInstance(n=20, a=None, x_star=_FRED.x_star, y=_FRED.y, w=None,
+                                     label=5), str(path))
+    assert not path.exists()
+    inst = ProblemInstance(n=20, a=None, x_star=_FRED.x_star, y=_FRED.y, w=None,
+                           label=np.str_("f"))
+    assert type(inst.label) is str
+    save_problem(inst, str(path))
+    assert load_problem(str(path)).label == "f"
+
+
+def test_numpy_strings_name_the_same_rule_and_stop():
+    assert rule_lambda(np.str_("w"), 4.0, _FRED, 0.1) == rule_lambda("w", 4.0, _FRED, 0.1)
+    cfg = AdaptiveConfig(alpha=4.0, stop_mode=np.str_("relative"))
+    assert type(cfg.stop_mode) is str and cfg == AdaptiveConfig(alpha=4.0, stop_mode="relative")
+
+
 def test_initial_lambda_keeps_its_value():
     assert initial_lambda(4.0, 60) == 60.0 ** (-0.8)
     assert initial_lambda(np.float64(4.0), np.int64(60)) == 60.0 ** (-0.8)
@@ -206,16 +255,26 @@ _WRONG = [
 
 def _drawn(valid):
     # the valid value or a numpy scalar of it, as often as a wrong one (its
-    # 0-d array among them), so that every argument but one is often valid
-    scalars = (np.int64, np.uint32) if isinstance(valid, int) else (np.float64, np.float32)
+    # 0-d array among them), so that every argument but one is often valid;
+    # a name is also drawn as bytes and as 1-element and 2-element arrays
+    wrong = _WRONG
+    if isinstance(valid, str):
+        scalars = (np.str_,)
+        wrong = [valid.encode(), np.array([valid]), np.array([valid, valid]), *_WRONG]
+    elif isinstance(valid, int):
+        scalars = (np.int64, np.uint32)
+    else:
+        scalars = (np.float64, np.float32)
     return st.one_of(st.sampled_from([valid, *(f(valid) for f in scalars)]),
-                     st.sampled_from([np.array(valid), *_WRONG]))
+                     st.sampled_from([np.array(valid), *wrong]))
 
 
 def _refused(kind, v):
     # does the rule refuse v outright, whatever the argument's bounds? kind
     # "int" or "real" is the argument's own kind; "seeds" is an integer that
-    # may also be a sequence of them
+    # may also be a sequence of them; "name" is a string, any str subclass
+    if kind == "name":
+        return not isinstance(v, str)
     if isinstance(v, np.ndarray):
         return not (kind == "seeds" and v.ndim == 1) or _refused("int", v[0])
     if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, float, np.integer, np.floating)):
@@ -228,12 +287,12 @@ def _refused(kind, v):
         return True
 
 
-# public callable -> (call, {argument: (kind, valid value)})
+# public callable -> (call, {argument: (kind, valid value)}), names among them
 _SCALAR_CALLS = {
     "build_fredholm": (build_fredholm, {"n": ("int", 20)}),
     "build_blur": (build_blur, {"side": ("int", 8), "psf_width": ("real", 2.0)}),
-    "ProblemInstance": (partial(ProblemInstance, a=None, x_star=_FRED.x_star, y=_FRED.y, w=None,
-                                label="f"), {"n": ("int", 20)}),
+    "ProblemInstance": (partial(ProblemInstance, a=None, x_star=_FRED.x_star, y=_FRED.y, w=None),
+                        {"n": ("int", 20), "label": ("name", "f")}),
     "standard_normal": (standard_normal, {"seed": ("seeds", 3), "count": ("int", 6)}),
     "stream_seed": (stream_seed, {"master_seed": ("int", 0), "n": ("int", 20),
                                   "delta": ("real", 0.1), "rep": ("seeds", 1)}),
@@ -242,21 +301,24 @@ _SCALAR_CALLS = {
     "filter_errors": (partial(filter_errors, _DECOMP, _D, _D_NOISE), {"lam": ("real", 1e-6)}),
     "spectral_solver": (spectral_solver(_DECOMP, _FRED, _B), {"lam": ("real", 1e-6)}),
     "rule_lambda": (
-        lambda alpha, sigma, constant_c: rule_lambda("rho0", alpha, _FRED, sigma, constant_c),
-        {"alpha": ("real", 4.0), "sigma": ("real", 1e-3), "constant_c": ("real", 1.0)}),
+        lambda rule, alpha, sigma, constant_c: rule_lambda(rule, alpha, _FRED, sigma, constant_c),
+        {"rule": ("name", "rho0"), "alpha": ("real", 4.0), "sigma": ("real", 1e-3),
+         "constant_c": ("real", 1.0)}),
     "initial_lambda": (initial_lambda, {"alpha": ("real", 4.0), "n": ("int", 20)}),
     "AdaptiveConfig": (AdaptiveConfig, {"alpha": ("real", 4.0), "constant_c": ("real", 1.0),
-                                        "tol": ("real", 1e-10), "max_iters": ("int", 5)}),
+                                        "tol": ("real", 1e-10), "max_iters": ("int", 5),
+                                        "stop_mode": ("name", "relative")}),
     "run_sweep": (
-        lambda delta, seed, lo, hi, count, alpha, constant_c: run_sweep(
-            _FRED, delta, seed, (lo, hi, count), alpha=alpha, constant_c=constant_c),
+        lambda delta, seed, lo, hi, count, **kw: run_sweep(_FRED, delta, seed, (lo, hi, count),
+                                                           **kw),
         {"delta": ("real", 0.01), "seed": ("int", 0), "lo": ("real", 1e-10),
-         "hi": ("real", 1e-4), "count": ("int", 5), "alpha": ("real", 4.0),
-         "constant_c": ("real", 1.0)}),
+         "hi": ("real", 1e-4), "count": ("int", 5), "rule": ("name", "w"),
+         "alpha": ("real", 4.0), "constant_c": ("real", 1.0)}),
     "run_montecarlo": (
         lambda delta, reps, **kw: run_montecarlo([20], [delta], reps, **kw),
-        {"delta": ("real", 0.1), "reps": ("int", 4), "constant_c": ("real", 1.0),
-         "master_seed": ("int", 0), "alpha": ("real", 4.0), "threads": ("int", 1)}),
+        {"delta": ("real", 0.1), "reps": ("int", 4), "rule": ("name", "rho0"),
+         "constant_c": ("real", 1.0), "master_seed": ("int", 0), "alpha": ("real", 4.0),
+         "threads": ("int", 1)}),
     "run_sample_study": (
         partial(run_sample_study, _FRED),
         {"delta": ("real", 0.1), "lam": ("real", 1e-6), "reps": ("int", 100),
@@ -267,8 +329,8 @@ _SCALAR_CALLS = {
         {"delta": ("real", 0.1), "master_seed": ("int", 0)}),
 }
 
-# public callables whose arguments are instances, arrays, records, paths or
-# names, not numbers; the records are plain NamedTuples that check nothing
+# public callables whose arguments are instances, arrays, records or paths,
+# not numbers or names; the records are plain NamedTuples that check nothing
 _NO_NUMBER = {
     "AdaptiveTrace", "AlphaFit", "ErrorReport", "MonteCarloCell", "MonteCarloSummary",
     "NoisyData", "RegularizedSolution", "SampleStudy", "SpectralDecomposition", "SweepResult",

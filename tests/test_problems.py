@@ -28,7 +28,7 @@ from tikhreg import (
     stream_seed,
 )
 from tikhreg.harness import _BATCH_BYTES
-from tikhreg.problems import _PHILOX_CHUNK, _row_blocks
+from tikhreg.problems import _BLOCK_ENTRIES, _PHILOX_CHUNK, _row_blocks
 from tikhreg.spectral import _dense_decompose
 from tikhreg.tikhonov import spectral_solver
 
@@ -541,7 +541,17 @@ def _rewrite_header(path, edit):
     (lambda h: {**h, "w_kind": "diag"}, "w_kind='diag'"),
     (lambda h: {**h, "n": 4.0}, "n=4.0"),
     (lambda h: {**h, "label": 3}, "label=3"),
-], ids=["version-2", "w-kind-diag", "n-float", "label-int"])
+    (lambda h: {**h, "n": True}, r"bad \.prob header \(n=True,"),
+    (lambda h: {**h, "n": "4"}, r"bad \.prob header \(n='4',"),
+    (lambda h: {**h, "n": -1}, r"bad \.prob header \(n=-1,"),
+    (lambda h: {**h, "n": 2**70}, "expected .* for n = 1180591620717411303424"),
+    (lambda h: {**h, "w_kind": None}, r"bad \.prob header \(.*w_kind=None,"),
+    (lambda h: {**h, "w_kind": 3}, r"bad \.prob header \(.*w_kind=3,"),
+    (lambda h: {**h, "w_kind": ["identity"]}, r"bad \.prob header \(.*w_kind=\['identity'\],"),
+    (lambda h: {**h, "label": None}, r"bad \.prob header \(.*label=None\)"),
+    (lambda h: {**h, "label": ["f"]}, r"bad \.prob header \(.*label=\['f'\]\)"),
+], ids=["version-2", "w-kind-diag", "n-float", "label-int", "n-bool", "n-str", "n-negative",
+        "n-huge", "w-kind-null", "w-kind-int", "w-kind-list", "label-null", "label-list"])
 def test_prob_header_out_of_spec_raises_domain_error(tmp_path, fred20, edit, match):
     path = tmp_path / "f.prob"
     save_problem(fred20, str(path))
@@ -680,6 +690,7 @@ def test_instance_a_not_kronecker_of_its_factor_rejected():
     lambda t: t[:-1],                  # not square
     lambda t: t[:-1, :-1],             # square, but side^2 != n
     lambda t: t.ravel(),               # not a matrix
+    lambda t: t[:1, :1].reshape((1,) * 40),   # deeper than 32 dimensions
 ])
 def test_wrongly_shaped_kronecker_factor_rejected(tmp_path, factor):
     inst = build_blur(6, 1.5)
@@ -693,10 +704,21 @@ def test_wrongly_shaped_kronecker_factor_rejected(tmp_path, factor):
         load_problem(str(path))
 
 
-@pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], "T", {"rows": 2}])
+# the identity (exp(-d^2 / 2e-4) = 0 for d >= 1), with entries of any kind
+_I4 = build_blur(4, 0.01).kron_factor.astype(object)
+
+
+@pytest.mark.parametrize("value", [
+    [[1.0, 2.0], [3.0]], "T", {"rows": 2}, "1.5",
+    json.loads("[" * 70 + "1.0" + "]" * 70),     # deeper than numpy's 64 dimensions
+    *(_with_entry(_I4, index, v).tolist()
+      for index, v in [((1, 1), "1.0"), ((0, 0), True), ((1, 2), None), ((1, 2), [0.0])]),
+])
 def test_prob_kronecker_factor_not_a_matrix_rejected(tmp_path, value):
+    # "1.0", or a true where T holds 1.0, reads as that very entry once
+    # parsed, so only a check of each entry by kind refuses them
     path = tmp_path / "junk.prob"
-    save_problem(build_blur(4, 1.0), str(path))
+    save_problem(build_blur(4, 0.01), str(path))
     _rewrite_header(path, lambda h: {**h, "kron_factor": value})
     with pytest.raises(DomainError):
         load_problem(str(path))
@@ -743,8 +765,40 @@ def test_prob_a_leaving_the_kernel_fill_in_any_block_loads_bit_for_bit(tmp_path,
     assert back.a.astype("<f8").tobytes() == stored
 
 
-def test_prob_a_one_ulp_off_its_kronecker_factor_in_the_last_block_rejected(tmp_path):
+def test_a_kronecker_row_block_holds_about_a_megabyte_whatever_the_side():
+    # about 1 MB, not s rows (s^3 entries, 8 MB at side 100); only the first
+    # block is drawn
+    t = build_blur(100, 2.0).kron_factor
+    lo, hi, rows = next(_row_blocks(10000, t))
+    assert lo == 0 and rows.shape == (hi, 10000)
+    assert rows.size <= max(_BLOCK_ENTRIES, 10000)
+
+
+@pytest.mark.parametrize("entries", [36 * 5, 36 * 7, 36 * 13, 1])
+def test_kronecker_row_blocks_straddling_factor_rows_are_kron_bit_for_bit(monkeypatch, entries):
+    # blocks of 5, 7 and 13 rows cross the boundaries between the 6-row
+    # groups that share a row of T; one entry per block gives 1-row blocks
+    monkeypatch.setattr("tikhreg.problems._BLOCK_ENTRIES", entries)
+    t = build_blur(6, 1.5).kron_factor
+    blocks = [(lo, hi, rows.copy()) for lo, hi, rows in _row_blocks(36, t)]
+    assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+    assert blocks[-1][1] == 36 and len(blocks) > 1
+    a = np.concatenate([rows for _, _, rows in blocks])
+    assert a.view(np.uint64).tobytes() == np.kron(t, t).view(np.uint64).tobytes()
+
+
+def _several_blocks(monkeypatch, inst):
+    # a blur side-8 A (64 x 64) is one block of about 1 MB; blocks of 5 rows
+    # spread it over 13, each straddling rows of T
+    if inst.kron_factor is not None:
+        monkeypatch.setattr("tikhreg.problems._BLOCK_ENTRIES", 5 * inst.n)
+    assert len(list(_row_blocks(inst.n, inst.kron_factor))) > 1
+
+
+def test_prob_a_one_ulp_off_its_kronecker_factor_in_the_last_block_rejected(tmp_path,
+                                                                           monkeypatch):
     inst = build_blur(8, 2.0)
+    _several_blocks(monkeypatch, inst)
     path = tmp_path / "off.prob"
     save_problem(inst, str(path))
     _edit_a(path, inst.n, {(inst.n - 1, inst.n - 2): _one_ulp_up})
@@ -759,8 +813,10 @@ def test_prob_a_one_ulp_off_its_kronecker_factor_in_the_last_block_rejected(tmp_
     (lambda: build_fredholm(600), None),
     (lambda: build_fredholm(600), (0, 1)),         # A leaves the kernel fill in block 0
 ], ids=["blur", "blur-not-kron", "fredholm", "fredholm-dense"])
-def test_prob_nonfinite_entry_in_the_last_block_of_a_rejected(tmp_path, build, earlier, bad):
+def test_prob_nonfinite_entry_in_the_last_block_of_a_rejected(tmp_path, monkeypatch, build,
+                                                               earlier, bad):
     inst = build()
+    _several_blocks(monkeypatch, inst)
     path = tmp_path / "bad.prob"
     save_problem(inst, str(path))
     edits = {(inst.n - 1, 2): lambda entry: bad}
