@@ -246,10 +246,6 @@ def _cmd_adaptive(args, parser, out_dir):
 
 
 def _cmd_montecarlo(args, parser, out_dir):
-    if args.reps < 2:
-        parser.error("--reps must be >= 2")
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     summary = run_montecarlo(
         args.ns, args.deltas, args.reps,
         rule=args.rule, constant_c=args.c, master_seed=args.seed,

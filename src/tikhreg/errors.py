@@ -21,11 +21,24 @@ rule: a str passes, a subclass of it such as numpy's str_ included, and
 comes back as a Python str; bytes, an array of strings (whose == and `in`
 compare element by element) and anything else raise DomainError, as does a
 str outside the name's choices.
+
+A cap is one more argument of _integer, checked last: the kind and then the
+domain [lo, hi), each raising DomainError, and only then the cap, so that a
+value above cap raises SizeCap only when it is a well-formed integer (a
+bool, a float or a value below lo is a DomainError whatever its size).
+
+A list argument (a driver's sizes or deltas) goes through _sequence: any
+iterable but a str or bytes passes and is read once into a list, and a
+number, None or a 0-d array raises DomainError; each item is then checked
+as a scalar. A path goes through _path: a str, bytes or os.PathLike passes,
+and anything else raises DomainError before open() can take an integer for
+a file descriptor.
 """
 
 import math
 import numbers
 import operator
+import os
 
 # the bounds and the name of an unsigned 64-bit integer, the kind of a seed
 _U64 = (0, 2**64, "an unsigned 64-bit integer")
@@ -79,13 +92,16 @@ class DegenerateSample(TikhregError):
     """A sample is constant, so standardization is undefined."""
 
 
-def _integer(v, what, lo=-math.inf, hi=math.inf, span=None):
-    """v as a Python int with lo <= v < hi, else DomainError naming span or [lo, hi)."""
+def _integer(v, what, lo=-math.inf, hi=math.inf, span=None, cap=None):
+    """v as a Python int with lo <= v < hi, else DomainError naming span or [lo, hi);
+    then SizeCap if v is above cap."""
     if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
         raise DomainError(f"{what} must be an integer, got {v!r}")
     v = operator.index(v)
     if not lo <= v < hi:
         raise DomainError(f"{what} must be {span or f'an integer in [{lo}, {hi})'}, got {v}")
+    if cap is not None and v > cap:
+        raise SizeCap(f"{what} {v} exceeds the {cap} cap")
     return v
 
 
@@ -109,3 +125,21 @@ def _name(v, what, choices=None):
         return str(v)
     expected = "a string" if choices is None else " or ".join(map(repr, choices))
     raise DomainError(f"{what} must be {expected}, got {v!r}")
+
+
+def _sequence(v, what):
+    """The items of v as a list, if v is an iterable other than a string, else DomainError."""
+    try:
+        items = iter(v)
+    except TypeError:                       # a number, None, a 0-d array
+        items = None
+    if items is None or isinstance(v, (str, bytes)):
+        raise DomainError(f"{what} must be a sequence, got {v!r}")
+    return list(items)
+
+
+def _path(v):
+    """v if it is a str, bytes or os.PathLike, else DomainError."""
+    if isinstance(v, (str, bytes, os.PathLike)):
+        return v
+    raise DomainError(f"path must be a str, bytes or os.PathLike, got {v!r}")

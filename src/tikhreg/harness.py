@@ -42,7 +42,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateSample, DomainError, SizeCap, _integer, _real
+from .errors import DegenerateSample, DomainError, _integer, _real, _sequence
 from .params import adaptive_select, rule_lambda
 from .problems import add_noise, build_fredholm, noise_sigma, standard_normal, stream_seed
 from .spectral import _check_lambda, decompose, filter_errors
@@ -144,9 +144,7 @@ def run_sweep(instance, delta, seed, grid, rule="rho0", alpha=4.0, constant_c=1.
     lo, hi, count = grid
     lo = _real(lo, "grid needs finite 0 < lo < hi; lo", 0)
     hi = _real(hi, "grid needs finite 0 < lo < hi; hi", lo)
-    count = _integer(count, "grid count", 2)
-    if count > _GRID_CAP:
-        raise SizeCap(f"grid count {count} exceeds the {_GRID_CAP} cap")
+    count = _integer(count, "grid count", 2, cap=_GRID_CAP)
     lambdas = np.logspace(math.log10(lo), math.log10(hi), count)
     data = add_noise(instance, delta, seed)
     lam_pred = rule_lambda(rule, alpha, instance, data.sigma, constant_c)
@@ -261,17 +259,17 @@ def run_montecarlo(ns, deltas, reps, rule="rho0", constant_c=1.0, master_seed=0,
     rejected. Cells run on min(threads, cells) plain threads and are reduced
     in (ns x deltas) order, so `threads` affects wall time only; of several
     failing cells, the earliest in that order raises at any thread count.
-    More than 1000000 reps raise SizeCap before any build; the sizes are
+    More than 1000000 reps raise SizeCap, and ns or deltas that is not a
+    sequence (a number, None) DomainError, before any build; the sizes are
     built one at a time and each size's lambdas are evaluated right after
     its build, so one that is not finite and positive raises NonFiniteLambda
     before the next build and before any decomposition; and a delta so large
     that a scaled error overflows float64 raises DomainError. The errors
     leave out ||y_perp||^2 (module docstring).
     """
-    reps, threads = _integer(reps, "reps", 2), _integer(threads, "threads", 1)
-    if reps > _REPS_CAP:
-        raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
-    deltas = [_real(d, "deltas", 0) for d in deltas]
+    reps, threads = _integer(reps, "reps", 2, cap=_REPS_CAP), _integer(threads, "threads", 1)
+    ns = _sequence(ns, "ns")
+    deltas = [_real(d, "deltas", 0) for d in _sequence(deltas, "deltas")]
     insts, grid = {}, []
     for n, inst in _instances(ns, deltas, master_seed, problem):
         insts[n] = inst
@@ -324,9 +322,7 @@ def run_sample_study(instance, delta, lam, reps, master_seed=0, bins=50):
     overflows float64 raises DomainError. The samples leave out ||y_perp||^2
     (module docstring).
     """
-    reps = _integer(reps, "reps", 100)
-    if reps > _REPS_CAP:
-        raise SizeCap(f"reps {reps} exceeds the {_REPS_CAP} cap")
+    reps = _integer(reps, "reps", 100, cap=_REPS_CAP)
     sigma = noise_sigma(instance, delta)
     stream_seed(master_seed, instance.n, delta, 0)
     bins = _integer(bins, "bins", 1, reps + 1, f"between 1 and reps = {reps}")
@@ -379,8 +375,10 @@ def run_table(ns, deltas, cfg, master_seed=0, problem=build_fredholm):
     Rows come out grouped by delta (outer) then n (inner), and each carries
     the iteration's terminated. The noise stream of a row is
     stream_seed(master_seed, n, delta, 0), so repeated sizes and deltas that
-    share a stream are rejected.
+    share a stream are rejected, as are ns or deltas that is not a sequence
+    (DomainError), before any build.
     """
+    ns, deltas = _sequence(ns, "ns"), _sequence(deltas, "deltas")
     insts = dict(_instances(ns, deltas, master_seed, problem))
     decomps = {n: decompose(inst) for n, inst in insts.items()}
     rows = []

@@ -113,6 +113,11 @@ for either structure, so its buffers do not grow with the side of a blur
 instance. A Kronecker factor goes into the header as an optional
 "kron_factor" key (a list of rows, repr-exact floats), each of whose entries
 must be a real by kind, as errors._real decides.
+``load_problem`` checks the header's n against the same size cap as a
+build (SizeCap above 40000) before it checks the file size, so an oversized
+header is refused whatever the file holds. Either function takes a str,
+bytes or os.PathLike path and refuses any other kind (errors._path), so an
+integer is never opened as a file descriptor.
 ``load_problem``, where an outside A arrives, streams it through one reused
 buffer a block of rows at a time and compares each block with the
 structure's rows as it is read: with a "kron_factor" key A must equal
@@ -133,7 +138,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import _U64, DimensionMismatch, DomainError, SizeCap, _integer, _name, _real
+from .errors import _U64, DimensionMismatch, DomainError, SizeCap, _integer, _name, _path, _real
 from .linalg import weight_factor
 
 _PROB_MAGIC = "prob"
@@ -149,6 +154,13 @@ _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint
 # uint64 per block of a pass (480 KB) whatever the count. Each pass costs
 # about 170 ufunc calls, so fewer, longer passes are faster
 _PHILOX_CHUNK = 4096
+
+# the largest n a build makes or a .prob header names (errors._integer's
+# cap), checked before anything is allocated. A build is O(n) memory; only
+# dense_a() (the dense decomposition) and the load of a .prob whose A fits no
+# structure allocate n^2, 12.8 GB at the cap, and generate at the cap writes
+# a 12.8 GB .prob if the disk has room for it
+_SIZE_CAP = 40000
 
 # entries per row block of a structured A, kernel fill or kron(T, T) (1 MB
 # of float64), so that the block and its scratch stay small and in cache
@@ -214,15 +226,6 @@ def _check_factor_shape(t, n):
             f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {n}")
 
 
-def _check_size_cap(n, what):
-    # runs before anything is allocated. A build is O(n) memory; only
-    # dense_a() (the dense decomposition) and the load of a .prob whose A
-    # fits no structure allocate n^2, 12.8 GB at the cap, and generate at
-    # the cap writes a 12.8 GB .prob if the disk has room for it
-    if n > 40000:
-        raise SizeCap(f"{what} exceeds the 40000 cap")
-
-
 def _kernel(t, s, out, scratch):
     # min(t, s) (1 - max(t, s)) into out, through scratch: the caller's two
     # buffers, so that a fill reusing them across blocks allocates nothing
@@ -270,8 +273,7 @@ def build_fredholm(n):
     x(t) = -6 t^2 (1-t) (2 - 8t + 7t^2) sampled at the midpoints. No n x n
     array is formed: y = A x* is two prefix sums (module docstring).
     """
-    n = _integer(n, "n", 2)
-    _check_size_cap(n, f"n = {n}")
+    n = _integer(n, "n", 2, cap=_SIZE_CAP)
     tm = _midpoints(n)  # x* lives on the midpoint grid
     x_star = -6.0 * tm**2 * (1.0 - tm) * (2.0 - 8.0 * tm + 7.0 * tm**2)
     t = np.arange(n, dtype=np.float64) / n
@@ -311,8 +313,8 @@ def build_blur(side, psf_width):
     psf_width is in pixels; one whose 2 psf_width^2 is not a finite positive
     float raises DomainError before anything is allocated.
     """
-    side = _integer(side, "side", 4)
-    _check_size_cap(side * side, f"side^2 = {side * side}")
+    # side <= isqrt(cap) exactly when side^2 <= cap
+    side = _integer(side, "side", 4, cap=math.isqrt(_SIZE_CAP))
     try:
         two_w_sq = 2.0 * _real(psf_width, "psf_width", 0) ** 2
     except OverflowError:
@@ -505,8 +507,10 @@ def save_problem(instance, path):
     """Write a ProblemInstance to the `.prob` container format.
 
     Raises SizeCap, before the file is opened, when the directory of path has
-    fewer bytes free than the file takes.
+    fewer bytes free than the file takes, and DomainError when path is not a
+    str, bytes or os.PathLike.
     """
+    path = _path(path)
     w_kind = "identity" if instance.w is None else "explicit"
     header = {
         "format": _PROB_MAGIC,
@@ -538,11 +542,14 @@ def load_problem(path):
 
     The header and the file size are checked before any array is read, so a
     truncated, padded or garbage file raises DomainError, as does a NaN or
-    infinite entry in A, x*, y or W. An optional "kron_factor" header key
-    becomes the instance's Kronecker factor; each entry must be a real by
-    kind (errors._real: not a string, a bool, a null or a list, DomainError),
-    its shape is checked (DimensionMismatch) before A is read, and A must
-    then equal kron(T, T) bit for bit (DomainError if any bit differs).
+    infinite entry in A, x*, y or W; a header n above the 40000 size cap
+    raises SizeCap before the file size is checked, and a path that is not a
+    str, bytes or os.PathLike DomainError before anything is opened. An
+    optional "kron_factor" header key becomes the instance's Kronecker
+    factor; each entry must be a real by kind (errors._real: not a string, a
+    bool, a null or a list, DomainError), its shape is checked
+    (DimensionMismatch) before A is read, and A must then equal kron(T, T)
+    bit for bit (DomainError if any bit differs).
     Without the key an A equal to the Fredholm kernel fill bit for bit is
     dropped and any other A is kept.
 
@@ -552,7 +559,7 @@ def load_problem(path):
     the first block that differs from the kernel fill, and then read whole
     from its first byte. x*, y and W are read straight into their own arrays.
     """
-    with open(path, "rb") as fh:
+    with open(_path(path), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         hlen = int.from_bytes(fh.read(8), "little")
         if hlen > size - 8:
@@ -570,6 +577,7 @@ def load_problem(path):
                 or not isinstance(label, str)):
             raise DomainError(
                 f"bad .prob header (n={n!r}, w_kind={w_kind!r}, label={label!r}): {path}")
+        _integer(n, f"{path}: header n", cap=_SIZE_CAP)
         expected = _prob_bytes(hlen, n, w_kind)
         if size != expected:
             raise DomainError(f".prob file has {size} bytes, expected {expected} for n = {n}: {path}")

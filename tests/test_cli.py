@@ -326,8 +326,6 @@ def test_blur_generate(tmp_path):
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["solve", "--problem", "fredholm", "--delta", "0.05", "--lam", "1e-6",
                 "--out", str(tmp_path)]) == 2  # missing --n
-    assert run(["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "1",
-                "--out", str(tmp_path)]) == 2
     assert run(["solve", "--problem", "fredholm", "--n", "50", "--delta", "0.05",
                 "--seed", "notanint", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
@@ -441,11 +439,23 @@ def test_reruns_byte_identical(tmp_path):
         assert read(os.path.join(a, name)) == read(os.path.join(b, name))
 
 
+# run_montecarlo decides both ranges, so a value outside either is a bad
+# domain (exit 1) with the library's message, as study's --reps and --bins are
 @pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
-    assert run(["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "4",
-                "--threads", threads, "--out", str(tmp_path)]) == 2
-    assert "--threads" in capsys.readouterr().err
+def test_threads_below_one_exits_1(tmp_path, capfd, threads):
+    code, err = run_reporting(["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "4",
+                               "--threads", threads, "--out", str(tmp_path)], capfd)
+    assert code == 1
+    assert err == f"error: threads must be an integer in [1, inf), got {threads}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_montecarlo_reps_below_two_exits_1(tmp_path, capfd):
+    code, err = run_reporting(["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "1",
+                               "--out", str(tmp_path)], capfd)
+    assert code == 1
+    assert err == "error: reps must be an integer in [2, inf), got 1\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_garbage_prob_exits_1(tmp_path, capsys):
@@ -792,7 +802,7 @@ def test_help_and_usage_errors_match_the_full_parser(tmp_path, capsys, monkeypat
         seen.append((code, *capsys.readouterr()))
     assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None
                      for argv in invocations]
-    assert [code for code, _, _ in seen] == [0, 0, 0, 2, 2, 2, 0, 0, 2, 2, 2, 2, 2, 2]
+    assert [code for code, _, _ in seen] == [0, 0, 0, 2, 2, 2, 0, 0, 2, 2, 1, 2, 2, 2]
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
     for argv, want in zip(invocations, seen):
         code = main(list(argv))

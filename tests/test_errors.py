@@ -1,19 +1,27 @@
-"""The one check of each kind of argument (errors._integer, _real and _name).
+"""The one check of each kind of argument (errors._integer, _real, _name,
+_sequence and _path).
 
-Every scalar argument of a public callable goes through one of the three,
-so a bool, a string, a float where an integer is due, a NaN, an infinity or
-an array raises a TikhregError, never TypeError and never a truncated or
-parsed value, and a name (a rule, a stop mode, a label) is a str, never
-bytes or an array of strings. The property tests draw every scalar and name
-argument of each public callable from such wrong kinds (and from valid
-values, numpy scalars among them): the call either succeeds, and then no
-argument was of a refused kind, or raises a TikhregError, with no other
-exception and no warning.
+Every scalar argument of a public callable goes through one of the first
+three, so a bool, a string, a float where an integer is due, a NaN, an
+infinity or an array raises a TikhregError, never TypeError and never a
+truncated or parsed value, and a name (a rule, a stop mode, a label) is a
+str, never bytes or an array of strings. A cap is _integer's last check, so
+only a well-formed integer above it raises SizeCap. A driver's sizes and
+deltas are sequences, and a path is a str, bytes or os.PathLike, never an
+integer that open() would take for a file descriptor. The property tests
+draw every scalar, name, list and path argument of each public callable
+from such wrong kinds (and from valid values, numpy scalars among them):
+the call either succeeds, and then no argument was of a refused kind, or
+raises a TikhregError, with no other exception and no warning.
 """
 
 import ast
 import math
 import os
+import pathlib
+import re
+import subprocess
+import sys
 import warnings
 from functools import partial
 
@@ -48,7 +56,7 @@ from tikhreg import (
     standard_normal,
     stream_seed,
 )
-from tikhreg.errors import _integer, _name, _real
+from tikhreg.errors import _integer, _name, _path, _real, _sequence
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "tikhreg")
 
@@ -126,21 +134,73 @@ def test_a_name_without_choices_must_be_a_string(v):
         _name(v, "label")
 
 
+def test_a_cap_is_checked_after_the_kind_and_the_domain():
+    assert _integer(5, "k", 2, cap=5) == 5
+    assert _integer(np.int64(5), "k", 2, cap=5) == 5
+    with pytest.raises(SizeCap, match=r"^k 6 exceeds the 5 cap$"):
+        _integer(np.int64(6), "k", 2, cap=5)
+    with pytest.raises(SizeCap, match=f"^k {10**30} exceeds the 5 cap$"):
+        _integer(10**30, "k", 2, cap=5)
+
+
+# each is above its cap too, and still a DomainError
+@pytest.mark.parametrize("v, lo, cap", [
+    (True, 0, 0), (np.True_, 0, 0), (6.0, 2, 5), (np.float64(1e30), 2, 5), ("6", 2, 5),
+    (7, 10, 5), (np.int64(7), 10, 5),
+], ids=["bool", "numpy-bool", "float", "numpy-float", "str", "below-lo", "numpy-below-lo"])
+def test_a_wrong_kind_or_a_value_below_lo_is_a_domain_error_above_the_cap(v, lo, cap):
+    with pytest.raises(DomainError, match="^k must be"):
+        _integer(v, "k", lo, cap=cap)
+
+
+@pytest.mark.parametrize("v", [[1, 2], (1, 2), range(1, 3), np.array([1, 2]), iter([1, 2])])
+def test_iterables_are_sequences(v):
+    assert [int(x) for x in _sequence(v, "ns")] == [1, 2]
+
+
+@pytest.mark.parametrize("v", [60, 0.1, np.float64(0.1), np.int64(60), None, np.array(60), "60",
+                               b"60"])
+def test_numbers_none_and_strings_are_not_sequences(v):
+    with pytest.raises(DomainError, match="ns must be a sequence, got"):
+        _sequence(v, "ns")
+
+
+@pytest.mark.parametrize("v", [0, 7, True, np.int64(3), None, 3.5, ["f.prob"], np.array("f.prob")])
+def test_integers_and_other_kinds_are_not_paths(v):
+    with pytest.raises(DomainError, match="path must be a str, bytes or os.PathLike, got"):
+        _path(v)
+
+
 def test_the_decision_lives_in_errors_alone():
-    # operator.index is called nowhere else, and no other module defines a
-    # check of its own under these names
+    # operator.index is called nowhere else, no other module defines a check
+    # of its own under these names, and no other module compares a value
+    # with a cap: each cap is errors._integer's cap argument
     for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "errors.py"):
         with open(os.path.join(SRC, module)) as fh:
             text = fh.read()
-        defined = {node.name for node in ast.walk(ast.parse(text))
-                   if isinstance(node, ast.FunctionDef)}
+        tree = ast.parse(text)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        compared = {node.id for cmp in ast.walk(tree) if isinstance(cmp, ast.Compare)
+                    for node in ast.walk(cmp)
+                    if isinstance(node, ast.Name) and re.fullmatch(r"_\w*_CAP", node.id)}
         assert "operator.index" not in text, module
-        assert not defined & {"_integer", "_real", "_name", "_checked_seed"}, module
+        assert not defined & {"_integer", "_real", "_name", "_sequence", "_path",
+                              "_checked_seed", "_check_size_cap"}, module
+        assert not compared, module
 
 
 # ---------------------------------------------------------------------------
 # the calls that raised TypeError, truncated, parsed or accepted a wrong kind
 
+def _no_build(n):
+    raise AssertionError(f"size {n} was built")
+
+
+# a list argument that is not a sequence raised TypeError ("has no len()", "is
+# not iterable"), and so did a path of None or a float, where save_problem's
+# 1 raised TypeError and load_problem's 10**6 OSError ("Bad file
+# descriptor"): open() takes an integer for a file descriptor. No small
+# integer is passed to load_problem here, which open() would read and close
 @pytest.mark.parametrize("call, error", [
     (lambda: stream_seed(0, 10, "0.1", 0), DomainError),
     (lambda: noise_sigma(_FRED, "0.1"), DomainError),
@@ -161,15 +221,40 @@ def test_the_decision_lives_in_errors_alone():
     (lambda: rule_lambda(np.array(["w", "rho0"]), 4.0, _FRED, 0.1), DomainError),
     (lambda: AdaptiveConfig(alpha=4.0, stop_mode=np.array(["a", "b"])), DomainError),
     (lambda: AdaptiveConfig(alpha=4.0, stop_mode=np.array(["relative"])), DomainError),
+    (lambda: run_montecarlo(60, [0.1], 4, problem=_no_build), DomainError),
+    (lambda: run_montecarlo([60], 0.1, 4, problem=_no_build), DomainError),
+    (lambda: run_montecarlo([60], np.float64(0.1), 4, problem=_no_build), DomainError),
+    (lambda: run_montecarlo([60], None, 4, problem=_no_build), DomainError),
+    (lambda: run_table(60, [0.1], AdaptiveConfig(alpha=4.0), problem=_no_build), DomainError),
+    (lambda: run_table([60], 0.1, AdaptiveConfig(alpha=4.0), problem=_no_build), DomainError),
+    (lambda: load_problem(None), DomainError),
+    (lambda: load_problem(3.5), DomainError),
+    (lambda: load_problem(10**6), DomainError),
+    (lambda: save_problem(_FRED, 1), DomainError),
+    (lambda: save_problem(_FRED, True), DomainError),
 ], ids=["stream_seed-delta-str", "noise_sigma-str", "rule_lambda-alpha-str", "tol-str",
         "sweep-count-float", "tol-bool", "max_iters-float", "filter_errors-lam-bool",
         "study-lam-str", "montecarlo-threads-float", "standard_normal-seed-bool",
         "initial_lambda-alpha-str", "initial_lambda-n-float", "add_noise-seed-list",
         "table-size-array", "rule_lambda-rule-array1", "rule_lambda-rule-array2",
-        "stop_mode-array2", "stop_mode-array1"])
+        "stop_mode-array2", "stop_mode-array1", "montecarlo-ns-int", "montecarlo-deltas-float",
+        "montecarlo-deltas-numpy", "montecarlo-deltas-none", "table-ns-int", "table-deltas-float",
+        "load_problem-none", "load_problem-float", "load_problem-int", "save_problem-int",
+        "save_problem-bool"])
 def test_a_wrong_kind_raises_a_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_load_problem_of_zero_does_not_read_stdin(tmp_path):
+    # a .prob piped to a process's standard input was read by load_problem(0)
+    save_problem(_FRED, str(tmp_path / "f.prob"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import tikhreg; print(tikhreg.load_problem(0).n)"],
+        input=(tmp_path / "f.prob").read_bytes(), capture_output=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert b"DomainError: path must be a str, bytes or os.PathLike, got 0" in out.stderr
 
 
 @pytest.mark.parametrize("seed", [5.7, [1.5, "x"], -1, [3, 2**64], True])
@@ -329,13 +414,20 @@ _SCALAR_CALLS = {
         {"delta": ("real", 0.1), "master_seed": ("int", 0)}),
 }
 
-# public callables whose arguments are instances, arrays, records or paths,
-# not numbers or names; the records are plain NamedTuples that check nothing
+# public callable -> (call, {argument: valid path}): the path, written by
+# save_problem or read by load_problem, is drawn as a str, a str_, bytes or a
+# pathlib.Path of it, or as a value of another kind
+_PATH_CALLS = {
+    "load_problem": (load_problem, "saved.prob"),
+    "save_problem": (partial(save_problem, _FRED), "written.prob"),
+}
+
+# public callables whose arguments are instances, arrays or records, not
+# numbers, names or paths; the records are plain NamedTuples that check nothing
 _NO_NUMBER = {
     "AdaptiveTrace", "AlphaFit", "ErrorReport", "MonteCarloCell", "MonteCarloSummary",
     "NoisyData", "RegularizedSolution", "SampleStudy", "SpectralDecomposition", "SweepResult",
-    "TableRow", "adaptive_select", "decompose", "error_report", "fit_alpha", "load_problem",
-    "save_problem", "spectrum_rows",
+    "TableRow", "adaptive_select", "decompose", "error_report", "fit_alpha", "spectrum_rows",
 }
 
 
@@ -343,7 +435,8 @@ def test_every_public_callable_is_classified():
     public = {name for name in tikhreg.__all__ if callable(getattr(tikhreg, name))
               and not (isinstance(getattr(tikhreg, name), type)
                        and issubclass(getattr(tikhreg, name), Exception))}
-    assert public == set(_SCALAR_CALLS) | _NO_NUMBER
+    assert public == set(_SCALAR_CALLS) | set(_PATH_CALLS) | _NO_NUMBER
+    assert set(_LIST_CALLS) <= set(_SCALAR_CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(_SCALAR_CALLS))
@@ -359,3 +452,75 @@ def test_every_scalar_argument_is_checked_by_kind(name, data):
         except TikhregError:
             return
     assert not [arg for arg, (kind, _) in args.items() if _refused(kind, kwargs[arg])]
+
+
+# the list arguments of the drivers: (call, {argument: valid item})
+_LIST_CALLS = {
+    "run_montecarlo": (lambda ns, deltas: run_montecarlo(ns, deltas, 4),
+                       {"ns": ("int", 20), "deltas": ("real", 0.1)}),
+    "run_table": (lambda ns, deltas: run_table(ns, deltas, AdaptiveConfig(alpha=4.0, max_iters=5)),
+                  {"ns": ("int", 20), "deltas": ("real", 0.1)}),
+}
+
+
+def _drawn_list(valid):
+    # the whole argument drawn as one scalar (a wrong kind, or the valid item
+    # itself, which is not a sequence either), or as a list, tuple or array
+    # of one item drawn as a scalar argument is
+    return st.one_of(_drawn(valid), _drawn(valid).map(lambda v: [v]),
+                     _drawn(valid).map(lambda v: (v,)), st.just(np.array([valid])))
+
+
+def _refused_list(kind, v):
+    # a list argument is refused unless it is an iterable other than a string
+    # (a 0-d array is not iterable) whose every item is of the item's kind
+    if isinstance(v, (str, bytes)) or not isinstance(v, (list, tuple, np.ndarray)):
+        return True
+    return (isinstance(v, np.ndarray) and v.ndim != 1) or any(_refused(kind, x) for x in v)
+
+
+@pytest.mark.parametrize("name", sorted(_LIST_CALLS))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_list_argument_is_checked_by_kind(name, data):
+    call, args = _LIST_CALLS[name]
+    kwargs = {arg: data.draw(_drawn_list(valid), label=arg) for arg, (_, valid) in args.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(**kwargs)
+        except TikhregError:
+            return
+    assert not [arg for arg, (kind, _) in args.items() if _refused_list(kind, kwargs[arg])]
+
+
+# values of another kind than a path. No integer below 2^20 is drawn: where
+# a path is not checked, open() takes one for a file descriptor, which it
+# reads and then closes
+_NOT_PATHS = [None, 1.5, math.nan, -1, 10**6, 2**64, np.int64(10**6), np.float64(0.5),
+              np.array(["saved.prob"]), ["saved.prob"], {"path": "saved.prob"}]
+
+
+@pytest.fixture(scope="module")
+def path_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("paths")
+    save_problem(_FRED, str(directory / "saved.prob"))
+    return directory
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_CALLS))
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_path_argument_is_checked_by_kind(name, path_dir, data):
+    call, valid = _PATH_CALLS[name]
+    full = str(path_dir / valid)
+    path = data.draw(st.sampled_from([full, np.str_(full), os.fsencode(full), pathlib.Path(full),
+                                      *_NOT_PATHS]), label="path")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(path)
+        except TikhregError:
+            assert not isinstance(path, (str, bytes, os.PathLike))
+            return
+    assert isinstance(path, (str, bytes, os.PathLike))
