@@ -33,12 +33,24 @@ number, None or a 0-d array raises DomainError; each item is then checked
 as a scalar. A path goes through _path: a str, bytes or os.PathLike passes,
 and anything else raises DomainError before open() can take an integer for
 a file descriptor.
+
+Every array (A, x*, y, W, a Kronecker factor, a right-hand side b, each
+block a .prob file holds) goes through _array, by the same rule: a numpy
+ndarray of integer or floating dtype passes and comes back as a plain
+float64 array, the same object when it already is one. A list, a tuple, a
+scalar and an array of bool, complex, string or object dtype raise
+DomainError, so strings are never parsed, bools are never 0 and 1 and an
+imaginary part is never dropped; a shape other than the one the caller
+names raises DimensionMismatch, and a NaN or infinite entry (after the
+conversion, so a long double beyond float64 is one) DomainError.
 """
 
 import math
 import numbers
 import operator
 import os
+
+import numpy as np
 
 # the bounds and the name of an unsigned 64-bit integer, the kind of a seed
 _U64 = (0, 2**64, "an unsigned 64-bit integer")
@@ -143,3 +155,18 @@ def _path(v):
     if isinstance(v, (str, bytes, os.PathLike)):
         return v
     raise DomainError(f"path must be a str, bytes or os.PathLike, got {v!r}")
+
+
+def _array(v, what, shape):
+    """v as a float64 ndarray of the given shape with finite entries; DomainError
+    for another kind or a non-finite entry, DimensionMismatch for another shape."""
+    if not isinstance(v, np.ndarray) or v.dtype.kind not in "iuf":
+        got = getattr(v, "dtype", type(v))
+        raise DomainError(f"{what} must be an integer or float ndarray, got {got}")
+    if v.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {v.shape}, expected {shape}")
+    with np.errstate(over="ignore"):        # a long double beyond float64 becomes inf
+        v = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise DomainError(f"{what} holds non-finite values")
+    return v

@@ -10,23 +10,24 @@ an SVD, is spectral's. Inputs are never mutated.
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotSPD, NotSymmetric
+from .errors import DomainError, NotSPD, NotSymmetric, _array
 
 
 def weight_factor(w, n):
     """Return (W, L): W averaged into an exactly symmetric (n, n) array, and W = L L^T.
 
-    Raises DimensionMismatch unless W is (n, n), DomainError on a NaN or
-    infinite entry, NotSymmetric if max|W - W^T| > 1e-12 max|W|, and NotSPD
-    if the Cholesky factorization finds W not positive definite. Asymmetry
+    W goes through errors._array: DomainError unless it is an integer or
+    float ndarray with finite entries, DimensionMismatch unless it is
+    (n, n). Then DomainError if max|W| >= 2^1023, where W + W^T could
+    overflow, NotSymmetric if max|W - W^T| > 1e-12 max|W|, and NotSPD if
+    the Cholesky factorization finds W not positive definite. Asymmetry
     within the tolerance is round-off, and (W + W^T)/2 removes it.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (n, n):
-        raise DimensionMismatch(f"W has shape {w.shape}, expected {(n, n)}")
-    if not np.isfinite(w).all():
-        raise DomainError("W holds non-finite values")
-    scale, asym = np.max(np.abs(w)), np.max(np.abs(w - w.T))
+    w = _array(w, "W", (n, n))
+    scale = np.max(np.abs(w))
+    if scale >= 2.0 ** 1023:                # so that W - W^T and W + W^T stay finite
+        raise DomainError(f"W has an entry of magnitude {scale:.3e}, at or above 2^1023")
+    asym = np.max(np.abs(w - w.T))
     if asym > 1e-12 * max(scale, np.finfo(np.float64).tiny):
         raise NotSymmetric(f"W has asymmetry {asym:.3e}, over 1e-12 * max|W| = {1e-12 * scale:.3e}")
     w = 0.5 * (w + w.T)

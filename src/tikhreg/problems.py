@@ -21,7 +21,9 @@ the one check of a seed (an unsigned 64-bit integer). Seeds, stream keys,
 sizes and delta are checked by kind in errors (_integer and _real), so a
 Python or numpy integer passes and a bool, a float where an integer is due or
 a string raises DomainError instead of being truncated or parsed; an
-instance's label goes through errors._name, so it is a Python str.
+instance's label goes through errors._name, so it is a Python str. A
+one-seed draw, and each row of a batch, holds at most 40000 variates: a
+larger count raises SizeCap before anything is allocated.
 
 Reproducibility. All Gaussian variates come from a Philox4x64-10 counter
 generator keyed directly by the caller's 64-bit seed (counter starts at 0):
@@ -55,8 +57,8 @@ every count the size cap allows: a process's first one-seed draw takes
 against 5.7 and 6.9 ms for importing numpy.random and its C fill. Each later
 draw in the same process costs more than a C fill would, though (2.8 ms
 against 1.2 ms at 40000): the numpy-only fill takes 45-65 ns per uniform
-in bulk against 5-9 ns, so above about 200000 variates one seed would be
-cheaper through numpy.random.
+in bulk against 5-9 ns, so one seed would be cheaper through numpy.random
+above about 200000 variates, five times the count cap (the size cap, 40000).
 
 Batched draws. A sequence of seeds (the Monte Carlo and study batches)
 returns one row per seed, row i equal bit for bit to the one-seed draw, and
@@ -99,6 +101,16 @@ entries, symmetry within 1e-12 relative, positive definite) and averaged
 into an exactly symmetric array; its lower Cholesky factor is kept in
 ``w_chol`` for the dense decomposition (linalg.weight_factor).
 
+Every array field is checked when the instance is made, by errors._array:
+a, x_star, y, w and kron_factor must each be an integer or float ndarray
+(a list, or an array of bool, complex, string or object dtype, raises
+DomainError) with finite entries (DomainError) and its shape, (n, n), (n,)
+or (s, s) with s^2 = n (DimensionMismatch), and each is kept as a plain
+float64 array, the caller's own when it already is one. A factor whose
+largest entry squared overflows float64 raises DomainError, since kron(T, T)
+would not be finite. So an instance never holds a NaN or an infinity, and
+save_problem never writes a file that load_problem refuses.
+
 Serialization. ``save_problem`` writes a `.prob` container: an 8-byte
 little-endian header length, a UTF-8 JSON header
 {"format": "prob", "version": 1, "n": ..., "label": ..., "w_kind": ...},
@@ -138,7 +150,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import _U64, DimensionMismatch, DomainError, SizeCap, _integer, _name, _path, _real
+from .errors import _U64, DomainError, SizeCap, _array, _integer, _name, _path, _real
 from .linalg import weight_factor
 
 _PROB_MAGIC = "prob"
@@ -175,6 +187,9 @@ class ProblemInstance:
     A: kron(T, T) with a Kronecker factor T, else the kernel fill of
     build_fredholm(n). Giving both a and a factor raises DomainError, as does
     an n that is not an integer >= 2 or a label that is not a string.
+    a, x_star, y and kron_factor go through errors._array (module
+    docstring): an array of another kind, a NaN or an infinity raises
+    DomainError, another shape DimensionMismatch.
     dense_a() returns A as an (n, n) array either way. w is None (the
     identity) or an explicit W, checked and symmetrized here, with its lower
     Cholesky factor in w_chol (linalg.weight_factor).
@@ -190,17 +205,15 @@ class ProblemInstance:
     w_chol: Optional[np.ndarray] = field(default=None, init=False, repr=False)  # W = L L^T
 
     def __post_init__(self):
-        a, t = self.a, self.kron_factor
-        self.n, self.label = _integer(self.n, "n", 2), _name(self.label, "label")
+        a, t, n = self.a, self.kron_factor, _integer(self.n, "n", 2)
+        self.n, self.label = n, _name(self.label, "label")
         if a is not None and t is not None:
             raise DomainError("an instance holds an explicit A or a Kronecker factor, not both")
-        if a is not None and a.shape != (self.n, self.n):
-            raise DimensionMismatch(f"A has shape {a.shape}, expected {(self.n, self.n)}")
-        if self.x_star.shape != (self.n,) or self.y.shape != (self.n,):
-            raise DimensionMismatch("x_star and y must have length n")
-        _check_factor_shape(t, self.n)
+        self.a = a if a is None else _array(a, "A", (n, n))
+        self.x_star, self.y = _array(self.x_star, "x_star", (n,)), _array(self.y, "y", (n,))
+        self.kron_factor = t if t is None else _check_factor(t, n)
         if self.w is not None:
-            self.w, self.w_chol = weight_factor(self.w, self.n)
+            self.w, self.w_chol = weight_factor(self.w, n)
 
     def dense_a(self):
         """A as an (n, n) array: the explicit a, or the structured A assembled afresh."""
@@ -219,11 +232,16 @@ class NoisyData(NamedTuple):
     sigma: float
 
 
-def _check_factor_shape(t, n):
-    # a Kronecker factor T must be (s, s) with s^2 = n
-    if t is not None and [d * d for d in np.shape(t)] != [n, n]:
-        raise DimensionMismatch(
-            f"Kronecker factor has shape {np.shape(t)}, expected (s, s) with s^2 = {n}")
+def _check_factor(t, n):
+    # a Kronecker factor T as an (s, s) array with s^2 = n (errors._array); when n
+    # is not a square no shape matches, and the message states the rule. Every
+    # entry of kron(T, T) is a product of two of T's, so max|T|^2 bounds them
+    s = math.isqrt(n)
+    t = _array(t, "Kronecker factor", (s, s) if s * s == n else f"(s, s) with s^2 = {n}")
+    top = float(np.max(np.abs(t)))
+    if top * top == math.inf:
+        raise DomainError(f"Kronecker factor entry {top!r} overflows kron(T, T)")
+    return t
 
 
 def _kernel(t, s, out, scratch):
@@ -400,10 +418,12 @@ def standard_normal(seed, count):
     prefix: bit-identical output. One seed's uniforms are computed in numpy
     arithmetic, without loading numpy.random; a sequence's come from one
     numpy.random Philox generator re-keyed per row, whose C fill is several
-    times faster per uniform. Every seed is checked, whatever the count, and
-    a block too large to allocate raises SizeCap.
+    times faster per uniform. Every seed is checked, whatever the count; a
+    count above the 40000 size cap, and a block of rows too large to
+    allocate, raise SizeCap before anything is allocated.
     """
-    count = _integer(count, "count", 0)
+    # the size cap bounds a row: at most 320 KB of variates per seed
+    count = _integer(count, "count of variates", 0, cap=_SIZE_CAP)
     # anything not iterable (a 0-d array included) is one seed, refused below
     single = np.isscalar(seed) or not np.iterable(seed)
     seeds = [_integer(s, "seed", *_U64) for s in ([seed] if single else seed)]
@@ -548,7 +568,8 @@ def load_problem(path):
     optional "kron_factor" header key becomes the instance's Kronecker
     factor; each entry must be a real by kind (errors._real: not a string, a
     bool, a null or a list, DomainError), its shape is checked
-    (DimensionMismatch) before A is read, and A must then equal kron(T, T)
+    (DimensionMismatch) before A is read, as is its size (DomainError when
+    kron(T, T) would overflow), and A must then equal kron(T, T)
     bit for bit (DomainError if any bit differs).
     Without the key an A equal to the Fredholm kernel fill bit for bit is
     dropped and any other A is kept.
@@ -590,8 +611,8 @@ def load_problem(path):
             entries = np.array(kron_factor, dtype=object)
             kron_factor = np.array([_real(v, f"a kron_factor entry of {path}", -math.inf)
                                     for v in entries.ravel()]).reshape(entries.shape)
-        # before any byte of A is read: _row_blocks slices T by its shape
-        _check_factor_shape(kron_factor, n)
+            # before any byte of A is read: _row_blocks slices T by its shape
+            kron_factor = _check_factor(kron_factor, n)
         a, kron_ok, buf = None, True, None
         for lo, hi, rows in _row_blocks(n, kron_factor):
             if buf is None:
@@ -619,10 +640,8 @@ def load_problem(path):
 
 
 def _read_finite(fh, v, path):
-    # fill the contiguous float64 array v from the file, as native float64
+    # fill the contiguous float64 array v from the file, as native finite float64
     if fh.readinto(memoryview(v)) != v.nbytes:
         raise DomainError(f".prob file ended early: {path}")
-    if not np.isfinite(v).all():
-        raise DomainError(f".prob file holds non-finite values: {path}")
-    return v.astype(np.float64, copy=False)
+    return _array(v, f".prob file {path}", v.shape)
 

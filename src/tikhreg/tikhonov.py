@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, _array
 from .spectral import filter_errors
 
 
@@ -52,15 +52,10 @@ class ErrorReport(NamedTuple):
 
 
 def _check_rhs(decomp, instance, b):
-    # b as float64, after the decomposition's n and b's shape and values are checked
+    # b as float64 (errors._array), after the decomposition's n is checked
     if decomp.n != instance.n:
         raise DimensionMismatch(f"decomposition is for n = {decomp.n}, instance has n = {instance.n}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (instance.n,):
-        raise DimensionMismatch(f"b has shape {b.shape}, expected ({instance.n},)")
-    if not np.all(np.isfinite(b)):
-        raise DomainError("b must be finite")
-    return b
+    return _array(b, "b", (instance.n,))
 
 
 def _perp_sq(decomp, v, d):
@@ -88,8 +83,10 @@ def spectral_solver(decomp, instance, b):
     costs O(m): c and the output error come from spectral.filter_errors,
     residual_b and w_norm from the m-term sums of the module docstring, and
     no length-n vector is formed. A decomposition of another n raises
-    DimensionMismatch, a b that is not finite DomainError, a lambda that is
-    not finite and positive NonFiniteLambda.
+    DimensionMismatch, and b goes through errors._array (DomainError unless
+    it is an integer or float ndarray with finite entries, DimensionMismatch
+    unless it has shape (n,)); a lambda that is not finite and positive
+    raises NonFiniteLambda.
     """
     b = _check_rhs(decomp, instance, b)
     rho = decomp.rho
@@ -119,7 +116,8 @@ def error_report(instance, decomp, sol, b):
     output error n^{-1/2} ||A x - A x*||, all against the instance's truth.
 
     x = decomp.expand(sol.c) is formed here. A decomposition of another n
-    raises DimensionMismatch; a zero ||x*||, ||y|| or ||b|| DomainError."""
+    raises DimensionMismatch, b is checked as spectral_solver checks it, and a
+    zero ||x*||, ||y|| or ||b|| raises DomainError."""
     b = _check_rhs(decomp, instance, b)
     x_err = float(np.linalg.norm(decomp.expand(sol.c) - instance.x_star))
     x_norm = float(np.linalg.norm(instance.x_star))

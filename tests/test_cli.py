@@ -540,14 +540,18 @@ def test_empty_size_or_delta_list_is_usage_error(tmp_path, capsys, command):
 
 
 def _nonfinite_prob(path, field):
+    # the .prob bytes of a Fredholm n = 40 instance with a NaN in A or an
+    # infinity in x*, written by hand: no ProblemInstance holds either
     inst = build_fredholm(40)
     a, x_star = inst.dense_a(), inst.x_star.copy()
     if field == "a":
         a[7, 11] = float("nan")
     else:
         x_star[5] = float("inf")
-    save_problem(ProblemInstance(n=40, a=a, x_star=x_star, y=inst.y, w=inst.w, label="bad"),
-                 str(path))
+    header = json.dumps({"format": "prob", "version": 1, "n": 40, "label": "bad",
+                         "w_kind": "identity"}, sort_keys=True).encode("utf-8")
+    path.write_bytes(len(header).to_bytes(8, "little") + header
+                     + b"".join(v.astype("<f8").tobytes() for v in (a, x_star, inst.y)))
     return str(path)
 
 

@@ -1,5 +1,5 @@
 """The one check of each kind of argument (errors._integer, _real, _name,
-_sequence and _path).
+_sequence, _path and _array).
 
 Every scalar argument of a public callable goes through one of the first
 three, so a bool, a string, a float where an integer is due, a NaN, an
@@ -12,16 +12,23 @@ integer that open() would take for a file descriptor. The property tests
 draw every scalar, name, list and path argument of each public callable
 from such wrong kinds (and from valid values, numpy scalars among them):
 the call either succeeds, and then no argument was of a refused kind, or
-raises a TikhregError, with no other exception and no warning.
+raises a TikhregError, with no other exception and no warning. Every array
+argument (an instance's A, x*, y, W and Kronecker factor, a right-hand side
+b) is an integer or float ndarray of its shape with finite entries, never a
+list, a bool, complex, string or object array, or a NaN; its property test
+draws each of those, and a call raises a TikhregError exactly when one of
+its arrays is refused.
 """
 
 import ast
+import inspect
 import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -29,10 +36,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tikhreg
 from tikhreg import (
     AdaptiveConfig,
+    DimensionMismatch,
     DomainError,
     NonFiniteLambda,
     ProblemInstance,
@@ -42,6 +51,7 @@ from tikhreg import (
     build_blur,
     build_fredholm,
     decompose,
+    error_report,
     filter_errors,
     initial_lambda,
     load_problem,
@@ -56,7 +66,9 @@ from tikhreg import (
     standard_normal,
     stream_seed,
 )
-from tikhreg.errors import _integer, _name, _path, _real, _sequence
+from tikhreg.errors import _array, _integer, _name, _path, _real, _sequence
+from tikhreg.linalg import weight_factor
+from tikhreg.problems import _SIZE_CAP
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "tikhreg")
 
@@ -184,7 +196,7 @@ def test_the_decision_lives_in_errors_alone():
                     for node in ast.walk(cmp)
                     if isinstance(node, ast.Name) and re.fullmatch(r"_\w*_CAP", node.id)}
         assert "operator.index" not in text, module
-        assert not defined & {"_integer", "_real", "_name", "_sequence", "_path",
+        assert not defined & {"_integer", "_real", "_name", "_sequence", "_path", "_array",
                               "_checked_seed", "_check_size_cap"}, module
         assert not compared, module
 
@@ -437,6 +449,18 @@ def test_every_public_callable_is_classified():
                        and issubclass(getattr(tikhreg, name), Exception))}
     assert public == set(_SCALAR_CALLS) | set(_PATH_CALLS) | _NO_NUMBER
     assert set(_LIST_CALLS) <= set(_SCALAR_CALLS)
+    # every array argument, found by its name in the signature of each public
+    # callable that checks its arguments (a record, a NamedTuple, checks
+    # nothing), is drawn by the array property test or is the one exemption
+    takers = {}
+    for name in public:
+        obj = getattr(tikhreg, name)
+        if not (isinstance(obj, type) and issubclass(obj, tuple)):
+            args = set(inspect.signature(obj).parameters) & _ARRAY_NAMES
+            if args:
+                takers[name] = args
+    drawn = {name: set().union(*(args for _, args in cases)) for name, cases in _ARRAY_CALLS.items()}
+    assert takers == {**drawn, **_ARRAY_EXEMPT}
 
 
 @pytest.mark.parametrize("name", sorted(_SCALAR_CALLS))
@@ -524,3 +548,269 @@ def test_every_path_argument_is_checked_by_kind(name, path_dir, data):
             assert not isinstance(path, (str, bytes, os.PathLike))
             return
     assert isinstance(path, (str, bytes, os.PathLike))
+
+
+# ---------------------------------------------------------------------------
+# arrays: errors._array
+
+@pytest.mark.parametrize("v", [
+    np.array([1, 2]), np.array([1, 2], dtype=np.uint8), np.array([1.0, 2.0], dtype=np.float16),
+    np.array([1.0, 2.0], dtype=np.float32), np.array([1.0, 2.0], dtype=">f8"),
+    np.array([1.0, 9.0, 2.0])[::2],
+], ids=["int64", "uint8", "float16", "float32", "big-endian", "strided"])
+def test_integer_and_float_arrays_are_arrays(v):
+    got = _array(v, "v", (2,))
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.tolist() == [1.0, 2.0]
+
+
+def test_a_float64_array_comes_back_uncopied():
+    v = np.ones((3, 3))
+    assert _array(v, "v", (3, 3)) is v
+
+
+@pytest.mark.parametrize("v", [
+    [1.0, 2.0], (1.0, 2.0), 1.0, np.float64(1.0), None, "12", np.array([True, False]),
+    np.array([1 + 0j, 2 + 0j]), np.array(["1", "2"]), np.array([1.0, 2.0], dtype=object),
+    np.array([1, 2], dtype="m8[s]"),
+], ids=["list", "tuple", "float", "numpy-float", "none", "str", "bool", "complex", "str-array",
+        "object", "timedelta"])
+def test_lists_scalars_and_other_dtypes_are_not_arrays(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^v must be an integer or float ndarray, got"):
+            _array(v, "v", (2,))
+
+
+def test_a_wrong_shape_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match=r"^v has shape \(3,\), expected \(2,\)$"):
+        _array(np.ones(3), "v", (2,))
+    with pytest.raises(DimensionMismatch, match=r"^v has shape \(\), expected \(2,\)$"):
+        _array(np.array(1.0), "v", (2,))
+    # the kind is checked before the shape, and the shape before the entries
+    with pytest.raises(DomainError):
+        _array([1.0, 2.0, 3.0], "v", (2,))
+    with pytest.raises(DimensionMismatch):
+        _array(np.full(3, math.nan), "v", (2,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entry_is_refused(bad):
+    v = np.ones((2, 2))
+    v[1, 0] = bad
+    with pytest.raises(DomainError, match="^v holds non-finite values$"):
+        _array(v, "v", (2, 2))
+    with pytest.raises(DomainError, match="^v holds non-finite values$"):
+        _array(v.astype(np.float32), "v", (2, 2))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                    reason="long double is no wider than float64 on this platform")
+def test_a_long_double_beyond_float64_is_non_finite_without_a_warning():
+    v = np.array([np.longdouble(1), np.longdouble("1e400")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            _array(v, "v", (2,))
+
+
+def test_a_count_above_the_size_cap_raises_size_cap_before_anything_is_allocated():
+    # the count had no cap: 40001 variates were drawn, and 60 million under a
+    # 600 MB address-space limit filled 458 MB and then raised a bare
+    # MemoryError from the Box-Muller temporary
+    tracemalloc.start()
+    try:
+        for seed, count in ((0, _SIZE_CAP + 1), ([1, 2], 10**12)):
+            with pytest.raises(SizeCap, match=f"^count of variates {count} exceeds the "
+                                              f"{_SIZE_CAP} cap$"):
+                standard_normal(seed, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert standard_normal(0, _SIZE_CAP).shape == (_SIZE_CAP,)
+
+
+# the n = 16 blur instance: its factor T, and A = kron(T, T) as an explicit A
+_BLUR = build_blur(4, 2.0)
+_BLUR_A = _BLUR.dense_a()
+_SOL = spectral_solver(_DECOMP, _FRED, _B)(1e-6)
+
+# public callable -> [(call, {argument: valid array})]. An instance holds an
+# explicit A or a Kronecker factor, never both, so ProblemInstance is drawn
+# twice: with A and W, and with the factor
+_ARRAY_CALLS = {
+    "ProblemInstance": [
+        (partial(ProblemInstance, n=16, label="f"),
+         {"a": _BLUR_A, "x_star": _BLUR.x_star, "y": _BLUR.y,
+          "w": np.eye(16) + 0.1 * np.ones((16, 16))}),
+        (partial(ProblemInstance, n=16, a=None, w=None, label="b"),
+         {"x_star": _BLUR.x_star, "y": _BLUR.y, "kron_factor": _BLUR.kron_factor}),
+    ],
+    "spectral_solver": [(partial(spectral_solver, _DECOMP, _FRED), {"b": _B})],
+    "error_report": [(partial(error_report, _FRED, _DECOMP, _SOL), {"b": _B})],
+}
+
+# the arguments for which None is valid: no explicit A, W = I, no factor
+_OPTIONAL = {"a", "w", "kron_factor"}
+
+# the names of the array arguments of the public callables
+_ARRAY_NAMES = {"a", "x_star", "y", "w", "kron_factor", "b", "d", "d_noise"}
+
+# the one exemption: filter_errors' projections d and d_noise are not checked,
+# since the Monte Carlo drivers (harness._scaled_errors) pass it the
+# projections of a noise block that overflowed and then detect the overflow
+# in the errors it returns
+_ARRAY_EXEMPT = {"filter_errors": {"d", "d_noise"}}
+
+
+def _drawn_array(valid):
+    # the valid array or two conversions _array takes, as often as a wrong
+    # one: None, a list, a tuple, a scalar, a string, a bool, complex, string
+    # or object array, two wrong shapes, or one NaN or infinite entry
+    def entry(bad):
+        v = valid.copy()
+        v.flat[v.size // 2] = bad
+        return v
+
+    wrong = [None, valid.tolist(), tuple(valid.tolist()), 1.0, "1", valid.astype(bool),
+             valid.astype(complex), valid.astype(str), valid.astype(object), valid[:-1],
+             valid[None], entry(math.nan), entry(math.inf), entry(-math.inf)]
+    return st.one_of(st.sampled_from([valid, valid.astype(np.float32), valid.astype(">f8")]),
+                     st.sampled_from(wrong))
+
+
+def _refused_array(arg, v, valid):
+    if v is None:
+        return arg not in _OPTIONAL
+    if not isinstance(v, np.ndarray) or v.dtype.kind not in "iuf" or v.shape != valid.shape:
+        return True
+    return not np.isfinite(v).all()
+
+
+@pytest.mark.parametrize("name, case", [(name, case) for name in sorted(_ARRAY_CALLS)
+                                        for case in range(len(_ARRAY_CALLS[name]))])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_array_argument_is_checked_by_kind(name, case, data):
+    call, args = _ARRAY_CALLS[name][case]
+    kwargs = {arg: data.draw(_drawn_array(valid), label=arg) for arg, valid in args.items()}
+    refused = [arg for arg, valid in args.items() if _refused_array(arg, kwargs[arg], valid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(**kwargs)
+        except TikhregError:
+            assert refused
+            return
+    assert not refused
+
+
+def _instance(**fields):
+    # the n = 16 instance without a factor (the kernel fill's structure) and
+    # the blur's x* and y, with the given fields replaced
+    return ProblemInstance(**{"n": 16, "a": None, "x_star": _BLUR.x_star, "y": _BLUR.y,
+                              "w": None, "label": "f", **fields})
+
+
+def _with(v, index, bad):
+    v = v.copy()
+    v[index] = bad
+    return v
+
+
+# what each did before: a list A or x* raised AttributeError, and a list
+# factor was accepted and raised AttributeError in decompose; a string A or
+# factor was accepted; an infinite entry in A or the factor made decompose
+# return an empty spectrum, a NaN raised ConvergenceFailure there; a NaN x*
+# or y made rule_lambda or noise_sigma return nan; a b of strings was parsed,
+# a bool b was taken as 0 and 1, a complex b warned and lost its imaginary
+# part, an object b was converted; a bool or list W was taken; a factor whose
+# kron(T, T) overflows was accepted, and save_problem then warned and wrote
+# an infinite A; and a W entry above half the largest float overflowed W + W^T
+@pytest.mark.parametrize("call, error", [
+    (lambda: _instance(x_star=[1.0] * 16), DomainError),
+    (lambda: _instance(a=_BLUR_A.tolist()), DomainError),
+    (lambda: _instance(kron_factor=_BLUR.kron_factor.tolist()), DomainError),
+    (lambda: _instance(a=_BLUR_A.astype(str)), DomainError),
+    (lambda: _instance(kron_factor=_BLUR.kron_factor.astype(str)), DomainError),
+    (lambda: _instance(a=_with(_BLUR_A, (3, 5), math.inf)), DomainError),
+    (lambda: _instance(kron_factor=_with(_BLUR.kron_factor, (1, 2), -math.inf)), DomainError),
+    (lambda: _instance(a=_with(_BLUR_A, (3, 5), math.nan)), DomainError),
+    (lambda: _instance(kron_factor=_with(_BLUR.kron_factor, (1, 2), math.nan)), DomainError),
+    (lambda: _instance(x_star=_with(_BLUR.x_star, 2, math.nan)), DomainError),
+    (lambda: _instance(y=_with(_BLUR.y, 0, math.nan)), DomainError),
+    (lambda: spectral_solver(_DECOMP, _FRED, ["1"] * 20), DomainError),
+    (lambda: spectral_solver(_DECOMP, _FRED, np.array(["1"] * 20)), DomainError),
+    (lambda: spectral_solver(_DECOMP, _FRED, _B > 0), DomainError),
+    (lambda: spectral_solver(_DECOMP, _FRED, _B + 1j), DomainError),
+    (lambda: spectral_solver(_DECOMP, _FRED, _B.astype(object)), DomainError),
+    (lambda: error_report(_FRED, _DECOMP, _SOL, _B.tolist()), DomainError),
+    (lambda: weight_factor(np.eye(16, dtype=bool), 16), DomainError),
+    (lambda: weight_factor(np.eye(16).tolist(), 16), DomainError),
+    (lambda: _instance(w=np.eye(16, dtype=bool)), DomainError),
+    (lambda: _instance(kron_factor=np.full((4, 4), 1e200)), DomainError),
+    (lambda: _instance(w=np.eye(16) * 1.7e308), DomainError),
+], ids=["x_star-list", "a-list", "factor-list", "a-str", "factor-str", "a-inf", "factor-inf",
+        "a-nan", "factor-nan", "x_star-nan", "y-nan", "b-str-list", "b-str", "b-bool",
+        "b-complex", "b-object", "error_report-b-list", "weight_factor-bool",
+        "weight_factor-list", "w-bool", "factor-overflow", "w-overflow"])
+def test_an_array_of_a_refused_kind_raises_a_typed_error(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+def test_an_instance_with_a_nan_is_never_saved(tmp_path):
+    # save_problem wrote the instance, and load_problem then refused its file
+    path = tmp_path / "f.prob"
+    with pytest.raises(DomainError, match="x_star holds non-finite values"):
+        save_problem(_instance(x_star=_with(_BLUR.x_star, 2, math.nan)), str(path))
+    assert not path.exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _instance_fields(draw):
+    # any finite data, for each structure: the kernel fill's (no A), an
+    # explicit A, or a Kronecker factor, each with W = I, a positive
+    # diagonal W or any symmetric W
+    structure = draw(st.sampled_from(["fill", "explicit", "kron"]))
+    side = draw(st.integers(2, 3))
+    n = side * side if structure == "kron" else draw(st.integers(2, 6))
+    fields = {"n": n, "a": None, "x_star": draw(hnp.arrays(np.float64, n, elements=_FINITE)),
+              "y": draw(hnp.arrays(np.float64, n, elements=_FINITE)),
+              "label": draw(st.text(max_size=4))}
+    if structure == "explicit":
+        fields["a"] = draw(hnp.arrays(np.float64, (n, n), elements=_FINITE))
+    if structure == "kron":
+        fields["kron_factor"] = draw(hnp.arrays(np.float64, (side, side), elements=_FINITE))
+    fields["w"] = draw(st.one_of(
+        st.none(),
+        hnp.arrays(np.float64, n, elements=st.floats(0, exclude_min=True,
+                                                       allow_infinity=False)).map(np.diag),
+        hnp.arrays(np.float64, (n, n), elements=_FINITE).map(
+            lambda m: np.triu(m) + np.triu(m, 1).T)))
+    return fields
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(fields=_instance_fields())
+def test_every_accepted_instance_round_trips_through_a_prob_file(path_dir, fields):
+    path = str(path_dir / "roundtrip.prob")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            inst = ProblemInstance(**fields)
+        except TikhregError:
+            return
+        save_problem(inst, path)
+        back = load_problem(path)
+    assert (back.n, back.label) == (inst.n, inst.label)
+    for field in ("x_star", "y", "w", "kron_factor"):
+        got, want = getattr(back, field), getattr(inst, field)
+        assert (got is None) == (want is None), field
+        assert want is None or got.tobytes() == want.tobytes(), field
+    assert back.dense_a().tobytes() == inst.dense_a().tobytes()

@@ -524,9 +524,9 @@ def test_study_rejects_a_bad_lambda_before_decomposing(monkeypatch, fred100, lam
 # ---------------------------------------------------------------------------
 
 def test_write_csv_full_precision(tmp_path):
-    path = str(tmp_path / "t.csv")
-    write_csv(path, ["a", "b", "c"], [(1, 0.1, 1.0 / 3.0)])
-    text = open(path).read()
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b", "c"], [(1, 0.1, 1.0 / 3.0)])
+    text = path.read_text()
     assert text.splitlines()[0] == "a,b,c"
     assert "0.10000000000000001" in text
     assert "0.33333333333333331" in text
@@ -559,9 +559,9 @@ def test_write_csv_bytes_equal_the_per_cell_reference(tmp_path):
 
 
 def test_write_json_sorted_and_newline(tmp_path):
-    path = str(tmp_path / "t.json")
-    write_json(path, {"zeta": 1, "alpha": 2.5})
-    text = open(path).read()
+    path = tmp_path / "t.json"
+    write_json(str(path), {"zeta": 1, "alpha": 2.5})
+    text = path.read_text()
     assert text.index('"alpha"') < text.index('"zeta"')
     assert text.endswith("\n")
     assert json.loads(text) == {"zeta": 1, "alpha": 2.5}
@@ -570,7 +570,7 @@ def test_write_json_sorted_and_newline(tmp_path):
 def test_manifest_contents(tmp_path):
     out = str(tmp_path)
     write_manifest(out, "solve", {"n": 100, "lam": 1e-6}, ["b.csv", "a.csv"])
-    doc = json.loads(open(os.path.join(out, "manifest.json")).read())
+    doc = json.loads((tmp_path / "manifest.json").read_text())
     assert doc["command"] == "solve"
     assert doc["outputs"] == ["a.csv", "b.csv"]
     assert doc["params"] == {"n": 100, "lam": 1e-6}
