@@ -43,6 +43,12 @@ DomainError, so strings are never parsed, bools are never 0 and 1 and an
 imaginary part is never dropped; a shape other than the one the caller
 names raises DimensionMismatch, and a NaN or infinite entry (after the
 conversion, so a long double beyond float64 is one) DomainError.
+
+Finite entries can still make a norm overflow: ||v||^2 of a y of 1e300
+entries is inf. Every squared norm of the data (||y||, ||x*||_W, ||b||, and
+the error and residual norms of a report or a solver) goes through
+_sq_norm where it is formed, which raises DomainError naming the quantity
+instead of a RuntimeWarning and an inf passed on.
 """
 
 import math
@@ -170,3 +176,13 @@ def _array(v, what, shape):
     if not np.isfinite(v).all():
         raise DomainError(f"{what} holds non-finite values")
     return v
+
+
+def _sq_norm(v, what, w=None):
+    """v^T v, or v^T W v for a given W, as a float; DomainError, naming what, when it
+    overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # W v = inf and v = 0 make a NaN
+        sq = float(v @ (v if w is None else w @ v))
+    if not sq < math.inf:
+        raise DomainError(f"{what} overflows float64")
+    return sq

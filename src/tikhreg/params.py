@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple
 
-from .errors import DegenerateSolution, ZeroSolutionNorm, _integer, _name, _real
+from .errors import DegenerateSolution, ZeroSolutionNorm, _integer, _name, _real, _sq_norm
 from .tikhonov import RegularizedSolution
 
 # Updates below this are treated as vanished; solving there is pointless.
@@ -82,15 +82,15 @@ def rule_lambda(rule, alpha, instance, sigma, constant_c=1.0):
     the instance's true solution: q = n^{-1/2} ||x*||_W for "w", and
     q = rho_0 = n^{-1/2} ||x*||_W + sigma n^{-1/2} for "rho0". alpha and C,
     then sigma (finite and >= 0), then the rule name are checked, each
-    raising DomainError; q = 0 raises ZeroSolutionNorm.
+    raising DomainError, as does an x* whose ||x*||_W^2 overflows float64;
+    q = 0 raises ZeroSolutionNorm.
     """
     alpha, constant_c = _check_rule_constants(alpha, constant_c)
     sigma = _real(sigma, "sigma", 0, strict=False)
     rule = _name(rule, "rule", ("w", "rho0"))
-    x = instance.x_star
-    wx = x if instance.w is None else instance.w @ x
     # ||x*||_W = sqrt(x*^T W x*), a tiny negative round-off read as 0
-    q = math.sqrt(max(float(x @ wx), 0.0)) / math.sqrt(instance.n)
+    q = math.sqrt(max(_sq_norm(instance.x_star, "||x*||_W^2", instance.w), 0.0))
+    q /= math.sqrt(instance.n)
     if rule == "rho0":
         q += sigma / math.sqrt(instance.n)
     if q == 0.0:

@@ -48,17 +48,19 @@ seeds, and the form of the call picks how the uniforms are made; the bits
 are the same either way. A one-seed call, the form add_noise makes and so
 the only draw of solve, adaptive, sweep and table, computes Philox4x64-10
 in numpy uint64 arithmetic: the Random123 multipliers and Weyl key
-increments, each 64 x 64 -> 128-bit product from its 32-bit halves, in
-equal passes of at most 4096 blocks (16384 uniforms), so its scratch stays
-under 480 KB at any count. It never loads numpy.random, whose import alone
-costs 6-10 ms and 1.8 MB of resident memory, more than the whole draw at
-every count the size cap allows: a process's first one-seed draw takes
-0.5 ms at 2000 variates and 3.2 ms at 40000 (2-core Xeon, numpy 2.4),
-against 5.7 and 6.9 ms for importing numpy.random and its C fill. Each later
-draw in the same process costs more than a C fill would, though (2.8 ms
-against 1.2 ms at 40000): the numpy-only fill takes 45-65 ns per uniform
-in bulk against 5-9 ns, so one seed would be cheaper through numpy.random
-above about 200000 variates, five times the count cap (the size cap, 40000).
+increments, each 64 x 64 -> 128-bit product from its 32-bit halves, in one
+pass over every block of four uniforms the count needs. Its scratch, 12
+uint64 per block in arrays plus numpy's ufunc buffers, stays under 15
+uint64 per block (1.2 MB at the 40000 size cap). It never loads
+numpy.random, whose import alone costs 6-10 ms and 1.8 MB of resident
+memory, more than the whole draw at every count the size cap allows: a
+process's first one-seed draw takes 0.7 ms at 2000 variates and 4.1 ms at
+40000 (2-core Xeon, numpy 2.4), against 7.5 and 8.1 ms for importing
+numpy.random and its C fill. Each later draw in the same process costs more
+than a C fill would, though (3.5 ms against 1.6 ms at 40000): the
+numpy-only fill takes about 33 ns per uniform in bulk against 5-6 ns, so
+one seed would be cheaper through numpy.random above about 250000 variates,
+six times the count cap.
 
 Batched draws. A sequence of seeds (the Monte Carlo and study batches)
 returns one row per seed, row i equal bit for bit to the one-seed draw, and
@@ -150,7 +152,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import _U64, DomainError, SizeCap, _array, _integer, _name, _path, _real
+from .errors import _U64, DomainError, SizeCap, _array, _integer, _name, _path, _real, _sq_norm
 from .linalg import weight_factor
 
 _PROB_MAGIC = "prob"
@@ -161,11 +163,6 @@ _PROB_VERSION = 1
 # 128 bits, and the key grows by _PHILOX_W between rounds
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-# Philox blocks (four uniforms each) per pass of the one-seed fill at most:
-# its scratch, 12 uint64 per block and numpy's ufunc buffers, traces under 15
-# uint64 per block of a pass (480 KB) whatever the count. Each pass costs
-# about 170 ufunc calls, so fewer, longer passes are faster
-_PHILOX_CHUNK = 4096
 
 # the largest n a build makes or a .prob header names (errors._integer's
 # cap), checked before anything is allocated. A build is O(n) memory; only
@@ -362,50 +359,42 @@ def _philox_uniforms(seed, out):
     # numpy's Philox(key=seed), computed with numpy alone: the key is
     # [seed, 0], and numpy increments the counter before each block, so block
     # j holds Philox4x64-10 of the counter [j + 1, 0, 0, 0]. The rounds run
-    # on a (4, b) array of b blocks, in equal passes of b <= _PHILOX_CHUNK.
-    # Every product and key sum is a uint64 array operation, which wraps
-    # modulo 2^64 without a warning on every numpy this package supports
+    # on one (4, b) array of all b = out.size // 4 blocks (out holds whole
+    # blocks). Every product and key sum is a uint64 array operation, which
+    # wraps modulo 2^64 without a warning on every numpy this package supports
     mask, s11, s32 = np.uint64(0xFFFFFFFF), np.uint64(11), np.uint64(32)
     m_lo, m_hi = _PHILOX_M & mask, _PHILOX_M >> s32
     keys = np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W   # round r: key + r W
     keys[:, 0] += np.uint64(seed)
-    blocks = -(-out.size // 4)
-    passes = -(-blocks // _PHILOX_CHUNK)
-    b = -(-blocks // passes)
-    x = np.empty((4, b), dtype=np.uint64)
+    b = out.size // 4
+    x = np.zeros((4, b), dtype=np.uint64)
+    x[0] = np.arange(1, b + 1, dtype=np.uint64)
     lo, hi, t, p = (np.empty((2, b), dtype=np.uint64) for _ in range(4))
-    for first in range(0, blocks, b):
-        # the last pass may run past the count by up to passes - 1 blocks,
-        # which it does not keep
-        x[0] = np.arange(first + 1, first + 1 + b, dtype=np.uint64)
-        x[1:] = 0
-        for key in keys:
-            a = x[0::2]                                  # lanes 0 and 2, times M0 and M1
-            # hi = the high word of a M from 32-bit halves, none of whose
-            # products or sums exceeds 2^64 - 1 (Warren, Hacker's Delight, 8-2)
-            np.bitwise_and(a, mask, out=lo)
-            np.right_shift(a, s32, out=hi)
-            np.multiply(lo, m_lo, out=t)
-            t >>= s32
-            np.multiply(lo, m_hi, out=p)
-            t += p
-            np.multiply(hi, m_lo, out=p)
-            hi *= m_hi
-            np.bitwise_and(t, mask, out=lo)
-            p += lo
-            t >>= s32
-            p >>= s32
-            hi += t
-            hi += p
-            np.multiply(a, _PHILOX_M, out=lo)            # the low word
-            # [x0, x1, x2, x3] <- [hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0]
-            np.bitwise_xor(hi[::-1], x[1::2], out=a)
-            a ^= key
-            x[1::2] = lo[::-1]
-        x >>= s11
-        u = out[4 * first:4 * (first + b)]
-        for lane in range(4):                            # u[4 j + lane] is lane of block j
-            np.multiply(x[lane, :(u.size - lane + 3) // 4], 2.0 ** -53, out=u[lane::4])
+    for key in keys:
+        a = x[0::2]                                  # lanes 0 and 2, times M0 and M1
+        # hi = the high word of a M from 32-bit halves, none of whose
+        # products or sums exceeds 2^64 - 1 (Warren, Hacker's Delight, 8-2)
+        np.bitwise_and(a, mask, out=lo)
+        np.right_shift(a, s32, out=hi)
+        np.multiply(lo, m_lo, out=t)
+        t >>= s32
+        np.multiply(lo, m_hi, out=p)
+        t += p
+        np.multiply(hi, m_lo, out=p)
+        hi *= m_hi
+        np.bitwise_and(t, mask, out=lo)
+        p += lo
+        t >>= s32
+        p >>= s32
+        hi += t
+        hi += p
+        np.multiply(a, _PHILOX_M, out=lo)            # the low word
+        # [x0, x1, x2, x3] <- [hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0]
+        np.bitwise_xor(hi[::-1], x[1::2], out=a)
+        a ^= key
+        x[1::2] = lo[::-1]
+    x >>= s11
+    np.multiply(x.T, 2.0 ** -53, out=out.reshape(b, 4))  # u[4 j + lane] is lane of block j
 
 
 def standard_normal(seed, count):
@@ -428,34 +417,34 @@ def standard_normal(seed, count):
     single = np.isscalar(seed) or not np.iterable(seed)
     seeds = [_integer(s, "seed", *_U64) for s in ([seed] if single else seed)]
     try:
-        z = np.empty((len(seeds), count + count % 2), dtype=np.float64)
+        # rows of whole Philox blocks, four uniforms each, and so of whole pairs
+        z = np.empty((len(seeds), -(-count // 4) * 4), dtype=np.float64)
     except (ValueError, MemoryError) as exc:
         raise SizeCap(f"{len(seeds)} x {count} variates: {exc}") from None
-    if z.size:
-        if single:
-            _philox_uniforms(seeds[0], z[0])
-        else:
-            # one generator, re-keyed per row to where Philox(key=seed)
-            # starts: its start state with key [seed, 0]
-            bitgen = np.random.Philox(key=0)
-            gen = np.random.Generator(bitgen)
-            start = bitgen.state
-            for row, s in zip(z, seeds):
-                start["state"]["key"][0] = s
-                bitgen.state = start
-                gen.random(out=row)
-        # Box-Muller on every (u1, u2) pair of the block in place; cos(theta)
-        # is the one temporary, half the block, which the callers bound
-        r, theta = z[:, 0::2], z[:, 1::2]
-        np.negative(r, out=r)
-        np.log1p(r, out=r)                        # log(1 - u1), safe at u1 = 0
-        np.multiply(r, -2.0, out=r)
-        np.sqrt(r, out=r)
-        np.multiply(theta, 2.0 * np.pi, out=theta)
-        c = np.cos(theta)
-        np.sin(theta, out=theta)
-        np.multiply(r, theta, out=theta)          # z[2k+1] = r sin
-        np.multiply(r, c, out=r)                  # z[2k] = r cos
+    if single:
+        _philox_uniforms(seeds[0], z[0])
+    else:
+        # one generator, re-keyed per row to where Philox(key=seed)
+        # starts: its start state with key [seed, 0]
+        bitgen = np.random.Philox(key=0)
+        gen = np.random.Generator(bitgen)
+        start = bitgen.state
+        for row, s in zip(z, seeds):
+            start["state"]["key"][0] = s
+            bitgen.state = start
+            gen.random(out=row)
+    # Box-Muller on every (u1, u2) pair of the block in place; cos(theta)
+    # is the one temporary, half the block, which the callers bound
+    r, theta = z[:, 0::2], z[:, 1::2]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)                        # log(1 - u1), safe at u1 = 0
+    np.multiply(r, -2.0, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(theta, 2.0 * np.pi, out=theta)
+    c = np.cos(theta)
+    np.sin(theta, out=theta)
+    np.multiply(r, theta, out=theta)          # z[2k+1] = r sin
+    np.multiply(r, c, out=r)                  # z[2k] = r cos
     return z[0, :count] if single else z[:, :count]
 
 
@@ -491,12 +480,13 @@ def stream_seed(master_seed, n, delta, rep):
 def noise_sigma(instance, delta):
     """Absolute noise strength sigma = delta * n^{-1/2} * ||y|| of relative level delta.
 
-    A delta that is negative or not finite raises DomainError. Every path
+    A delta that is negative or not finite raises DomainError, and so does
+    a y whose ||y||^2 overflows float64. Every path
     from delta to sigma (add_noise, the drivers, the CLI) runs through here,
     so this is the one check of delta.
     """
     delta = _real(delta, "delta", 0, strict=False)
-    return delta * float(np.linalg.norm(instance.y)) / math.sqrt(instance.n)
+    return delta * math.sqrt(_sq_norm(instance.y, "||y||^2")) / math.sqrt(instance.n)
 
 
 def add_noise(instance, delta, seed):

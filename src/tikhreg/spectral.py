@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InsufficientSpectrum, NonFiniteLambda, _real
+from .errors import ConvergenceFailure, DomainError, InsufficientSpectrum, NonFiniteLambda, _real
 
 # Eigenvalues are kept only while rho_k > n * eps * rho_1. No route loses
 # precision near that level, since none forms A^T A: the threshold is a fixed
@@ -210,9 +210,11 @@ def _svd(m):
 
 
 def _retained(rho, n):
-    # number of leading modes of the descending rho above n * eps * rho_1
-    rho1 = rho[0] if rho.size else 0.0
-    return int(np.sum(rho > n * _EPS * rho1))
+    # number of leading modes of the descending rho above n * eps * rho_1; an
+    # overflowed rho_1 (inf) would keep none
+    if not rho[0] < math.inf:
+        raise DomainError("rho_1, the largest eigenvalue of (A^T A, W), overflows float64")
+    return int(np.sum(rho > n * _EPS * rho[0]))
 
 
 def _kron_decompose(instance):
@@ -251,11 +253,15 @@ def decompose(instance):
     instance.a None, an instance with a Kronecker factor takes the Kronecker
     route and one without the sine route, whose bases are implicit; every
     other instance takes the dense route, whose bases are arrays. See the
-    module docstring.
+    module docstring. A rho_1 that overflows float64 (an A scaled up or a W
+    scaled down far enough) raises DomainError.
     """
-    if instance.w is None and instance.a is None:
-        return (_sine_decompose if instance.kron_factor is None else _kron_decompose)(instance)
-    return _dense_decompose(instance)
+    # every route squares singular values, and _retained refuses a rho that
+    # overflowed (on the Kronecker route inf times a zero mu is a NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if instance.w is None and instance.a is None:
+            return (_sine_decompose if instance.kron_factor is None else _kron_decompose)(instance)
+        return _dense_decompose(instance)
 
 
 def _dense_decompose(instance):

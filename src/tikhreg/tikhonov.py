@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, _array
+from .errors import DimensionMismatch, DomainError, _array, _sq_norm
 from .spectral import filter_errors
 
 
@@ -58,10 +58,9 @@ def _check_rhs(decomp, instance, b):
     return _array(b, "b", (instance.n,))
 
 
-def _perp_sq(decomp, v, d):
+def _perp_sq(decomp, v, d, what):
     # ||v_perp||^2 for the projections d = (v, A psi_k)
-    v_perp = v - decomp.image(d / decomp.rho)
-    return float(v_perp @ v_perp)
+    return _sq_norm(v - decomp.image(d / decomp.rho), f"||{what}_perp||^2")
 
 
 def _residual_terms(d, rho, sqrt_rho, lam):
@@ -85,16 +84,17 @@ def spectral_solver(decomp, instance, b):
     no length-n vector is formed. A decomposition of another n raises
     DimensionMismatch, and b goes through errors._array (DomainError unless
     it is an integer or float ndarray with finite entries, DimensionMismatch
-    unless it has shape (n,)); a lambda that is not finite and positive
-    raises NonFiniteLambda.
+    unless it has shape (n,)); a ||b_perp||^2 or ||y_perp||^2 that overflows
+    float64 raises DomainError, and a lambda that is not finite and positive
+    NonFiniteLambda.
     """
     b = _check_rhs(decomp, instance, b)
     rho = decomp.rho
     sqrt_rho = np.sqrt(rho)
     d = decomp.project(b)
     d_noise = decomp.project(b - instance.y)
-    b_perp_sq = _perp_sq(decomp, b, d)
-    y_perp_sq = _perp_sq(decomp, instance.y, decomp.project(instance.y))
+    b_perp_sq = _perp_sq(decomp, b, d, "b")
+    y_perp_sq = _perp_sq(decomp, instance.y, decomp.project(instance.y), "y")
 
     def solve(lam):
         # the kernel checks lam
@@ -117,12 +117,13 @@ def error_report(instance, decomp, sol, b):
 
     x = decomp.expand(sol.c) is formed here. A decomposition of another n
     raises DimensionMismatch, b is checked as spectral_solver checks it, and a
-    zero ||x*||, ||y|| or ||b|| raises DomainError."""
+    zero ||x*||, ||y|| or ||b||, or a squared norm that overflows float64,
+    raises DomainError."""
     b = _check_rhs(decomp, instance, b)
-    x_err = float(np.linalg.norm(decomp.expand(sol.c) - instance.x_star))
-    x_norm = float(np.linalg.norm(instance.x_star))
-    y_norm = float(np.linalg.norm(instance.y))
-    b_norm = float(np.linalg.norm(b))
+    x_err, x_norm, y_norm, b_norm = (
+        math.sqrt(_sq_norm(v, f"||{what}||^2")) for v, what in
+        ((decomp.expand(sol.c) - instance.x_star, "x - x*"), (instance.x_star, "x*"),
+         (instance.y, "y"), (b, "b")))
     if 0.0 in (x_norm, y_norm, b_norm):
         raise DomainError(f"relative errors need nonzero norms, got ||x*|| = {x_norm}, "
                           f"||y|| = {y_norm}, ||b|| = {b_norm}")

@@ -539,20 +539,26 @@ def test_empty_size_or_delta_list_is_usage_error(tmp_path, capsys, command):
     assert not os.path.exists(tmp_path / "o")
 
 
+def _hand_written_prob(path, a, x_star, y):
+    # the .prob bytes of A, x* and y with W = I, written by hand, so that the
+    # file does not depend on what a ProblemInstance accepts
+    header = json.dumps({"format": "prob", "version": 1, "n": y.size, "label": "bad",
+                         "w_kind": "identity"}, sort_keys=True).encode("utf-8")
+    path.write_bytes(len(header).to_bytes(8, "little") + header
+                     + b"".join(v.astype("<f8").tobytes() for v in (a, x_star, y)))
+    return str(path)
+
+
 def _nonfinite_prob(path, field):
-    # the .prob bytes of a Fredholm n = 40 instance with a NaN in A or an
-    # infinity in x*, written by hand: no ProblemInstance holds either
+    # a Fredholm n = 40 instance with a NaN in A or an infinity in x*: no
+    # ProblemInstance holds either
     inst = build_fredholm(40)
     a, x_star = inst.dense_a(), inst.x_star.copy()
     if field == "a":
         a[7, 11] = float("nan")
     else:
         x_star[5] = float("inf")
-    header = json.dumps({"format": "prob", "version": 1, "n": 40, "label": "bad",
-                         "w_kind": "identity"}, sort_keys=True).encode("utf-8")
-    path.write_bytes(len(header).to_bytes(8, "little") + header
-                     + b"".join(v.astype("<f8").tobytes() for v in (a, x_star, inst.y)))
-    return str(path)
+    return _hand_written_prob(path, a, x_star, inst.y)
 
 
 @pytest.mark.parametrize("field,command", [
@@ -566,6 +572,18 @@ def test_nonfinite_prob_exits_1_without_traceback(tmp_path, capfd, field, comman
     assert code == 1
     assert "non-finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["solve", "--delta", "0.01"], ["spectrum"]])
+def test_a_prob_whose_spectrum_overflows_exits_1_without_traceback(tmp_path, capfd, command):
+    # A is the n = 60 kernel fill times 1e300, finite in every entry, so rho_1
+    # overflows: solve exited 0 with x = 0 and a RuntimeWarning, spectrum 1
+    # with InsufficientSpectrum (m = 0)
+    inst = build_fredholm(60)
+    prob = _hand_written_prob(tmp_path / "huge.prob", inst.dense_a() * 1e300, inst.x_star, inst.y)
+    code, err = run_reporting(command + ["--prob", prob, "--out", str(tmp_path / "o")], capfd)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "rho_1" in err
 
 
 @pytest.mark.parametrize("command", [

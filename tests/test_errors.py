@@ -30,6 +30,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -759,6 +760,50 @@ def test_an_array_of_a_refused_kind_raises_a_typed_error(call, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+_HUGE = np.full(20, 1e300)
+
+
+# finite entries whose squared norm overflows float64: each of these warned
+# "overflow encountered in dot" or "in matmul" and went on with an inf
+@pytest.mark.parametrize("call, quantity", [
+    (lambda: noise_sigma(replace(_FRED, y=_HUGE), 0.1), "||y||^2"),
+    (lambda: add_noise(replace(_FRED, y=_HUGE), 0.1, 0), "||y||^2"),
+    (lambda: run_sweep(replace(_FRED, y=_HUGE), 0.1, 0, (1e-8, 1.0, 5)), "||y||^2"),
+    (lambda: spectral_solver(_DECOMP, replace(_FRED, y=_HUGE), _FRED.y), "||y_perp||^2"),
+    (lambda: rule_lambda("w", 4.0, replace(_FRED, x_star=_HUGE), 0.1), "||x*||_W^2"),
+    (lambda: error_report(replace(_FRED, x_star=_HUGE), _DECOMP, _SOL, _B), "||x - x*||^2"),
+    (lambda: rule_lambda("w", 4.0, replace(_FRED, x_star=_HUGE * 1e-150,
+                                           w=np.eye(20) * 1e150), 0.1), "||x*||_W^2"),
+    (lambda: spectral_solver(_DECOMP, _FRED, _HUGE), "||b_perp||^2"),
+    (lambda: error_report(_FRED, _DECOMP, _SOL, _HUGE), "||b||^2"),
+], ids=["noise_sigma-y", "add_noise-y", "run_sweep-y", "spectral_solver-y", "rule_lambda-x_star",
+        "error_report-x_star", "rule_lambda-x_star-w", "spectral_solver-b", "error_report-b"])
+def test_a_norm_that_overflows_raises_a_typed_error(call, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"{quantity} overflows float64")):
+            call()
+
+
+_FRED60, _BLUR8 = build_fredholm(60), build_blur(8, 2.0)
+
+
+# instances every check accepts whose rho_1 = s_1^2 overflows: decompose
+# warned "overflow encountered in square" or "in multiply" and kept m = 0
+# modes, so solve went on with x = 0
+@pytest.mark.parametrize("make", [
+    lambda: replace(_FRED60, a=_FRED60.dense_a() * 1e300),
+    lambda: replace(_FRED60, w=np.eye(60) * 1e-320),
+    lambda: replace(_BLUR8, kron_factor=_BLUR8.kron_factor * 1e150),
+], ids=["dense-a", "dense-w", "kronecker"])
+def test_a_spectrum_that_overflows_raises_a_typed_error(make):
+    instance = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="rho_1.* overflows float64"):
+            decompose(instance)
 
 
 def test_an_instance_with_a_nan_is_never_saved(tmp_path):

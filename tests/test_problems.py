@@ -28,7 +28,7 @@ from tikhreg import (
     stream_seed,
 )
 from tikhreg.harness import _BATCH_BYTES
-from tikhreg.problems import _BLOCK_ENTRIES, _PHILOX_CHUNK, _row_blocks
+from tikhreg.problems import _BLOCK_ENTRIES, _row_blocks
 from tikhreg.spectral import _dense_decompose
 from tikhreg.tikhonov import spectral_solver
 
@@ -218,14 +218,11 @@ def test_standard_normal_pinned_values():
 
 def test_batched_rows_equal_one_seed_draws():
     # a sequence of seeds takes numpy.random's C fill, one seed the numpy-only
-    # Philox, which splits its blocks of four uniforms into equal passes of
-    # at most _PHILOX_CHUNK: the long counts take one full pass, two and
-    # three passes that end on a half-used block, and the size cap, whose
-    # last pass computes two blocks it does not keep
+    # Philox; each fills rows of whole blocks of four uniforms, and a count
+    # that is not a multiple of 4 keeps part of the last. The long counts lie
+    # on and next to multiples of 4096 blocks, and at the size cap
     seeds = [0, 2**64 - 1, 1, 2**63] + [stream_seed(9, 500, 0.01, rep) for rep in range(70)]
-    chunk = 4 * _PHILOX_CHUNK
-    for count in (0, 1, 2, 7, 63, 64, 65, 500, 501, chunk - 1, chunk, chunk + 1, 2 * chunk + 1,
-                  40000):
+    for count in (0, 1, 2, 7, 63, 64, 65, 500, 501, 16383, 16384, 16385, 32769, 40000):
         some = seeds if count <= 501 else seeds[:6]
         block = standard_normal(some, count)
         assert block.shape == (len(some), count)
@@ -247,9 +244,10 @@ def _per_row_normals(seed, count):
     return z[:count]
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 7, 500, 501, 2000])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 7, 500, 501, 2000])
 def test_batched_block_equals_the_per_row_reference(count):
-    # 64 rows: at count 2000 the block holds 64000 pairs in one transform
+    # 64 rows: at count 2000 the block holds 64000 pairs in one transform; at
+    # count 5 a row is two blocks wide, wider than the reference's six uniforms
     seeds = [0, 2**64 - 1] + stream_seed(3, 500, 0.01, range(62))
     block = standard_normal(seeds, count)
     assert np.array_equal(block, [_per_row_normals(s, count) for s in seeds])
@@ -262,11 +260,11 @@ def test_batched_draw_holds_only_its_block_and_a_bounded_scratch():
     # add_noise's one-seed draw at each n. The transform's one temporary is
     # cos(theta), one float64 per pair; the generator and its state dict take
     # about 3 KB more, and the one-seed fill's scratch at most 15 uint64 per
-    # Philox block of a pass
+    # Philox block of the count (1.2 MB at the size cap)
     standard_normal([0], 2)                # numpy.random's lazy import is not the draw's
     for n in (500, 2000, 40000):
         seeds = stream_seed(7, n, 0.01, range(max(1, _BATCH_BYTES // (8 * n))))
-        for draw, rows, scratch in ((seeds, len(seeds), 0), (seeds[0], 1, 15 * 8 * _PHILOX_CHUNK)):
+        for draw, rows, scratch in ((seeds, len(seeds), 0), (seeds[0], 1, 15 * 8 * (n // 4))):
             peak, z = _traced_peak(lambda: standard_normal(draw, n))
             bound = z.nbytes + 8 * ((n + 1) // 2) * rows + 8192 + scratch
             assert peak <= bound, (n, rows, peak, z.nbytes)
