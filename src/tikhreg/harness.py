@@ -191,7 +191,7 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
         hi = min(lo + batch, reps)
         xi = standard_normal(stream_seed(master_seed, n, delta, range(lo, hi)), n)
         with np.errstate(over="ignore", invalid="ignore"):
-            d_noise = sigma * decomp.project(xi.T).T
+            d_noise = sigma * decomp.project(xi)
             _, out_sq[lo:hi], b_sq[lo:hi] = filter_errors(decomp, d_clean + d_noise, d_noise, lam)
         if not (np.isfinite(out_sq[lo:hi]).all() and np.isfinite(b_sq[lo:hi]).all()):
             raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes the scaled errors "

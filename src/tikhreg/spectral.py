@@ -3,7 +3,8 @@
 Every route returns one SpectralDecomposition: rho and the bases psi and
 A psi, each an (n, m) array on the dense route or an implicit basis, held in
 O(n) numbers, on the sine and Kronecker routes. The methods that read the
-basis (project, expand, image) are written once against B @ c and B.T @ v.
+basis (project, expand, image) are written once against B @ c and v @ B,
+v a vector or a block of rows.
 filter_errors is the one place that forms the Tikhonov filter
 c = d / (lambda + rho) and the errors it makes.
 
@@ -20,7 +21,7 @@ with mu = s^2 the eigenpairs are rho = mu_i mu_j with psi = kron(v_i, v_j)
 and A psi = kron(T v_i, T v_j), T V = U S. Only the side x side T is
 factored, by the same SVD call as the dense route, and the basis is never
 formed: for u = vec(U), U side x side and row-major,
-(u, kron(f_i, f_j)) = (F^T U F)[i, j], so a product B^T u is two side x side
+(u, kron(f_i, f_j)) = (F^T U F)[i, j], so a product u @ B is two side x side
 products and a gather at the index pairs (i_k, j_k), and B c scatters c into
 a side x side C and returns vec(F C F^T). psi and A psi are _KronBasis of
 F = V and F = TV with the same index pairs.
@@ -79,21 +80,20 @@ _FIT_CAP = 400
 
 
 class _Basis:
-    """An (n, m) basis held implicitly: B @ c synthesizes, B.T @ v analyses."""
+    """An (n, m) basis held implicitly: B @ c synthesizes, v @ B analyses.
 
-    @property
-    def T(self):
-        return _Transposed(self)
+    v is (n,) or a block (r, n) of rows. __array_ufunc__ = None makes
+    ndarray @ basis return NotImplemented, so Python calls __rmatmul__
+    (NumPy's NEP 13 opt-out).
+    """
+
+    __array_ufunc__ = None
 
     def __matmul__(self, c):
         return self._synthesis(c)
 
-
-class _Transposed(NamedTuple):
-    basis: _Basis
-
-    def __matmul__(self, v):
-        return self.basis._analysis(v)
+    def __rmatmul__(self, v):
+        return self._analysis(v)
 
 
 @dataclass
@@ -113,12 +113,12 @@ class _SineBasis(_Basis):
         return np.exp(1j * shift * math.pi / self.n * np.arange(1, self.w.shape[0] + 1))
 
     def _analysis(self, v):
-        # w_k sqrt(2/n) sum_j v_j sin(k (j + shift) pi/n) along axis 0 of v
+        # w_k sqrt(2/n) sum_j v_j sin(k (j + shift) pi/n) along the last axis of v
         scale = self.w * math.sqrt(2.0 / self.n)
-        f = np.fft.rfft(v.T, 2 * self.n)[..., 1:self.w.shape[0] + 1]
+        f = np.fft.rfft(v, 2 * self.n)[..., 1:self.w.shape[0] + 1]
         if self.shift:
             f *= self._phase(-self.shift)
-        return (f.imag * -scale).T
+        return f.imag * -scale
 
     def _synthesis(self, c):
         # sum_k g_k sin(k (j + shift) pi/n) with g = w c sqrt(2/n): the inverse
@@ -143,10 +143,10 @@ class _KronBasis(_Basis):
         return self.f.shape[0] ** 2, self.i.shape[0]
 
     def _analysis(self, u):
-        # (F^T U F)[i_k, j_k] per column of u: (m,) or (m, r)
+        # (F^T U F)[i_k, j_k] per row of u: (m,) or (r, m)
         side = self.f.shape[0]
-        images = u.T.reshape(u.shape[1:] + (side, side))
-        return (self.f.T @ images @ self.f)[..., self.i, self.j].T
+        images = u.reshape(u.shape[:-1] + (side, side))
+        return (self.f.T @ images @ self.f)[..., self.i, self.j]
 
     def _synthesis(self, c):
         # vec(F C F^T) for C = c scattered to the index pairs
@@ -179,8 +179,8 @@ class SpectralDecomposition(NamedTuple):
         return self.psi.shape[0]
 
     def project(self, v):
-        """The projections (v, A psi_k): (m,) for a vector, (m, r) for r columns."""
-        return self.a_psi.T @ v
+        """The projections (v, A psi_k): (m,) for a vector, (r, m) for a block of r rows."""
+        return v @ self.a_psi
 
     def expand(self, c):
         """psi c, the vector with coefficients c on the retained modes."""
@@ -291,7 +291,8 @@ def fit_alpha(decomp):
     Natural logs over ranks k in [6, min(400, floor(m/2))]; alpha_hat is the
     slope magnitude and c_upper the envelope constant max_k rho_k k^alpha_hat
     over every retained rank, raised by the fewest ulps that make the computed
-    envelope c_upper k^-alpha_hat bound every rho_k.
+    envelope c_upper k^-alpha_hat bound every rho_k. A c_upper that
+    overflows float64 raises DomainError.
     """
     m = decomp.m
     k_hi = min(_FIT_CAP, m // 2)
@@ -306,10 +307,15 @@ def fit_alpha(decomp):
     alpha_hat = float(abs(slope))
     resid = log_rho - (slope * log_k + intercept)
     all_k = np.arange(1, m + 1, dtype=np.float64)
-    c_upper = float(np.max(decomp.rho * all_k**alpha_hat))
+    # a finite rho_k times k^a (or k^a itself) can overflow; the check below
+    # refuses it
+    with np.errstate(over="ignore"):
+        c_upper = float(np.max(decomp.rho * all_k**alpha_hat))
     # rho_k * k^a / k^a need not round back to rho_k; step up until it bounds
     while np.any(decomp.rho > _envelope(c_upper, alpha_hat, all_k)):
         c_upper = float(np.nextafter(c_upper, math.inf))
+    if not c_upper < math.inf:
+        raise DomainError("the envelope constant c_upper = max_k rho_k k^alpha_hat overflows float64")
     return AlphaFit(
         alpha_hat=alpha_hat,
         log_c=float(intercept),

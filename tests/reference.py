@@ -52,9 +52,9 @@ def greens_kernel(t, s):
 
 def basis(decomp):
     """(psi, A psi) as (n, m) arrays: the dense route's own, or an implicit basis's
-    analysis B.T applied to the identity; for small n."""
+    analysis applied to the rows of the identity; for small n."""
     eye = np.eye(decomp.n)
-    return tuple(b if isinstance(b, np.ndarray) else (b.T @ eye).T
+    return tuple(b if isinstance(b, np.ndarray) else eye @ b
                  for b in (decomp.psi, decomp.a_psi))
 
 

@@ -586,6 +586,34 @@ def test_a_prob_whose_spectrum_overflows_exits_1_without_traceback(tmp_path, cap
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "rho_1" in err
 
 
+def test_a_prob_whose_envelope_overflows_exits_1_without_traceback(tmp_path, capfd):
+    # A = diag(sqrt(rho)), rho_k = 1e300 min(1, (k/6)^-18.6), flat from rank
+    # 31 on: all 60 modes are kept and alpha_hat = 18.6, so rho_60 60^18.6
+    # overflows; spectrum exited 0 with a RuntimeWarning and wrote
+    # "c_upper": Infinity, which is not JSON
+    k = np.minimum(np.arange(1, 61), 30)
+    a = np.diag(np.sqrt(1e300 * np.minimum(1.0, (k / 6) ** -18.6)))
+    prob = str(tmp_path / "steep.prob")
+    save_problem(ProblemInstance(n=60, a=a, x_star=np.ones(60), y=a @ np.ones(60), w=None,
+                                 label="steep"), prob)
+    out = tmp_path / "o"
+    code, err = run_reporting(["spectrum", "--prob", prob, "--out", str(out)], capfd)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "envelope constant" in err
+    assert not (out / "spectrum.json").exists()
+
+
+def test_out_of_memory_exits_1_without_traceback(tmp_path, capfd, monkeypatch):
+    # a size within the caps that the host still cannot allocate
+    def no_memory(instance):
+        raise MemoryError("cannot allocate the basis")
+
+    monkeypatch.setattr(cli, "decompose", no_memory)
+    code, err = run_reporting(["spectrum", "--n", "60", "--out", str(tmp_path / "o")], capfd)
+    assert code == 1
+    assert err == "error: out of memory: cannot allocate the basis\n"
+
+
 @pytest.mark.parametrize("command", [
     ["table", "--ns", "60,100", "--deltas", "0.1,0.01", "--alpha", "2"],
     ["adaptive", "--n", "100", "--delta", "0.01", "--alpha", "2"],

@@ -85,7 +85,7 @@ def test_only_spectral_reads_the_basis(module):
 
 
 def test_check_flags_a_basis_read():
-    tree = ast.parse("d = dec.project(b)\nx = dec.psi @ c\nax = dec.a_psi.T @ v\nr = dec.rho\n")
+    tree = ast.parse("d = dec.project(b)\nx = dec.psi @ c\nax = v @ dec.a_psi\nr = dec.rho\n")
     assert _basis_reads(tree) == [(2, "psi"), (3, "a_psi")]
 
 
@@ -220,7 +220,7 @@ RECORDS = {
     "harness": ["SweepResult", "MonteCarloCell", "MonteCarloSummary", "SampleStudy", "TableRow"],
     "tikhonov": ["RegularizedSolution", "ErrorReport"],
     "params": ["AdaptiveTrace"],
-    "spectral": ["AlphaFit", "SpectralDecomposition", "_Transposed"],
+    "spectral": ["AlphaFit", "SpectralDecomposition"],
     "problems": ["NoisyData"],
 }
 

@@ -196,6 +196,28 @@ def test_adaptive_relative_stop(fred200):
     assert dl <= 1e-3
 
 
+def test_relative_stop_divides_by_the_new_lambda(fred20):
+    # a stub solver whose update halves lambda: |lambda_{k+1} - lambda_k| is
+    # lambda_{k+1} itself, and half of lambda_k. At alpha = 2 the update is
+    # lambda = (s / (sqrt(n) q))^{4/3} with s = n^{-1/2} residual_b and
+    # q = n^{-1/2} w_norm = 1
+    n = fred20.n
+
+    def halving(lam):
+        return RegularizedSolution(lam=lam, c=None, residual_b=n * (lam / 2) ** 0.75,
+                                   w_norm=math.sqrt(n), output_err=0.0)
+
+    def run(tol):
+        return adaptive_select(fred20, AdaptiveConfig(alpha=2.0, tol=tol, stop_mode="relative",
+                                                      max_iters=6), halving)
+
+    trace = run(0.75)
+    assert trace.terminated == "max_iters" and len(trace.lambdas) == 7
+    assert trace.lambdas[1] == pytest.approx(trace.lambdas[0] / 2, rel=1e-14)
+    trace = run(1.01)
+    assert trace.terminated == "converged" and len(trace.lambdas) == 2
+
+
 def test_adaptive_max_iters(fred200):
     b = _noisy(fred200, 0.1, 9)
     cfg = AdaptiveConfig(alpha=2.0, constant_c=1.0, tol=1e-300, stop_mode="relative", max_iters=3)
@@ -231,7 +253,7 @@ def test_adaptive_noise_free_decays_to_underflow(fred20):
     underflow guard trips.
     """
     dec = decompose(fred20)
-    s = dec.psi.T @ fred20.x_star        # fred20.w is the identity
+    s = fred20.x_star @ dec.psi        # fred20.w is the identity
 
     def exact(lam):
         shrink = lam * s / (lam + dec.rho)

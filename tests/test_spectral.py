@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -107,14 +108,14 @@ def test_parseval_identity(seed):
 def test_project_and_expand_are_the_basis_products(fred20, rng):
     # the dense route's methods are the basis products themselves; the sine
     # route's transforms match them to rounding
-    v = rng.standard_normal((fred20.n, 3))
+    v = rng.standard_normal((3, fred20.n))
     for dec in (_dense_decompose(fred20), decompose(fred20)):
         assert (dec.m, dec.n) == (dec.rho.shape[0], fred20.n) == (19, 20)
         psi, a_psi = basis(dec)
         c = rng.standard_normal(dec.m)
         x, ax = dec.expand(c), dec.image(c)
-        pairs = [(dec.project(v[:, 0]), a_psi.T @ v[:, 0]), (dec.project(v), a_psi.T @ v),
-                 (dec.psi.T @ v[:, 0], psi.T @ v[:, 0]), (x, psi @ c), (ax, a_psi @ c)]
+        pairs = [(dec.project(v[0]), v[0] @ a_psi), (dec.project(v), v @ a_psi),
+                 (v[0] @ dec.psi, v[0] @ psi), (x, psi @ c), (ax, a_psi @ c)]
         for got, want in pairs:
             if isinstance(dec.psi, np.ndarray):
                 assert np.array_equal(got, want)
@@ -136,16 +137,16 @@ def test_implicit_routes_match_their_basis(build, size, rng):
     psi, a_psi = basis(dec)
     assert psi.shape == a_psi.shape == (n, m)
     v = rng.standard_normal(n)
-    block = rng.standard_normal((n, 64))
+    block = rng.standard_normal((64, n))
     c = rng.standard_normal(m)
     x, ax = dec.expand(c), dec.image(c)
     projected = dec.project(block)
-    for got, want in [(dec.project(v), a_psi.T @ v), (projected, a_psi.T @ block),
-                      (dec.psi.T @ v, psi.T @ v), (x, psi @ c), (ax, a_psi @ c)]:
+    for got, want in [(dec.project(v), v @ a_psi), (projected, block @ a_psi),
+                      (v @ dec.psi, v @ psi), (x, psi @ c), (ax, a_psi @ c)]:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    for j in range(block.shape[1]):
-        assert np.array_equal(projected[:, j], dec.project(block[:, j]))
+    for j in range(block.shape[0]):
+        assert np.array_equal(projected[j], dec.project(block[j]))
     # the decomposition holds O(n) numbers, no n x m array
     stored = [np.size(dec.rho)] + [np.size(a) for b in (dec.psi, dec.a_psi)
                                    for a in vars(b).values() if isinstance(a, np.ndarray)]
@@ -209,6 +210,22 @@ def test_fit_alpha_on_blur_spectrum():
     # envelope bounds every retained eigenvalue
     k = np.arange(1, dec.m + 1)
     assert np.all(dec.rho <= fit.c_upper * k**-fit.alpha_hat + 1e-300)
+
+
+def test_envelope_constant_is_the_smallest_bounding_double():
+    # at n = 2000 the raw max_k rho_k k^alpha_hat misses a rho_k once its
+    # envelope is rounded, so fit_alpha steps c_upper up; the envelope is read
+    # from spectrum_rows, as spectrum.csv writes it
+    dec = decompose(build_fredholm(2000))
+    fit = fit_alpha(dec)
+    ks = np.arange(1, dec.m + 1, dtype=np.float64)
+
+    def bounds(c_upper):
+        return all(r <= e for _, r, e in spectrum_rows(dec, fit._replace(c_upper=c_upper)))
+
+    assert bounds(fit.c_upper)
+    assert not bounds(float(np.nextafter(fit.c_upper, 0)))
+    assert not bounds(float(np.max(dec.rho * ks**fit.alpha_hat)))
 
 
 def test_spectrum_rows_schema(dec200):
@@ -281,37 +298,38 @@ def test_error_filter_matches_direct_solve_errors(seed, lam):
 
 
 def _route_instance(route, seed):
-    """An instance of one decomposition route, with nonzero x*, plus 5 noisy columns b."""
+    """An instance of one decomposition route, with nonzero x*, plus 5 noisy rows b."""
     if route == "dense":
-        return _well_conditioned(seed, n=40, columns=5)
+        inst, b = _well_conditioned(seed, n=40, columns=5)
+        return inst, b.T
     inst = build_fredholm(61) if route == "sine" else build_blur(12, 2.0)
     gen = np.random.Generator(np.random.Philox(key=seed))
     sigma = 0.01 * np.linalg.norm(inst.y) / np.sqrt(inst.n)
-    return inst, inst.y[:, None] + sigma * gen.standard_normal((inst.n, 5))
+    return inst, (inst.y[:, None] + sigma * gen.standard_normal((inst.n, 5))).T
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_error_filter_batch_matches_single_columns(seed):
     # on every route each row's filter and errors have the bits of its own
     # vector call, in either memory layout of d and d_noise; on the implicit
-    # routes so does each column's projection, so no batch width can move a
+    # routes so does each row's projection, so no batch width can move a
     # Monte Carlo bit
     for route in ("dense", "sine", "kronecker"):
         inst, b = _route_instance(route, seed)
         dec = decompose(inst)
-        d, d_noise = dec.project(b).T, dec.project(b - inst.y[:, None]).T
+        d, d_noise = dec.project(b), dec.project(b - inst.y)
         if route != "dense":
-            for j in range(b.shape[1]):
-                assert np.array_equal(d[j], dec.project(b[:, j])), (route, j)
+            for j in range(b.shape[0]):
+                assert np.array_equal(d[j], dec.project(b[j])), (route, j)
         for lam in (1e-8, 1e-4, 1.0):
             c, out_sq, b_sq = filter_errors(dec, d, d_noise, lam)
             assert c.shape == d.shape
-            assert out_sq.shape == b_sq.shape == (b.shape[1],)
+            assert out_sq.shape == b_sq.shape == (b.shape[0],)
             for layout in (np.ascontiguousarray, np.asfortranarray):
                 c_l, out_l, b_l = filter_errors(dec, layout(d), layout(d_noise), lam)
                 assert np.array_equal(c_l, c)
                 assert np.array_equal(out_l, out_sq) and np.array_equal(b_l, b_sq)
-            for j in range(b.shape[1]):
+            for j in range(b.shape[0]):
                 c_j, out_j, b_j = filter_errors(dec, d[j], d_noise[j], lam)
                 assert np.array_equal(c[j], c_j)
                 assert out_sq[j] == out_j and b_sq[j] == b_j, (route, lam, j)
@@ -397,6 +415,18 @@ def test_sine_route_spectrum_matches_singular_values():
     dec = decompose(inst)
     sv_sq = np.linalg.svd(inst.dense_a(), compute_uv=False)[:dec.m] ** 2
     assert np.max(np.abs(dec.rho - sv_sq) / sv_sq) <= 1e-9
+
+
+@pytest.mark.parametrize("n, m", [(490, 479), (606, 584), (622, 598)])
+def test_sine_route_keeps_the_modes_above_n_eps_rho_1(n, m):
+    # sizes where a threshold of (n - 1) eps rho_1 keeps one mode more; rho
+    # from the closed form in cosines, not from the route's sines
+    theta = np.arange(1, n) * math.pi / n
+    rho = (np.cos(theta / 2) / (n * n * (2 - 2 * np.cos(theta)))) ** 2
+    eps = np.finfo(np.float64).eps
+    assert np.sum(rho > n * eps * rho[0]) == m
+    assert np.sum(rho > (n - 1) * eps * rho[0]) == m + 1
+    assert decompose(build_fredholm(n)).m == m
 
 
 def test_sine_route_not_taken_with_explicit_weight():

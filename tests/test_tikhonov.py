@@ -230,6 +230,20 @@ def test_scalars_match_n_space(route, size):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("route, size", [("sine", 500), ("kron", 16), ("dense", 120)])
+def test_scaled_output_is_the_output_error_over_root_n(route, size):
+    # n^{-1/2} ||A x - y|| with x = expand(c), formed in n-space from the
+    # dense A; over sqrt(n - 1) it would be about 1/(2n) off
+    inst, b = _route_case(route, size)
+    dec = decompose(inst)
+    assert isinstance(dec.psi, np.ndarray) == (route == "dense")
+    solve = spectral_solver(dec, inst, b)
+    for lam in (1e-8, 1e-5, 1e-2):
+        sol = solve(lam)
+        want = np.linalg.norm(inst.dense_a() @ dec.expand(sol.c) - inst.y) / math.sqrt(inst.n)
+        assert error_report(inst, dec, sol, b).scaled_output == pytest.approx(want, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("route, size", [("sine", 500), ("kron", 20), ("dense", 120)])
 def test_adaptive_run_expands_once(monkeypatch, route, size):
     # building the solver synthesizes A psi (d/rho) for y_perp and b_perp and
