@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Every experiment is exposed as a subcommand that writes CSV/JSON files plus a
-manifest.json into one output directory and prints a one-line summary. Each
-command's body writes all of its files, and writes each record it gets from a
+manifest.json into one output directory and prints a one-line summary. A
+command's body is only its computation: main builds the instance of every
+command that takes --n, and hands the body an out(name) that gives the path to
+write and records the name, so the manifest lists exactly the files written.
+The body returns its summary line, and writes each record it gets from a
 driver as it stands, a CSV column or JSON key per field, so a record's field
 order is its file's layout. Exit codes: 0 success, 1 runtime failure, 2 usage
 error. The output directory is --out if given, else $TIKHREG_OUT, else
@@ -165,72 +168,59 @@ def _finite(record):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: return (outputs, summary line)
+# subcommand bodies: (args, instance, out) -> summary line. instance is the
+# one main builds for a command that takes --n, else None; out(name) is the
+# path to write output file `name` to, and records it for the manifest
 
-def _cmd_generate(args, parser, out_dir):
-    instance = _build_instance(args, parser)
-    save_problem(instance, os.path.join(out_dir, "instance.prob"))
-    return ["instance.prob"], (
-        f"generate: wrote instance.prob (label={instance.label}, n={instance.n})"
-    )
+def _cmd_generate(args, instance, out):
+    save_problem(instance, out("instance.prob"))
+    return f"generate: wrote instance.prob (label={instance.label}, n={instance.n})"
 
 
-def _cmd_spectrum(args, parser, out_dir):
-    instance = _build_instance(args, parser)
+def _cmd_spectrum(args, instance, out):
     decomp = decompose(instance)
     fit = fit_alpha(decomp)
-    write_csv(os.path.join(out_dir, "spectrum.csv"), ["k", "rho", "envelope"],
-              spectrum_rows(decomp, fit))
-    write_json(os.path.join(out_dir, "spectrum.json"), {**fit._asdict(), "retained": decomp.m})
-    return ["spectrum.csv", "spectrum.json"], (
-        f"spectrum: m={decomp.m} retained, alpha_hat={fit.alpha_hat:.4f}, "
-        f"fit range k={fit.fit_range[0]}..{fit.fit_range[1]}"
-    )
+    write_csv(out("spectrum.csv"), ["k", "rho", "envelope"], spectrum_rows(decomp, fit))
+    write_json(out("spectrum.json"), {**fit._asdict(), "retained": decomp.m})
+    return (f"spectrum: m={decomp.m} retained, alpha_hat={fit.alpha_hat:.4f}, "
+            f"fit range k={fit.fit_range[0]}..{fit.fit_range[1]}")
 
 
-def _cmd_solve(args, parser, out_dir):
-    instance = _build_instance(args, parser)
+def _cmd_solve(args, instance, out):
     data = add_noise(instance, args.delta, args.seed)
     # a bad lambda exits before the decomposition is paid for
     lam = _check_lambda(_chosen_lambda(args, instance, data.sigma))
     decomp = decompose(instance)
     sol = spectral_solver(decomp, instance, data.b)(lam)
     report = error_report(instance, decomp, sol, data.b)
-    write_csv(os.path.join(out_dir, "solve.csv"),
+    write_csv(out("solve.csv"),
               ["lambda", "sigma", "rel_x", "rel_Ax", "rel_res", "scaled_output"],
               [(sol.lam, data.sigma, *report)])
-    return ["solve.csv"], (
-        f"solve: lambda={sol.lam:.6e}, rel_x={report.rel_x:.4e}, rel_res={report.rel_res:.4e}"
-    )
+    return f"solve: lambda={sol.lam:.6e}, rel_x={report.rel_x:.4e}, rel_res={report.rel_res:.4e}"
 
 
-def _cmd_sweep(args, parser, out_dir):
-    instance = _build_instance(args, parser)
+def _cmd_sweep(args, instance, out):
     result = run_sweep(
         instance, args.delta, args.seed, (args.grid_lo, args.grid_hi, args.grid_count),
         rule=args.rule, alpha=args.alpha, constant_c=args.c,
     )
-    write_csv(os.path.join(out_dir, "sweep.csv"), ["lambda", "error"],
+    write_csv(out("sweep.csv"), ["lambda", "error"],
               zip(result.lambdas.tolist(), result.output_errors.tolist()))
-    write_json(os.path.join(out_dir, "sweep.json"), _finite(result))
-    return ["sweep.csv", "sweep.json"], (
-        f"sweep: err_at_pred={result.err_at_pred:.6e} at lambda_pred={result.lambda_pred:.6e}, "
-        f"err_min={result.err_min:.6e} at lambda={result.argmin_lambda:.6e}"
-    )
+    write_json(out("sweep.json"), _finite(result))
+    return (f"sweep: err_at_pred={result.err_at_pred:.6e} at lambda_pred={result.lambda_pred:.6e}, "
+            f"err_min={result.err_min:.6e} at lambda={result.argmin_lambda:.6e}")
 
 
-def _cmd_adaptive(args, parser, out_dir):
-    instance = _build_instance(args, parser)
+def _cmd_adaptive(args, instance, out):
     data = add_noise(instance, args.delta, args.seed)
     decomp = decompose(instance)
     trace = adaptive_select(instance, _adaptive_config(args),
                             spectral_solver(decomp, instance, data.b))
     report = error_report(instance, decomp, trace.final, data.b)
-    write_csv(os.path.join(out_dir, "trace.csv"),
-              ["k", "lambda", "scaled_residual", "scaled_wnorm"],
+    write_csv(out("trace.csv"), ["k", "lambda", "scaled_residual", "scaled_wnorm"],
               ((k, *row) for k, row in
                enumerate(zip(trace.lambdas, trace.residuals, trace.w_norms))))
-    write_json(os.path.join(out_dir, "adaptive.json"), {
+    write_json(out("adaptive.json"), {
         "terminated": trace.terminated,
         "iters": trace.iters,
         "lambda_final": trace.final.lam,
@@ -239,56 +229,49 @@ def _cmd_adaptive(args, parser, out_dir):
         "rel_Ax": report.rel_ax,
         "rel_res": report.rel_res,
     })
-    return ["trace.csv", "adaptive.json"], (
-        f"adaptive: {trace.terminated} after {trace.iters} iterations, "
-        f"lambda={trace.final.lam:.6e}, rel_res={report.rel_res:.4e}"
-    )
+    return (f"adaptive: {trace.terminated} after {trace.iters} iterations, "
+            f"lambda={trace.final.lam:.6e}, rel_res={report.rel_res:.4e}")
 
 
-def _cmd_montecarlo(args, parser, out_dir):
+def _cmd_montecarlo(args, instance, out):
     summary = run_montecarlo(
         args.ns, args.deltas, args.reps,
         rule=args.rule, constant_c=args.c, master_seed=args.seed,
         alpha=args.alpha, threads=args.threads, problem=_problem_factory(args)[1],
     )
-    write_csv(os.path.join(out_dir, "mc_cells.csv"),
-              ["n", "delta", "lambda", "mean_out", "mean_b", "reps"], summary.cells)
-    write_json(os.path.join(out_dir, "mc_fit.json"), _finite(summary))
-    return ["mc_cells.csv", "mc_fit.json"], (
-        f"montecarlo: {len(summary.cells)} cells x {args.reps} reps, "
-        f"slope_output={summary.slope_output:.4f}, slope_b={summary.slope_b:.4f}"
-    )
+    write_csv(out("mc_cells.csv"), ["n", "delta", "lambda", "mean_out", "mean_b", "reps"],
+              summary.cells)
+    write_json(out("mc_fit.json"), _finite(summary))
+    return (f"montecarlo: {len(summary.cells)} cells x {args.reps} reps, "
+            f"slope_output={summary.slope_output:.4f}, slope_b={summary.slope_b:.4f}")
 
 
-def _cmd_study(args, parser, out_dir):
-    instance = _build_instance(args, parser)
+def _cmd_study(args, instance, out):
     lam = _chosen_lambda(args, instance, noise_sigma(instance, args.delta))
     study = run_sample_study(
         instance, args.delta, lam, args.reps, master_seed=args.seed, bins=args.bins
     )
     edges = study.bin_edges.tolist()
-    write_csv(os.path.join(out_dir, "study_hist.csv"), ["bin_lo", "bin_hi", "count"],
+    write_csv(out("study_hist.csv"), ["bin_lo", "bin_hi", "count"],
               zip(edges, edges[1:], study.bin_counts.tolist()))
-    write_csv(os.path.join(out_dir, "study_qq.csv"), ["normal_q", "sample_q"],
+    write_csv(out("study_qq.csv"), ["normal_q", "sample_q"],
               zip(map(float, study.qq_theoretical), map(float, study.qq_sample)))
-    write_json(os.path.join(out_dir, "study.json"), {
+    write_json(out("study.json"), {
         "qq_correlation": study.qq_correlation,
         "mean": float(np.mean(study.samples)),
         "std": float(np.std(study.samples, ddof=1)),
         "reps": int(len(study.samples)),
     })
-    return ["study_hist.csv", "study_qq.csv", "study.json"], (
-        f"study: {args.reps} reps at lambda={lam:.6e}, qq_correlation={study.qq_correlation:.5f}"
-    )
+    return f"study: {args.reps} reps at lambda={lam:.6e}, qq_correlation={study.qq_correlation:.5f}"
 
 
-def _cmd_table(args, parser, out_dir):
+def _cmd_table(args, instance, out):
     rows = run_table(args.ns, args.deltas, _adaptive_config(args), master_seed=args.seed,
                      problem=_problem_factory(args)[1])
-    write_csv(os.path.join(out_dir, "table1.csv"),
+    write_csv(out("table1.csv"),
               ["delta", "n", "sigma", "lambda", "iters", "rel_x", "rel_Ax", "rel_res",
                "terminated"], rows)
-    return ["table1.csv"], f"table: wrote {len(rows)} rows to table1.csv"
+    return f"table: wrote {len(rows)} rows to table1.csv"
 
 
 # option groups that several commands take, each in help order
@@ -384,14 +367,22 @@ def main(argv=None):
         args = parser.parse_args(argv)
         out_dir = args.out or os.environ.get("TIKHREG_OUT") or "tikhreg_out"
         os.makedirs(out_dir, exist_ok=True)
-        outputs, summary = args.func(args, parser, out_dir)
+        # every command with --n runs on one instance, built here
+        instance = _build_instance(args, parser) if "n" in args else None
+        outputs = []
+
+        def out(name):
+            outputs.append(name)
+            return os.path.join(out_dir, name)
+
+        summary = args.func(args, instance, out)
         params = {k: v for k, v in vars(args).items() if k not in _MANIFEST_SKIP}
         write_manifest(out_dir, args.command, params, outputs)
         print(summary)
         return 0
     except SystemExit as exc:
-        # --help, --version, a usage error, or parser.error() inside a
-        # subcommand body (precondition violations)
+        # --help, --version, a usage error, or parser.error() from
+        # _build_instance (a size flag the problem family needs is missing)
         return 0 if exc.code in (0, None) else int(exc.code)
     except (TikhregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

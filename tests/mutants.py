@@ -49,6 +49,70 @@ MUTANTS = [
            "while np.any(decomp.rho > _envelope(c_upper, alpha_hat, all_k)):",
            "while False:",
            "c_upper must step up until the rounded envelope bounds every rho_k"),
+    Mutant("src/tikhreg/spectral.py",
+           "rho > n * _EPS * rho[0]",
+           "rho > 2 * n * _EPS * rho[0]",
+           "modes are kept above n eps rho_1, not 2 n eps rho_1"),
+    Mutant("src/tikhreg/spectral.py",
+           "_FIT_LO = 6",
+           "_FIT_LO = 5",
+           "the decay-exponent fit starts at rank 6, not rank 5"),
+    Mutant("src/tikhreg/spectral.py",
+           "(self.f.T @ images @ self.f)",
+           "(self.f.T @ images.swapaxes(-1, -2) @ self.f)",
+           "the Kronecker analysis reads a vector as its side x side image, not the transpose"),
+    Mutant("src/tikhreg/params.py",
+           "q += sigma / math.sqrt(instance.n)",
+           "q += sigma / instance.n",
+           "rule rho0 adds sigma n^{-1/2} to q, not sigma / n"),
+    Mutant("src/tikhreg/params.py",
+           "** (-alpha / (alpha + 1.0))",
+           "** (-alpha / (alpha + 2.0))",
+           "lambda_0 = n^{-alpha/(alpha+1)}, not n^{-alpha/(alpha+2)}"),
+    Mutant("src/tikhreg/params.py",
+           "** (2.0 * alpha / (alpha + 1.0))",
+           "** (2.0 * alpha / (alpha + 1.05))",
+           "the rule's exponent is 2 alpha/(alpha + 1), not 2 alpha/(alpha + 1.05)"),
+    Mutant("src/tikhreg/harness.py",
+           "d_noise = sigma * decomp.project(xi)",
+           "d_noise = -sigma * decomp.project(xi)",
+           "rep r's data is y + sigma xi_r with xi_r its stream's draw, not y - sigma xi_r"),
+    Mutant("src/tikhreg/harness.py",
+           "inv_cdf((i - 0.5) / reps)",
+           "inv_cdf(i / (reps + 1))",
+           "the QQ plotting positions are (i - 1/2)/reps, not i/(reps + 1)"),
+    Mutant("src/tikhreg/harness.py",
+           "for lam in lambdas]) / math.sqrt(instance.n)",
+           "for lam in lambdas]) / math.sqrt(instance.n + 1)",
+           "the sweep's scaled output error is over sqrt(n), not sqrt(n + 1)"),
+    Mutant("src/tikhreg/problems.py",
+           "    np.negative(r, out=r)\n",
+           "",
+           "Box-Muller takes log(1 - u1), so u1 must be negated before log1p"),
+    Mutant("src/tikhreg/problems.py",
+           ":{round(scaled)}:",
+           ":{int(scaled)}:",
+           "a stream seed's tag rounds delta * 1e6 to the nearest integer, not toward zero"),
+    Mutant("src/tikhreg/errors.py",
+           "(lo < v if strict else lo <= v)",
+           "(lo <= v if strict else lo <= v)",
+           "a strict bound refuses lo itself, such as a zero lambda or sigma"),
+    Mutant("src/tikhreg/linalg.py",
+           "if asym > 1e-12 * max(scale",
+           "if asym > 1e-10 * max(scale",
+           "W is refused as asymmetric above 1e-12 max|W|, not 1e-10 max|W|"),
+    Mutant("src/tikhreg/cli.py",
+           '_MANIFEST_SKIP = ("func", "command", "out", "config", "threads")',
+           '_MANIFEST_SKIP = ("func", "command", "out", "config")',
+           "--threads never changes a result, so the manifest must not record it"),
+    Mutant("src/tikhreg/cli.py",
+           "            outputs.append(name)\n",
+           "",
+           "out(name) records every file a command writes, so the manifest lists them all"),
+    Mutant("src/tikhreg/__init__.py",
+           "    SizeCap,\n",
+           "",
+           "SizeCap is public: a caller catches it by name from the package"),
 ]
 
 

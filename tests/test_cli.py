@@ -249,6 +249,26 @@ def test_montecarlo_files(tmp_path):
     assert set(fit) == {"slope_output", "slope_b", "intercept_output", "intercept_b"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "40"],
+    ["spectrum", "--n", "60"],
+    ["solve", "--n", "60", "--delta", "0.01"],
+    ["sweep", "--n", "60", "--delta", "0.01", "--grid-count", "4"],
+    ["adaptive", "--n", "60", "--delta", "0.01"],
+    ["montecarlo", "--ns", "60", "--deltas", "0.1", "--reps", "2"],
+    ["study", "--n", "60", "--delta", "0.01", "--reps", "100", "--bins", "10"],
+    ["table", "--ns", "60", "--deltas", "0.1"],
+], ids=lambda argv: argv[0])
+def test_manifest_lists_exactly_the_files_written(tmp_path, argv):
+    # main records each name as the body asks for its path, so the manifest
+    # names every file in --out but itself, each once, and nothing else
+    out = tmp_path / argv[0]
+    assert run(argv + ["--out", str(out)]) == 0
+    outputs = json.loads(read(out / "manifest.json"))["outputs"]
+    assert len(outputs) == len(set(outputs))
+    assert set(outputs) == set(os.listdir(out)) - {"manifest.json"}
+
+
 # CSV column -> the record field it holds, where the two names differ
 _FIELD_OF_COLUMN = {"lambda": "lam", "rel_Ax": "rel_ax", "mean_out": "mean_scaled_output",
                     "mean_b": "mean_scaled_b"}

@@ -1,7 +1,12 @@
 import dataclasses
+import io
 import json
 import math
+import os
+import resource
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -28,7 +33,7 @@ from tikhreg import (
     stream_seed,
 )
 from tikhreg.harness import _BATCH_BYTES
-from tikhreg.problems import _BLOCK_ENTRIES, _row_blocks
+from tikhreg.problems import _BLOCK_ENTRIES, _read_finite, _row_blocks
 from tikhreg.spectral import _dense_decompose
 from tikhreg.tikhonov import spectral_solver
 
@@ -332,6 +337,36 @@ def test_builders_take_numpy_integer_sizes(tmp_path):
 def test_standard_normal_rejects_a_negative_count():
     with pytest.raises(DomainError, match="count"):
         standard_normal(0, -1)
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_batch_too_large_to_allocate_raises_size_cap():
+    # 8192 rows at the 40000 count cap are a 2.4 GiB block: each row is within
+    # the cap, so only the allocation can refuse it, and under a 1 GiB address
+    # space it does, as SizeCap naming the block, not as a bare MemoryError
+    script = ("import sys\n"
+              "from tikhreg import SizeCap, standard_normal\n"
+              "try:\n"
+              "    standard_normal(list(range(8192)), 40000)\n"
+              "except SizeCap as exc:\n"
+              "    sys.exit(f'SizeCap: {exc}')\n")
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        preexec_fn=_one_gib_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("SizeCap: 8192 x 40000 variates: ")
+
+
+def test_a_short_read_of_prob_data_raises_domain_error():
+    # load_problem checks the file size before it reads, so it never meets a
+    # short read; _read_finite itself still refuses one
+    with pytest.raises(DomainError, match=r"^\.prob file ended early: short\.prob$"):
+        _read_finite(io.BytesIO(bytes(12)), np.empty(2, dtype="<f8"), "short.prob")
 
 
 def test_stream_seed_distinct_and_stable():
