@@ -28,9 +28,10 @@ run_sample_study, so a command that does not run it does not load it, and
 the Monte Carlo cells run on plain threads, so no command loads
 concurrent.futures (and, through it, logging). Only run_montecarlo and
 run_sample_study draw batches of seeds, whose uniforms come from
-numpy.random's C fill; run_sweep and run_table draw one seed at a time
-through add_noise, whose uniforms problems computes in numpy arithmetic, so
-they never load numpy.random (a 6-10 ms, 1.8 MB import).
+numpy.random's C fill through one generator per thread; run_sweep and
+run_table draw one seed at a time through add_noise, whose uniforms problems
+computes in numpy arithmetic, so they never load numpy.random (a 6-10 ms,
+1.8 MB import).
 """
 
 import json
@@ -49,9 +50,12 @@ from .spectral import _check_lambda, decompose, filter_errors
 from .tikhonov import error_report, spectral_solver
 
 # reps are processed in batches, one noise block drawn in one call per
-# batch, of at most _BATCH_BYTES of noise and at least one row (65 rows at
-# n = 500, 16 at n = 2000, 1 at n = 40000): the block, its FFT and the
-# filter temporaries then stay a few MB per worker at any n. The width
+# batch, whose widest array fits _BATCH_BYTES, with at least one row: a row
+# of the sine route's complex FFT takes 16 (n + 1) bytes, twice a noise row
+# and more than the Kronecker route's two side x side products (32 rows at
+# n = 500, 8 at n = 2000, 7 at blur side 48, 1 at n = 40000). Only a
+# batch's projection outlives it, so a cell at n = 500 or 2000 peaks under
+# 0.8 MB traced and a second worker costs little resident memory. The width
 # depends on n alone, so the thread count cannot change any bit. The sine and
 # Kronecker routes project each row on its own and filter_errors sums each
 # rep on its own, so on those routes the width moves no bit either
@@ -183,16 +187,23 @@ def _scaled_errors(instance, decomp, sigma, delta, lam, reps, master_seed):
     # filter_errors. A delta so large that an error overflows float64 raises
     # DomainError instead of passing inf on.
     n = instance.n
-    batch = max(1, _BATCH_BYTES // (8 * n))
+    batch = max(1, _BATCH_BYTES // (16 * (n + 1)))
     d_clean = decomp.project(instance.y)
     out_sq = np.empty(reps, dtype=np.float64)
     b_sq = np.empty(reps, dtype=np.float64)
     for lo in range(0, reps, batch):
         hi = min(lo + batch, reps)
-        xi = standard_normal(stream_seed(master_seed, n, delta, range(lo, hi)), n)
+        seeds = stream_seed(master_seed, n, delta, range(lo, hi))
         with np.errstate(over="ignore", invalid="ignore"):
-            d_noise = sigma * decomp.project(xi)
-            _, out_sq[lo:hi], b_sq[lo:hi] = filter_errors(decomp, d_clean + d_noise, d_noise, lam)
+            # the noise block dies once projected, and d_noise is scaled in
+            # place (the bits of sigma * d_noise). d_noise alone, at most
+            # half the widest array, lives on until the next batch replaces
+            # it: freeing it too leaves a whole batch free at the top of the
+            # heap, which glibc's malloc then trims and faults back in every
+            # batch on some heap layouts
+            d_noise = decomp.project(standard_normal(seeds, n))
+            d_noise *= sigma
+            out_sq[lo:hi], b_sq[lo:hi] = filter_errors(decomp, d_clean + d_noise, d_noise, lam)[1:]
         if not (np.isfinite(out_sq[lo:hi]).all() and np.isfinite(b_sq[lo:hi]).all()):
             raise DomainError(f"delta = {delta!r} (sigma = {sigma!r}) makes the scaled errors "
                               f"overflow float64")

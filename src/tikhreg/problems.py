@@ -64,11 +64,11 @@ six times the count cap.
 
 Batched draws. A sequence of seeds (the Monte Carlo and study batches)
 returns one row per seed, row i equal bit for bit to the one-seed draw, and
-takes numpy.random's C fill. It builds one Philox generator per call, reads
-its start state once, and re-keys it per row by setting that state's key to
-[seed, 0], where Philox(key=seed) starts. It writes each row's uniforms
-straight into the output block, so a Monte Carlo batch (256 KB of noise,
-bounded by the harness) pays for one construction instead of one per rep.
+takes numpy.random's C fill: one Philox generator per thread, re-keyed per
+row by setting its start state's key to [seed, 0], where Philox(key=seed)
+starts, so a worker builds one generator for all its batches. It writes
+each row's uniforms straight into the output block (under 128 KB of noise
+in a Monte Carlo batch, bounded by the harness).
 Either fill is followed by the same transform, which makes each of its nine
 ufunc calls once over every pair of the block, in place: the even columns
 become r, the odd columns theta, and cos(theta) is the one temporary, half
@@ -147,6 +147,7 @@ import json
 import math
 import os
 import shutil
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -163,6 +164,9 @@ _PROB_VERSION = 1
 # 128 bits, and the key grows by _PHILOX_W between rounds
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+
+# the batched draws' Philox generator, Generator and start state, per thread
+_THREAD = threading.local()
 
 # the largest n a build makes or a .prob header names (errors._integer's
 # cap), checked before anything is allocated. A build is O(n) memory; only
@@ -405,11 +409,11 @@ def standard_normal(seed, count):
     of seeds gives a (len(seeds), count) block whose row i equals
     standard_normal(seeds[i], count) bit for bit. Same seed, same count
     prefix: bit-identical output. One seed's uniforms are computed in numpy
-    arithmetic, without loading numpy.random; a sequence's come from one
-    numpy.random Philox generator re-keyed per row, whose C fill is several
-    times faster per uniform. Every seed is checked, whatever the count; a
-    count above the 40000 size cap, and a block of rows too large to
-    allocate, raise SizeCap before anything is allocated.
+    arithmetic, without loading numpy.random; a sequence's come from the
+    thread's numpy.random Philox generator re-keyed per row, whose C fill is
+    several times faster per uniform. Every seed is checked, whatever the
+    count; a count above the 40000 size cap, and a block of rows too large
+    to allocate, raise SizeCap before anything is allocated.
     """
     # the size cap bounds a row: at most 320 KB of variates per seed
     count = _integer(count, "count of variates", 0, cap=_SIZE_CAP)
@@ -424,11 +428,13 @@ def standard_normal(seed, count):
     if single:
         _philox_uniforms(seeds[0], z[0])
     else:
-        # one generator, re-keyed per row to where Philox(key=seed)
-        # starts: its start state with key [seed, 0]
-        bitgen = np.random.Philox(key=0)
-        gen = np.random.Generator(bitgen)
-        start = bitgen.state
+        # one generator per thread, re-keyed per row to where
+        # Philox(key=seed) starts: its start state with key [seed, 0]
+        cached = getattr(_THREAD, "philox", None)
+        if cached is None:
+            bitgen = np.random.Philox(key=0)
+            cached = _THREAD.philox = bitgen, np.random.Generator(bitgen), bitgen.state
+        bitgen, gen, start = cached
         for row, s in zip(z, seeds):
             start["state"]["key"][0] = s
             bitgen.state = start

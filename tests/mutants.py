@@ -74,9 +74,21 @@ MUTANTS = [
            "** (2.0 * alpha / (alpha + 1.05))",
            "the rule's exponent is 2 alpha/(alpha + 1), not 2 alpha/(alpha + 1.05)"),
     Mutant("src/tikhreg/harness.py",
-           "d_noise = sigma * decomp.project(xi)",
-           "d_noise = -sigma * decomp.project(xi)",
+           "d_noise *= sigma",
+           "d_noise *= -sigma",
            "rep r's data is y + sigma xi_r with xi_r its stream's draw, not y - sigma xi_r"),
+    Mutant("src/tikhreg/harness.py",
+           "_BATCH_BYTES // (16 * (n + 1))",
+           "_BATCH_BYTES // (8 * n)",
+           "a batch's widest array, a row of the FFT, fits the byte bound, not only its noise"),
+    Mutant("src/tikhreg/harness.py",
+           "d_noise = decomp.project(standard_normal(seeds, n))",
+           "xi = standard_normal(seeds, n)\n            d_noise = decomp.project(xi)",
+           "a batch's noise block dies once projected, before the next batch is drawn"),
+    Mutant("src/tikhreg/problems.py",
+           'cached = getattr(_THREAD, "philox", None)',
+           "cached = None",
+           "a thread builds one Philox generator for all its batched draws, not one per draw"),
     Mutant("src/tikhreg/harness.py",
            "inv_cdf((i - 0.5) / reps)",
            "inv_cdf(i / (reps + 1))",

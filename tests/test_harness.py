@@ -206,7 +206,7 @@ def _per_rep_scaled_errors(inst, delta, lam, reps, master):
 
 def _batch_rows(n):
     # the batch width of _scaled_errors
-    return max(1, _BATCH_BYTES // (8 * n))
+    return max(1, _BATCH_BYTES // (16 * (n + 1)))
 
 
 _build_blur = partial(build_blur, psf_width=2.0)
@@ -254,14 +254,15 @@ def test_batched_noise_draws_change_no_bit():
 
 
 @pytest.mark.parametrize("problem, size, rows", [
-    (build_fredholm, 500, 65),        # the noise_study size
-    (build_fredholm, 2000, 16),
-    (_build_blur, 48, 14),
-    (build_fredholm, 60, 546),
-    (build_fredholm, 2, 16384),
+    (build_fredholm, 500, 32),        # the noise_study size
+    (build_fredholm, 2000, 8),
+    (_build_blur, 48, 7),
+    (build_fredholm, 60, 268),
+    (build_fredholm, 2, 5461),
 ], ids=["fredholm-500", "fredholm-2000", "blur-48", "fredholm-60", "fredholm-2"])
 def test_noise_batch_rows_follow_the_byte_bound(monkeypatch, problem, size, rows):
-    # max(1, _BATCH_BYTES // (8 n)) rows: the byte bound is the only cap
+    # max(1, _BATCH_BYTES // (16 (n + 1))) rows, one row of the sine route's
+    # complex FFT each: the byte bound is the only cap
     widths = []
 
     def spy(seeds, count):
@@ -276,7 +277,7 @@ def test_noise_batch_rows_follow_the_byte_bound(monkeypatch, problem, size, rows
 @pytest.mark.parametrize("build, size", [(build_fredholm, 1000), (_build_blur, 48)],
                          ids=["fredholm", "blur"])
 def test_the_byte_bound_moves_no_bit(monkeypatch, build, size):
-    # 8 KB gives one row per batch at these sizes, 1 MB 64 (Fredholm) or 56 (blur)
+    # 8 KB gives one row per batch at these sizes, 1 MB 65 (Fredholm) or 28 (blur)
     inst = build(size)
     results = []
     for bound in (8 << 10, 1 << 20, _BATCH_BYTES):
@@ -303,7 +304,7 @@ def test_montecarlo_at_the_size_cap_holds_a_bounded_noise_batch():
 
 @pytest.mark.parametrize("n", [2, 60])
 def test_montecarlo_cell_at_small_n_holds_a_bounded_noise_batch(n):
-    # the byte bound widens the batch as n falls (16384 rows at n = 2, 546
+    # the byte bound widens the batch as n falls (5461 rows at n = 2, 268
     # at n = 60); a full batch and a tail stay under the size-cap bound
     reps = _batch_rows(n) + 3
     standard_normal([0], 2)                # numpy.random's lazy import is not the cell's
@@ -314,6 +315,78 @@ def test_montecarlo_cell_at_small_n_holds_a_bounded_noise_batch(n):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _fredholm_cell(n):
+    # one 200-rep _scaled_errors cell at delta = 0.01 and the rule's lambda
+    inst = build_fredholm(n)
+    dec = decompose(inst)
+    sigma = noise_sigma(inst, 0.01)
+    lam = rule_lambda("rho0", 4.0, inst, sigma, 1.0)
+    return partial(harness._scaled_errors, inst, dec, sigma, 0.01, lam, 200, 0)
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_a_cell_peaks_under_four_byte_bounds(n):
+    # a batch's widest array, the sine route's FFT, fits the byte bound;
+    # a bound on the noise block alone (twice the rows) peaks above 1 MB
+    cell = _fredholm_cell(n)
+    cell()                                 # numpy.random and this thread's generator
+    assert _traced_peak(cell) < 4 * _BATCH_BYTES
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_only_the_projection_outlives_its_batch(monkeypatch, n):
+    # the traced memory in use as each draw starts: a later draw finds what
+    # the first found plus the last batch's (rows, m) projection, and the
+    # last noise block (rows x n float64) or filter output would show
+    live = []
+
+    def spy(seeds, count):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return standard_normal(seeds, count)
+
+    monkeypatch.setattr(harness, "standard_normal", spy)
+    cell = _fredholm_cell(n)
+    cell()
+    live.clear()
+    _traced_peak(cell)
+    projection = 8 * _batch_rows(n) * decompose(build_fredholm(n)).m
+    assert len(live) > 2 and max(live[1:]) - live[0] < projection + 4096, live
+
+
+def test_a_two_worker_grid_peaks_under_eight_byte_bounds():
+    # two workers, each holding one batch at a time, and the grid's own
+    # instances and decompositions
+    grid = partial(run_montecarlo, [500, 2000], [0.1, 0.01], 200, threads=2)
+    grid()
+    assert _traced_peak(grid) < 8 * _BATCH_BYTES
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_worker_builds_one_philox_generator(monkeypatch, threads):
+    # 200 reps are 7 batches per n = 500 cell; a worker thread builds its
+    # generator at its first batch and re-keys it for every later one
+    builders = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        builders.append(threading.current_thread())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    run_montecarlo([500, 60], [0.1, 0.01], 200, threads=threads)
+    assert 1 <= len(builders) <= threads
+    assert len(set(builders)) == len(builders)
 
 
 def test_montecarlo_cell_holds_two_float64_per_rep():

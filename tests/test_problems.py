@@ -7,6 +7,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -259,16 +260,55 @@ def test_batched_block_equals_the_per_row_reference(count):
     assert np.array_equal(standard_normal(seeds[2], count), _per_row_normals(seeds[2], count))
 
 
+def _alternating_draws(sets, count, rounds, barrier=None):
+    # each seed set drawn in turn, `rounds` times over; a barrier makes two
+    # threads take every turn together
+    blocks = []
+    for _ in range(rounds):
+        for seeds in sets:
+            if barrier is not None:
+                barrier.wait()
+            blocks.append(standard_normal(seeds, count))
+    return blocks
+
+
+def test_alternating_batches_equal_the_per_row_reference_on_each_thread():
+    # a thread's one generator serves every batched draw, each row re-keyed
+    # from its full start state, so alternating seed sets, on one thread and
+    # on two at once (each thread with its own sets), keep every reference bit
+    count, rounds = 501, 3
+    sets = [[[0, 2**64 - 1, 5], stream_seed(3, 500, 0.01, range(4))],
+            [stream_seed(4, 60, 0.1, range(3)), [2**63, 1]]]
+    want = [[_per_row_normals(s, count) for s in seeds] for seeds in sets[0] + sets[1]]
+    got = _alternating_draws(sets[0], count, rounds)
+    assert all(np.array_equal(b, want[k % 2]) for k, b in enumerate(got))
+
+    barrier, results = threading.Barrier(2, timeout=60), [None, None]
+
+    def work(i):
+        results[i] = _alternating_draws(sets[i], count, rounds, barrier)
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    for i, blocks in enumerate(results):
+        assert len(blocks) == 2 * rounds, i
+        assert all(np.array_equal(b, want[2 * i + k % 2]) for k, b in enumerate(blocks)), i
+
+
 def test_batched_draw_holds_only_its_block_and_a_bounded_scratch():
     # the blocks callers draw: a full Monte Carlo batch at n = 500 and at
     # n = 2000, one row at the n = 40000 size cap (a batch there), and
     # add_noise's one-seed draw at each n. The transform's one temporary is
-    # cos(theta), one float64 per pair; the generator and its state dict take
-    # about 3 KB more, and the one-seed fill's scratch at most 15 uint64 per
-    # Philox block of the count (1.2 MB at the size cap)
+    # cos(theta), one float64 per pair, and the one-seed fill's scratch at
+    # most 15 uint64 per Philox block of the count (1.2 MB at the size cap).
+    # The generator and its state dict, about 3 KB, are paid once per thread,
+    # here by the warm-up draw, so no traced draw holds them
     standard_normal([0], 2)                # numpy.random's lazy import is not the draw's
     for n in (500, 2000, 40000):
-        seeds = stream_seed(7, n, 0.01, range(max(1, _BATCH_BYTES // (8 * n))))
+        seeds = stream_seed(7, n, 0.01, range(max(1, _BATCH_BYTES // (16 * (n + 1)))))
         for draw, rows, scratch in ((seeds, len(seeds), 0), (seeds[0], 1, 15 * 8 * (n // 4))):
             peak, z = _traced_peak(lambda: standard_normal(draw, n))
             bound = z.nbytes + 8 * ((n + 1) // 2) * rows + 8192 + scratch
